@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ci bench benchsmoke bench-scaling bench-htap bench-wire
+.PHONY: all build vet lint test race ci benchmark-module loc bench benchsmoke bench-scaling bench-htap bench-wire
 
 all: ci
 
@@ -44,16 +44,29 @@ test:
 race:
 	$(GO) test -race ./...
 
+# benchmark/ is its own module (BENCHMARK.json freezes it), so the
+# ./... patterns above never compile it: a PR that changes API it uses
+# (exec.Execute, engine.ExecOptions, optimizer.Optimize, ...) must see
+# it break here, not when the benchmark is next run. The self-test takes
+# about 2 s; it is not run under -race (66 s).
+benchmark-module:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
+
 # ci is the tier-1 gate referenced from ROADMAP.md. benchsmoke runs the
 # parallel-executor benchmarks for one iteration so the morsel dispatch
 # and gather paths are exercised even when no test opts into them.
-ci: vet lint build test race benchsmoke
+ci: vet lint build test race benchmark-module benchsmoke
+
+# loc prints non-test Go lines per package and in total (benchmark/
+# excluded): the number ROADMAP tracks and a simplification PR quotes.
+loc:
+	@./scripts/loc.sh
 
 bench: bench-wire
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 	BENCH_JSON=$(CURDIR)/BENCH_parallel.json BENCH_KERNELS_JSON=$(CURDIR)/BENCH_kernels.json \
-		BENCH_BATCH_JSON=$(CURDIR)/BENCH_batch.json \
-		$(GO) test -bench 'BenchmarkParallel(Scan|Agg)|BenchmarkBatch(Join|TopN)|BenchmarkKernel(RLE|Dict)|BenchmarkQueryStoreCapture' -run '^$$' .
+		$(GO) test -bench 'BenchmarkParallel(Scan|Agg)|BenchmarkKernel(RLE|Dict)|BenchmarkQueryStoreCapture' -run '^$$' .
 
 # bench-scaling sweeps DOP 1/2/4/8 over the four parallel shapes and
 # writes BENCH_scaling.json: measured speedup vs DOP 1 next to the
@@ -104,4 +117,4 @@ bench-wire:
 # error, dropped/duplicated row, or an admission controller that never
 # engaged under the 64-client overload.
 benchsmoke:
-	BENCH_GUARD=1 $(GO) test -bench 'BenchmarkParallel(Scan|Agg)|BenchmarkBatch(Join|TopN)|BenchmarkScaling(Scan|Agg|Join|TopN)|BenchmarkKernel(RLE|Dict)|BenchmarkQueryStoreCapture|BenchmarkHTAPMixed|BenchmarkWireLoad' -benchtime 1x -run '^$$' .
+	BENCH_GUARD=1 $(GO) test -bench 'BenchmarkParallel(Scan|Agg)|BenchmarkScaling(Scan|Agg|Join|TopN)|BenchmarkKernel(RLE|Dict)|BenchmarkQueryStoreCapture|BenchmarkHTAPMixed|BenchmarkWireLoad' -benchtime 1x -run '^$$' .

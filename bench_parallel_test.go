@@ -133,12 +133,19 @@ func schedulableBenchCPUs() int {
 
 // benchWarning reports the single hardware caveat that invalidates
 // parallel speedup numbers: fewer schedulable CPUs than the largest
-// benchmarked DOP. It is printed to stderr and recorded in the JSON so
-// a reader of the committed numbers sees it too. Raising GOMAXPROCS
-// above the physical core count (as `make bench-scaling` does) cannot
-// clear the warning: the executor clamps its pools to NumCPU.
-func benchWarning() string {
-	maxDOP := parallelDOPs[len(parallelDOPs)-1]
+// worker count the artifact benchmarked. It is printed to stderr and
+// recorded in the JSON so a reader of the committed numbers sees it
+// too. Raising GOMAXPROCS above the physical core count (as `make
+// bench-scaling` does) cannot clear the warning: the executor clamps
+// its pools to NumCPU. An artifact that swept no worker counts (the
+// wire load's clients are not executor workers) gets none.
+func benchWarning(workerCounts []int) string {
+	maxDOP := 0
+	for _, w := range workerCounts {
+		if w > maxDOP {
+			maxDOP = w
+		}
+	}
 	if p := schedulableBenchCPUs(); p < maxDOP {
 		return fmt.Sprintf("min(GOMAXPROCS=%d, NumCPU=%d) is below the max benchmarked DOP %d; parallel speedups are scheduler noise on this machine",
 			runtime.GOMAXPROCS(0), runtime.NumCPU(), maxDOP)
@@ -149,12 +156,12 @@ func benchWarning() string {
 // benchEnv is the environment block shared by every BENCH_*.json
 // artifact: the schedulable CPU budget, the real worker counts the
 // suite exercised, and the scheduler-noise warning when the machine
-// cannot actually run the largest benchmarked DOP. Its fields inline
-// into each artifact's top level.
+// cannot actually run the largest of them. Its fields inline into each
+// artifact's top level.
 type benchEnv struct {
 	GOMAXPROCS   int    `json:"gomaxprocs"`
 	NumCPU       int    `json:"num_cpu"`
-	WorkerCounts []int  `json:"worker_counts"`
+	WorkerCounts []int  `json:"worker_counts,omitempty"`
 	Warning      string `json:"warning,omitempty"`
 }
 
@@ -163,7 +170,7 @@ func currentBenchEnv(workerCounts []int) benchEnv {
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		NumCPU:       runtime.NumCPU(),
 		WorkerCounts: workerCounts,
-		Warning:      benchWarning(),
+		Warning:      benchWarning(workerCounts),
 	}
 }
 
@@ -257,7 +264,7 @@ func TestMain(m *testing.M) {
 	}
 	if path := os.Getenv("BENCH_JSON"); path != "" && len(benchRecords) > 0 {
 		benchMu.Lock()
-		if warn := benchWarning(); warn != "" {
+		if warn := benchWarning(parallelDOPs); warn != "" {
 			fmt.Fprintf(os.Stderr, "warning: %s\n", warn)
 		}
 		out := struct {
@@ -278,7 +285,7 @@ func TestMain(m *testing.M) {
 	}
 	if path := os.Getenv("BENCH_SCALING_JSON"); path != "" && len(scalingRecords) > 0 {
 		benchMu.Lock()
-		if warn := benchWarning(); warn != "" {
+		if warn := benchWarning(scalingDOPs); warn != "" {
 			fmt.Fprintf(os.Stderr, "warning: %s\n", warn)
 		}
 		out := struct {
@@ -292,47 +299,6 @@ func TestMain(m *testing.M) {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "BENCH_SCALING_JSON: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	if path := os.Getenv("BENCH_BATCH_JSON"); path != "" && len(batchRecords) > 0 {
-		benchMu.Lock()
-		sort.SliceStable(batchRecords, func(i, j int) bool {
-			if batchRecords[i].Bench != batchRecords[j].Bench {
-				return batchRecords[i].Bench < batchRecords[j].Bench
-			}
-			if batchRecords[i].DOP != batchRecords[j].DOP {
-				return batchRecords[i].DOP < batchRecords[j].DOP
-			}
-			return batchRecords[i].Spine < batchRecords[j].Spine
-		})
-		rowNs := map[string]float64{}
-		for _, r := range batchRecords {
-			if r.Spine == "row" {
-				rowNs[fmt.Sprintf("%s/%d", r.Bench, r.DOP)] = r.NsPerOp
-			}
-		}
-		for i := range batchRecords {
-			r := &batchRecords[i]
-			if r.Spine == "batch" && r.NsPerOp > 0 {
-				if base := rowNs[fmt.Sprintf("%s/%d", r.Bench, r.DOP)]; base > 0 {
-					r.SpeedupVsRow = base / r.NsPerOp
-				}
-			}
-		}
-		out := struct {
-			benchEnv
-			Results []batchBenchRecord `json:"results"`
-		}{currentBenchEnv(batchDOPs), batchRecords}
-		benchMu.Unlock()
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(path, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "BENCH_BATCH_JSON: %v\n", err)
 			if code == 0 {
 				code = 1
 			}
@@ -361,7 +327,7 @@ func TestMain(m *testing.M) {
 		out := struct {
 			benchEnv
 			Results []wireBenchRecord `json:"results"`
-		}{currentBenchEnv([]int{wireBenchClients}), wireRecords}
+		}{currentBenchEnv(nil), wireRecords} // clients, not executor workers
 		benchMu.Unlock()
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err == nil {

@@ -17,7 +17,10 @@ package hybriddb
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"hybriddb/internal/value"
 )
 
 var scalingDOPs = []int{1, 2, 4, 8}
@@ -95,6 +98,48 @@ func BenchmarkScalingScan(b *testing.B) {
 func BenchmarkScalingAgg(b *testing.B) {
 	benchScalingQuery(b, parallelBenchDB(b), "agg",
 		"SELECT g, count(*), sum(v), min(k), max(k) FROM pb GROUP BY g")
+}
+
+// batchBenchDB builds a TPC-H-subset pair of columnstore tables: a
+// 20k-row orders dimension and a 120k-row lineitem fact, joined on the
+// order key.
+func batchBenchDB(b *testing.B) *DB {
+	b.Helper()
+	db := Open(WithRowGroupSize(8192))
+	if _, err := db.Exec("CREATE TABLE borders (o_k BIGINT, o_g BIGINT, o_total DOUBLE)"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Exec("CREATE TABLE blineitem (l_ok BIGINT, l_q BIGINT, l_v DOUBLE)"); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	orders := make([]value.Row, 20_000)
+	for i := range orders {
+		orders[i] = value.Row{
+			value.NewInt(int64(i)),
+			value.NewInt(rng.Int63n(64)),
+			value.NewFloat(float64(rng.Intn(100_000)) / 100),
+		}
+	}
+	db.Internal().Table("borders").BulkLoad(nil, orders)
+	lines := make([]value.Row, 120_000)
+	for i := range lines {
+		lines[i] = value.Row{
+			value.NewInt(rng.Int63n(20_000)),
+			value.NewInt(rng.Int63n(50)),
+			value.NewFloat(float64(rng.Intn(10_000)) / 4),
+		}
+	}
+	db.Internal().Table("blineitem").BulkLoad(nil, lines)
+	for _, ddl := range []string{
+		"CREATE CLUSTERED COLUMNSTORE INDEX cci_o ON borders (o_k)",
+		"CREATE CLUSTERED COLUMNSTORE INDEX cci_l ON blineitem (l_ok)",
+	} {
+		if _, err := db.Exec(ddl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
 }
 
 // BenchmarkScalingJoin sweeps the partitioned hash-join build under a

@@ -7,9 +7,12 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,6 +37,7 @@ import (
 var (
 	mStatements  = metrics.NewCounter("hybriddb_statements_total", "SQL statements executed")
 	mStmtErrors  = metrics.NewCounter("hybriddb_statement_errors_total", "SQL statements that returned an error")
+	mStmtPanics  = metrics.NewCounter("hybriddb_statement_panics_total", "SQL statements that panicked and were failed at the statement boundary")
 	mDataRead    = metrics.NewCounter("hybriddb_data_read_bytes_total", "virtual bytes read by statements")
 	mDataWritten = metrics.NewCounter("hybriddb_data_written_bytes_total", "virtual bytes written by statements")
 	mExecSeconds = metrics.NewHistogram("hybriddb_query_exec_seconds", "virtual statement execution time")
@@ -385,9 +389,14 @@ func (db *Database) run(sess *session.Session, st sql.Statement, o ExecOptions, 
 	sess.BeginStatement()
 	defer sess.EndStatement()
 	mStatements.Inc()
-	res, err := db.dispatch(st, o)
+	res, err := db.dispatchRecovered(st, o)
 	if err != nil {
 		mStmtErrors.Inc()
+		var pe *exec.PanicError
+		if errors.As(err, &pe) {
+			mStmtPanics.Inc()
+			log.Printf("engine: session %d: %v\n%s", sess.ID(), pe, pe.Stack)
+		}
 		if qs := db.qs.Load(); qs != nil {
 			norm := normalizeStmt(st, text)
 			qs.Record(querystore.Execution{
@@ -409,6 +418,21 @@ func (db *Database) run(sess *session.Session, st sql.Statement, o ExecOptions, 
 	}
 	db.observe(sess, st, res, text, wait)
 	return res, nil
+}
+
+// dispatchRecovered is the statement-boundary recover: a panic anywhere
+// below (today: an expression the binder did not type-check, such as
+// BIGINT + VARCHAR) becomes this statement's error. Every lock and the
+// admission slot run holds are released by its defers, so the session
+// and the server carry on; what a panicking DML statement leaves half
+// applied is ROADMAP item 4's audit, not handled here.
+func (db *Database) dispatchRecovered(st sql.Statement, o ExecOptions) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, &exec.PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return db.dispatch(st, o)
 }
 
 func (db *Database) dispatch(st sql.Statement, o ExecOptions) (*Result, error) {
@@ -635,7 +659,7 @@ func (db *Database) execExplain(s *sql.ExplainStmt, o ExecOptions) (*Result, err
 	tr := vclock.NewTracker(db.model)
 	trace := &metrics.TraceNode{} // synthetic root; children are the operators
 	res, err := exec.Execute(tr, root, bound.TotalSlots,
-		exec.RunOptions{Trace: trace, Workers: db.workers(o, root), RowMode: o.RowMode})
+		exec.RunOptions{Trace: trace, Workers: db.workers(o, root)})
 	if err != nil {
 		return nil, err
 	}
@@ -694,7 +718,7 @@ func (db *Database) execSelect(s *sql.SelectStmt, o ExecOptions) (*Result, error
 		trace = &metrics.TraceNode{} // query store samples operator traces
 	}
 	res, err := exec.Execute(tr, root, bound.TotalSlots,
-		exec.RunOptions{Trace: trace, Workers: db.workers(o, root), RowMode: o.RowMode})
+		exec.RunOptions{Trace: trace, Workers: db.workers(o, root)})
 	if err != nil {
 		return nil, err
 	}

@@ -10,32 +10,6 @@ import (
 	"hybriddb/internal/vec"
 )
 
-func buildAgg(ctx *Context, a *plan.Agg) (Cursor, error) {
-	if a.Strategy == plan.AggStream {
-		in, err := Build(ctx, a.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &streamAggCursor{ctx: ctx, a: a, in: in}, nil
-	}
-	// Batch-mode hash aggregation runs directly over the columnstore
-	// batch source when the input is a batch-capable scan.
-	if a.BatchMode {
-		if scan, ok := a.Input.(*plan.Scan); ok && scan.Access == plan.AccessCSIScan {
-			rows, err := aggScanDirectRows(ctx, a, scan)
-			if err != nil {
-				return nil, err
-			}
-			return &batchHashAgg{rows: rows}, nil
-		}
-	}
-	in, err := Build(ctx, a.Input)
-	if err != nil {
-		return nil, err
-	}
-	return newRowHashAgg(ctx, a, in)
-}
-
 // aggState accumulates one aggregate for one group. DISTINCT
 // aggregates only collect the deduplicated value set here; all
 // arithmetic happens in finalDistinct over a fixed (encoded-key) fold
@@ -170,10 +144,11 @@ type aggGroup struct {
 	states []aggState
 }
 
-// aggCore is the grant-aware hash-aggregation engine shared by the row
-// and batch operators. When the hash table would exceed the grant it
-// spills partial aggregates to the temp device and merges them at the
-// end — the disk-based aggregation the paper triggers in Figure 4.
+// aggCore is the grant-aware hash-aggregation engine shared by the
+// scan-direct, row-rate and morsel-partial aggregations. When the hash
+// table would exceed the grant it spills partial aggregates to the temp
+// device and merges them at the end — the disk-based aggregation the
+// paper triggers in Figure 4.
 type aggCore struct {
 	ctx     *Context
 	a       *plan.Agg
@@ -306,35 +281,6 @@ func (c *aggCore) finish() []value.Row {
 	return out
 }
 
-// rowHashAgg drains a row-mode input through the agg core.
-type rowHashAgg struct {
-	rows []value.Row
-	pos  int
-}
-
-func newRowHashAgg(ctx *Context, a *plan.Agg, in Cursor) (*rowHashAgg, error) {
-	core := newAggCore(ctx, a)
-	m := ctx.Tr.Model
-	for {
-		row, ok := in.Next()
-		if !ok {
-			break
-		}
-		ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU+m.AggCPU), 1.0)
-		core.add(row)
-	}
-	return &rowHashAgg{rows: core.finish()}, nil
-}
-
-func (c *rowHashAgg) Next() (value.Row, bool) {
-	if c.pos >= len(c.rows) {
-		return nil, false
-	}
-	r := c.rows[c.pos]
-	c.pos++
-	return r, true
-}
-
 // aggSlotCols resolves the batch vector index of every composite slot
 // the aggregation reads — group slots plus aggregate-argument columns —
 // so the per-row scratch fill materializes only those values instead of
@@ -392,20 +338,13 @@ func fillAggScratch(scratch value.Row, b *vec.Batch, p int, pairs [][2]int, ok b
 	}
 }
 
-// batchHashAgg drains a columnstore batch source through the agg core,
-// charging batch-mode rates (the vectorized aggregation that gives
-// columnstores their Figure 4 advantage while the grant lasts).
-type batchHashAgg struct {
-	rows []value.Row
-	pos  int
-}
-
 // aggScanDirectRows aggregates a batch-capable scan straight from its
-// batch source and returns the finished output rows (shared by the row
-// and batch spines so both produce identical rows and Metrics).
-// Parallel-marked plans take the morsel-partial path at every worker
-// count — the fold structure is part of the simulated plan, so the
-// real worker count never changes results or metrics.
+// batch source, charging batch-mode rates (the vectorized aggregation
+// that gives columnstores their Figure 4 advantage while the grant
+// lasts), and returns the finished output rows. Parallel-marked plans
+// take the morsel-partial path at every worker count — the fold
+// structure is part of the simulated plan, so the real worker count
+// never changes results or metrics.
 func aggScanDirectRows(ctx *Context, a *plan.Agg, scan *plan.Scan) ([]value.Row, error) {
 	if rows, ok, err := morselScanAggRows(ctx, a, scan); err != nil {
 		return nil, err
@@ -425,33 +364,29 @@ func aggScanDirectRows(ctx *Context, a *plan.Agg, scan *plan.Scan) ([]value.Row,
 		src.timed = true
 	}
 	core := newAggCore(ctx, a)
-	m := ctx.Tr.Model
-	scratch := make(value.Row, ctx.TotalSlots)
-	schemaLen := scan.Table.Schema.Len()
-	pairs, fast := aggSlotCols(a, src)
-	for {
-		b, ok := src.next()
-		if !ok {
-			break
-		}
-		n := b.Len()
-		ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(n), (m.BatchCPU*2)+m.BatchCPU), 1.0)
-		for i := 0; i < n; i++ {
-			p := b.LiveIndex(i)
-			fillAggScratch(scratch, b, p, pairs, fast, src, scan.SlotBase, schemaLen)
-			core.add(scratch)
-		}
-	}
+	core.addScan(scan, src)
 	return core.finish(), nil
 }
 
-func (c *batchHashAgg) Next() (value.Row, bool) {
-	if c.pos >= len(c.rows) {
-		return nil, false
+// addScan folds a columnstore batch source into the hash table at
+// batch-mode rates, materializing only the slots the aggregation reads.
+func (c *aggCore) addScan(scan *plan.Scan, src *csiBatchSource) {
+	m := c.ctx.Tr.Model
+	scratch := make(value.Row, c.ctx.TotalSlots)
+	schemaLen := scan.Table.Schema.Len()
+	pairs, fast := aggSlotCols(c.a, src)
+	for {
+		b, ok := src.next()
+		if !ok {
+			return
+		}
+		n := b.Len()
+		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(n), (m.BatchCPU*2)+m.BatchCPU), 1.0)
+		for i := 0; i < n; i++ {
+			fillAggScratch(scratch, b, b.LiveIndex(i), pairs, fast, src, scan.SlotBase, schemaLen)
+			c.add(scratch)
+		}
 	}
-	r := c.rows[c.pos]
-	c.pos++
-	return r, true
 }
 
 // streamAggCursor aggregates an input already sorted by the group

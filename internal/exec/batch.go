@@ -1,4 +1,4 @@
-// The batch spine: the executor's primary pipeline. Operators pull
+// The batch spine: the executor's one pipeline. Operators pull
 // SlotBatch units (typed column vectors plus a selection vector, or a
 // materialized row run at the fringes) through BatchCursor trees, so
 // the selection vectors produced by the columnstore scan kernels flow
@@ -6,21 +6,24 @@
 // parent — the MonetDB/X100-style vectorization behind the paper's
 // batch-mode CPU asymmetry.
 //
-// Row-mode survives as thin fringes: B+ tree seeks and heap scans
-// (rowBatchAdapter), merge and nested-loop joins, stream aggregation,
-// and bare TOP without a blocking child (which must preserve
-// row-at-a-time early termination). Everything else — filter, project,
-// hash join build/probe, sort, hash aggregation, TOP above a blocking
-// operator — runs vectorized.
+// Row-mode survives as thin fringes: B+ tree seeks and heap scans,
+// merge and nested-loop joins, stream aggregation, and bare TOP without
+// a blocking child (which must preserve row-at-a-time early
+// termination). Everything else — filter, project, hash join
+// build/probe, sort, hash aggregation, TOP above a blocking operator —
+// has only a vectorized implementation. Two adapters join the halves:
+// rowBatchAdapter lifts a fringe's rows into batches for a batch
+// parent, batchRowAdapter hands a batch child's rows to a fringe
+// parent. Neither charges the virtual clock (the columnstore scan's
+// batch-to-row boundary cost is charged at the scan leaf).
 //
-// Virtual-clock discipline: every batch operator issues the exact
-// charge multiset its row-mode counterpart issues, including the
-// batch-to-row adapter charge at columnstore scans. The batch spine is
-// a real-CPU optimization, not a simulated one: Metrics are
-// bit-identical across the two spines (the spine differential test
-// asserts this), while wall-clock time drops because typed vectors
-// replace per-row value.Value boxing, map-of-Clone hash tables, and
-// per-row interface calls.
+// The one-row rule: virtual charges are issued as a batch is
+// processed, so batch granularity would be observable wherever a
+// consumer stops early — a bare TOP, a merge join running off its
+// shorter input. Subtrees built under Context.oneRow therefore wrap
+// every batch operator in a oneRowCursor and pull fringes one row at a
+// time, until a blocking operator (sort, hash aggregate, hash-join
+// build) drains its input regardless and lifts the rule beneath it.
 //
 // Ownership: columnar batches are borrowed — valid only until the
 // producer's next NextBatch call (producers reuse vectors and
@@ -36,7 +39,6 @@ import (
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
 	"hybriddb/internal/value"
-	"hybriddb/internal/vclock"
 	"hybriddb/internal/vec"
 )
 
@@ -83,8 +85,8 @@ func (sb *SlotBatch) evalRow(i int, scratch value.Row) value.Row {
 	return scratch
 }
 
-// rowWidth returns the in-memory width the row spine would charge for
-// live ordinal i materialized as a composite row: populated slots at
+// rowWidth returns the in-memory width charged for live ordinal i
+// materialized as a composite row: populated slots at
 // their value widths plus one NULL-marker byte per empty slot.
 func (sb *SlotBatch) rowWidth(i, totalSlots int) int {
 	if sb.Rows != nil {
@@ -102,16 +104,25 @@ func (sb *SlotBatch) rowWidth(i, totalSlots int) int {
 	return w + (totalSlots - populated)
 }
 
-// materializeRows converts the batch's live rows to composite rows
-// carved from one backing array per batch (the allocation discipline
-// of colstore.ScanRows). Row-layout batches return their rows as-is.
+// materializeRows converts the batch's live rows to composite rows.
+// Row-layout batches return their rows as-is.
 func (sb *SlotBatch) materializeRows(totalSlots int) []value.Row {
 	if sb.Rows != nil {
 		return sb.Rows
 	}
+	return sb.appendRows(make([]value.Row, 0, sb.B.Len()), totalSlots)
+}
+
+// appendRows appends the batch's live rows to dst as composite rows,
+// carving a columnar batch's rows from one backing array (the
+// allocation discipline of colstore.ScanRows). Consumers may retain
+// the rows; only dst's row headers are the caller's to reuse.
+func (sb *SlotBatch) appendRows(dst []value.Row, totalSlots int) []value.Row {
+	if sb.Rows != nil {
+		return append(dst, sb.Rows...)
+	}
 	n := sb.B.Len()
 	backing := make([]value.Value, n*totalSlots)
-	rows := make([]value.Row, n)
 	for i := 0; i < n; i++ {
 		p := sb.B.LiveIndex(i)
 		row := backing[i*totalSlots : (i+1)*totalSlots : (i+1)*totalSlots]
@@ -120,14 +131,14 @@ func (sb *SlotBatch) materializeRows(totalSlots int) []value.Row {
 				row[slot] = sb.B.Cols[vi].Value(p)
 			}
 		}
-		rows[i] = row
+		dst = append(dst, row)
 	}
-	return rows
+	return dst
 }
 
-// rowFringe reports whether a plan node executes in row mode with the
-// batch spine active: its whole subtree is delegated to the row-mode
-// Build and adapted back to batches at the boundary.
+// rowFringe reports whether a plan node executes row at a time: Build
+// constructs it natively and BuildBatch adapts it; for every other
+// node it is the other way round.
 func rowFringe(n plan.Node) bool {
 	switch v := n.(type) {
 	case *plan.Scan:
@@ -138,9 +149,8 @@ func rowFringe(n plan.Node) bool {
 		return v.Strategy == plan.AggStream
 	case *plan.Top:
 		// A bare TOP terminates its input early row by row; batching it
-		// would overrun the row spine's charge multiset on the final
-		// partial batch. Above a blocking operator the input is fully
-		// drained either way, so TOP batches safely.
+		// would charge for the rest of the final batch. Above a blocking
+		// operator the input is fully drained either way, so TOP batches.
 		return !blockingBelow(v.Input)
 	}
 	return false
@@ -173,76 +183,75 @@ func blockingBelow(n plan.Node) bool {
 }
 
 // countBatchOperators counts the batch-native operators of a plan for
-// the batch_operators trace attribute (rowFringe subtrees and their
-// children count as zero).
-func countBatchOperators(n plan.Node) int64 {
-	if rowFringe(n) {
-		return 0
+// the batch_operators trace attribute, above and below row fringes.
+func countBatchOperators(n plan.Node) (count int64) {
+	plan.Walk(n, func(n plan.Node) {
+		if _, root := n.(*plan.Root); !root && !rowFringe(n) {
+			count++
+		}
+	})
+	return count
+}
+
+// lastTraced returns the trace node of the operator Build or BuildBatch
+// just constructed under ctx.Trace (each appends exactly one child),
+// where an adapter records its traffic; nil untraced.
+func lastTraced(ctx *Context) *metrics.TraceNode {
+	if ctx.Trace == nil || len(ctx.Trace.Children) == 0 {
+		return nil
 	}
-	switch v := n.(type) {
-	case *plan.Root:
-		return countBatchOperators(v.Input)
-	case *plan.Scan:
-		return 1
-	case *plan.Filter:
-		return 1 + countBatchOperators(v.Input)
-	case *plan.Project:
-		return 1 + countBatchOperators(v.Input)
-	case *plan.Sort:
-		return 1 + countBatchOperators(v.Input)
-	case *plan.Top:
-		return 1 + countBatchOperators(v.Input)
-	case *plan.Agg:
-		return 1 + countBatchOperators(v.Input)
-	case *plan.Join:
-		return 1 + countBatchOperators(v.Outer) + countBatchOperators(v.Inner)
-	}
-	return 0
+	return ctx.Trace.Children[len(ctx.Trace.Children)-1]
 }
 
 // BuildBatch constructs the batch-cursor tree for a plan node,
 // mirroring Build's trace wiring: one TraceNode per operator,
-// construction deltas included. Row-fringe subtrees delegate to Build
-// (which traces them itself) and are wrapped in a rowBatchAdapter.
+// construction deltas included. Row fringes are built by Build (which
+// traces them itself) and lifted by a rowBatchAdapter.
 func BuildBatch(ctx *Context, n plan.Node) (BatchCursor, error) {
 	if root, ok := n.(*plan.Root); ok {
 		return BuildBatch(ctx, root.Input)
 	}
 	if rowFringe(n) {
-		k := -1
-		if ctx.Trace != nil {
-			k = len(ctx.Trace.Children)
-		}
 		cur, err := Build(ctx, n)
 		if err != nil {
 			return nil, err
 		}
-		ad := &rowBatchAdapter{in: cur}
-		if k >= 0 && k < len(ctx.Trace.Children) {
-			ad.tn = ctx.Trace.Children[k]
+		ad := &rowBatchAdapter{in: cur, limit: vec.BatchSize, tn: lastTraced(ctx)}
+		if ctx.oneRow {
+			ad.limit = 1
 		}
 		return ad, nil
 	}
-	if ctx.Trace == nil {
-		return buildBatchNode(ctx, n)
-	}
-	parent := ctx.Trace
-	tn := parent.Child(n.Describe())
-	tn.Loops = 1
-	ctx.Trace = tn
-	b0, t0 := ctx.Tr.BytesRead, ctx.Tr.ExecTime()
+	tn, done := openTrace(ctx, n)
 	cur, err := buildBatchNode(ctx, n)
-	tn.BytesRead += ctx.Tr.BytesRead - b0
-	tn.Time += ctx.Tr.ExecTime() - t0
-	ctx.Trace = parent
+	done()
 	if err != nil {
 		return nil, err
 	}
+	// Columnstore scans count batches on their node themselves (the
+	// gathered parallel scan per morsel source).
 	_, selfBatches := cur.(*batchScanCursor)
 	if _, ok := cur.(*gatherBatchCursor); ok {
-		selfBatches = true // per-morsel sources counted batches already
+		selfBatches = true
 	}
-	return &traceBatchCursor{ctx: ctx, tn: tn, in: cur, selfBatches: selfBatches}, nil
+	if ctx.oneRow {
+		cur = &oneRowCursor{in: cur}
+	}
+	if tn != nil {
+		cur = &traceBatchCursor{ctx: ctx, tn: tn, in: cur, selfBatches: selfBatches}
+	}
+	return cur, nil
+}
+
+// buildDrained builds a blocking operator's input: the operator pulls
+// it to exhaustion whatever its own consumer does, so the one-row rule
+// is lifted beneath it.
+func buildDrained(ctx *Context, n plan.Node) (BatchCursor, error) {
+	saved := ctx.oneRow
+	ctx.oneRow = false
+	cur, err := BuildBatch(ctx, n)
+	ctx.oneRow = saved
+	return cur, err
 }
 
 func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
@@ -271,7 +280,7 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 		} else if ok {
 			return &rowsBatchCursor{rows: rows}, nil
 		}
-		in, err := BuildBatch(ctx, node.Input)
+		in, err := buildDrained(ctx, node.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -293,20 +302,20 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 			return nil, err
 		}
 		return &batchTop{in: in, n: node.N}, nil
-	case *plan.Root:
-		return BuildBatch(ctx, node.Input)
 	}
 	return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 }
 
 // traceBatchCursor mirrors traceCursor for batch operators: emitted
-// live rows, batch counts, and the subtree's byte/time deltas.
+// live rows, batch counts, and the subtree's byte/time deltas. It sits
+// outside the operator's oneRowCursor, so under the one-row rule Rows
+// counts the rows the consumer actually pulled.
 type traceBatchCursor struct {
 	ctx *Context
 	tn  *metrics.TraceNode
 	in  BatchCursor
 	// selfBatches marks operators whose underlying source already
-	// counts batches on this node (columnstore scans, as in row mode).
+	// counts batches on this node (columnstore scans).
 	selfBatches bool
 }
 
@@ -324,13 +333,14 @@ func (c *traceBatchCursor) NextBatch() (*SlotBatch, bool) {
 	return sb, ok
 }
 
-// rowBatchAdapter lifts a row-mode fringe cursor into the batch spine.
-// Rows arrive already materialized (each fringe cursor allocates its
-// own output rows), so the adaptation is free of virtual-clock
-// charges; the adapter_rows attribute records the row-mode traffic
-// crossing the boundary.
+// rowBatchAdapter lifts a row fringe's cursor into the batch spine, up
+// to limit rows per batch (one under the one-row rule). Rows arrive
+// already materialized (each fringe cursor allocates its own output
+// rows), so the adaptation is free of virtual-clock charges; the
+// adapter_rows attribute records the traffic crossing the boundary.
 type rowBatchAdapter struct {
 	in      Cursor
+	limit   int
 	tn      *metrics.TraceNode
 	adapted int64
 	out     SlotBatch
@@ -338,7 +348,7 @@ type rowBatchAdapter struct {
 
 func (a *rowBatchAdapter) NextBatch() (*SlotBatch, bool) {
 	var rows []value.Row
-	for len(rows) < vec.BatchSize {
+	for len(rows) < a.limit {
 		r, ok := a.in.Next()
 		if !ok {
 			break
@@ -354,6 +364,82 @@ func (a *rowBatchAdapter) NextBatch() (*SlotBatch, bool) {
 	}
 	a.out = SlotBatch{Rows: rows}
 	return &a.out, true
+}
+
+// batchRowAdapter is the mirror: it hands a batch operator's output to
+// a row-fringe parent one row at a time, pulling the next batch only
+// when the last is used up. A columnar batch's rows are carved from one
+// backing array (the csiCursor discipline) and only the row headers are
+// reused, so consumers may retain what Next returns. Charge-free like
+// its twin; row_adapter_rows records the traffic on the child's node.
+type batchRowAdapter struct {
+	in      BatchCursor
+	width   int // composite row width
+	rows    []value.Row
+	pos     int
+	tn      *metrics.TraceNode
+	adapted int64
+}
+
+func (a *batchRowAdapter) Next() (value.Row, bool) {
+	for a.pos >= len(a.rows) {
+		sb, ok := a.in.NextBatch()
+		if !ok {
+			return nil, false
+		}
+		a.rows, a.pos = sb.appendRows(a.rows[:0], a.width), 0
+		if a.tn != nil {
+			// Per batch, not per row; where the parent may stop early the
+			// one-row rule makes a batch one row, so this is rows pulled.
+			a.adapted += int64(len(a.rows))
+			a.tn.SetAttr("row_adapter_rows", a.adapted)
+		}
+	}
+	row := a.rows[a.pos]
+	a.pos++
+	return row, true
+}
+
+// oneRowCursor re-slices its input's batches into batches of one live
+// row, so that whatever consumes them charges row by row and an early
+// stop leaves nothing charged but unconsumed. Consumers narrow a
+// columnar batch by overwriting its Sel (batchFilter, batchTop), so the
+// live positions are copied out and each row is handed over through a
+// private header that shares only the vectors with the input batch.
+type oneRowCursor struct {
+	in   BatchCursor
+	cur  *SlotBatch // input batch being handed out, borrowed
+	live []int      // its live positions when columnar
+	n    int
+	pos  int
+	view vec.Batch
+	out  SlotBatch
+}
+
+func (c *oneRowCursor) NextBatch() (*SlotBatch, bool) {
+	for c.pos >= c.n {
+		sb, ok := c.in.NextBatch()
+		if !ok {
+			return nil, false
+		}
+		c.cur, c.n, c.pos = sb, sb.Len(), 0
+		if sb.Rows == nil {
+			c.live = c.live[:0]
+			for i := 0; i < c.n; i++ {
+				c.live = append(c.live, sb.B.LiveIndex(i))
+			}
+			c.view = *sb.B
+		}
+	}
+	i := c.pos
+	c.pos++
+	if c.cur.Rows != nil {
+		c.out = SlotBatch{Rows: c.cur.Rows[i : i+1 : i+1]}
+	} else {
+		c.view.Sel = c.live[i : i+1 : i+1]
+		c.out = SlotBatch{B: &c.view, Slots: c.cur.Slots}
+	}
+	return &c.out, true
 }
 
 // rowsBatchCursor emits a materialized row run in batch-sized chunks
@@ -379,9 +465,8 @@ func (c *rowsBatchCursor) NextBatch() (*SlotBatch, bool) {
 
 // batchScanCursor is the serial columnstore leaf of the batch spine:
 // it forwards the batch source's output with slot mapping, charging
-// the same composite-row boundary cost as the row-mode csiCursor so
-// both spines price plan shapes identically (the batch spine's win is
-// real CPU, not simulated CPU).
+// the composite-row boundary cost per batch exactly as the DML path's
+// csiCursor does, so a scan is priced the same whoever reads it.
 type batchScanCursor struct {
 	ctx   *Context
 	src   *csiBatchSource
@@ -417,20 +502,17 @@ func newBatchScan(ctx *Context, s *plan.Scan) (BatchCursor, error) {
 	if ctx.Trace != nil {
 		// ctx.Trace is this scan's own node; the wrapping
 		// traceBatchCursor accounts rows, bytes, and time, so the source
-		// only adds batch counts and rowgroup-elimination attributes —
-		// exactly the serial csiCursor split.
+		// only adds batch counts and rowgroup-elimination attributes.
 		src.tn = ctx.Trace
 	}
 	return &batchScanCursor{ctx: ctx, src: src, slots: scanSlots(s, src)}, nil
 }
 
 func (c *batchScanCursor) NextBatch() (*SlotBatch, bool) {
-	b, ok := c.src.next()
+	b, ok := c.src.nextCharged()
 	if !ok {
 		return nil, false
 	}
-	m := c.ctx.Tr.Model
-	c.ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(b.Len()), m.RowCPU/4), 1.0)
 	c.out = SlotBatch{B: b, Slots: c.slots}
 	return &c.out, true
 }
@@ -459,33 +541,14 @@ func newParallelBatchScan(ctx *Context, s *plan.Scan) (BatchCursor, bool, error)
 	if !ok {
 		return nil, false, nil
 	}
-	w := schedulableWorkers(ctx, len(morsels))
 	outs := make([][]*SlotBatch, len(morsels))
-	workerGroups := make([]int64, w)
-	var morselTNs []*metrics.TraceNode
-	if ctx.Trace != nil {
-		morselTNs = make([]*metrics.TraceNode, len(morsels))
-	}
-	err := runWorkers(ctx, w, len(morsels), func(wi, mi int, wctx *Context) error {
-		src, err := newCSIBatchSource(wctx, s, &morsels[mi])
-		if err != nil {
-			return err
-		}
-		if morselTNs != nil {
-			// Batch counts and rowgroup stats per morsel; rows, bytes, and
-			// time stay with the wrapping traceBatchCursor, as in the
-			// serial path (construction deltas carry the fork work).
-			morselTNs[mi] = &metrics.TraceNode{}
-			src.tn = morselTNs[mi]
-		}
-		outs[mi] = drainScanBatches(wctx, s, src)
-		workerGroups[wi] += int64(src.sc.GroupsScanned)
+	err := runMorsels(ctx, s, morsels, false, func(mi int, _ *Context, src *csiBatchSource) error {
+		outs[mi] = drainScanBatches(s, src)
 		return nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	annotate(ctx.Trace, morselTNs, w, workerGroups)
 	var all []*SlotBatch
 	for _, o := range outs {
 		all = append(all, o...)
@@ -497,17 +560,15 @@ func newParallelBatchScan(ctx *Context, s *plan.Scan) (BatchCursor, bool, error)
 // compacted batches, charging the same per-batch boundary cost as the
 // serial batch leaf. Batch boundaries are preserved, so the charge
 // multiset and downstream batch counts match a serial scan exactly.
-func drainScanBatches(ctx *Context, s *plan.Scan, src *csiBatchSource) []*SlotBatch {
-	m := ctx.Tr.Model
+func drainScanBatches(s *plan.Scan, src *csiBatchSource) []*SlotBatch {
 	slots := scanSlots(s, src)
 	var out []*SlotBatch
 	for {
-		b, ok := src.next()
+		b, ok := src.nextCharged()
 		if !ok {
 			return out
 		}
 		n := b.Len()
-		ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(n), m.RowCPU/4), 1.0)
 		kinds := make([]value.Kind, len(b.Cols))
 		for i, c := range b.Cols {
 			kinds[i] = c.Kind

@@ -4,29 +4,29 @@ import (
 	"sync"
 
 	"hybriddb/internal/colstore"
-	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 	"hybriddb/internal/vec"
 )
 
-// batchHashJoin is the batch-spine hash join. The build side is drained
-// into a columnar store (typed vectors, one growable column per
-// populated slot) keyed by an int64 map when the join key is
-// integer-backed — value.EncodeKey carries no kind tag for int-payload
-// kinds, so the raw payload is the same key the row-mode table hashes.
+// batchHashJoin is the hash join: build on the outer side, probe with
+// the inner. The build side is drained into a columnar store (typed
+// vectors, one growable column per populated slot) keyed by an int64
+// map when the join key is integer-backed — value.EncodeKey carries no
+// kind tag for int-payload kinds, so the raw payload is the same key
+// the string-keyed table would hash.
 // Parallel-marked int-keyed builds shard that store by key hash into
 // per-worker partitions built concurrently (see buildPartitionedBatch);
 // serial and string-keyed builds use exactly one partition. Probe
 // batches stream through, emitting columnar output batches when both
 // sides are columnar and composite rows otherwise.
 //
-// Charge parity with the row-mode hashJoinCursor is exact: the probe
-// subtree is constructed before the build drain (grant-aware blocking
-// operators below the probe side allocate and release before build
-// memory is held), each non-null build row allocates Width()+32 then
-// charges HashCPU, each probe row charges HashCPU before its null
+// The charge schedule (pinned by the root package's spine golden): the
+// probe subtree is constructed before the build drain (grant-aware
+// blocking operators below the probe side allocate and release before
+// build memory is held), each non-null build row allocates Width()+32
+// then charges HashCPU, each probe row charges HashCPU before its null
 // check, residual conjuncts evaluate uncharged, and the build memory is
 // freed when the last output has been emitted.
 type batchHashJoin struct {
@@ -42,7 +42,7 @@ type batchHashJoin struct {
 	// htable is the string-keyed hash table (always single-partition);
 	// integer-backed keys live in the per-partition itable maps. All
 	// tables are nil when the build side is empty (probes then charge
-	// and miss, as in row mode).
+	// and miss).
 	htable map[string][]int32
 
 	bytes int64
@@ -159,15 +159,15 @@ type probeState struct {
 
 func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 	c := &batchHashJoin{ctx: ctx, j: j}
-	build, err := BuildBatch(ctx, j.Outer)
+	build, err := buildDrained(ctx, j.Outer)
 	if err != nil {
 		return nil, err
 	}
 
-	// Probe side next, before the build drain — the row-mode constructor
-	// order. The fused morsel probe (Parallel-marked join over a
-	// parallelizable CSI probe scan) skips cursor construction entirely:
-	// per-morsel sources feed probeOne directly after the build.
+	// Probe side next, before the build drain. The fused morsel probe
+	// (Parallel-marked join over a parallelizable CSI probe scan) skips
+	// cursor construction entirely: per-morsel sources feed probeOne
+	// directly after the build.
 	var fusedScan *plan.Scan
 	var fusedMorsels []colstore.ScanPartition
 	if scan, ok := j.Inner.(*plan.Scan); ok && scan.Access == plan.AccessCSIScan && j.Parallel {
@@ -359,8 +359,7 @@ func (c *batchHashJoin) NextBatch() (*SlotBatch, bool) {
 }
 
 // release frees the build-side memory once, when the last output has
-// been emitted — the row-mode Free point, so MemPeak interleaving with
-// downstream allocations is identical.
+// been emitted.
 func (c *batchHashJoin) release() {
 	if c.freed {
 		return
@@ -534,52 +533,25 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 // order. The probe charges land on worker forks; sums are unchanged, so
 // Metrics match a serial probe bit for bit.
 func (c *batchHashJoin) fusedProbe(scan *plan.Scan, morsels []colstore.ScanPartition) error {
-	ctx := c.ctx
 	c.fused = true
-	w := schedulableWorkers(ctx, len(morsels))
-	var stn *metrics.TraceNode
-	var morselTNs []*metrics.TraceNode
-	if ctx.Trace != nil {
-		// The probe scan never becomes a cursor, so it gets its own child
-		// node assembled from per-morsel nodes that own their rows,
-		// bytes, and time — as in the morsel-partial aggregation.
-		stn = ctx.Trace.Child(scan.Describe())
-		stn.Loops = 1
-		morselTNs = make([]*metrics.TraceNode, len(morsels))
-	}
 	outs := make([][]*SlotBatch, len(morsels))
-	workerGroups := make([]int64, w)
-	err := runWorkers(ctx, w, len(morsels), func(wi, mi int, wctx *Context) error {
-		src, err := newCSIBatchSource(wctx, scan, &morsels[mi])
-		if err != nil {
-			return err
-		}
-		if morselTNs != nil {
-			morselTNs[mi] = &metrics.TraceNode{}
-			src.tn = morselTNs[mi]
-			src.timed = true
-		}
+	err := runMorsels(c.ctx, scan, morsels, true, func(mi int, wctx *Context, src *csiBatchSource) error {
 		slots := scanSlots(scan, src)
 		st := c.newProbeState(true)
-		m := wctx.Tr.Model
 		for {
-			b, ok := src.next()
+			b, ok := src.nextCharged()
 			if !ok {
-				break
+				return nil
 			}
-			wctx.Tr.ChargeParallelCPU(vclock.CPU(int64(b.Len()), m.RowCPU/4), 1.0)
 			sb := SlotBatch{B: b, Slots: slots}
 			if out := c.probeOne(wctx.Tr, &sb, st); out != nil {
 				outs[mi] = append(outs[mi], out)
 			}
 		}
-		workerGroups[wi] += int64(src.sc.GroupsScanned)
-		return nil
 	})
 	if err != nil {
 		return err
 	}
-	annotate(stn, morselTNs, w, workerGroups)
 	for _, o := range outs {
 		c.gathered = append(c.gathered, o...)
 	}

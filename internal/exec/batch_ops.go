@@ -10,10 +10,9 @@ import (
 
 // batchFilter evaluates residual conjuncts vectorized: columnar inputs
 // have their selection vector narrowed in place (zero copies), row
-// inputs are filtered into a fresh row run. Per-row virtual charges
-// match the row-mode filterCursor exactly; the wall-clock win comes
-// from the typed-vector comparison fast path and from skipping the
-// composite-row materialization for rows a fast conjunct rejects.
+// inputs are filtered into a fresh row run. Every input row is charged
+// RowCPU/2; integer comparisons take a typed-vector fast path that
+// skips the composite-row materialization for rows it rejects.
 type batchFilter struct {
 	ctx     *Context
 	in      BatchCursor
@@ -237,7 +236,7 @@ func (p *batchProject) NextBatch() (*SlotBatch, bool) {
 }
 
 // batchTop limits output to N rows at batch granularity. It only runs
-// above a blocking operator (rowFringe delegates bare TOP to row mode),
+// above a blocking operator (bare TOP is a row fringe, see rowFringe),
 // so trimming the final batch never leaves charged-but-unconsumed work
 // behind: the input was fully drained either way.
 type batchTop struct {
@@ -274,12 +273,11 @@ func (t *batchTop) NextBatch() (*SlotBatch, bool) {
 	return sb, true
 }
 
-// newBatchSort drains the input into the shared grant-aware sorter.
-// Columnar batches are materialized to composite rows (one backing
-// array per batch) as they are added, so per-row memory accounting and
-// run/spill boundaries are identical to the row-mode sortCursor.
+// newBatchSort drains the input into the grant-aware sorter. Columnar
+// batches are materialized to composite rows (one backing array per
+// batch) as they are added, so memory is accounted per composite row.
 func newBatchSort(ctx *Context, in BatchCursor, keys []plan.SortKey) (BatchCursor, error) {
-	s := newRowSorter(ctx, keys)
+	s := &rowSorter{ctx: ctx, keys: keys}
 	for {
 		sb, ok := in.NextBatch()
 		if !ok {
@@ -292,10 +290,10 @@ func newBatchSort(ctx *Context, in BatchCursor, keys []plan.SortKey) (BatchCurso
 	return &rowsBatchCursor{rows: s.finish()}, nil
 }
 
-// buildBatchAgg dispatches hash aggregation on the batch spine. Stream
-// aggregation never reaches here (it is a row fringe). Scan-direct
-// batch aggregation shares aggScanDirectRows with the row spine;
-// anything else aggregates its batch input at row rates through the
+// buildBatchAgg dispatches hash aggregation. Stream aggregation never
+// reaches here (it is a row fringe). A batch-mode aggregate directly
+// over a columnstore scan consumes the scan's batch source at batch
+// rates; anything else aggregates its input at row rates through the
 // same aggCore.
 func buildBatchAgg(ctx *Context, a *plan.Agg) (BatchCursor, error) {
 	if a.BatchMode {
@@ -307,7 +305,7 @@ func buildBatchAgg(ctx *Context, a *plan.Agg) (BatchCursor, error) {
 			return &rowsBatchCursor{rows: rows}, nil
 		}
 	}
-	in, err := BuildBatch(ctx, a.Input)
+	in, err := buildDrained(ctx, a.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -315,8 +313,7 @@ func buildBatchAgg(ctx *Context, a *plan.Agg) (BatchCursor, error) {
 }
 
 // newBatchRowRateAgg drains a batch input through the agg core at
-// row-mode hash rates — the exact charges rowHashAgg issues, minus the
-// per-row boxing.
+// row-mode hash rates: HashCPU+AggCPU per input row.
 func newBatchRowRateAgg(ctx *Context, a *plan.Agg, in BatchCursor) (BatchCursor, error) {
 	core := newAggCore(ctx, a)
 	m := ctx.Tr.Model

@@ -1,14 +1,14 @@
-// Package exec runs physical plans. The primary spine is batch mode:
-// operators pull SlotBatch units (typed vectors plus selection vector,
-// or materialized row runs) through BatchCursor trees, with row mode
-// demoted to thin fringes — B+ tree seeks, heap scans, merge and
-// nested-loop joins, stream aggregation, bare TOP — adapted at the
-// boundary (see batch.go). The legacy row spine (Cursor trees pulling
-// composite rows) remains available via RunOptions.RowMode and for DML;
-// both spines issue the identical virtual-clock charge multiset, so
-// Metrics are bit-identical while the batch spine wins real CPU —
-// mirroring SQL Server's batch-mode/row-mode split that drives the
-// paper's CPU asymmetries.
+// Package exec runs physical plans on one spine: operators pull
+// SlotBatch units (typed vectors plus a selection vector, or runs of
+// materialized rows) through BatchCursor trees. Row-at-a-time Cursors
+// survive only where the algorithm is inherently row-wise — B+ tree
+// seeks, heap scans, merge and nested-loop joins, stream aggregation,
+// bare TOP — and as the scan cursors DML locates its target rows with.
+// Build and BuildBatch adapt at every boundary between the two in
+// either direction (see batch.go), so each operator has exactly one
+// implementation. The paper's row-mode/batch-mode CPU asymmetry lives
+// in the vclock charges the operators issue, not in which Go loop
+// runs; testdata/spine_golden.json in the root package pins them.
 package exec
 
 import (
@@ -42,6 +42,14 @@ type Context struct {
 	// children to (EXPLAIN ANALYZE). Nil tracing adds zero overhead to
 	// the hot path.
 	Trace *metrics.TraceNode
+	// oneRow is set while building a subtree whose consumer may stop
+	// early — the subtrees optimizer.markNode walks with drained=false
+	// below a row fringe. Per-row charges (filter, probe, project, seek)
+	// are issued as batches are processed, so a batch operator built
+	// under oneRow hands its consumer one live row per batch and the
+	// charges stop exactly where a row-at-a-time pipeline would. It is
+	// decided from the plan alone, never by a caller.
+	oneRow bool
 }
 
 // overGrant reports whether allocating need more bytes would exceed
@@ -70,160 +78,114 @@ type RunOptions struct {
 	// Workers is the real goroutine budget for morsel-driven parallel
 	// operators; <= 1 executes the plan serially.
 	Workers int
-	// RowMode selects the legacy row-at-a-time spine instead of the
-	// batch spine. Results and Metrics are bit-identical either way;
-	// only real CPU time differs.
-	RowMode bool
 }
 
 // Execute runs a plan to completion. It is the single executor entry
-// point; the batch spine is the default, with RunOptions selecting
-// tracing, real parallelism, and the legacy row spine.
+// point; RunOptions select tracing and real parallelism.
 func Execute(tr *vclock.Tracker, root *plan.Root, totalSlots int, opts RunOptions) (*Result, error) {
 	ctx := &Context{Tr: tr, Grant: root.MemGrant, TotalSlots: totalSlots,
 		DOP: root.DOP, Workers: opts.Workers, Trace: opts.Trace}
 	tr.SetDOP(root.DOP)
 	res := &Result{Columns: root.Columns}
-	if opts.RowMode {
-		cur, err := Build(ctx, root.Input)
-		if err != nil {
-			return nil, err
+	cur, err := BuildBatch(ctx, root.Input)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		sb, ok := cur.NextBatch()
+		if !ok {
+			break
 		}
-		for {
-			row, ok := cur.Next()
-			if !ok {
-				break
-			}
-			res.Rows = append(res.Rows, row)
-		}
-	} else {
-		cur, err := BuildBatch(ctx, root.Input)
-		if err != nil {
-			return nil, err
-		}
-		for {
-			sb, ok := cur.NextBatch()
-			if !ok {
-				break
-			}
-			if sb.Rows != nil {
-				res.Rows = append(res.Rows, sb.Rows...)
-			} else {
-				res.Rows = append(res.Rows, sb.materializeRows(totalSlots)...)
-			}
-		}
-		if opts.Trace != nil && len(opts.Trace.Children) > 0 {
-			opts.Trace.Children[0].SetAttr("batch_operators", countBatchOperators(root.Input))
-		}
+		res.Rows = sb.appendRows(res.Rows, totalSlots)
+	}
+	if opts.Trace != nil && len(opts.Trace.Children) > 0 {
+		opts.Trace.Children[0].SetAttr("batch_operators", countBatchOperators(root.Input))
 	}
 	tr.RowsOut = int64(len(res.Rows))
 	res.Metrics = tr.Snapshot()
 	return res, nil
 }
 
-// Run executes a plan to completion.
-//
-// Deprecated: use Execute.
-func Run(tr *vclock.Tracker, root *plan.Root, totalSlots int) (*Result, error) {
-	return Execute(tr, root, totalSlots, RunOptions{})
-}
-
-// RunTraced executes a plan to completion, attaching a per-operator
-// trace tree under tn when it is non-nil (EXPLAIN ANALYZE).
-//
-// Deprecated: use Execute.
-func RunTraced(tr *vclock.Tracker, root *plan.Root, totalSlots int, tn *metrics.TraceNode) (*Result, error) {
-	return Execute(tr, root, totalSlots, RunOptions{Trace: tn})
-}
-
-// RunWith executes a plan to completion with explicit options.
-//
-// Deprecated: use Execute.
-func RunWith(tr *vclock.Tracker, root *plan.Root, totalSlots int, opts RunOptions) (*Result, error) {
-	return Execute(tr, root, totalSlots, opts)
-}
-
-// Build constructs the cursor tree for a plan node. With tracing
-// enabled it also mirrors the plan as a metrics.TraceNode tree: every
-// operator is wrapped in a cursor that counts emitted rows and
-// accumulates the byte-read and simulated-time deltas of its subtree
-// (construction included, so blocking operators that drain their
-// input up front — hash builds, sorts, aggregates — attribute that
-// work correctly).
+// Build constructs a row cursor over a plan node. Row fringes (see
+// rowFringe) are built natively; every other node is built on the
+// batch spine and read through the batch-to-row adapter, so a fringe
+// simply calls Build on its children. With tracing enabled a fringe is
+// mirrored as a metrics.TraceNode: the operator is wrapped in a cursor
+// that counts emitted rows and accumulates the byte-read and
+// simulated-time deltas of its subtree (construction included, so a
+// nested-loop join's first seek is attributed correctly).
 func Build(ctx *Context, n plan.Node) (Cursor, error) {
 	if root, ok := n.(*plan.Root); ok {
 		return Build(ctx, root.Input)
 	}
-	if ctx.Trace == nil {
-		return buildNode(ctx, n)
+	if !rowFringe(n) {
+		in, err := BuildBatch(ctx, n)
+		if err != nil {
+			return nil, err
+		}
+		return &batchRowAdapter{in: in, width: ctx.TotalSlots, tn: lastTraced(ctx)}, nil
 	}
-	parent := ctx.Trace
-	tn := parent.Child(n.Describe())
-	tn.Loops = 1
-	ctx.Trace = tn
-	b0, t0 := ctx.Tr.BytesRead, ctx.Tr.ExecTime()
+	tn, done := openTrace(ctx, n)
 	cur, err := buildNode(ctx, n)
-	tn.BytesRead += ctx.Tr.BytesRead - b0
-	tn.Time += ctx.Tr.ExecTime() - t0
-	ctx.Trace = parent
-	if err != nil {
-		return nil, err
+	done()
+	if err != nil || tn == nil {
+		return cur, err
 	}
 	return &traceCursor{ctx: ctx, tn: tn, in: cur}, nil
 }
 
-// buildNode constructs the cursor for one plan node (children recurse
-// through Build so they pick up tracing).
+// openTrace mirrors plan node n as a child of ctx.Trace and points
+// ctx.Trace at it while the node's operator is constructed; done
+// charges the construction's byte-read and simulated-time deltas to
+// the node and restores ctx.Trace. Untraced, tn is nil and done a no-op.
+func openTrace(ctx *Context, n plan.Node) (tn *metrics.TraceNode, done func()) {
+	parent := ctx.Trace
+	if parent == nil {
+		return nil, func() {}
+	}
+	tn = parent.Child(n.Describe())
+	tn.Loops = 1
+	ctx.Trace = tn
+	b0, t0 := ctx.Tr.BytesRead, ctx.Tr.ExecTime()
+	return tn, func() {
+		tn.BytesRead += ctx.Tr.BytesRead - b0
+		tn.Time += ctx.Tr.ExecTime() - t0
+		ctx.Trace = parent
+	}
+}
+
+// buildNode constructs the cursor of one row fringe (children recurse
+// through Build so they pick up tracing and the adapter).
 func buildNode(ctx *Context, n plan.Node) (Cursor, error) {
 	switch node := n.(type) {
 	case *plan.Scan:
 		return buildScan(ctx, node)
-	case *plan.Filter:
-		in, err := Build(ctx, node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return newFilterCursor(ctx, in, node.Conds), nil
 	case *plan.Join:
 		return buildJoin(ctx, node)
 	case *plan.Agg:
-		return buildAgg(ctx, node)
-	case *plan.Project:
 		in, err := Build(ctx, node.Input)
 		if err != nil {
 			return nil, err
 		}
-		return &projectCursor{ctx: ctx, in: in, exprs: node.Exprs}, nil
-	case *plan.Sort:
-		if rows, ok, err := morselSortRows(ctx, node, 0); err != nil {
-			return nil, err
-		} else if ok {
-			return &sortCursor{rows: rows}, nil
-		}
-		in, err := Build(ctx, node.Input)
-		if err != nil {
-			return nil, err
-		}
-		return newSortCursor(ctx, in, node.Keys)
+		return &streamAggCursor{ctx: ctx, a: node, in: in}, nil
 	case *plan.Top:
-		if s, ok := node.Input.(*plan.Sort); ok && parallelSortEligible(ctx, s) {
-			rows, tn, err := fusedTopSortRows(ctx, node, s)
-			if err != nil {
-				return nil, err
-			}
-			var in Cursor = &sortCursor{rows: rows}
-			if tn != nil {
-				in = &traceCursor{ctx: ctx, tn: tn, in: in}
-			}
-			return &topCursor{in: in, n: node.N}, nil
-		}
-		in, err := Build(ctx, node.Input)
+		in, err := buildEarlyStop(ctx, node.Input)
 		if err != nil {
 			return nil, err
 		}
 		return &topCursor{in: in, n: node.N}, nil
-	case *plan.Root:
-		return Build(ctx, node.Input)
 	}
-	return nil, fmt.Errorf("exec: unsupported plan node %T", n)
+	return nil, fmt.Errorf("exec: %T is not a row fringe", n)
+}
+
+// buildEarlyStop builds the row cursor of a subtree whose consumer may
+// stop pulling before it is exhausted (bare TOP, merge join): batch
+// operators below hand over one live row per batch until a blocking
+// operator restores the drain guarantee (see Context.oneRow).
+func buildEarlyStop(ctx *Context, n plan.Node) (Cursor, error) {
+	saved := ctx.oneRow
+	ctx.oneRow = true
+	cur, err := Build(ctx, n)
+	ctx.oneRow = saved
+	return cur, err
 }

@@ -61,6 +61,8 @@ func scanNode(t *table.Table, access plan.AccessKind) *plan.Scan {
 	return s
 }
 
+// drain reads a plan row by row through Build: fringes natively, every
+// other operator as the batch form queries run, behind the adapter.
 func drain(tb testing.TB, ctx *Context, n plan.Node) []value.Row {
 	tb.Helper()
 	cur, err := Build(ctx, n)

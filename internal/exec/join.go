@@ -28,20 +28,19 @@ func buildJoin(ctx *Context, j *plan.Join) (Cursor, error) {
 			c.innerTN = ctx.Trace.Child(inner.Describe())
 		}
 		return c, nil
-	case plan.JoinHash:
-		return newHashJoinCursor(ctx, j)
 	case plan.JoinMerge:
-		outer, err := Build(ctx, j.Outer)
+		// Either side may be left unexhausted when the other runs out.
+		outer, err := buildEarlyStop(ctx, j.Outer)
 		if err != nil {
 			return nil, err
 		}
-		inner, err := Build(ctx, j.Inner)
+		inner, err := buildEarlyStop(ctx, j.Inner)
 		if err != nil {
 			return nil, err
 		}
 		return &mergeJoinCursor{ctx: ctx, j: j, left: outer, right: inner}, nil
 	}
-	return nil, fmt.Errorf("exec: unknown join strategy %v", j.Strategy)
+	return nil, fmt.Errorf("exec: %v join is not a row fringe", j.Strategy)
 }
 
 // mergeJoinCursor joins two inputs that arrive ordered on their join
@@ -214,90 +213,5 @@ func (c *nljCursor) Next() (value.Row, bool) {
 			continue
 		}
 		return out, true
-	}
-}
-
-// hashJoinCursor builds a hash table on the outer (build) side and
-// probes with the inner side.
-type hashJoinCursor struct {
-	ctx    *Context
-	j      *plan.Join
-	htable map[string][]value.Row
-	probe  Cursor
-	// pending matches for the current probe row
-	pending []value.Row
-	pos     int
-	bytes   int64
-}
-
-func newHashJoinCursor(ctx *Context, j *plan.Join) (*hashJoinCursor, error) {
-	build, err := Build(ctx, j.Outer)
-	if err != nil {
-		return nil, err
-	}
-	probe, err := Build(ctx, j.Inner)
-	if err != nil {
-		return nil, err
-	}
-	c := &hashJoinCursor{ctx: ctx, j: j, htable: make(map[string][]value.Row), probe: probe}
-	m := ctx.Tr.Model
-	var buf []byte
-	for {
-		row, ok := build.Next()
-		if !ok {
-			break
-		}
-		k := row[j.LeftSlot]
-		if k.IsNull() {
-			continue
-		}
-		buf = value.EncodeKey(buf[:0], k)
-		c.htable[string(buf)] = append(c.htable[string(buf)], row)
-		w := int64(row.Width() + 32)
-		ctx.Tr.Alloc(w)
-		c.bytes += w
-		ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
-	}
-	return c, nil
-}
-
-func (c *hashJoinCursor) Next() (value.Row, bool) {
-	m := c.ctx.Tr.Model
-	var buf []byte
-	for {
-		if c.pos < len(c.pending) {
-			row := c.pending[c.pos]
-			c.pos++
-			return row, true
-		}
-		probeRow, ok := c.probe.Next()
-		if !ok {
-			c.ctx.Tr.Free(c.bytes)
-			c.bytes = 0
-			return nil, false
-		}
-		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
-		k := probeRow[c.j.RightSlot]
-		if k.IsNull() {
-			continue
-		}
-		buf = value.EncodeKey(buf[:0], k)
-		matches := c.htable[string(buf)]
-		if len(matches) == 0 {
-			continue
-		}
-		c.pending = c.pending[:0]
-		c.pos = 0
-		for _, b := range matches {
-			out := b.Clone()
-			for i, v := range probeRow {
-				if !v.IsNull() {
-					out[i] = v
-				}
-			}
-			if passes(c.ctx, c.j.Residual, out) {
-				c.pending = append(c.pending, out)
-			}
-		}
 	}
 }

@@ -9,52 +9,6 @@ import (
 	"hybriddb/internal/vclock"
 )
 
-// filterCursor evaluates residual conjuncts in row mode.
-type filterCursor struct {
-	ctx   *Context
-	in    Cursor
-	conds []sql.Expr
-}
-
-func newFilterCursor(ctx *Context, in Cursor, conds []sql.Expr) *filterCursor {
-	return &filterCursor{ctx: ctx, in: in, conds: conds}
-}
-
-func (c *filterCursor) Next() (value.Row, bool) {
-	m := c.ctx.Tr.Model
-	for {
-		row, ok := c.in.Next()
-		if !ok {
-			return nil, false
-		}
-		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU/2), 1.0)
-		if passes(c.ctx, c.conds, row) {
-			return row, true
-		}
-	}
-}
-
-// projectCursor computes output expressions per row.
-type projectCursor struct {
-	ctx   *Context
-	in    Cursor
-	exprs []sql.Expr
-}
-
-func (c *projectCursor) Next() (value.Row, bool) {
-	row, ok := c.in.Next()
-	if !ok {
-		return nil, false
-	}
-	m := c.ctx.Tr.Model
-	c.ctx.Tr.ChargeSerialCPU(vclock.CPU(1, m.RowCPU/4))
-	out := make(value.Row, len(c.exprs))
-	for i, e := range c.exprs {
-		out[i] = sql.Eval(e, row)
-	}
-	return out, true
-}
-
 // topCursor limits output to N rows.
 type topCursor struct {
 	in   Cursor
@@ -74,39 +28,23 @@ func (c *topCursor) Next() (value.Row, bool) {
 	return row, true
 }
 
-// sortCursor materializes and orders its input. When the materialized
-// size exceeds the memory grant it switches to an external merge sort:
-// sorted runs are "written" to the temp device (charged), memory is
-// released, and the runs are merged — reproducing the grant-bounded
-// behaviour behind the paper's Section 3.2.2 experiments.
-type sortCursor struct {
-	rows []value.Row
-	pos  int
-}
-
 // sortRunData is one (possibly spilled) sort run.
 type sortRunData struct {
 	rows  []value.Row
 	bytes int64
 }
 
-// rowSorter is the grant-aware sorting engine shared by the row- and
-// batch-mode sort operators: both spines add the same rows with the
-// same per-row memory accounting and finish through the same run
-// boundaries, so results, charges, and spill behaviour are identical.
+// rowSorter is the grant-aware sorting engine: it materializes and
+// orders its input, and when the materialized size exceeds the memory
+// grant it switches to an external merge sort — sorted runs are
+// "written" to the temp device (charged), memory is released, and the
+// runs are merged — reproducing the grant-bounded behaviour behind the
+// paper's Section 3.2.2 experiments.
 type rowSorter struct {
 	ctx  *Context
 	keys []plan.SortKey
 	runs []sortRunData
 	cur  sortRunData
-}
-
-func newRowSorter(ctx *Context, keys []plan.SortKey) *rowSorter {
-	return &rowSorter{ctx: ctx, keys: keys}
-}
-
-func (s *rowSorter) sortRun(r []value.Row) {
-	sortRowsCharged(s.ctx, s.keys, r)
 }
 
 // compareSortKeys orders two rows under keys: negative when a sorts
@@ -145,7 +83,7 @@ func (s *rowSorter) flushRun() {
 	if len(s.cur.rows) == 0 {
 		return
 	}
-	s.sortRun(s.cur.rows)
+	sortRowsCharged(s.ctx, s.keys, s.cur.rows)
 	// Spill the run: temp write now, temp read at merge.
 	s.ctx.Tr.ChargeTempWrite(s.cur.bytes)
 	s.ctx.Tr.Free(s.cur.bytes)
@@ -170,7 +108,7 @@ func (s *rowSorter) add(row value.Row) {
 func (s *rowSorter) finish() []value.Row {
 	if len(s.runs) == 0 {
 		// Everything fit: in-memory sort.
-		s.sortRun(s.cur.rows)
+		sortRowsCharged(s.ctx, s.keys, s.cur.rows)
 		s.ctx.Tr.Free(s.cur.bytes)
 		return s.cur.rows
 	}
@@ -186,29 +124,8 @@ func (s *rowSorter) finish() []value.Row {
 	for _, r := range s.runs {
 		merged = append(merged, r.rows...)
 	}
-	s.sortRun(merged) // merge cost approximated as one more pass
+	sortRowsCharged(s.ctx, s.keys, merged) // merge cost approximated as one more pass
 	return merged
-}
-
-func newSortCursor(ctx *Context, in Cursor, keys []plan.SortKey) (*sortCursor, error) {
-	s := newRowSorter(ctx, keys)
-	for {
-		row, ok := in.Next()
-		if !ok {
-			break
-		}
-		s.add(row)
-	}
-	return &sortCursor{rows: s.finish()}, nil
-}
-
-func (c *sortCursor) Next() (value.Row, bool) {
-	if c.pos >= len(c.rows) {
-		return nil, false
-	}
-	r := c.rows[c.pos]
-	c.pos++
-	return r, true
 }
 
 func log2(n int64) int {

@@ -41,6 +41,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -158,6 +159,16 @@ func parallelizableScan(ctx *Context, parallel bool, s *plan.Scan) (*colstore.In
 	return idx, morsels, true
 }
 
+// PanicError is a panic caught at a goroutine or statement boundary and
+// turned into the statement's error: a bad expression must fail its
+// statement, not the process and every other session with it.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("exec: statement panicked: %v", e.Value) }
+
 // runWorkers executes body over nMorsels morsels with w goroutines
 // claiming chunks of contiguous morsel indexes from a shared atomic
 // cursor (guided self-scheduling: a claim takes a share of the
@@ -165,8 +176,11 @@ func parallelizableScan(ctx *Context, parallel bool, s *plan.Scan) (*colstore.In
 // so the last rowgroups still balance). Each worker gets a Context with
 // its own Tracker fork; all forks are merged back into ctx.Tr (in
 // worker order, though duration sums make the order irrelevant) before
-// runWorkers returns. With w <= 1 the morsel plan runs inline on the
-// caller's context — no fork, no goroutine, no per-morsel dispatch.
+// runWorkers returns. A worker that panics stops and reports a
+// *PanicError as its error (an unrecovered panic on a worker goroutine
+// would end the process past every recover on the statement's own
+// goroutine). With w <= 1 the morsel plan runs inline on the caller's
+// context — no fork, no goroutine, no per-morsel dispatch.
 func runWorkers(ctx *Context, w, nMorsels int, body func(wi, mi int, wctx *Context) error) error {
 	if w <= 1 {
 		mMorselsDispatched.Add(int64(nMorsels))
@@ -207,6 +221,11 @@ func runWorkers(ctx *Context, w, nMorsels int, body func(wi, mi int, wctx *Conte
 		wg.Add(1)
 		go func(wi int, wctx *Context) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[wi] = &PanicError{Value: r, Stack: debug.Stack()}
+				}
+			}()
 			for {
 				lo, hi, ok := claim()
 				if !ok {
@@ -260,103 +279,44 @@ func annotate(tn *metrics.TraceNode, morselTNs []*metrics.TraceNode, w int, work
 	}
 }
 
-// gatherScanCursor replays the gathered output of a parallel scan.
-type gatherScanCursor struct {
-	rows []value.Row
-	uids []int64
-	pos  int
-	uid  int64
-}
-
-func (c *gatherScanCursor) UID() int64 { return c.uid }
-
-func (c *gatherScanCursor) Next() (value.Row, bool) {
-	if c.pos >= len(c.rows) {
-		return nil, false
-	}
-	c.uid = c.uids[c.pos]
-	r := c.rows[c.pos]
-	c.pos++
-	return r, true
-}
-
-// newParallelCSIScan runs a Parallel-marked CSI scan morsel-driven,
-// gathering composite rows in morsel order (identical to serial row
-// order). Returns ok=false when the scan must stay serial.
-func newParallelCSIScan(ctx *Context, s *plan.Scan) (Cursor, bool, error) {
-	_, morsels, ok := parallelizableScan(ctx, s.Parallel, s)
-	if !ok {
-		return nil, false, nil
-	}
+// runMorsels runs body once per morsel of scan on the worker pool,
+// handing it the morsel's batch source, and annotates the scan's trace
+// node from the per-morsel nodes. ownNode is set by operators that
+// consume the sources directly, so that the scan never becomes a
+// cursor: it then gets its own trace child, and the sources own its
+// rows, bytes, and time. Otherwise the caller's own node (ctx.Trace) is
+// the scan's and only batch counts and rowgroup stats are gathered.
+func runMorsels(ctx *Context, scan *plan.Scan, morsels []colstore.ScanPartition, ownNode bool,
+	body func(mi int, wctx *Context, src *csiBatchSource) error) error {
 	w := schedulableWorkers(ctx, len(morsels))
-	outs := make([][]value.Row, len(morsels))
-	uidOuts := make([][]int64, len(morsels))
-	workerGroups := make([]int64, w)
+	tn := ctx.Trace
 	var morselTNs []*metrics.TraceNode
-	if ctx.Trace != nil {
+	if tn != nil {
+		if ownNode {
+			tn = tn.Child(scan.Describe())
+			tn.Loops = 1
+		}
 		morselTNs = make([]*metrics.TraceNode, len(morsels))
 	}
+	workerGroups := make([]int64, w)
 	err := runWorkers(ctx, w, len(morsels), func(wi, mi int, wctx *Context) error {
-		src, err := newCSIBatchSource(wctx, s, &morsels[mi])
+		src, err := newCSIBatchSource(wctx, scan, &morsels[mi])
 		if err != nil {
 			return err
 		}
 		if morselTNs != nil {
-			// Batch counts and rowgroup stats per morsel; rows, bytes, and
-			// time stay with the wrapping traceCursor, as in the serial
-			// csiCursor path.
 			morselTNs[mi] = &metrics.TraceNode{}
-			src.tn = morselTNs[mi]
+			src.tn, src.timed = morselTNs[mi], ownNode
 		}
-		outs[mi], uidOuts[mi] = drainScanRows(wctx, s, src)
+		err = body(mi, wctx, src)
 		workerGroups[wi] += int64(src.sc.GroupsScanned)
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, false, err
+		return err
 	}
-	annotate(ctx.Trace, morselTNs, w, workerGroups)
-	var total int
-	for _, o := range outs {
-		total += len(o)
-	}
-	cur := &gatherScanCursor{rows: make([]value.Row, 0, total), uids: make([]int64, 0, total)}
-	for mi := range outs {
-		cur.rows = append(cur.rows, outs[mi]...)
-		cur.uids = append(cur.uids, uidOuts[mi]...)
-	}
-	return cur, true, nil
-}
-
-// drainScanRows converts a batch source to composite rows, charging the
-// same batch-to-row adapter cost as the serial csiCursor. Each batch's
-// rows are carved from one backing array (the allocation discipline of
-// colstore.ScanRows) instead of one make per row.
-func drainScanRows(ctx *Context, s *plan.Scan, src *csiBatchSource) ([]value.Row, []int64) {
-	m := ctx.Tr.Model
-	schemaLen := s.Table.Schema.Len()
-	var rows []value.Row
-	var uids []int64
-	for {
-		b, ok := src.next()
-		if !ok {
-			return rows, uids
-		}
-		n := b.Len()
-		ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(n), m.RowCPU/4), 1.0)
-		backing := make([]value.Value, n*ctx.TotalSlots)
-		for i := 0; i < n; i++ {
-			p := b.LiveIndex(i)
-			out := backing[i*ctx.TotalSlots : (i+1)*ctx.TotalSlots : (i+1)*ctx.TotalSlots]
-			for vi, ord := range src.cols {
-				if ord < schemaLen {
-					out[s.SlotBase+ord] = b.Cols[vi].Value(p)
-				}
-			}
-			rows = append(rows, out)
-			uids = append(uids, b.Cols[src.uidIdx].I[p])
-		}
-	}
+	annotate(tn, morselTNs, w, workerGroups)
+	return nil
 }
 
 // morselScanAggRows runs a Parallel-marked batch hash aggregation with
@@ -374,60 +334,19 @@ func morselScanAggRows(ctx *Context, a *plan.Agg, scan *plan.Scan) ([]value.Row,
 	if !ok {
 		return nil, false, nil
 	}
-	w := schedulableWorkers(ctx, len(morsels))
-	var stn *metrics.TraceNode
-	var morselTNs []*metrics.TraceNode
-	if ctx.Trace != nil {
-		// The scan never becomes a cursor (per-morsel sources feed the
-		// partial aggregates directly), so it gets its own trace node,
-		// assembled from per-morsel nodes that own their rows, bytes,
-		// and time — as in the serial batch-agg path.
-		stn = ctx.Trace.Child(scan.Describe())
-		stn.Loops = 1
-		morselTNs = make([]*metrics.TraceNode, len(morsels))
-	}
 	cores := make([]*aggCore, len(morsels))
-	workerGroups := make([]int64, w)
-	schemaLen := scan.Table.Schema.Len()
-	body := func(wi, mi int, wctx *Context) error {
-		core := newAggCore(wctx, a)
-		core.noMem = true
-		cores[mi] = core
-		src, err := newCSIBatchSource(wctx, scan, &morsels[mi])
-		if err != nil {
-			return err
-		}
-		if morselTNs != nil {
-			morselTNs[mi] = &metrics.TraceNode{}
-			src.tn = morselTNs[mi]
-			src.timed = true
-		}
-		scratch := make(value.Row, wctx.TotalSlots)
-		m := wctx.Tr.Model
-		pairs, fast := aggSlotCols(a, src)
-		for {
-			b, ok := src.next()
-			if !ok {
-				break
-			}
-			n := b.Len()
-			wctx.Tr.ChargeParallelCPU(vclock.CPU(int64(n), (m.BatchCPU*2)+m.BatchCPU), 1.0)
-			for i := 0; i < n; i++ {
-				p := b.LiveIndex(i)
-				fillAggScratch(scratch, b, p, pairs, fast, src, scan.SlotBase, schemaLen)
-				core.add(scratch)
-			}
-		}
-		workerGroups[wi] += int64(src.sc.GroupsScanned)
-		return nil
-	}
-	// runWorkers executes the identical morsel plan at any w: with
-	// w <= 1 the same sources and charges run inline on the query
+	// The identical morsel plan runs at any worker count: with one
+	// worker the same sources and charges run inline on the query
 	// tracker instead of summed through forks.
-	if err := runWorkers(ctx, w, len(morsels), body); err != nil {
+	err := runMorsels(ctx, scan, morsels, true, func(mi int, wctx *Context, src *csiBatchSource) error {
+		cores[mi] = newAggCore(wctx, a)
+		cores[mi].noMem = true
+		cores[mi].addScan(scan, src)
+		return nil
+	})
+	if err != nil {
 		return nil, false, err
 	}
-	annotate(stn, morselTNs, w, workerGroups)
 
 	// Gather: merge the per-morsel partials in morsel-index order. The
 	// fold order is fixed by the plan — never by which worker ran which

@@ -207,9 +207,11 @@ func (c *secondaryCursor) Next() (value.Row, bool) {
 	return nil, false
 }
 
-// csiCursor adapts a batch-mode columnstore scan to row-mode parents.
-// The scanner charges decode at batch rates and filters run vectorized
-// in the batch source; the row conversion charges the adapter cost.
+// csiCursor reads a columnstore scan row by row with UIDs — how DML
+// locates its target rows (queries read columnstores through
+// batchScanCursor). The scanner charges decode at batch rates and
+// filters run vectorized in the batch source; the row conversion
+// charges the adapter cost.
 type csiCursor struct {
 	ctx  *Context
 	s    *plan.Scan
@@ -221,21 +223,9 @@ type csiCursor struct {
 }
 
 func newCSICursor(ctx *Context, s *plan.Scan) (Cursor, error) {
-	if cur, ok, err := newParallelCSIScan(ctx, s); err != nil {
-		return nil, err
-	} else if ok {
-		return cur, nil
-	}
 	src, err := newCSIBatchSource(ctx, s, nil)
 	if err != nil {
 		return nil, err
-	}
-	if ctx.Trace != nil {
-		// ctx.Trace is this scan's own node (Build sets it before the
-		// constructor runs); the wrapping traceCursor accounts rows,
-		// bytes, and time, so the source only adds batch counts and
-		// rowgroup-elimination attributes.
-		src.tn = ctx.Trace
 	}
 	return &csiCursor{ctx: ctx, s: s, src: src}, nil
 }
@@ -243,7 +233,6 @@ func newCSICursor(ctx *Context, s *plan.Scan) (Cursor, error) {
 func (c *csiCursor) UID() int64 { return c.uid }
 
 func (c *csiCursor) Next() (value.Row, bool) {
-	m := c.ctx.Tr.Model
 	schemaLen := c.s.Table.Schema.Len()
 	for {
 		if c.pos < len(c.rows) {
@@ -252,13 +241,11 @@ func (c *csiCursor) Next() (value.Row, bool) {
 			c.pos++
 			return row, true
 		}
-		b, ok := c.src.next()
+		b, ok := c.src.nextCharged() // batch-to-row adapter cost
 		if !ok {
 			return nil, false
 		}
 		n := b.Len()
-		// Batch-to-row adapter cost.
-		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(n), m.RowCPU/4), 1.0)
 		c.rows, c.uids, c.pos = c.rows[:0], c.uids[:0], 0
 		// One backing array per batch (colstore.ScanRows discipline)
 		// instead of one allocation per row. Consumers may retain the

@@ -33,7 +33,7 @@ type csiBatchSource struct {
 	// stats. When timed is set the source also owns the node's rows,
 	// bytes, and time (batch-mode parents consume the source directly,
 	// bypassing the per-node cursor wrapper); otherwise the wrapping
-	// traceCursor accounts for those.
+	// trace cursor accounts for those.
 	tn    *metrics.TraceNode
 	timed bool
 }
@@ -140,6 +140,17 @@ func (s *csiBatchSource) next() (*vec.Batch, bool) {
 	return nil, false
 }
 
+// nextCharged is next plus the composite-row boundary cost every
+// consumer that maps the batch's vectors onto row slots pays, one
+// charge per batch.
+func (s *csiBatchSource) nextCharged() (*vec.Batch, bool) {
+	b, ok := s.next()
+	if ok {
+		s.ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(b.Len()), s.ctx.Tr.Model.RowCPU/4), 1.0)
+	}
+	return b, ok
+}
+
 // observe records per-batch trace stats and keeps the node's rowgroup
 // elimination attributes in sync with the scanner.
 func (s *csiBatchSource) observe(rows int, b0 int64, t0 time.Duration) {
@@ -186,13 +197,6 @@ func selDensity(in, out int64) int64 {
 	return out * 1000 / in
 }
 
-// nextSel returns the other scratch selection buffer, emptied and with
-// capacity for n entries. The caller may read b.Sel (the previously
-// returned buffer) while appending to this one.
-func (s *csiBatchSource) nextSel(n int) []int {
-	return s.selPool.Next(n)
-}
-
 // applyFast handles ColRef-op-Lit conjuncts on integer-representable
 // vectors without materializing values. Returns false if the conjunct
 // does not match the fast-path shape. All shape checks (including the
@@ -231,7 +235,7 @@ func (s *csiBatchSource) applyFast(b *vec.Batch, cond sql.Expr) bool {
 	v := b.Cols[vi]
 	cmp := lit.Val.Int()
 	n := b.Len()
-	sel := s.nextSel(n)
+	sel := s.selPool.Next(n)
 	for i := 0; i < n; i++ {
 		p := b.LiveIndex(i)
 		if v.IsNull(p) {
@@ -264,7 +268,7 @@ func (s *csiBatchSource) applyFast(b *vec.Batch, cond sql.Expr) bool {
 // applyGeneric evaluates an arbitrary conjunct by materializing the
 // table's columns into a scratch composite row per live position.
 func (s *csiBatchSource) applyGeneric(b *vec.Batch, cond sql.Expr) {
-	sel := s.nextSel(b.Len())
+	sel := s.selPool.Next(b.Len())
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		p := b.LiveIndex(i)

@@ -5,7 +5,7 @@
 // runs with a tournament ("loser tree") k-way merge in morsel-index
 // order. Ties across runs resolve to the lower morsel index, and each
 // run is a stable-sorted slice of the serial scan order, so the merged
-// output is exactly the global stable sort a serial sortCursor
+// output is exactly the global stable sort a serial rowSorter
 // produces. Like every morsel-driven operator, the fold structure is
 // part of the simulated plan: it runs at every worker count (inline at
 // Workers<=1), so rows, Metrics, and traces are bit-identical at any
@@ -53,31 +53,18 @@ func morselSortRows(ctx *Context, s *plan.Sort, limit int64) ([]value.Row, bool,
 	if !ok {
 		return nil, false, nil
 	}
-	w := schedulableWorkers(ctx, len(morsels))
-	var stn *metrics.TraceNode
-	var morselTNs []*metrics.TraceNode
-	if ctx.Trace != nil {
-		// The scan never becomes a cursor (per-morsel sources feed the
-		// local sorts directly), so it gets its own trace node assembled
-		// from per-morsel nodes that own their rows, bytes, and time.
-		stn = ctx.Trace.Child(scan.Describe())
-		stn.Loops = 1
-		morselTNs = make([]*metrics.TraceNode, len(morsels))
-	}
 	runs := make([][]value.Row, len(morsels))
 	runBytes := make([]int64, len(morsels))
-	workerGroups := make([]int64, w)
-	body := func(wi, mi int, wctx *Context) error {
-		src, err := newCSIBatchSource(wctx, scan, &morsels[mi])
-		if err != nil {
-			return err
+	err := runMorsels(ctx, scan, morsels, true, func(mi int, wctx *Context, src *csiBatchSource) error {
+		slots := scanSlots(scan, src)
+		var rows []value.Row
+		for {
+			b, ok := src.nextCharged()
+			if !ok {
+				break
+			}
+			rows = (&SlotBatch{B: b, Slots: slots}).appendRows(rows, wctx.TotalSlots)
 		}
-		if morselTNs != nil {
-			morselTNs[mi] = &metrics.TraceNode{}
-			src.tn = morselTNs[mi]
-			src.timed = true
-		}
-		rows, _ := drainScanRows(wctx, scan, src)
 		// Workers never Alloc (fork MemPeak would double-count); byte
 		// totals are recorded per morsel and accounted at the gather.
 		for _, r := range rows {
@@ -85,13 +72,11 @@ func morselSortRows(ctx *Context, s *plan.Sort, limit int64) ([]value.Row, bool,
 		}
 		sortRowsCharged(wctx, s.Keys, rows)
 		runs[mi] = rows
-		workerGroups[wi] += int64(src.sc.GroupsScanned)
 		return nil
-	}
-	if err := runWorkers(ctx, w, len(morsels), body); err != nil {
+	})
+	if err != nil {
 		return nil, false, err
 	}
-	annotate(stn, morselTNs, w, workerGroups)
 
 	// Gather: account the runs' memory on the query tracker in morsel
 	// order, merge, release — the serial sorter's Alloc total and Free
@@ -225,20 +210,9 @@ func (t *mergeTree) pop() (value.Row, bool) {
 // never becomes a cursor) with the construction deltas Build would
 // record. The caller must have checked parallelSortEligible.
 func fusedTopSortRows(ctx *Context, t *plan.Top, s *plan.Sort) ([]value.Row, *metrics.TraceNode, error) {
-	parent := ctx.Trace
-	var tn *metrics.TraceNode
-	if parent != nil {
-		tn = parent.Child(s.Describe())
-		tn.Loops = 1
-		ctx.Trace = tn
-	}
-	b0, t0 := ctx.Tr.BytesRead, ctx.Tr.ExecTime()
+	tn, done := openTrace(ctx, s)
 	rows, ok, err := morselSortRows(ctx, s, t.N)
-	if parent != nil {
-		tn.BytesRead += ctx.Tr.BytesRead - b0
-		tn.Time += ctx.Tr.ExecTime() - t0
-		ctx.Trace = parent
-	}
+	done()
 	if err != nil {
 		return nil, nil, err
 	}

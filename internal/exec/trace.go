@@ -27,11 +27,3 @@ func (c *traceCursor) Next() (value.Row, bool) {
 	}
 	return row, ok
 }
-
-// UID preserves the UIDCursor contract of wrapped scan cursors.
-func (c *traceCursor) UID() int64 {
-	if u, ok := c.in.(UIDCursor); ok {
-		return u.UID()
-	}
-	return 0
-}

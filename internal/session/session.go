@@ -91,10 +91,6 @@ type ExecOptions struct {
 	// workers. It does not affect the plan's (virtual) DOP or any
 	// reported Metrics — only wall-clock time.
 	Parallelism int
-	// RowMode executes SELECTs on the legacy row-at-a-time spine
-	// instead of the default batch spine. Results and Metrics are
-	// bit-identical either way; only real CPU time differs.
-	RowMode bool
 }
 
 // Prepared is one server-side prepared statement: the parsed form plus

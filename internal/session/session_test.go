@@ -159,7 +159,7 @@ func TestSessionDefaults(t *testing.T) {
 	if d := s.Defaults(); d != (ExecOptions{}) {
 		t.Fatalf("zero defaults = %+v", d)
 	}
-	want := ExecOptions{Parallelism: 4, RowMode: true}
+	want := ExecOptions{Parallelism: 4, NoColumnstore: true}
 	s.SetDefaults(want)
 	if d := s.Defaults(); d != want {
 		t.Fatalf("Defaults() = %+v, want %+v", d, want)

@@ -296,8 +296,6 @@ func execOptionsFrom(opts map[string]string) (session.ExecOptions, error) {
 				return eo, fmt.Errorf("wire: bad parallelism %q", v)
 			}
 			eo.Parallelism = n
-		case "row_mode":
-			eo.RowMode = v == "1" || v == "true"
 		case "mem_grant":
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || n < 0 {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hybriddb/internal/engine"
+	"hybriddb/internal/metrics"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 )
@@ -247,6 +248,87 @@ func TestServerExecEndToEnd(t *testing.T) {
 	}
 	if _, rows := execSQL(t, nc, `SELECT id FROM t WHERE id = 1`); len(rows) != 1 {
 		t.Fatalf("post-error select rows = %v", rows)
+	}
+}
+
+// execExpectError runs one statement that must fail and returns the
+// server's message; the connection stays usable.
+func execExpectError(t *testing.T, nc net.Conn, sqlText string) string {
+	t.Helper()
+	var b Builder
+	b.Byte(0)
+	b.String(sqlText)
+	if err := WriteFrame(nc, FrameExec, b.Bytes()); err != nil {
+		t.Fatalf("exec write: %v", err)
+	}
+	typ, body, err := ReadFrame(nc)
+	if err != nil || typ != FrameError {
+		t.Fatalf("%s: typ=0x%02x err=%v, want an Error frame", sqlText, typ, err)
+	}
+	msg, _ := NewReader(body).String()
+	return msg
+}
+
+// TestServerSurvivesStatementPanic: a statement that panics in the
+// evaluator (BIGINT + VARCHAR gets past the binder) fails alone — its
+// session and a second session both run their next statement, and the
+// panic is counted.
+func TestServerSurvivesStatementPanic(t *testing.T) {
+	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	_, addr := startServer(t, db, Options{})
+	nc := dial(t, addr, "first", "")
+	defer nc.Close()
+	execSQL(t, nc, `CREATE TABLE t (a BIGINT, s VARCHAR(8))`)
+	execSQL(t, nc, `INSERT INTO t VALUES (1, 'x'), (2, 'y')`)
+
+	const counter = "hybriddb_statement_panics_total"
+	before := metrics.Default().Snapshot()[counter]
+	if msg := execExpectError(t, nc, `SELECT a + s FROM t`); !strings.Contains(msg, "panicked") {
+		t.Fatalf("error = %q, want the contained panic", msg)
+	}
+	if got := metrics.Default().Snapshot()[counter] - before; got != 1 {
+		t.Fatalf("%s rose by %v, want 1", counter, got)
+	}
+	if _, rows := execSQL(t, nc, `SELECT a FROM t`); len(rows) != 2 {
+		t.Fatalf("same session, next statement: rows = %v", rows)
+	}
+	second := dial(t, addr, "second", "")
+	defer second.Close()
+	if _, rows := execSQL(t, second, `SELECT s FROM t WHERE a = 2`); len(rows) != 1 {
+		t.Fatalf("second session: rows = %v", rows)
+	}
+}
+
+// TestHandshakeRejectsUnknownOption: row_mode named a second executor
+// that no longer exists; like any option the server does not know, a
+// handshake carrying it is refused.
+func TestHandshakeRejectsUnknownOption(t *testing.T) {
+	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	_, addr := startServer(t, db, Options{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	var b Builder
+	b.Byte(ProtocolVersion)
+	b.String("u")
+	b.String("")
+	b.Uvarint(1)
+	b.String("row_mode")
+	b.String("1")
+	if err := WriteFrame(nc, FrameHello, b.Bytes()); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	typ, body, err := ReadFrame(nc)
+	if err != nil || typ != FrameError {
+		t.Fatalf("hello with row_mode: typ=0x%02x err=%v, want an Error frame", typ, err)
+	}
+	if msg, _ := NewReader(body).String(); !strings.Contains(msg, `unknown connection option "row_mode"`) {
+		t.Fatalf("error = %q", msg)
+	}
+	if n := len(db.Sessions()); n != 1 { // the engine's own local session
+		t.Fatalf("%d sessions open after a refused handshake, want 1", n)
 	}
 }
 

@@ -1,0 +1,371 @@
+// Executor golden test. The virtual-clock charges are this repo's
+// stand-in for the paper's hardware, so they are pinned by committed
+// numbers: for every query below the row count, an ordered digest of
+// the rows, every field of vclock.Metrics and the EXPLAIN ANALYZE
+// skeleton must equal testdata/spine_golden.json, at Parallelism 1 and
+// at Parallelism 8. The file was generated on the last commit that
+// still shipped a second, row-at-a-time executor (dfebed4), with that
+// executor asserted equal to the batch one wherever a row fringe reads
+// a batch operator — so there the golden is the row spine's answer.
+// Regenerate only with
+//
+//	go test -run TestSpineGolden -update .
+//
+// and review the diff: a changed number is a changed cost model.
+package hybriddb
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+
+	"hybriddb/internal/exec"
+	"hybriddb/internal/metrics"
+	"hybriddb/internal/value"
+	"hybriddb/internal/vclock"
+	"hybriddb/internal/workload"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/spine_golden.json from this executor")
+
+const spineGoldenPath = "testdata/spine_golden.json"
+
+// spineOp is one operator of the EXPLAIN ANALYZE skeleton: what the
+// plan did, not how the executor batched it (batches, adapter_rows,
+// batch_operators and worker<i>_rowgroups are spine bookkeeping).
+type spineOp struct {
+	Depth     int    `json:"depth"`
+	Name      string `json:"name"`
+	Rows      int64  `json:"rows"`
+	Loops     int64  `json:"loops"`
+	BytesRead int64  `json:"bytes_read"`
+	TimeNS    int64  `json:"time_ns"`
+}
+
+type spineEntry struct {
+	Name    string         `json:"name"`
+	SQL     string         `json:"sql"`
+	Rows    int64          `json:"rows"`
+	Digest  string         `json:"digest"`
+	Metrics vclock.Metrics `json:"metrics"`
+	Trace   []spineOp      `json:"trace,omitempty"`
+}
+
+type spineQuery struct {
+	name, sql string
+	dml       bool // mutates: every run gets a freshly built database
+}
+
+type spineSuite struct {
+	name    string
+	build   func(testing.TB) *DB
+	queries []spineQuery
+}
+
+func mustExecAll(tb testing.TB, db *DB, stmts ...string) {
+	tb.Helper()
+	for _, s := range stmts {
+		if _, err := db.Exec(s); err != nil {
+			tb.Fatalf("%.60s: %v", s, err)
+		}
+	}
+}
+
+// spineCHDB is the paper's hybrid design on a 2-warehouse CH database:
+// secondary columnstores on the analytic tables, B+ trees underneath.
+func spineCHDB(tb testing.TB) *DB {
+	cfg := workload.DefaultCH()
+	cfg.Warehouses = 2
+	cfg.CustomersPerD = 60
+	cfg.OrdersPerD = 80
+	cfg.ItemCount = 400
+	cfg.RowGroupSize = 1024
+	db := Wrap(workload.BuildCH(vclock.DefaultModel(vclock.DRAM), cfg))
+	for _, tbl := range []string{"orderline", "oorder", "stock", "ch_item", "ch_customer", "ch_supplier"} {
+		mustExecAll(tb, db, "CREATE NONCLUSTERED COLUMNSTORE INDEX csi_"+tbl+" ON "+tbl)
+	}
+	return db
+}
+
+func spineMicroDB(ddl string) func(testing.TB) *DB {
+	return func(tb testing.TB) *DB {
+		cfg := workload.DefaultMicro()
+		cfg.Rows, cfg.Cols, cfg.MaxValue, cfg.RowGroupSize = 50_000, 2, 1000, 4096
+		db := Wrap(workload.BuildMicro(vclock.DefaultModel(vclock.DRAM), cfg))
+		mustExecAll(tb, db, ddl)
+		return db
+	}
+}
+
+func spineTPCHDB(ddl string) func(testing.TB) *DB {
+	return func(tb testing.TB) *DB {
+		db := Wrap(workload.BuildTPCH(vclock.DefaultModel(vclock.DRAM),
+			workload.TPCHConfig{LineitemRows: 24_000, RowGroupSize: 2048, Seed: 7}))
+		mustExecAll(tb, db, ddl)
+		return db
+	}
+}
+
+func insertValues(n int, row func(i int) string) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(row(i))
+	}
+	return sb.String()
+}
+
+// spineDimFactDB puts a row fringe above a columnstore child: dim and
+// dim2 are clustered columnstores, fact and fact2 are clustered B+
+// trees on the join key, so dim⋈fact is a nested-loop join with a
+// columnstore outer, fact⋈fact2 a merge join and GROUP BY f_d a stream
+// aggregate.
+func spineDimFactDB(tb testing.TB) *DB {
+	db := Open(WithRowGroupSize(1024))
+	mustExecAll(tb, db,
+		`CREATE TABLE dim (d_id BIGINT, d_grp BIGINT, d_attr BIGINT, d_name VARCHAR(16))`,
+		`CREATE TABLE dim2 (e_id BIGINT, e_cat BIGINT)`,
+		`CREATE TABLE fact (f_d BIGINT, f_seq BIGINT, f_val BIGINT, f_amt DOUBLE, PRIMARY KEY (f_d, f_seq))`,
+		`CREATE TABLE fact2 (g_d BIGINT, g_seq BIGINT, g_val BIGINT, PRIMARY KEY (g_d, g_seq))`,
+		"INSERT INTO dim VALUES "+insertValues(5000, func(i int) string {
+			return fmt.Sprintf("(%d,%d,%d,'n%d')", i, i%7, (i*37)%1000, i%11)
+		}),
+		"INSERT INTO dim2 VALUES "+insertValues(3000, func(i int) string {
+			return fmt.Sprintf("(%d,%d)", i, i%5)
+		}),
+		"INSERT INTO fact VALUES "+insertValues(40000, func(i int) string {
+			return fmt.Sprintf("(%d,%d,%d,%d.5)", (i*7)%5000, i, i%97, i%1000)
+		}),
+		"INSERT INTO fact2 VALUES "+insertValues(6000, func(i int) string {
+			return fmt.Sprintf("(%d,%d,%d)", (i*11)%5000, i, i%13)
+		}),
+		`CREATE CLUSTERED COLUMNSTORE INDEX cci ON dim`,
+		`CREATE CLUSTERED COLUMNSTORE INDEX cci2 ON dim2`,
+	)
+	return db
+}
+
+func spineSuites() []spineSuite {
+	var ch []spineQuery
+	for i, q := range workload.CHQueries() {
+		ch = append(ch, spineQuery{name: fmt.Sprintf("Q%02d", i+1), sql: q})
+	}
+	// Bare TOP (nothing blocking between it and the source) is the one
+	// place execution granularity is observable: per-row filter, probe
+	// and seek charges must stop with the last row TOP pulls.
+	ch = append(ch,
+		spineQuery{name: "top_scan", sql: `SELECT TOP 10 ol_o_id, ol_amount FROM orderline`},
+		spineQuery{name: "top_scan_pushed", sql: `SELECT TOP 10 ol_o_id, ol_amount FROM orderline WHERE ol_quantity < 4`},
+		spineQuery{name: "top_scan_many_batches", sql: `SELECT TOP 5000 ol_o_id, ol_amount FROM orderline WHERE ol_amount > 100`},
+		spineQuery{name: "top_hashjoin_dop40", sql: `SELECT TOP 10 i_im_id, ol_amount FROM orderline JOIN ch_item ON ol_i_id = i_id`},
+		spineQuery{name: "top_hashjoin_many_batches", sql: `SELECT TOP 3000 i_im_id, ol_amount FROM orderline JOIN ch_item ON ol_i_id = i_id WHERE i_price < 50`},
+		spineQuery{name: "top_filter_hashjoin_dop40", sql: `SELECT TOP 10 i_im_id, ol_amount FROM orderline JOIN ch_item ON ol_i_id = i_id WHERE ol_amount > i_price`},
+		spineQuery{name: "top_filter_hashjoin_many_batches", sql: `SELECT TOP 2000 i_im_id, ol_amount FROM orderline JOIN ch_item ON ol_i_id = i_id WHERE ol_amount > i_price * 3`},
+		spineQuery{name: "top_hashjoin_residual", sql: `SELECT TOP 10 o_id, ol_amount FROM oorder JOIN orderline ON ol_o_id = o_id WHERE ol_w_id = o_w_id AND ol_d_id = o_d_id`},
+		spineQuery{name: "top_hashjoin_serial", sql: `SELECT TOP 10 s_i_id, s_quantity FROM stock JOIN ch_item ON s_i_id = i_id WHERE s_quantity > 50`},
+		spineQuery{name: "top_hashjoin_both_filtered", sql: `SELECT TOP 10 c_id, o_id FROM ch_customer JOIN oorder ON o_c_id = c_id WHERE c_d_id = 3 AND o_d_id = 3`},
+		spineQuery{name: "top_over_hashagg", sql: `SELECT TOP 7 ol_number, count(*) FROM orderline GROUP BY ol_number`},
+		spineQuery{name: "top_over_sort", sql: `SELECT TOP 7 ol_o_id, ol_amount FROM orderline ORDER BY ol_amount DESC`},
+	)
+
+	micro := []spineQuery{
+		{name: "Q1", sql: workload.Q1(0.1, 1000)},
+		{name: "Q2", sql: workload.Q2(0.05, 1000)},
+		{name: "Q3", sql: workload.Q3()},
+	}
+	tpch := []spineQuery{
+		{name: "Q4", sql: workload.Q4(100, workload.ShipDate(100)), dml: true},
+		{name: "Q5", sql: workload.Q5Range(workload.ShipDate(100), workload.ShipDate(400))},
+	}
+
+	dimFact := []spineQuery{
+		{name: "nlj_under_hashagg", sql: `SELECT d_grp, sum(f_amt) FROM dim JOIN fact ON f_d = d_id WHERE d_attr < 50 GROUP BY d_grp`},
+		{name: "nlj_under_sort", sql: `SELECT d_id, f_val FROM dim JOIN fact ON f_d = d_id WHERE d_attr < 50 ORDER BY f_val, d_id`},
+		{name: "nlj_under_top", sql: `SELECT TOP 10 d_id, f_val FROM dim JOIN fact ON f_d = d_id WHERE d_attr < 50`},
+		{name: "nlj_under_hashjoin", sql: `SELECT e_cat, count(*) FROM dim JOIN fact ON f_d = d_id JOIN dim2 ON e_id = f_val WHERE d_attr < 50 GROUP BY e_cat`},
+		{name: "top_filter_hashjoin_nlj", sql: `SELECT TOP 10 d_id, f_val, e_cat FROM dim JOIN fact ON f_d = d_id JOIN dim2 ON e_id = f_val WHERE d_attr < 50 AND f_val > e_cat`},
+		{name: "top_hashjoin_nlj", sql: `SELECT TOP 10 d_id, f_val, e_cat FROM dim JOIN fact ON f_d = d_id JOIN dim2 ON e_id = f_val WHERE d_attr < 50`},
+		{name: "top_hashjoin_btree_probe", sql: `SELECT TOP 2000 d_id, f_val FROM dim JOIN fact ON f_d = d_id WHERE d_attr < 300`},
+		{name: "top_project_streamagg", sql: `SELECT TOP 5 f_d, count(*) FROM fact GROUP BY f_d`},
+		{name: "top_project_streamagg_expr", sql: `SELECT TOP 5 f_d, sum(f_amt) * 2 FROM fact WHERE f_d > 100 GROUP BY f_d`},
+		{name: "streamagg_drained", sql: `SELECT f_d, count(*) FROM fact GROUP BY f_d`},
+		{name: "nlj_drained", sql: `SELECT d_id, f_val FROM dim JOIN fact ON f_d = d_id WHERE d_attr < 50`},
+		{name: "top_cci_scan", sql: `SELECT TOP 10 d_id, d_attr FROM dim WHERE d_attr < 500`},
+		{name: "mergejoin", sql: `SELECT f_d, f_val, g_val FROM fact JOIN fact2 ON g_d = f_d WHERE f_val < 3`},
+		{name: "top_mergejoin", sql: `SELECT TOP 10 f_d, f_val, g_val FROM fact JOIN fact2 ON g_d = f_d WHERE f_val < 3`},
+	}
+
+	return []spineSuite{
+		{name: "ch", build: spineCHDB, queries: ch},
+		{name: "micro_btree", build: spineMicroDB("CREATE CLUSTERED INDEX cix ON t (col1)"), queries: micro},
+		{name: "micro_cci", build: spineMicroDB("CREATE CLUSTERED COLUMNSTORE INDEX cci ON t"), queries: micro},
+		{name: "tpch_btree", build: spineTPCHDB("CREATE CLUSTERED INDEX cix ON lineitem (l_shipdate)"), queries: tpch},
+		{name: "tpch_cci", build: spineTPCHDB("CREATE CLUSTERED COLUMNSTORE INDEX cci ON lineitem"), queries: tpch},
+		{name: "dimfact", build: spineDimFactDB, queries: dimFact},
+	}
+}
+
+// rowsDigest hashes rows in order, kind-tagged so 1 and 1.0 differ.
+func rowsDigest(rows []value.Row) string {
+	h := sha256.New()
+	var buf [9]byte
+	for _, r := range rows {
+		for _, v := range r {
+			buf[0] = byte(v.Kind())
+			switch v.Kind() {
+			case value.KindNull:
+				h.Write(buf[:1])
+			case value.KindFloat:
+				binary.BigEndian.PutUint64(buf[1:], math.Float64bits(v.Float()))
+				h.Write(buf[:])
+			case value.KindString:
+				binary.BigEndian.PutUint64(buf[1:], uint64(len(v.Str())))
+				h.Write(buf[:])
+				h.Write([]byte(v.Str()))
+			case value.KindBool:
+				buf[1] = 0
+				if v.Bool() {
+					buf[1] = 1
+				}
+				h.Write(buf[:2])
+			default:
+				binary.BigEndian.PutUint64(buf[1:], uint64(v.Int()))
+				h.Write(buf[:])
+			}
+		}
+		h.Write([]byte{0xff})
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+func traceSkeleton(tn *metrics.TraceNode, depth int, out []spineOp) []spineOp {
+	for _, c := range tn.Children {
+		loops := c.Loops
+		if loops == 0 {
+			loops = 1
+		}
+		out = append(out, spineOp{Depth: depth, Name: c.Name, Rows: c.Rows, Loops: loops,
+			BytesRead: c.BytesRead, TimeNS: c.Time.Nanoseconds()})
+		out = traceSkeleton(c, depth+1, out)
+	}
+	return out
+}
+
+// runSpineQuery executes q once under opts and reduces it to a golden
+// entry. SELECTs run twice — plain for the rows, EXPLAIN ANALYZE for
+// the trace — and the two runs must agree on Metrics.
+func runSpineQuery(tb testing.TB, s spineSuite, db *DB, q spineQuery, opts ExecOptions) spineEntry {
+	tb.Helper()
+	name := s.name + "/" + q.name
+	if q.dml {
+		db = s.build(tb)
+	}
+	res, err := db.Exec(q.sql, opts)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	e := spineEntry{Name: name, SQL: q.sql, Rows: int64(len(res.Rows)),
+		Digest: rowsDigest(res.Rows), Metrics: res.Metrics}
+	if q.dml {
+		e.Rows = res.RowsAffected
+		return e
+	}
+	ex, err := db.Exec("EXPLAIN ANALYZE "+q.sql, opts)
+	if err != nil {
+		tb.Fatalf("%s: explain analyze: %v", name, err)
+	}
+	if ex.Metrics != res.Metrics {
+		tb.Errorf("%s: EXPLAIN ANALYZE metrics %v differ from the plain run's %v", name, ex.Metrics, res.Metrics)
+	}
+	e.Trace = traceSkeleton(ex.Trace, 0, nil)
+	return e
+}
+
+// maskTime returns e without per-operator times. A morsel-driven
+// operator's time is read off its worker's forked tracker and the
+// fused parallel probe leaves the scan's boundary charge to the join
+// node, so per-node time is only comparable at one worker count; the
+// golden pins it at Parallelism 1, and every sum over nodes (Metrics)
+// at both.
+func maskTime(e spineEntry) spineEntry {
+	ops := make([]spineOp, len(e.Trace))
+	for i, op := range e.Trace {
+		op.TimeNS = 0
+		ops[i] = op
+	}
+	e.Trace = ops
+	return e
+}
+
+func TestSpineGolden(t *testing.T) {
+	// Force the worker pools to really run even on single-core CI
+	// machines (the scheduler otherwise degrades every operator to the
+	// inline serial path).
+	exec.SetSchedulableCPUs(8)
+	defer exec.SetSchedulableCPUs(0)
+
+	var got []spineEntry
+	for _, s := range spineSuites() {
+		db := s.build(t)
+		for _, q := range s.queries {
+			e := runSpineQuery(t, s, db, q, ExecOptions{Parallelism: 1})
+			par := runSpineQuery(t, s, db, q, ExecOptions{Parallelism: 8})
+			if !reflect.DeepEqual(maskTime(e), maskTime(par)) {
+				t.Errorf("%s: Parallelism 8 diverges from Parallelism 1\n  1: %+v\n  8: %+v", e.Name, e, par)
+			}
+			got = append(got, e)
+		}
+		if s.name != "ch" {
+			continue
+		}
+		// The batch spine must actually engage: EXPLAIN ANALYZE reports
+		// the count of batch-native operators on the top plan node.
+		res, err := db.Exec("EXPLAIN ANALYZE " + workload.CHQueries()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := res.Trace.Children[0].Attr("batch_operators"); !ok || v < 2 {
+			t.Errorf("batch_operators attr = %d (present=%v), want >= 2", v, ok)
+		}
+	}
+
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(spineGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(spineGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	var want []spineEntry
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", spineGoldenPath, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d queries ran, golden has %d (regenerate with -update and review the diff)", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s diverges from golden\n  got:  %+v\n  want: %+v", want[i].Name, got[i], want[i])
+		}
+	}
+}

@@ -1,18 +1,13 @@
-// Scaling rig: DOP sweeps over the four representative parallel
-// shapes — exchange-bound scan, partial-agg gather, partitioned-build
-// hash join, and parallel sort + TOP — cross-checked against the
-// vclock cost model's own scaling prediction.
-//
-// `make bench-scaling` runs these with GOMAXPROCS raised to at least 8
-// and BENCH_SCALING_JSON set, which writes BENCH_scaling.json: ns/op
-// per query × DOP, measured speedup vs DOP 1, and the model's
-// PredictedSpeedup from the same query's virtual Metrics. Divergence
-// between the two columns is signal: measured ≪ model means the real
-// scheduler is leaving speedup on the table (or the machine has fewer
-// cores than GOMAXPROCS claims — see the embedded warning); measured ≫
-// model means the model's serial fraction is pessimistic. Virtual
-// metrics themselves are bit-identical at every DOP by construction,
-// so each sweep captures them once, untimed, before the timed runs.
+// The DOP sweep: the four representative parallel shapes — exchange-
+// bound scan, partial-agg gather, partitioned-build hash join, parallel
+// sort + TOP — at 1/2/4/8 workers. Each sub-benchmark reports the
+// vclock cost model's PredictedSpeedup for its DOP as model_speedup;
+// compare it with the ns/op ratio against DOP1 on a machine that has
+// the cores (the executor clamps its pools to min(GOMAXPROCS, NumCPU),
+// so above that the sweep measures scheduler noise). Measured below the
+// model: the scheduler leaves speedup on the table; above: the model's
+// serial fraction is pessimistic. Rows and virtual Metrics are
+// identical at every DOP (TestSpineGolden, TestSerialParallelEquivalence).
 package hybriddb
 
 import (
@@ -23,66 +18,26 @@ import (
 	"hybriddb/internal/value"
 )
 
-var scalingDOPs = []int{1, 2, 4, 8}
-
-// scalingBenchRecord is one point of BENCH_scaling.json: a query at a
-// worker count, its measured wall-clock scaling, and the 40-core
-// model's prediction for the same DOP derived from the query's
-// CPUSerial/CPUParallel split.
-type scalingBenchRecord struct {
-	Bench   string  `json:"bench"`
-	DOP     int     `json:"dop"`
-	NsPerOp float64 `json:"ns_per_op"`
-	Speedup float64 `json:"speedup_vs_dop1"`
-	// ModelSpeedup is vclock's PredictedSpeedup(metrics, dop): the
-	// Amdahl bound the virtual cost model expects at this DOP, with
-	// parallel startup charged. Compare against Speedup to validate
-	// the model on real hardware.
-	ModelSpeedup float64 `json:"model_speedup"`
-}
-
-var scalingRecords []scalingBenchRecord
-
-func recordScalingBench(name string, dop int, modelSpeedup float64, b *testing.B) {
-	benchMu.Lock()
-	defer benchMu.Unlock()
-	rec := scalingBenchRecord{
-		Bench: name, DOP: dop,
-		NsPerOp:      float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		ModelSpeedup: modelSpeedup,
-	}
-	// Keep only the final (largest-N) measurement per benchmark × DOP,
-	// as recordParallelBench does.
-	for i := range scalingRecords {
-		if scalingRecords[i].Bench == name && scalingRecords[i].DOP == dop {
-			scalingRecords[i] = rec
-			return
-		}
-	}
-	scalingRecords = append(scalingRecords, rec)
-}
-
-func benchScalingQuery(b *testing.B, db *DB, name, query string) {
+func benchScalingQuery(b *testing.B, db *DB, query string) {
 	b.Helper()
-	// One untimed execution captures the virtual metrics; they are
-	// identical at every DOP, so the DOP-1 run serves all predictions.
+	// Virtual metrics are the same at every DOP, so one untimed serial
+	// run serves all predictions.
 	res, err := db.Exec(query, ExecOptions{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	model := db.Internal().Model()
-	for _, dop := range scalingDOPs {
-		predicted := model.PredictedSpeedup(res.Metrics, dop)
+	for _, dop := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("DOP%d", dop), func(b *testing.B) {
 			opts := ExecOptions{Parallelism: dop}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := db.Exec(query, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer()
-			recordScalingBench(name, dop, predicted, b)
+			b.ReportMetric(model.PredictedSpeedup(res.Metrics, dop), "model_speedup")
 		})
 	}
 }
@@ -90,14 +45,38 @@ func benchScalingQuery(b *testing.B, db *DB, name, query string) {
 // BenchmarkScalingScan sweeps the exchange-bound selective scan: the
 // shape with the largest gather fraction, so the weakest scaling.
 func BenchmarkScalingScan(b *testing.B) {
-	benchScalingQuery(b, parallelBenchDB(b), "scan", "SELECT k, v FROM pb WHERE g < 8")
+	benchScalingQuery(b, parallelBenchDB(b), "SELECT k, v FROM pb WHERE g < 8")
 }
 
 // BenchmarkScalingAgg sweeps per-worker partial aggregation with a
 // 64-group merging gather — near-perfectly parallel work.
 func BenchmarkScalingAgg(b *testing.B) {
-	benchScalingQuery(b, parallelBenchDB(b), "agg",
+	benchScalingQuery(b, parallelBenchDB(b),
 		"SELECT g, count(*), sum(v), min(k), max(k) FROM pb GROUP BY g")
+}
+
+// parallelBenchDB builds a clustered-columnstore table with enough
+// rowgroups (~25) that morsel dispatch has real work to split.
+func parallelBenchDB(b *testing.B) *DB {
+	b.Helper()
+	db := Open(WithRowGroupSize(8192))
+	if _, err := db.Exec("CREATE TABLE pb (k BIGINT, g BIGINT, v BIGINT)"); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	rows := make([]value.Row, 200_000)
+	for i := range rows {
+		rows[i] = value.Row{
+			value.NewInt(int64(i)),
+			value.NewInt(rng.Int63n(64)),
+			value.NewInt(rng.Int63n(10_000)),
+		}
+	}
+	db.Internal().Table("pb").BulkLoad(nil, rows)
+	if _, err := db.Exec("CREATE CLUSTERED COLUMNSTORE INDEX cci ON pb (k)"); err != nil {
+		b.Fatal(err)
+	}
+	return db
 }
 
 // batchBenchDB builds a TPC-H-subset pair of columnstore tables: a
@@ -145,13 +124,13 @@ func batchBenchDB(b *testing.B) *DB {
 // BenchmarkScalingJoin sweeps the partitioned hash-join build under a
 // fused morsel-driven probe with aggregation.
 func BenchmarkScalingJoin(b *testing.B) {
-	benchScalingQuery(b, batchBenchDB(b), "join",
+	benchScalingQuery(b, batchBenchDB(b),
 		"SELECT o_g, count(*), sum(l_v) FROM borders JOIN blineitem ON l_ok = o_k WHERE o_g < 8 GROUP BY o_g")
 }
 
 // BenchmarkScalingTopN sweeps the parallel sort: per-morsel local
 // sorts with the serial loser-tree merge capped at TOP N.
 func BenchmarkScalingTopN(b *testing.B) {
-	benchScalingQuery(b, batchBenchDB(b), "topn",
+	benchScalingQuery(b, batchBenchDB(b),
 		"SELECT TOP 100 l_ok, l_v FROM blineitem WHERE l_q < 20 ORDER BY l_v DESC, l_ok")
 }

@@ -1,8 +1,7 @@
-// Benchmarks: one target per table and figure in the paper's
-// evaluation (each regenerates the experiment at reduced "quick"
-// scale; run cmd/hybridbench for full-scale tables), plus
-// micro-benchmarks of the core structures. EXPERIMENTS.md records the
-// full-scale outputs against the paper.
+// Micro-benchmarks in process wall-clock: the paper's experiments at
+// reduced "quick" scale (run cmd/hybridbench for the full-scale tables
+// EXPERIMENTS.md quotes) and the core structures. End-to-end wall-clock
+// numbers come from benchmark/ (sh benchmark/run.sh).
 package hybriddb
 
 import (
@@ -16,35 +15,21 @@ import (
 	"hybriddb/internal/value"
 )
 
-// runExperiment executes one registered experiment at quick scale.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tables := e.Run(true)
-		if len(tables) == 0 || len(tables[0].Rows) == 0 {
-			b.Fatalf("experiment %s produced no rows", id)
-		}
+// BenchmarkExperiments regenerates every registered experiment (each
+// table and figure of the paper's evaluation) at quick scale.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tables := e.Run(true)
+				if len(tables) == 0 || len(tables[0].Rows) == 0 {
+					b.Fatalf("experiment %s produced no rows", e.ID)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig1(b *testing.B)      { runExperiment(b, "fig1") }
-func BenchmarkFig2(b *testing.B)      { runExperiment(b, "fig2") }
-func BenchmarkFig3(b *testing.B)      { runExperiment(b, "fig3") }
-func BenchmarkFig4(b *testing.B)      { runExperiment(b, "fig4") }
-func BenchmarkFig5(b *testing.B)      { runExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)      { runExperiment(b, "fig6") }
-func BenchmarkTable1(b *testing.B)    { runExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B)    { runExperiment(b, "table2") }
-func BenchmarkFig9(b *testing.B)      { runExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)     { runExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)     { runExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)     { runExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)     { runExperiment(b, "fig13") }
-func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablation") }
 
 // --- core-structure micro-benchmarks ---
 
@@ -52,6 +37,7 @@ func BenchmarkBTreeInsert(b *testing.B) {
 	st := storage.NewStore(0)
 	t := btree.New(st)
 	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := value.Row{value.NewInt(rng.Int63())}
@@ -70,6 +56,7 @@ func BenchmarkBTreeSeek(b *testing.B) {
 	}
 	t.BulkLoad(nil, items)
 	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it := t.Seek(nil, value.Row{value.NewInt(rng.Int63n(n))})
@@ -90,6 +77,7 @@ func BenchmarkColumnstoreBuild(b *testing.B) {
 	for i := range rows {
 		rows[i] = value.Row{value.NewInt(rng.Int63n(1000)), value.NewInt(rng.Int63())}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		colstore.Build(storage.NewStore(0), colstore.Config{
@@ -109,6 +97,7 @@ func BenchmarkColumnstoreScan(b *testing.B) {
 	idx := colstore.Build(storage.NewStore(0), colstore.Config{
 		Schema: sch, Primary: true, RowGroupSize: 1 << 14,
 	}, rows, nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc := idx.NewScanner(nil, colstore.ScanSpec{PruneCol: -1})
@@ -125,6 +114,7 @@ func BenchmarkColumnstoreScan(b *testing.B) {
 
 func BenchmarkQueryBTreeSeek(b *testing.B) {
 	db := benchDB(b, "btree")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Exec("SELECT sum(v) FROM bench WHERE k < 100"); err != nil {
@@ -135,6 +125,7 @@ func BenchmarkQueryBTreeSeek(b *testing.B) {
 
 func BenchmarkQueryColumnstoreAgg(b *testing.B) {
 	db := benchDB(b, "csi")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Exec("SELECT g, sum(v) FROM bench GROUP BY g"); err != nil {
@@ -149,6 +140,7 @@ func BenchmarkAdvisorTune(b *testing.B) {
 		{SQL: "SELECT g, sum(v) FROM bench GROUP BY g"},
 		{SQL: "SELECT v FROM bench WHERE k = 7"},
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Tune(w, TuneOptions{}); err != nil {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"hybriddb/internal/engine"
+	"hybriddb/internal/metrics"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 	"hybriddb/internal/wire"
@@ -276,12 +277,42 @@ func TestInterpolate(t *testing.T) {
 	}
 }
 
+// sameRows reports whether two results hold the same values in the
+// same order.
+func sameRows(a, b []value.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) || value.CompareRows(a[i], b[i], nil) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // TestConcurrentSessionsStress races connects/disconnects against DML
 // and reads with the tuple mover running and admission bounded. Run
 // under -race (make ci does). Every statement must succeed and every
-// read must observe a consistent (monotonic) insert count.
+// read must observe a consistent (monotonic) insert count. A second
+// phase overloads admission with read-only clients and checks every
+// wire result against the in-process answer.
 func TestConcurrentSessionsStress(t *testing.T) {
 	edb := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	// r is the overload phase's read-only table, loaded before the
+	// mover and the server exist: 64 groups, and a detail query wide
+	// enough (5000 rows) that its result pages over several fetches.
+	if _, err := edb.Exec(`CREATE TABLE r (k BIGINT, g BIGINT, v BIGINT)`); err != nil {
+		t.Fatal(err)
+	}
+	rrows := make([]value.Row, 20_000)
+	for i := range rrows {
+		rrows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 64)), value.NewInt(int64(i * 7 % 10_000))}
+	}
+	edb.Table("r").BulkLoad(nil, rrows)
+	if _, err := edb.Exec(`CREATE CLUSTERED COLUMNSTORE INDEX cci_r ON r (k)`); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := edb.Exec(`CREATE TABLE s (id BIGINT, w BIGINT, v BIGINT, PRIMARY KEY (id))`); err != nil {
 		t.Fatal(err)
 	}
@@ -370,6 +401,62 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			t.Fatalf("sessions after stress = %d (%v), want 1", n, edb.Sessions())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Overload: 64 read-only clients, each its own connection, on the
+	// 4 admission slots. No error, every result equal to the in-process
+	// reference (a row dropped, duplicated or reordered anywhere in the
+	// concurrent fetch path shows here), and admission must have queued.
+	queries := []string{
+		`SELECT g, count(*), sum(v), min(k), max(k) FROM r GROUP BY g`,
+		`SELECT k, v FROM r WHERE g < 16`,
+	}
+	refs := make([][]value.Row, len(queries))
+	for i, q := range queries {
+		res, err := edb.Exec(q)
+		if err != nil {
+			t.Fatalf("reference %q: %v", q, err)
+		}
+		refs[i] = res.Rows
+	}
+	if len(refs[1]) <= fetchBatch {
+		t.Fatalf("detail result has %d rows; it must exceed one fetch page (%d)", len(refs[1]), fetchBatch)
+	}
+	const clients, itersPerClient = 64, 6
+	waits0 := metrics.Default().Value("engine_admission_waits_total")
+	errc = make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cli, err := Dial(fmt.Sprintf("hybrid://load%02d@%s", c, addr))
+			if err != nil {
+				errc <- fmt.Errorf("load%02d dial: %w", c, err)
+				return
+			}
+			defer cli.Close()
+			for i := 0; i < itersPerClient; i++ {
+				qi := (c + i) % len(queries)
+				_, rows, err := cli.Exec(queries[qi])
+				if err != nil {
+					errc <- fmt.Errorf("load%02d %q: %w", c, queries[qi], err)
+					return
+				}
+				if !sameRows(rows, refs[qi]) {
+					errc <- fmt.Errorf("load%02d %q: %d rows differ from the in-process result (%d rows)",
+						c, queries[qi], len(rows), len(refs[qi]))
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if waits := metrics.Default().Value("engine_admission_waits_total") - waits0; waits <= 0 {
+		t.Errorf("engine_admission_waits_total moved by %v with %d clients on 4 slots — is the admission limit applied?", waits, clients)
 	}
 }
 

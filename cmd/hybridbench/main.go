@@ -11,9 +11,6 @@
 //	                                # analytics once with a query store,
 //	                                # export the capture, feed it back to
 //	                                # the advisor, print the DDL
-//	hybridbench -dop 1,2,4,8        # parallel DOP sweep: measured
-//	                                # speedup per worker count next to
-//	                                # the cost model's prediction
 package main
 
 import (
@@ -35,7 +32,6 @@ func main() {
 		list        = flag.Bool("list", false, "list experiment IDs and exit")
 		metricsAddr = flag.String("metrics", "", "serve /metrics on this address while running (empty = off)")
 		capturePath = flag.String("capture", "", "run the capture-and-tune demo, writing the workload capture to this path")
-		dopList     = flag.String("dop", "", "comma-separated worker counts (e.g. 1,2,4,8): run the parallel DOP sweep instead of experiments")
 	)
 	flag.Parse()
 
@@ -48,17 +44,6 @@ func main() {
 	if *capturePath != "" {
 		if err := captureAndTune(*capturePath, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "capture: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dopList != "" {
-		dops, err := parseDOPs(*dopList)
-		if err == nil {
-			err = dopSweep(dops, *quick)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dop sweep: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -330,7 +330,7 @@ func uninstall(cs []*candidate) {
 // workload-level search considers this maintenance cost").
 func workloadCost(db *engine.Database, stmts []*boundStmt, chosen []*candidate, model *vclock.Model, opts Options) time.Duration {
 	mWhatIf.Inc()
-	oopts := optimizer.Options{Model: model, NoColumnstore: opts.NoColumnstore}
+	oopts := optimizer.Options{Model: model, ExecOptions: engine.ExecOptions{NoColumnstore: opts.NoColumnstore}}
 	var total float64
 	for _, bs := range stmts {
 		var cost time.Duration

@@ -1,6 +1,6 @@
 // Package chargeparity enforces the fork/merge discipline of
-// vclock.Tracker, the determinism contract every BENCH_*.json artifact
-// rests on.
+// vclock.Tracker, the determinism contract every virtual-time number
+// (EXPERIMENTS.md, testdata/spine_golden.json) rests on.
 //
 // Morsel-driven operators charge work to per-worker Tracker forks and
 // sum them back into the query tracker at the gather point

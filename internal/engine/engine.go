@@ -81,12 +81,10 @@ type Database struct {
 	// highWater is the delta high-water policy applied to every
 	// columnstore: nil keeps the legacy synchronous inline compaction,
 	// otherwise inserts crossing the rowgroup boundary invoke it instead
-	// of compressing inline. suppressCompaction pins a no-op policy for
-	// the uncompacted ablation. All three are guarded by the statement
-	// lock (sm).
-	mover              *TupleMover
-	highWater          func()
-	suppressCompaction bool
+	// of compressing inline. Both are guarded by the statement lock
+	// (sm).
+	mover     *TupleMover
+	highWater func()
 }
 
 // New creates a database with the given cost model and buffer pool
@@ -303,17 +301,6 @@ func planMorsels(n plan.Node) int {
 		}
 	}
 	return max
-}
-
-func (db *Database) optOptions(o ExecOptions) optimizer.Options {
-	return optimizer.Options{
-		Model:            db.model,
-		MemGrant:         o.MemGrant,
-		NoColumnstore:    o.NoColumnstore,
-		NoElimination:    o.NoElimination,
-		NoBatchMode:      o.NoBatchMode,
-		NoKernelPushdown: o.NoKernelPushdown,
-	}
 }
 
 // Exec parses and executes one SQL statement on the implicit local
@@ -641,7 +628,7 @@ func (db *Database) execExplain(s *sql.ExplainStmt, o ExecOptions) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	root, err := optimizer.Optimize(db, bound, db.optOptions(o))
+	root, err := optimizer.Optimize(db, bound, optimizer.Options{Model: db.model, ExecOptions: o})
 	if err != nil {
 		return nil, err
 	}
@@ -696,7 +683,7 @@ func (db *Database) Plan(query string, o ExecOptions) (*plan.Root, *sql.BoundSel
 	if err != nil {
 		return nil, nil, err
 	}
-	root, err := optimizer.Optimize(db, bound, db.optOptions(o))
+	root, err := optimizer.Optimize(db, bound, optimizer.Options{Model: db.model, ExecOptions: o})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -708,7 +695,7 @@ func (db *Database) execSelect(s *sql.SelectStmt, o ExecOptions) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	root, err := optimizer.Optimize(db, bound, db.optOptions(o))
+	root, err := optimizer.Optimize(db, bound, optimizer.Options{Model: db.model, ExecOptions: o})
 	if err != nil {
 		return nil, err
 	}
@@ -755,7 +742,7 @@ func (db *Database) execInsert(s *sql.InsertStmt) (*Result, error) {
 // findMatches locates the rows a DML statement targets using the
 // cheapest access path for its WHERE clause.
 func (db *Database) findMatches(tr *vclock.Tracker, t *table.Table, conjuncts []sql.Expr, top int64, o ExecOptions) ([]table.Match, error) {
-	scan := optimizer.ChooseDMLScan(t, conjuncts, db.optOptions(o))
+	scan := optimizer.ChooseDMLScan(t, conjuncts, optimizer.Options{Model: db.model, ExecOptions: o})
 	ctx := &exec.Context{Tr: tr, TotalSlots: t.Schema.Len(), DOP: 1}
 	cur, err := exec.BuildScan(ctx, scan)
 	if err != nil {

@@ -157,7 +157,7 @@ func (db *Database) DisableTupleMover() {
 	db.sm.Lock()
 	m := db.mover
 	db.mover = nil
-	if db.highWater != nil && !db.suppressCompaction {
+	if db.highWater != nil {
 		db.highWater = nil
 		db.applyHighWaterLocked()
 	}
@@ -169,26 +169,6 @@ func (db *Database) DisableTupleMover() {
 	// db.sm.Lock for an install, which must be allowed to finish.
 	close(m.stop)
 	<-m.done
-}
-
-// SuppressCompaction toggles the no-compaction ablation: on, delta
-// stores and delete buffers grow without bound (no inline compression
-// at the rowgroup boundary, no mover work on new high-water signals) so
-// benchmarks can measure the uncompacted decode-then-filter cliff. Off
-// restores the default (inline compaction, or the mover if running).
-func (db *Database) SuppressCompaction(on bool) {
-	db.sm.Lock()
-	defer db.sm.Unlock()
-	db.suppressCompaction = on
-	switch {
-	case on:
-		db.highWater = func() {}
-	case db.mover != nil:
-		db.highWater = db.mover.signal
-	default:
-		db.highWater = nil
-	}
-	db.applyHighWaterLocked()
 }
 
 // Close stops background maintenance. The database remains usable for

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hybriddb/internal/plan"
+	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 )
 
@@ -257,26 +258,142 @@ func TestPlanFlipsUnderCompactionDebt(t *testing.T) {
 	}
 }
 
-// TestSuppressCompactionAblation: SuppressCompaction(true) lets the
-// backlog grow without bound (the mover-off benchmark arm), and
-// switching it off restores the inline path.
-func TestSuppressCompactionAblation(t *testing.T) {
-	db := moverDB(t, 64)
+// The HTAP mixed workload: CH-style interleaving of single-row inserts
+// and deletes with columnstore reads on one clustered-columnstore
+// table, small rowgroups so compaction is frequent.
+const (
+	htapBaseRows       = 8192 // compressed rows preloaded before round 0
+	htapRowGroup       = 512
+	htapRounds         = 12
+	htapWritesPerRound = 512 // inserts per round; 1/16 of them paired with a delete
+	// htapMoverMinMove is the mover arm's MinMoveRows and its pacing
+	// bound: the background loop compacts any backlog at or above it, so
+	// waiting for the delta to drop below it terminates and caps the
+	// residual tax a read can observe at MinMoveRows-1 rows.
+	htapMoverMinMove = 64
+)
+
+// htapResult is one regime's outcome: the summed virtual ExecTime of
+// its reads and the inline compactions its inserts absorbed.
+type htapResult struct {
+	read   time.Duration
+	inline int64
+}
+
+// runHTAPMixed runs the workload on a fresh database under one
+// compaction regime:
+//
+//	compacted    full tuple move before every read round (the baseline)
+//	mover        background tuple mover, reads wait until it has paced
+//	             the backlog under htapMoverMinMove
+//	uncompacted  a no-op high-water callback on the index (the hook the
+//	             mover uses), so the delta grows for the whole run
+//	sync         the engine default: inline compaction at the rowgroup
+//	             boundary
+func runHTAPMixed(t *testing.T, regime string) (res htapResult) {
+	t.Helper()
+	db := New(vclock.DefaultModel(vclock.DRAM), 0)
 	defer db.Close()
-	db.SuppressCompaction(true)
-	for i := 0; i < 200; i++ {
-		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, 0)", i))
+	db.DefaultRowGroupSize = htapRowGroup
+	mustExec(t, db, "CREATE TABLE ht (k BIGINT, g BIGINT, v BIGINT, PRIMARY KEY (k))")
+	rows := make([]value.Row, htapBaseRows)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 64)), value.NewInt(int64(i * 7 % 10_000))}
 	}
-	csi := db.Table("t").SecondaryCSI().CSI
-	if csi.DeltaRows() != 200 || csi.InlineCompactions() != 0 {
-		t.Fatalf("suppressed: delta=%d inline=%d", csi.DeltaRows(), csi.InlineCompactions())
+	db.Table("ht").BulkLoad(nil, rows)
+	mustExec(t, db, "CREATE CLUSTERED COLUMNSTORE INDEX cci ON ht (k)")
+	cci := db.Table("ht").CCI()
+	switch regime {
+	case "mover":
+		db.EnableTupleMover(MoverOptions{Interval: 200 * time.Microsecond, MinMoveRows: htapMoverMinMove})
+	case "uncompacted":
+		cci.SetHighWater(func() {})
 	}
-	db.SuppressCompaction(false)
-	for i := 200; i < 300; i++ {
-		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, 0)", i))
+	backlog := func() (n int64) {
+		// Through the locked debt report: the mover mutates the index.
+		for _, d := range db.CompactionDebts() {
+			n += d.Debt.DeltaRows
+		}
+		return n
 	}
-	if csi.DeltaRows() >= 300 {
-		t.Fatalf("inline compaction not restored: delta=%d", csi.DeltaRows())
+	serial := ExecOptions{Parallelism: 1}
+	k := int64(1 << 20)
+	for round := 0; round < htapRounds; round++ {
+		for i := 0; i < htapWritesPerRound; i++ {
+			mustExec(t, db, fmt.Sprintf("INSERT INTO ht VALUES (%d, %d, %d)", k, k%64, k*7%10_000), serial)
+			if i%16 == 15 {
+				// The victim may still live in the delta or already be
+				// compressed: both delete paths are exercised.
+				mustExec(t, db, fmt.Sprintf("DELETE FROM ht WHERE k = %d", k-8), serial)
+			}
+			k++
+		}
+		switch regime {
+		case "compacted":
+			db.TupleMoveAll()
+		case "mover":
+			deadline := time.Now().Add(10 * time.Second)
+			for backlog() >= htapMoverMinMove {
+				if time.Now().After(deadline) {
+					t.Fatalf("mover did not pace the backlog under %d rows (at %d)", htapMoverMinMove, backlog())
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		for _, q := range []string{
+			"SELECT k, v FROM ht WHERE g < 8",
+			"SELECT g, sum(v), count(*) FROM ht GROUP BY g",
+		} {
+			res.read += mustExec(t, db, q, serial).Metrics.ExecTime
+		}
+	}
+	db.DisableTupleMover() // join the loop before reading the index directly
+	res.inline = cci.InlineCompactions()
+	return res
+}
+
+// TestHTAPCompactionRegimes pins the virtual-time relationships between
+// the four compaction regimes under sustained writes (wall clock is
+// benchmark/'s htap_mixed): the mover keeps reads near the compacted
+// baseline (SynchroStore's claim, PAPERS.md) and removes the inline
+// write stall, and an uncompacted delta makes reads materially slower —
+// the scan-tax canary, which fails if scans ever stop being charged for
+// uncompacted delta rows.
+func TestHTAPCompactionRegimes(t *testing.T) {
+	var compacted, mover, uncompacted, sync htapResult
+	// The regimes are independent databases; run them side by side (most
+	// of the wall time is the per-DELETE statistics rebuild). The group
+	// returns once every parallel subtest has finished.
+	t.Run("regimes", func(t *testing.T) {
+		for _, r := range []struct {
+			name string
+			out  *htapResult
+		}{{"compacted", &compacted}, {"mover", &mover}, {"uncompacted", &uncompacted}, {"sync", &sync}} {
+			t.Run(r.name, func(t *testing.T) {
+				t.Parallel()
+				*r.out = runHTAPMixed(t, r.name)
+				t.Logf("reads %v, %d inline compactions", r.out.read, r.out.inline)
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	if ratio := float64(mover.read) / float64(compacted.read); ratio > 1.5 {
+		t.Errorf("mover reads %v are %.2fx the compacted baseline %v (limit 1.5x)", mover.read, ratio, compacted.read)
+	}
+	if ratio := float64(uncompacted.read) / float64(compacted.read); ratio < 1.8 {
+		t.Errorf("uncompacted reads %v are only %.2fx the compacted baseline %v (want >= 1.8x; is the delta scan tax still charged?)",
+			uncompacted.read, ratio, compacted.read)
+	}
+	if sync.inline == 0 {
+		t.Error("sync: no inline compactions — the workload never crossed the rowgroup boundary")
+	}
+	if mover.inline != 0 {
+		t.Errorf("mover: %d inline compactions — inserts stalled on the encode despite the background mover", mover.inline)
+	}
+	if uncompacted.inline != 0 {
+		t.Errorf("uncompacted: %d inline compactions with a high-water callback attached", uncompacted.inline)
 	}
 }
 

@@ -338,19 +338,27 @@ func (c *traceBatchCursor) NextBatch() (*SlotBatch, bool) {
 // already materialized (each fringe cursor allocates its own output
 // rows), so the adaptation is free of virtual-clock charges; the
 // adapter_rows attribute records the traffic crossing the boundary.
+// done latches end of stream: a fringe cursor is never polled again
+// after it reports exhaustion (a bounded clusteredCursor would read and
+// charge one more row past its range).
 type rowBatchAdapter struct {
 	in      Cursor
 	limit   int
 	tn      *metrics.TraceNode
 	adapted int64
 	out     SlotBatch
+	done    bool
 }
 
 func (a *rowBatchAdapter) NextBatch() (*SlotBatch, bool) {
+	if a.done {
+		return nil, false
+	}
 	var rows []value.Row
 	for len(rows) < a.limit {
 		r, ok := a.in.Next()
 		if !ok {
+			a.done = true
 			break
 		}
 		rows = append(rows, r)

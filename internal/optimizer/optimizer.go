@@ -7,6 +7,7 @@ import (
 
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
+	"hybriddb/internal/session"
 	"hybriddb/internal/sql"
 	"hybriddb/internal/table"
 	"hybriddb/internal/vclock"
@@ -23,26 +24,14 @@ type Resolver interface {
 	ResolveTable(name string) (*table.Table, bool)
 }
 
-// Options configure an optimization pass.
+// Options configure an optimization pass: the cost model plus the
+// statement's exec options, which are declared once (in session, whose
+// sessions own their defaults) and embedded here so MemGrant and the
+// No* ablation switches reach costing without a copy.
 type Options struct {
 	// Model supplies the cost constants and device profiles.
 	Model *vclock.Model
-	// MemGrant is the query's working-memory grant in bytes (0 =
-	// unlimited), driving spill costing and execution.
-	MemGrant int64
-	// NoColumnstore removes columnstore access paths (the paper's
-	// B+-tree-only baseline).
-	NoColumnstore bool
-	// NoElimination disables segment-elimination costing and execution
-	// (ablation).
-	NoElimination bool
-	// NoBatchMode forces row-mode costing for columnstore scans
-	// (ablation).
-	NoBatchMode bool
-	// NoKernelPushdown keeps all filter conjuncts in the executor
-	// instead of pushing sargable ones into the columnstore scanner's
-	// encoding-aware kernels (ablation / differential testing).
-	NoKernelPushdown bool
+	session.ExecOptions
 }
 
 // Optimize builds the cheapest physical plan for a bound SELECT.

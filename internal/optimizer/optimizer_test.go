@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hybriddb/internal/plan"
+	"hybriddb/internal/session"
 	"hybriddb/internal/sql"
 	"hybriddb/internal/stats"
 	"hybriddb/internal/storage"
@@ -89,7 +90,7 @@ func TestAccessPathSelection(t *testing.T) {
 	if got := plan.LeafAccess(wide.Input); got[0] != plan.AccessCSIScan {
 		t.Errorf("wide access = %v", got)
 	}
-	noCSI := optimize(t, f, "SELECT sum(b) FROM t WHERE a < 19000", Options{NoColumnstore: true})
+	noCSI := optimize(t, f, "SELECT sum(b) FROM t WHERE a < 19000", Options{ExecOptions: session.ExecOptions{NoColumnstore: true}})
 	if got := plan.LeafAccess(noCSI.Input); got[0] == plan.AccessCSIScan {
 		t.Errorf("NoColumnstore access = %v", got)
 	}
@@ -167,7 +168,7 @@ func TestDOPDecision(t *testing.T) {
 	if small.DOP != 1 {
 		t.Errorf("small DOP = %d", small.DOP)
 	}
-	big := optimize(t, f, "SELECT sum(b) FROM t WHERE a >= 0", Options{NoColumnstore: true})
+	big := optimize(t, f, "SELECT sum(b) FROM t WHERE a >= 0", Options{ExecOptions: session.ExecOptions{NoColumnstore: true}})
 	if big.DOP != 40 {
 		t.Errorf("big DOP = %d", big.DOP)
 	}
@@ -177,7 +178,7 @@ func TestMemGrantSpillsInCost(t *testing.T) {
 	f := newFixture(t)
 	q := "SELECT a, count(*) FROM t GROUP BY a"
 	free := optimize(t, f, q, Options{})
-	limited := optimize(t, f, q, Options{MemGrant: 16 * 1024, NoColumnstore: true})
+	limited := optimize(t, f, q, Options{ExecOptions: session.ExecOptions{MemGrant: 16 * 1024, NoColumnstore: true}})
 	_, freeCost := free.Estimate()
 	_, limCost := limited.Estimate()
 	if limCost <= freeCost {

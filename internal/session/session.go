@@ -72,7 +72,8 @@ func (s State) String() string {
 // ExecOptions tune one statement execution. They live here (not in
 // engine) because a session owns its defaults: a wire client sets them
 // once at handshake and every statement on that session inherits them.
-// engine.ExecOptions is an alias of this type.
+// engine.ExecOptions is an alias of this type and optimizer.Options
+// embeds it, so each field is declared exactly once.
 type ExecOptions struct {
 	// MemGrant bounds the query's working memory (0 = unlimited).
 	MemGrant int64

@@ -53,8 +53,10 @@ benchmark-module:
 	$(GO) -C benchmark test .
 
 # ci is the tier-1 gate referenced from ROADMAP.md. It times nothing:
-# wall-clock questions go to `sh benchmark/run.sh` (BENCHMARK.json).
-ci: vet lint build test race benchmark-module
+# wall-clock questions go to `sh benchmark/run.sh` (BENCHMARK.json). It
+# ends by printing `make loc`, so every CI log carries the tracked line
+# count next to the lint timing line; the number is reported, not gated.
+ci: vet lint build test race benchmark-module loc
 
 # loc prints non-test Go lines per package and in total (benchmark/
 # excluded): the number ROADMAP tracks and a simplification PR quotes.

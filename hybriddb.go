@@ -255,7 +255,7 @@ func (db *DB) WarmCache() { db.inner.Store().Prewarm() }
 
 // TupleMove runs columnstore background maintenance (delta compression
 // and delete-buffer compaction) on every table.
-func (db *DB) TupleMove() { db.inner.TupleMoveAll() }
+func (db *DB) TupleMove() { db.inner.CompactTable("") }
 
 // MoverOptions tune the background tuple mover (sweep interval, minimum
 // move size, rebuild threshold); the zero value uses defaults.

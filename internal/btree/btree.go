@@ -101,6 +101,16 @@ func (t *Tree) Bytes() int64 {
 // Pages returns the number of pages in the tree.
 func (t *Tree) Pages() int { return len(t.pages) }
 
+// Free returns every page of the tree to the store. The tree must not
+// be used afterwards: the owner calls it when it replaces or drops the
+// structure.
+func (t *Tree) Free() {
+	for _, id := range t.pages {
+		t.store.Free(id)
+	}
+	t.pages = nil
+}
+
 func (t *Tree) get(tr *vclock.Tracker, id storage.PageID, seq bool) *node {
 	n := t.store.Get(tr, id, seq).(*node)
 	if tr != nil {
@@ -353,9 +363,6 @@ func (it *Iterator) Next() {
 
 // Key returns the decoded key columns at the current position.
 func (it *Iterator) Key() value.Row { return it.node.entries[it.idx].kv }
-
-// EncodedKey returns the encoded key at the current position.
-func (it *Iterator) EncodedKey() []byte { return it.node.entries[it.idx].key }
 
 // Row returns the payload at the current position.
 func (it *Iterator) Row() value.Row { return it.node.entries[it.idx].row }

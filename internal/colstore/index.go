@@ -17,7 +17,7 @@ var (
 	mDeltaRows       = metrics.NewGauge("hybriddb_deltastore_rows", "rows currently in delta stores")
 	mDeleteBitmap    = metrics.NewGauge("hybriddb_deletebitmap_rows", "rows currently marked in delete bitmaps")
 	mBufferedDeletes = metrics.NewGauge("hybriddb_deletebuffer_rows", "logical deletes buffered in secondary columnstores")
-	mCompactions     = metrics.NewCounter("hybriddb_tuplemover_compactions_total", "tuple-mover runs that compacted work")
+	mCompactions     = metrics.NewCounter("hybriddb_tuplemover_compactions_total", "compaction steps installed: moves, folds and rebuilds, background or synchronous")
 	mGroupsBuilt     = metrics.NewCounter("hybriddb_rowgroups_compressed_total", "rowgroups compressed (builds, bulk loads, tuple moves)")
 )
 
@@ -107,12 +107,12 @@ type Index struct {
 	sortOrd []int // greedy sort order used within groups (diagnostics)
 
 	// delGen invalidates outstanding delta snapshots: bumped whenever a
-	// delta row is removed (DeleteAt, TupleMove, InstallMove). Appends
+	// delta row is removed (DeleteAt, InstallMove). Appends
 	// never bump it — they land at higher seqs than any snapshot, so the
 	// mover cannot be livelocked by sustained inserts.
 	delGen uint64
 	// bufGen invalidates outstanding fold plans: bumped whenever the
-	// delete buffer changes (BufferDelete, TupleMove, InstallFold).
+	// delete buffer changes (BufferDelete, InstallFold).
 	bufGen uint64
 	// highWater, when set, is signalled instead of compressing the whole
 	// delta inline when Insert fills it to the rowgroup size.
@@ -189,43 +189,34 @@ func (x *Index) SortOrder() []int { return x.sortOrd }
 // SortColumns returns the global build sort order, or nil.
 func (x *Index) SortColumns() []int { return x.cfg.SortColumns }
 
-// appendGroups compresses rows into new rowgroups (plus delta remainder
-// handled by caller when appropriate; here every row is compressed).
+// appendGroups compresses rows into new rowgroups and makes them
+// visible: the bulk path (Build, BulkInsert), where encode and install
+// happen in one critical section.
 func (x *Index) appendGroups(rows []value.Row, tr *vclock.Tracker) {
-	for start := 0; start < len(rows); start += x.cfg.RowGroupSize {
-		end := start + x.cfg.RowGroupSize
-		if end > len(rows) {
-			end = len(rows)
+	x.install(x.EncodeRows(rows, tr))
+	x.nLive += int64(len(rows))
+}
+
+// install appends encoded groups to the index. It does not touch nLive:
+// whether the rows are new or moved is the caller's knowledge.
+func (x *Index) install(groups []*EncodedGroup) {
+	for _, eg := range groups {
+		if eg.ord != nil {
+			x.sortOrd = eg.ord
 		}
-		x.compressGroup(rows[start:end], tr)
+		x.groups = append(x.groups, eg.g)
+		x.nTotal += int64(eg.g.n)
+		mGroupsBuilt.Inc()
 	}
 }
 
-// compressGroup builds one rowgroup from chunk and installs it.
-func (x *Index) compressGroup(chunk []value.Row, tr *vclock.Tracker) {
-	g, ord := x.encodeGroup(chunk, tr)
-	if g == nil {
-		return
-	}
-	if ord != nil {
-		x.sortOrd = ord
-	}
-	x.groups = append(x.groups, g)
-	x.nTotal += int64(g.n)
-	x.nLive += int64(g.n)
-	mGroupsBuilt.Inc()
-}
-
-// encodeGroup compresses chunk into a rowgroup without installing it:
-// segments are allocated in the store, but the group is not appended
-// and no index bookkeeping changes, so the tuple mover can encode
-// off-lock and install (or discard) under a later critical section.
-// For the same reason the within-group sort order is returned rather
-// than written to x.sortOrd.
-func (x *Index) encodeGroup(chunk []value.Row, tr *vclock.Tracker) (*rowGroup, []int) {
-	if len(chunk) == 0 {
-		return nil, nil
-	}
+// encodeGroup compresses a non-empty chunk into a rowgroup without
+// installing it: segments are allocated in the store, but the group is
+// not appended and no index bookkeeping changes, so the tuple mover can
+// encode off-lock and install (or discard) under a later critical
+// section. For the same reason the within-group sort order travels with
+// the group rather than being written to x.sortOrd.
+func (x *Index) encodeGroup(chunk []value.Row, tr *vclock.Tracker) *EncodedGroup {
 	ncols := x.cfg.Schema.Len()
 	var ord []int
 	if !x.cfg.NoGroupSort {
@@ -256,7 +247,7 @@ func (x *Index) encodeGroup(chunk []value.Row, tr *vclock.Tracker) (*rowGroup, [
 		tr.ChargeParallelCPU(vclock.CPU(n*int64(ncols), tr.Model.RowCPU/4), 1.0)
 		tr.ChargeDataWrite(written, 1)
 	}
-	return g, ord
+	return &EncodedGroup{g: g, ord: ord}
 }
 
 // sortForCompression orders the chunk's columns greedily by ascending
@@ -385,70 +376,46 @@ func (x *Index) BufferDelete(tr *vclock.Tracker, key value.Row) {
 	mBufferedDeletes.Inc()
 }
 
-// Seq returns the current delta sequence (diagnostics).
-func (x *Index) Seq() int64 { return x.seq }
-
-// TupleMove runs the background maintenance the paper describes:
-// compress the delta store into rowgroups and compact the delete
-// buffer into delete bitmaps. It is charged to tr (nil = free,
-// modelling background work outside the measured query).
+// TupleMove runs the maintenance the paper describes, synchronously:
+// compress the whole delta store into rowgroups, then fold the delete
+// buffer into delete bitmaps. These are the background mover's own
+// steps (mover.go) run back to back under the caller's lock, so none
+// can abort. It is charged to tr (nil = free, modelling background work
+// outside the measured query).
 func (x *Index) TupleMove(tr *vclock.Tracker) {
-	if x.delta.Count() > 0 || x.nBuf > 0 {
-		mCompactions.Inc()
+	if snap := x.SnapshotDelta(int(x.delta.Count()), tr); snap != nil {
+		x.InstallMove(snap, x.EncodeRows(snap.Rows, tr), tr)
 	}
-	// Compress delta store.
-	if x.delta.Count() > 0 {
-		rows := make([]value.Row, 0, x.delta.Count())
-		for it := x.delta.First(tr); it.Valid(); it.Next() {
-			rows = append(rows, it.Row())
-		}
-		x.nLive -= int64(len(rows)) // appendGroups re-adds
-		x.appendGroups(rows, tr)
-		x.delta = btree.New(x.store)
-		x.delGen++
-		mDeltaRows.Add(-int64(len(rows)))
+	if p := x.PlanFold(tr); p != nil {
+		x.InstallFold(p, tr)
 	}
-	// Compact delete buffer into bitmaps.
-	if x.nBuf > 0 {
-		keys := make(map[string]int, x.nBuf)
-		var buf []byte
-		for it := x.delBuf.First(tr); it.Valid(); it.Next() {
-			buf = value.EncodeKey(buf[:0], it.Key()...)
-			keys[string(buf)]++
-		}
-		for _, g := range x.groups {
-			if len(keys) == 0 {
-				break
-			}
-			segs := make([]*segment, len(x.cfg.KeyOrdinals))
-			for ki, ko := range x.cfg.KeyOrdinals {
-				segs[ki] = x.store.Get(tr, g.segIDs[ko], true).(*segment)
-			}
-			for i := 0; i < g.n; i++ {
-				if g.isDeleted(i) {
-					continue
-				}
-				buf = buf[:0]
-				for _, seg := range segs {
-					buf = value.EncodeKey(buf, seg.valueAt(i))
-				}
-				if c, ok := keys[string(buf)]; ok {
-					g.markDeleted(i)
-					if c == 1 {
-						delete(keys, string(buf))
-					} else {
-						keys[string(buf)] = c - 1
-					}
-				}
-			}
-		}
-		// Live count is unchanged: BufferDelete already subtracted the
-		// logically deleted rows; the bitmap now carries them instead.
-		x.delBuf = btree.New(x.store)
-		x.bufGen++
+}
+
+// Free returns the index's pages (segments, delta store, delete buffer)
+// to the store and its rows to the process-wide gauges. The index must
+// not be used afterwards; a mover step planned before the drop finds
+// its generation stamps stale and aborts its install.
+func (x *Index) Free() {
+	x.delGen++
+	x.bufGen++
+	for _, g := range x.groups {
+		x.freeGroup(g)
+	}
+	mDeltaRows.Add(-x.delta.Count())
+	x.delta.Free()
+	if x.delBuf != nil {
 		mBufferedDeletes.Add(-int64(x.nBuf))
-		x.nBuf = 0
+		x.delBuf.Free()
 	}
+	x.groups = nil
+}
+
+// freeGroup releases a rowgroup's segments and its delete-bitmap count.
+func (x *Index) freeGroup(g *rowGroup) {
+	for _, id := range g.segIDs {
+		x.store.Free(id)
+	}
+	mDeleteBitmap.Add(-int64(g.ndel))
 }
 
 // Bytes returns the index's total on-disk size: compressed segments,

@@ -1,10 +1,11 @@
 package colstore
 
-// Online tuple-mover primitives: the snapshot / encode-off-lock /
+// Columnstore maintenance, written once: the snapshot / encode-off-lock /
 // install-under-critical-section halves of incremental delta compaction,
 // delete-buffer folding, and rowgroup rebuild. The engine's background
-// mover drives these; locking lives entirely at the engine's statement
-// boundary, so the contract here is positional:
+// mover drives these step by step; Index.TupleMove runs the same steps
+// back to back under its caller's lock. Locking lives entirely at the
+// engine's statement boundary, so the contract here is positional:
 //
 //   - Snapshot*/Plan* run while at least a shared (read) lock is held;
 //     they read index state and return immutable plans.
@@ -31,27 +32,27 @@ import (
 
 var (
 	mMoves = metrics.NewCounter("hybriddb_tuplemover_moves_total",
-		"incremental delta-to-rowgroup move installs")
+		"delta-to-rowgroup move installs, background or synchronous")
 	mFolds = metrics.NewCounter("hybriddb_tuplemover_folds_total",
-		"delete-buffer folds installed into delete bitmaps")
+		"delete-buffer folds installed into delete bitmaps, background or synchronous")
 	mRebuilds = metrics.NewCounter("hybriddb_tuplemover_rebuilds_total",
 		"rowgroups rebuilt to shed delete-bitmap dead rows")
 	mMoverAborts = metrics.NewCounter("hybriddb_tuplemover_aborts_total",
 		"mover installs abandoned because DML invalidated the snapshot")
 	mRowsMoved = metrics.NewCounter("hybriddb_tuplemover_rows_moved_total",
-		"delta rows moved into compressed rowgroups by the mover")
+		"delta rows moved into compressed rowgroups, background or synchronous")
 )
 
 // DeltaSnapshot captures a prefix of the delta store for off-lock
-// encoding. Rows are copied, so later B+ tree mutations cannot be
-// observed through it.
+// encoding. The delta tree never modifies a stored row in place, so the
+// rows stay valid whatever DML follows.
 type DeltaSnapshot struct {
 	Rows []value.Row
 	Seqs []int64
 	gen  uint64
 }
 
-// SnapshotDelta copies up to maxRows delta rows (in seq order) for the
+// SnapshotDelta collects up to maxRows delta rows (in seq order) for the
 // mover to encode off-lock. maxRows <= 0 means the configured rowgroup
 // size. Returns nil when the delta store is empty. Requires at least a
 // shared lock.
@@ -65,7 +66,7 @@ func (x *Index) SnapshotDelta(maxRows int, tr *vclock.Tracker) *DeltaSnapshot {
 	snap := &DeltaSnapshot{gen: x.delGen}
 	for it := x.delta.First(tr); it.Valid() && len(snap.Rows) < maxRows; it.Next() {
 		snap.Seqs = append(snap.Seqs, it.Key()[0].Int())
-		snap.Rows = append(snap.Rows, append(value.Row(nil), it.Row()...))
+		snap.Rows = append(snap.Rows, it.Row())
 	}
 	return snap
 }
@@ -91,10 +92,7 @@ func (x *Index) EncodeRows(rows []value.Row, tr *vclock.Tracker) []*EncodedGroup
 		if end > len(rows) {
 			end = len(rows)
 		}
-		g, ord := x.encodeGroup(rows[start:end], tr)
-		if g != nil {
-			out = append(out, &EncodedGroup{g: g, ord: ord})
-		}
+		out = append(out, x.encodeGroup(rows[start:end], tr))
 	}
 	return out
 }
@@ -103,9 +101,7 @@ func (x *Index) EncodeRows(rows []value.Row, tr *vclock.Tracker) []*EncodedGroup
 // installed (their snapshot was invalidated).
 func (x *Index) DiscardEncoded(groups []*EncodedGroup) {
 	for _, eg := range groups {
-		for _, id := range eg.g.segIDs {
-			x.store.Free(id)
-		}
+		x.freeGroup(eg.g)
 	}
 }
 
@@ -118,17 +114,18 @@ func (x *Index) InstallMove(snap *DeltaSnapshot, groups []*EncodedGroup, tr *vcl
 		mMoverAborts.Inc()
 		return false
 	}
-	for _, s := range snap.Seqs {
-		x.delta.Delete(tr, value.Row{value.NewInt(s)}, nil)
-	}
-	for _, eg := range groups {
-		if eg.ord != nil {
-			x.sortOrd = eg.ord
+	if int64(len(snap.Seqs)) == x.delta.Count() {
+		// The snapshot is the whole delta (the generation stamp rules out
+		// removals, the count rules out appends): start a fresh tree, so
+		// later inserts do not land among emptied leaves.
+		x.delta.Free()
+		x.delta = btree.New(x.store)
+	} else {
+		for _, s := range snap.Seqs {
+			x.delta.Delete(tr, value.Row{value.NewInt(s)}, nil)
 		}
-		x.groups = append(x.groups, eg.g)
-		x.nTotal += int64(eg.g.n)
-		mGroupsBuilt.Inc()
 	}
+	x.install(groups)
 	// nLive is unchanged: the rows moved from delta to compressed.
 	x.delGen++
 	mDeltaRows.Add(-int64(len(snap.Rows)))
@@ -138,23 +135,52 @@ func (x *Index) InstallMove(snap *DeltaSnapshot, groups []*EncodedGroup, tr *vcl
 	return true
 }
 
+// deleteSet is the delete buffer read as the multiset a scan anti-semi
+// joins against: every reader builds it with pendingDeletes and consumes
+// it with cancel, in physical row order (compressed groups, then delta
+// in seq order). That shared order is what makes a scan before a fold, a
+// scan after it, and the fold itself agree on which physical duplicate a
+// buffered delete cancels.
+type deleteSet struct {
+	counts map[string]int
+	enc    []byte
+}
+
+// pendingDeletes reads the delete buffer; nil when it is empty.
+func (x *Index) pendingDeletes(tr *vclock.Tracker) *deleteSet {
+	if x.nBuf == 0 {
+		return nil
+	}
+	d := &deleteSet{counts: make(map[string]int, x.nBuf)}
+	for it := x.delBuf.First(tr); it.Valid(); it.Next() {
+		d.enc = value.EncodeKey(d.enc[:0], it.Key()...)
+		d.counts[string(d.enc)]++
+	}
+	return d
+}
+
+// cancel reports whether a buffered delete is pending for the row with
+// this logical key, and consumes it.
+func (d *deleteSet) cancel(key value.Row) bool {
+	d.enc = value.EncodeKey(d.enc[:0], key...)
+	if d.counts[string(d.enc)] == 0 {
+		return false
+	}
+	d.counts[string(d.enc)]--
+	return true
+}
+
 // FoldPlan matches buffered logical deletes against compressed rows.
 // Keys that found no compressed target (their rows still live in the
-// delta store) keep their remaining counts and stay buffered.
+// delta store) stay in rest and stay buffered.
 type FoldPlan struct {
 	gen    uint64
 	groups []*rowGroup // groups visible at plan time, for identity checks
 	ndel   []int       // their bitmap counts at plan time
 	marks  [][]int32   // positions to mark, per group
-	keys   []foldKey   // unique buffered keys with remaining counts, tree order
+	rest   *deleteSet  // what the compressed rows did not consume
 	// Consumed is the number of buffered entries the plan folds away.
 	Consumed int
-	scanned  int64
-}
-
-type foldKey struct {
-	row   value.Row
-	count int
 }
 
 // PlanFold scans the compressed rowgroups' key columns and consumes the
@@ -168,59 +194,40 @@ func (x *Index) PlanFold(tr *vclock.Tracker) *FoldPlan {
 	if x.nBuf == 0 || len(x.groups) == 0 {
 		return nil
 	}
-	p := &FoldPlan{gen: x.bufGen}
-	order := make([]string, 0, x.nBuf)
-	counts := make(map[string]int, x.nBuf)
-	rows := make(map[string]value.Row, x.nBuf)
-	var buf []byte
-	for it := x.delBuf.First(tr); it.Valid(); it.Next() {
-		buf = value.EncodeKey(buf[:0], it.Key()...)
-		if _, ok := counts[string(buf)]; !ok {
-			order = append(order, string(buf))
-			rows[string(buf)] = append(value.Row(nil), it.Key()...)
-		}
-		counts[string(buf)]++
-	}
-	remaining := x.nBuf
+	p := &FoldPlan{gen: x.bufGen, rest: x.pendingDeletes(tr)}
 	p.groups = append(p.groups, x.groups...)
 	p.ndel = make([]int, len(p.groups))
 	p.marks = make([][]int32, len(p.groups))
+	key := make(value.Row, len(x.cfg.KeyOrdinals))
+	segs := make([]*segment, len(key))
+	var scanned int64
 	for gi, g := range p.groups {
 		p.ndel[gi] = g.ndel
-		if remaining == 0 {
+		if p.Consumed == x.nBuf {
 			continue
 		}
-		segs := make([]*segment, len(x.cfg.KeyOrdinals))
 		for ki, ko := range x.cfg.KeyOrdinals {
 			segs[ki] = x.store.Get(tr, g.segIDs[ko], true).(*segment)
 		}
-		for i := 0; i < g.n && remaining > 0; i++ {
+		for i := 0; i < g.n && p.Consumed < x.nBuf; i++ {
 			if g.isDeleted(i) {
 				continue
 			}
-			p.scanned++
-			buf = buf[:0]
-			for _, seg := range segs {
-				buf = value.EncodeKey(buf, seg.valueAt(i))
+			scanned++
+			for ki, seg := range segs {
+				key[ki] = seg.valueAt(i)
 			}
-			if c := counts[string(buf)]; c > 0 {
-				counts[string(buf)] = c - 1
+			if p.rest.cancel(key) {
 				p.marks[gi] = append(p.marks[gi], int32(i))
 				p.Consumed++
-				remaining--
 			}
 		}
 	}
 	if p.Consumed == 0 {
 		return nil
 	}
-	for _, k := range order {
-		if counts[k] > 0 {
-			p.keys = append(p.keys, foldKey{row: rows[k], count: counts[k]})
-		}
-	}
 	if tr != nil {
-		tr.ChargeParallelCPU(vclock.CPU(p.scanned, tr.Model.RowCPU/4), 1.0)
+		tr.ChargeParallelCPU(vclock.CPU(scanned, tr.Model.RowCPU/4), 1.0)
 	}
 	return p
 }
@@ -247,16 +254,23 @@ func (x *Index) InstallFold(p *FoldPlan, tr *vclock.Tracker) bool {
 			g.markDeleted(int(i))
 		}
 	}
+	// The generation stamp says the buffer is the one the plan read, so
+	// replaying it against what is left of the multiset keeps exactly the
+	// entries the plan could not place, in tree order.
+	old := x.delBuf
 	x.delBuf = btree.New(x.store)
-	rem := 0
-	for _, k := range p.keys {
-		for i := 0; i < k.count; i++ {
-			x.delBuf.Insert(tr, k.row, nil)
-			rem++
+	if p.Consumed < x.nBuf {
+		for it := old.First(tr); it.Valid(); it.Next() {
+			if p.rest.cancel(it.Key()) {
+				x.delBuf.Insert(tr, it.Key(), nil)
+			}
 		}
 	}
-	mBufferedDeletes.Add(-int64(x.nBuf - rem))
-	x.nBuf = rem
+	old.Free()
+	// Live count is unchanged: BufferDelete already subtracted the
+	// logically deleted rows; the bitmaps now carry them instead.
+	mBufferedDeletes.Add(-int64(p.Consumed))
+	x.nBuf -= p.Consumed
 	x.bufGen++
 	mFolds.Inc()
 	mCompactions.Inc()
@@ -317,10 +331,7 @@ func (x *Index) InstallRebuild(p *RebuildPlan, groups []*EncodedGroup, tr *vcloc
 		mMoverAborts.Inc()
 		return false
 	}
-	for _, id := range p.old.segIDs {
-		x.store.Free(id)
-	}
-	mDeleteBitmap.Add(-int64(p.old.ndel))
+	x.freeGroup(p.old)
 	x.nTotal -= int64(p.old.n)
 	if len(groups) == 0 {
 		x.groups = append(x.groups[:p.gi], x.groups[p.gi+1:]...)
@@ -429,4 +440,43 @@ func (x *Index) GroupDeadFraction(gi int) float64 {
 	}
 	g := x.groups[gi]
 	return float64(g.ndel) / float64(g.n)
+}
+
+// RebuildThreshold is the delete-bitmap density at which a rowgroup is
+// rebuilt without its dead rows.
+const RebuildThreshold = 0.25
+
+// Step names one kind of incremental compaction step, in the order the
+// mover prefers them.
+type Step int
+
+const (
+	StepNone Step = iota
+	StepFold
+	StepMove
+	StepRebuild
+)
+
+// NextStep is the compaction policy: what the mover would do next on
+// this index. Fold the delete buffer first (any pending buffered delete
+// forces the whole scan off the kernels — the measured cliff), then move
+// the delta once it holds minMove rows, then rebuild the first rowgroup
+// (its number is the second result) at RebuildThreshold. A step can come
+// up empty — a fold whose every target is still delta-resident — so the
+// caller passes the step it just tried as after and gets the next in
+// line; after a fold that is a move of whatever the delta holds, so the
+// fold can land on a later step. Requires at least a shared lock.
+func (x *Index) NextStep(minMove int64, after Step) (Step, int) {
+	if after < StepFold && x.nBuf > 0 && len(x.groups) > 0 {
+		return StepFold, 0
+	}
+	if dr := x.delta.Count(); after < StepMove && dr > 0 && (dr >= minMove || after == StepFold) {
+		return StepMove, 0
+	}
+	for gi := 0; after < StepRebuild && gi < len(x.groups); gi++ {
+		if x.GroupDeadFraction(gi) >= RebuildThreshold {
+			return StepRebuild, gi
+		}
+	}
+	return StepNone, 0
 }

@@ -67,35 +67,31 @@ func checkOracle(t *testing.T, x *Index, model map[string]int, when string) {
 	}
 }
 
-// moverStep mimics one engine mover cycle against a single index:
-// fold if possible, otherwise move a delta chunk, otherwise rebuild the
-// deadest group. Returns false when no work remains.
+// moverStep runs one engine mover cycle against a single index: the
+// production policy (NextStep, with no minimum move size) picks the
+// step, the test plans, encodes and installs it with nothing in
+// between. Returns false when no work remains.
 func moverStep(x *Index, chunk int) bool {
-	if x.BufferedDeletes() > 0 && x.Groups() > 0 {
-		if p := x.PlanFold(nil); p != nil {
-			if !x.InstallFold(p, nil) {
-				panic("serial fold install aborted")
+	for step, gi := x.NextStep(1, StepNone); step != StepNone; step, gi = x.NextStep(1, step) {
+		ok := true
+		switch step {
+		case StepFold:
+			p := x.PlanFold(nil)
+			if p == nil {
+				continue // every target is delta-resident
 			}
-			return true
+			ok = x.InstallFold(p, nil)
+		case StepMove:
+			snap := x.SnapshotDelta(chunk, nil)
+			ok = x.InstallMove(snap, x.EncodeRows(snap.Rows, nil), nil)
+		case StepRebuild:
+			p := x.PlanRebuild(gi, nil)
+			ok = x.InstallRebuild(p, x.EncodeRows(p.Rows, nil), nil)
 		}
-	}
-	if x.DeltaRows() > 0 {
-		snap := x.SnapshotDelta(chunk, nil)
-		groups := x.EncodeRows(snap.Rows, nil)
-		if !x.InstallMove(snap, groups, nil) {
-			panic("serial move install aborted")
+		if !ok {
+			panic(fmt.Sprintf("serial install of step %d aborted", step))
 		}
 		return true
-	}
-	for gi := 0; gi < x.Groups(); gi++ {
-		if x.GroupDeadFraction(gi) >= 0.25 {
-			p := x.PlanRebuild(gi, nil)
-			groups := x.EncodeRows(p.Rows, nil)
-			if !x.InstallRebuild(p, groups, nil) {
-				panic("serial rebuild install aborted")
-			}
-			return true
-		}
 	}
 	return false
 }
@@ -405,7 +401,7 @@ func TestInsertHighWaterSignal(t *testing.T) {
 // return exactly the delta rows, with locators aligned, including under
 // a pending delete buffer (locator-compaction swap path).
 func TestBatchDeltaScanMatchesRowSet(t *testing.T) {
-	x := moverTestIndex(false, 1 << 20)
+	x := moverTestIndex(false, 1<<20)
 	const n = 3000 // several batches worth
 	for i := 0; i < n; i++ {
 		x.Insert(nil, value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 7))})
@@ -444,5 +440,34 @@ func TestBatchDeltaScanMatchesRowSet(t *testing.T) {
 	}
 	if sc.DeltaScanTax() <= 0 {
 		t.Fatalf("DeltaScanTax = %v, want > 0", sc.DeltaScanTax())
+	}
+}
+
+// TestFreeAbortsOutstandingPlans: a mover step planned before its index
+// is dropped must abort at install instead of touching freed pages.
+func TestFreeAbortsOutstandingPlans(t *testing.T) {
+	x := moverTestIndex(false, 8)
+	for i := 0; i < 12; i++ {
+		x.Insert(nil, value.Row{value.NewInt(int64(i)), value.NewInt(0)})
+	}
+	x.BufferDelete(nil, value.Row{value.NewInt(2)})
+	x.BufferDelete(nil, value.Row{value.NewInt(3)})
+	x.TupleMove(nil) // groups of 8 and 4 rows; rows 2 and 3 dead in the first
+	x.Insert(nil, value.Row{value.NewInt(100), value.NewInt(0)})
+	x.BufferDelete(nil, value.Row{value.NewInt(5)})
+	snap := x.SnapshotDelta(0, nil)
+	encoded := x.EncodeRows(snap.Rows, nil)
+	fold := x.PlanFold(nil)
+	rebuild := x.PlanRebuild(0, nil)
+	if snap == nil || fold == nil || rebuild == nil {
+		t.Fatalf("plans: snap=%v fold=%v rebuild=%v", snap, fold, rebuild)
+	}
+	x.Free()
+	if x.InstallMove(snap, encoded, nil) || x.InstallFold(fold, nil) || x.InstallRebuild(rebuild, nil, nil) {
+		t.Fatal("an install succeeded on a freed index")
+	}
+	x.DiscardEncoded(encoded)
+	if n := x.store.TotalBytes(); n != 0 {
+		t.Fatalf("freed index left %d bytes in the store", n)
 	}
 }

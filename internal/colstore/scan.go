@@ -3,6 +3,7 @@ package colstore
 import (
 	"time"
 
+	"hybriddb/internal/btree"
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
@@ -66,14 +67,14 @@ type Scanner struct {
 	curGroup *rowGroup
 	segs     []*segment
 
-	deltaIt    deltaCursor
-	deltaPhase bool
+	deltaIt *btree.Iterator // non-nil once the delta phase has begun
 
 	batch *vec.Batch
 	locs  []Locator
 
-	delSet map[string]int // anti-semi join set from the delete buffer
-	keyPos []int          // positions of key ordinals within s.cols
+	del    *deleteSet // pending buffered deletes to anti-semi join, or nil
+	keyPos []int      // positions of key ordinals within s.cols
+	key    value.Row  // scratch: the current row's logical key
 
 	// Predicate pushdown state. predPos maps each pred to its vector
 	// index in s.cols (the pred column is appended if the caller did not
@@ -109,16 +110,6 @@ type Scanner struct {
 	RunsSkipped     int64
 }
 
-type deltaCursor struct {
-	valid bool
-	it    interface {
-		Valid() bool
-		Next()
-		Key() value.Row
-		Row() value.Row
-	}
-}
-
 // NewScanner starts a scan.
 func (x *Index) NewScanner(tr *vclock.Tracker, spec ScanSpec) *Scanner {
 	if spec.Cols == nil {
@@ -134,15 +125,10 @@ func (x *Index) NewScanner(tr *vclock.Tracker, spec ScanSpec) *Scanner {
 
 	// The anti-semi join against the delete buffer needs the logical key
 	// columns; decode them too if they are not already requested.
-	if x.nBuf > 0 {
-		s.delSet = make(map[string]int, x.nBuf)
-		var buf []byte
-		for it := x.delBuf.First(tr); it.Valid(); it.Next() {
-			buf = value.EncodeKey(buf[:0], it.Key()...)
-			s.delSet[string(buf)]++
-		}
+	if s.del = x.pendingDeletes(tr); s.del != nil {
 		s.cols = append([]int(nil), spec.Cols...)
 		s.keyPos = make([]int, len(x.cfg.KeyOrdinals))
+		s.key = make(value.Row, len(s.keyPos))
 		for ki, ko := range x.cfg.KeyOrdinals {
 			pos := -1
 			for ci, c := range s.cols {
@@ -168,7 +154,7 @@ func (x *Index) NewScanner(tr *vclock.Tracker, spec ScanSpec) *Scanner {
 	// than the naive path would.
 	if len(spec.Preds) > 0 {
 		s.predPos = make([]int, len(spec.Preds))
-		s.kernelOK = s.delSet == nil
+		s.kernelOK = s.del == nil
 		for pi, p := range spec.Preds {
 			if p.Col < 0 || p.Col >= x.cfg.Schema.Len() {
 				panic("colstore: pred column out of range")
@@ -231,15 +217,13 @@ func (s *Scanner) eliminated(g *rowGroup) bool {
 // end of the index.
 func (s *Scanner) Next() bool {
 	for {
-		if !s.deltaPhase {
+		if s.deltaIt == nil {
 			if !s.nextCompressed() {
 				if s.spec.SkipDelta || s.x.delta.Count() == 0 ||
 					(s.spec.Partition != nil && !s.spec.Partition.Delta) {
 					return false
 				}
-				s.deltaPhase = true
-				it := s.x.delta.First(s.tr)
-				s.deltaIt = deltaCursor{valid: true, it: it}
+				s.deltaIt = s.x.delta.First(s.tr)
 				continue
 			}
 			if s.batch.Len() > 0 {
@@ -370,24 +354,12 @@ func (s *Scanner) nextCompressed() bool {
 	// run after the delete logic: the buffer is a destructive multiset
 	// consumed in physical row order, so filtering first could cancel a
 	// different physical duplicate.
-	needSel := g.ndel > 0 || s.delSet != nil || len(s.spec.Preds) > 0
+	needSel := g.ndel > 0 || s.del != nil || len(s.spec.Preds) > 0
 	if needSel {
 		sel := make([]int, 0, n)
-		var buf []byte
 		for i := 0; i < n; i++ {
-			phys := from + i
-			if g.isDeleted(phys) {
+			if g.isDeleted(from+i) || s.cancelled(i) {
 				continue
-			}
-			if s.delSet != nil {
-				buf = buf[:0]
-				for _, kp := range s.keyPos {
-					buf = value.EncodeKey(buf, s.batch.Cols[kp].Value(i))
-				}
-				if c, ok := s.delSet[string(buf)]; ok && c > 0 {
-					s.delSet[string(buf)] = c - 1
-					continue
-				}
 			}
 			sel = append(sel, i)
 		}
@@ -398,7 +370,7 @@ func (s *Scanner) nextCompressed() bool {
 		}
 		s.batch.Sel = sel
 		// Anti-semi join probe cost.
-		if s.delSet != nil && s.tr != nil {
+		if s.del != nil && s.tr != nil {
 			s.tr.ChargeParallelCPU(vclock.CPU(int64(n), s.tr.Model.HashCPU), 1.0)
 		}
 		// Compact locators to live rows — exactly once, after both the
@@ -411,6 +383,19 @@ func (s *Scanner) nextCompressed() bool {
 		s.locs = live
 	}
 	return true
+}
+
+// cancelled reports whether a pending buffered delete cancels the row
+// at batch position i, consuming that delete. Both scan phases ask it
+// row by row, in physical order.
+func (s *Scanner) cancelled(i int) bool {
+	if s.del == nil {
+		return false
+	}
+	for ki, kp := range s.keyPos {
+		s.key[ki] = s.batch.Cols[kp].Value(i)
+	}
+	return s.del.cancel(s.key)
 }
 
 // sinkFor adapts a vector into a decodeSink target.
@@ -484,8 +469,8 @@ func markNull(v *vec.Vec) {
 // locators into reusable scratch buffers; the batch vectors are then
 // filled column-at-a-time so each vector's append loop stays tight.
 func (s *Scanner) nextDelta() bool {
-	it := s.deltaIt.it
-	if it == nil || !it.Valid() {
+	it := s.deltaIt
+	if !it.Valid() {
 		return false
 	}
 	s.batch.Reset()
@@ -513,22 +498,13 @@ func (s *Scanner) nextDelta() bool {
 	// Delta rows can also be logically deleted via the delete buffer,
 	// and pushed predicates apply here through the naive fallback: the
 	// delta store is uncompressed, so there is no kernel form.
-	needSel := s.delSet != nil || len(s.spec.Preds) > 0
+	needSel := s.del != nil || len(s.spec.Preds) > 0
 	if needSel {
 		sel := make([]int, 0, n)
-		var buf []byte
 		for i := 0; i < n; i++ {
-			if s.delSet != nil {
-				buf = buf[:0]
-				for _, kp := range s.keyPos {
-					buf = value.EncodeKey(buf, s.batch.Cols[kp].Value(i))
-				}
-				if c, ok := s.delSet[string(buf)]; ok && c > 0 {
-					s.delSet[string(buf)] = c - 1
-					continue
-				}
+			if !s.cancelled(i) {
+				sel = append(sel, i)
 			}
-			sel = append(sel, i)
 		}
 		if len(s.spec.Preds) > 0 {
 			s.FallbackBatches++

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hybriddb/internal/colstore"
 	"hybriddb/internal/exec"
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/optimizer"
@@ -271,28 +270,15 @@ func (db *Database) workers(o ExecOptions, root *plan.Root) int {
 
 // planMorsels returns the largest morsel count any scan of the plan
 // decomposes into — the executor's parallelism ceiling for the
-// statement (one worker per rowgroup morsel plus a delta morsel,
-// mirroring exec's csiMorsels).
+// statement.
 func planMorsels(n plan.Node) int {
 	if n == nil {
 		return 1
 	}
 	max := 1
 	if s, ok := n.(*plan.Scan); ok && s.Access == plan.AccessCSIScan {
-		var csi *colstore.Index
-		if s.Index != nil && s.Index.CSI != nil {
-			csi = s.Index.CSI
-		} else if cci := s.Table.CCI(); cci != nil {
-			csi = cci
-		}
-		if csi != nil {
-			m := csi.Groups()
-			if csi.DeltaRows() > 0 {
-				m++
-			}
-			if m > max {
-				max = m
-			}
+		if m := exec.ScanMorsels(s); m > max {
+			max = m
 		}
 	}
 	for _, c := range n.Children() {
@@ -441,10 +427,12 @@ func (db *Database) dispatch(st sql.Statement, o ExecOptions) (*Result, error) {
 	case *sql.DropIndexStmt:
 		return db.execDropIndex(s)
 	case *sql.DropTableStmt:
-		if _, ok := db.tables[s.Table]; !ok {
+		t, ok := db.tables[s.Table]
+		if !ok {
 			return nil, fmt.Errorf("engine: unknown table %q", s.Table)
 		}
 		delete(db.tables, s.Table)
+		t.Free()
 		return &Result{Metrics: vclock.NewTracker(db.model).Snapshot()}, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported statement %T", st)
@@ -891,15 +879,6 @@ func (db *Database) execDropIndex(s *sql.DropIndexStmt) (*Result, error) {
 		return nil, fmt.Errorf("engine: unknown index %q on %q", s.Name, s.Table)
 	}
 	return &Result{Metrics: vclock.NewTracker(db.model).Snapshot()}, nil
-}
-
-// TupleMoveAll runs columnstore maintenance on every table.
-func (db *Database) TupleMoveAll() {
-	db.sm.Lock()
-	defer db.sm.Unlock()
-	for _, t := range db.tables {
-		t.TupleMove(nil)
-	}
 }
 
 // ExplainString renders a plan tree for diagnostics.

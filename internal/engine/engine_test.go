@@ -441,6 +441,9 @@ func TestDropTable(t *testing.T) {
 	if db.Table("t") != nil {
 		t.Fatal("table still present")
 	}
+	if n := db.store.TotalBytes(); n != 0 {
+		t.Fatalf("dropped table left %d bytes in the store", n)
+	}
 	if _, err := db.Exec("SELECT count(*) FROM t"); err == nil {
 		t.Fatal("query on dropped table succeeded")
 	}

@@ -38,7 +38,6 @@ import (
 
 	"hybriddb/internal/colstore"
 	"hybriddb/internal/metrics"
-	"hybriddb/internal/table"
 	"hybriddb/internal/vclock"
 )
 
@@ -61,18 +60,6 @@ type MoverOptions struct {
 	// than the rowgroup fragmentation a tiny group causes. 0 means
 	// rowGroupSize/8 per index (min 1). Drain ignores it.
 	MinMoveRows int
-	// RebuildThreshold is the delete-bitmap density at which a rowgroup
-	// is rebuilt without its dead rows. 0 means 0.25.
-	RebuildThreshold float64
-}
-
-func (o *MoverOptions) fill() {
-	if o.Interval <= 0 {
-		o.Interval = 500 * time.Microsecond
-	}
-	if o.RebuildThreshold <= 0 {
-		o.RebuildThreshold = 0.25
-	}
 }
 
 // MoverStats is a snapshot of the mover's cumulative work, all charged
@@ -123,7 +110,9 @@ type TupleMover struct {
 // inline at the rowgroup boundary; see colstore.Index.SetHighWater).
 // Enabling twice returns the running mover.
 func (db *Database) EnableTupleMover(opts MoverOptions) *TupleMover {
-	opts.fill()
+	if opts.Interval <= 0 {
+		opts.Interval = 500 * time.Microsecond
+	}
 	db.sm.Lock()
 	if db.mover != nil {
 		m := db.mover
@@ -196,15 +185,9 @@ func (db *Database) CompactionDebts() []IndexDebt {
 func (db *Database) compactionDebtsLocked() []IndexDebt {
 	var out []IndexDebt
 	for _, name := range db.sortedTableNames() {
-		t := db.tables[name]
-		if cci := t.CCI(); cci != nil {
-			out = append(out, IndexDebt{Table: name, Debt: cci.CompactionDebt(db.model)})
-		}
-		for _, s := range t.Secondaries {
-			if s.Columnstore && !s.Hypothetical {
-				out = append(out, IndexDebt{Table: name, Index: s.Name, Debt: s.CSI.CompactionDebt(db.model)})
-			}
-		}
+		db.tables[name].Columnstores(func(index string, x *colstore.Index) {
+			out = append(out, IndexDebt{Table: name, Index: index, Debt: x.CompactionDebt(db.model)})
+		})
 	}
 	return out
 }
@@ -248,14 +231,7 @@ func (db *Database) sortedTableNames() []string {
 // on the next exclusive statement or mover install.
 func (db *Database) applyHighWaterLocked() {
 	for _, t := range db.tables {
-		if cci := t.CCI(); cci != nil {
-			cci.SetHighWater(db.highWater)
-		}
-		for _, s := range t.Secondaries {
-			if s.Columnstore && !s.Hypothetical {
-				s.CSI.SetHighWater(db.highWater)
-			}
-		}
+		t.Columnstores(func(_ string, x *colstore.Index) { x.SetHighWater(db.highWater) })
 	}
 }
 
@@ -314,7 +290,6 @@ type moverWork struct {
 	snap    *colstore.DeltaSnapshot
 	fold    *colstore.FoldPlan
 	rebuild *colstore.RebuildPlan
-	gi      int // rebuild target group
 }
 
 // step runs one pick→encode→install cycle. It returns true when it
@@ -383,10 +358,8 @@ func (m *TupleMover) step(drain bool) bool {
 }
 
 // pickLocked evaluates every columnstore's compaction debt, refreshes
-// the debt gauge, and plans the step for the highest debt-per-work
-// index: fold its delete buffer first (any pending buffered delete
-// forces the whole scan off the kernels — the measured cliff), then
-// move its delta backlog, then rebuild its deadest rowgroup. Caller
+// the debt gauge, and plans the next step (colstore.Index.NextStep is
+// the policy) for the highest debt-per-work index that has one. Caller
 // holds at least the shared lock. Returns nil when nothing is worth
 // doing.
 func (m *TupleMover) pickLocked(drain bool) *moverWork {
@@ -397,71 +370,47 @@ func (m *TupleMover) pickLocked(drain bool) *moverWork {
 		totalTax  int64
 	)
 	for _, name := range db.sortedTableNames() {
-		t := db.tables[name]
-		for _, x := range tableCSIs(t) {
+		db.tables[name].Columnstores(func(_ string, x *colstore.Index) {
 			d := x.CompactionDebt(db.model)
 			totalTax += int64(d.ScanTax)
-			if !m.actionable(x, d, drain) {
-				continue
+			if step, _ := x.NextStep(m.minMoveRows(x, drain), colstore.StepNone); step == colstore.StepNone {
+				return
 			}
-			score := debtPerWork(d)
-			if best == nil || score > bestScore {
+			if score := debtPerWork(d); best == nil || score > bestScore {
 				best, bestScore = x, score
 			}
-		}
+		})
 	}
 	mMoverDebt.Set(totalTax)
 	if best == nil {
 		return nil
 	}
 	w := &moverWork{x: best}
-	switch {
-	case best.BufferedDeletes() > 0 && best.Groups() > 0:
-		if w.fold = best.PlanFold(m.tr); w.fold != nil {
-			return w
+	min := m.minMoveRows(best, drain)
+	for step, gi := best.NextStep(min, colstore.StepNone); step != colstore.StepNone; step, gi = best.NextStep(min, step) {
+		switch step {
+		case colstore.StepFold:
+			w.fold = best.PlanFold(m.tr)
+		case colstore.StepMove:
+			w.snap = best.SnapshotDelta(best.RowGroupSize(), m.tr)
+		case colstore.StepRebuild:
+			w.rebuild = best.PlanRebuild(gi, m.tr)
 		}
-		// Every buffered delete targets delta-resident rows; fall
-		// through to moving the delta so a later fold can land.
-		fallthrough
-	case best.DeltaRows() > 0 && (drain || best.DeltaRows() >= int64(m.minMoveRows(best))):
-		if w.snap = best.SnapshotDelta(best.RowGroupSize(), m.tr); w.snap != nil {
+		if w.fold != nil || w.snap != nil || w.rebuild != nil {
 			return w
-		}
-	}
-	for gi := 0; gi < best.Groups(); gi++ {
-		if best.GroupDeadFraction(gi) >= m.opts.RebuildThreshold {
-			if w.rebuild = best.PlanRebuild(gi, m.tr); w.rebuild != nil {
-				w.gi = gi
-				return w
-			}
 		}
 	}
 	return nil
 }
 
-// actionable reports whether an index has debt the mover would act on.
-func (m *TupleMover) actionable(x *colstore.Index, d colstore.Debt, drain bool) bool {
-	if d.BufferedDeletes > 0 && x.Groups() > 0 {
-		return true
+// minMoveRows resolves the per-index minimum delta move size; a drain
+// moves whatever is there.
+func (m *TupleMover) minMoveRows(x *colstore.Index, drain bool) int64 {
+	n := int64(m.opts.MinMoveRows)
+	if n <= 0 {
+		n = int64(x.RowGroupSize() / 8)
 	}
-	if d.DeltaRows > 0 && (drain || d.DeltaRows >= int64(m.minMoveRows(x))) {
-		return true
-	}
-	for gi := 0; gi < x.Groups(); gi++ {
-		if x.GroupDeadFraction(gi) >= m.opts.RebuildThreshold {
-			return true
-		}
-	}
-	return false
-}
-
-// minMoveRows resolves the per-index minimum delta move size.
-func (m *TupleMover) minMoveRows(x *colstore.Index) int {
-	if m.opts.MinMoveRows > 0 {
-		return m.opts.MinMoveRows
-	}
-	n := x.RowGroupSize() / 8
-	if n < 1 {
+	if drain || n < 1 {
 		n = 1
 	}
 	return n
@@ -474,18 +423,4 @@ func debtPerWork(d colstore.Debt) float64 {
 		return float64(d.ScanTax)
 	}
 	return float64(d.ScanTax) / float64(d.Work)
-}
-
-// tableCSIs lists a table's materialized columnstores, primary first.
-func tableCSIs(t *table.Table) []*colstore.Index {
-	var out []*colstore.Index
-	if cci := t.CCI(); cci != nil {
-		out = append(out, cci)
-	}
-	for _, s := range t.Secondaries {
-		if s.Columnstore && !s.Hypothetical {
-			out = append(out, s.CSI)
-		}
-	}
-	return out
 }

@@ -252,7 +252,7 @@ func TestPlanFlipsUnderCompactionDebt(t *testing.T) {
 	}
 
 	// Compaction clears the debt; the columnstore wins again.
-	db.TupleMoveAll()
+	db.CompactTable("")
 	if got := access(); got != plan.AccessCSIScan {
 		t.Fatalf("compacted CSI not re-chosen: %v", got)
 	}
@@ -330,7 +330,7 @@ func runHTAPMixed(t *testing.T, regime string) (res htapResult) {
 		}
 		switch regime {
 		case "compacted":
-			db.TupleMoveAll()
+			db.CompactTable("")
 		case "mover":
 			deadline := time.Now().Add(10 * time.Second)
 			for backlog() >= htapMoverMinMove {
@@ -425,5 +425,33 @@ func TestMoverLifecycle(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDropUnderRunningMover: DROP INDEX and DROP TABLE free their
+// structures while the background mover may hold a plan against them;
+// the stale plan must abort (never touch a freed page) and its encoded
+// segments must be discarded, so the store ends empty.
+func TestDropUnderRunningMover(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		db := newDB(t)
+		db.DefaultRowGroupSize = 64
+		loadT(t, db, 500, 7)
+		mustExec(t, db, "CREATE COLUMNSTORE INDEX csi ON t")
+		db.EnableTupleMover(MoverOptions{MinMoveRows: 1})
+		for i := 0; i < 300; i++ {
+			mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", 1000+i, i%7))
+			if i%3 == 0 {
+				mustExec(t, db, fmt.Sprintf("UPDATE t SET col2 = 9 WHERE col1 = %d", i))
+			}
+			if i == 200+round {
+				mustExec(t, db, "DROP INDEX csi ON t")
+			}
+		}
+		mustExec(t, db, "DROP TABLE t")
+		db.Close()
+		if n := db.store.TotalBytes(); n != 0 {
+			t.Fatalf("round %d: %d bytes left in the store", round, n)
+		}
 	}
 }

@@ -65,46 +65,8 @@ func (f *batchFilter) classify(slots []int) {
 	f.classified = true
 	f.fastOK = true
 	for _, cond := range f.conds {
-		bin, ok := cond.(*sql.BinOp)
+		fc, ok := classifyFast(cond, func(slot int) int { return slotVec(slots, slot) })
 		if !ok {
-			f.fastOK = false
-			return
-		}
-		switch bin.Op {
-		case "=", "<>", "<", "<=", ">", ">=":
-		default:
-			f.fastOK = false
-			return
-		}
-		col, ok := bin.L.(*sql.ColRef)
-		if !ok || !intBacked(col.Kind) {
-			f.fastOK = false
-			return
-		}
-		li := slotVec(slots, col.Slot)
-		if li < 0 {
-			f.fastOK = false
-			return
-		}
-		fc := fastCond{op: bin.Op, li: li, ri: -1}
-		switch r := bin.R.(type) {
-		case *sql.Lit:
-			if r.Val.IsNull() || !intBacked(r.Val.Kind()) {
-				f.fastOK = false
-				return
-			}
-			fc.lit = r.Val.Int()
-		case *sql.ColRef:
-			if !intBacked(r.Kind) {
-				f.fastOK = false
-				return
-			}
-			fc.ri = slotVec(slots, r.Slot)
-			if fc.ri < 0 {
-				f.fastOK = false
-				return
-			}
-		default:
 			f.fastOK = false
 			return
 		}
@@ -112,38 +74,79 @@ func (f *batchFilter) classify(slots []int) {
 	}
 }
 
+// classifyFast maps one conjunct onto the fast vector path; vecOf
+// resolves a composite slot to its vector index (negative when the
+// batch does not carry it). ok=false means the conjunct needs generic
+// evaluation.
+func classifyFast(cond sql.Expr, vecOf func(slot int) int) (fastCond, bool) {
+	bin, ok := cond.(*sql.BinOp)
+	if !ok {
+		return fastCond{}, false
+	}
+	switch bin.Op {
+	case "=", "<>", "<", "<=", ">", ">=":
+	default:
+		return fastCond{}, false
+	}
+	col, ok := bin.L.(*sql.ColRef)
+	if !ok || !intBacked(col.Kind) {
+		return fastCond{}, false
+	}
+	fc := fastCond{op: bin.Op, li: vecOf(col.Slot), ri: -1}
+	switch r := bin.R.(type) {
+	case *sql.Lit:
+		if r.Val.IsNull() || !intBacked(r.Val.Kind()) {
+			return fastCond{}, false
+		}
+		fc.lit = r.Val.Int()
+	case *sql.ColRef:
+		if !intBacked(r.Kind) {
+			return fastCond{}, false
+		}
+		if fc.ri = vecOf(r.Slot); fc.ri < 0 {
+			return fastCond{}, false
+		}
+	default:
+		return fastCond{}, false
+	}
+	return fc, fc.li >= 0
+}
+
+// eval evaluates the conjunct at live position p.
+func (fc fastCond) eval(b *vec.Batch, p int) bool {
+	x := b.Cols[fc.li]
+	if x.IsNull(p) {
+		return false
+	}
+	xv := x.I[p]
+	yv := fc.lit
+	if fc.ri >= 0 {
+		y := b.Cols[fc.ri]
+		if y.IsNull(p) {
+			return false
+		}
+		yv = y.I[p]
+	}
+	switch fc.op {
+	case "=":
+		return xv == yv
+	case "<>":
+		return xv != yv
+	case "<":
+		return xv < yv
+	case "<=":
+		return xv <= yv
+	case ">":
+		return xv > yv
+	default: // ">="
+		return xv >= yv
+	}
+}
+
 // evalFast evaluates the classified conjuncts at live position p.
 func (f *batchFilter) evalFast(b *vec.Batch, p int) bool {
 	for _, fc := range f.fast {
-		x := b.Cols[fc.li]
-		if x.IsNull(p) {
-			return false
-		}
-		xv := x.I[p]
-		yv := fc.lit
-		if fc.ri >= 0 {
-			y := b.Cols[fc.ri]
-			if y.IsNull(p) {
-				return false
-			}
-			yv = y.I[p]
-		}
-		keep := false
-		switch fc.op {
-		case "=":
-			keep = xv == yv
-		case "<>":
-			keep = xv != yv
-		case "<":
-			keep = xv < yv
-		case "<=":
-			keep = xv <= yv
-		case ">":
-			keep = xv > yv
-		case ">=":
-			keep = xv >= yv
-		}
-		if !keep {
+		if !fc.eval(b, p) {
 			return false
 		}
 	}

@@ -127,6 +127,17 @@ func csiMorsels(idx *colstore.Index) []colstore.ScanPartition {
 	return ms
 }
 
+// ScanMorsels returns the number of morsels a CSI scan decomposes into
+// (0 when the scan has no columnstore to read): the engine's ceiling
+// when it sizes a statement's worker budget.
+func ScanMorsels(s *plan.Scan) int {
+	idx, err := resolveCSI(s)
+	if err != nil {
+		return 0
+	}
+	return len(csiMorsels(idx))
+}
+
 // morselizableScan reports whether a CSI scan decomposes into morsels
 // under the current context, independent of the real worker count.
 // Operators whose fold structure must not vary with Workers (the

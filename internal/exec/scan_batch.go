@@ -24,6 +24,9 @@ type csiBatchSource struct {
 	colPos  map[int]int // table ordinal -> vector index
 	uidIdx  int
 	scratch value.Row
+	// fast holds, per Filter conjunct, its integer-compare form (nil
+	// when it has none), classified once when the source is built.
+	fast []*fastCond
 
 	// selPool provides the reusable selection buffers conjunct
 	// evaluation ping-pongs between (see vec.SelPool).
@@ -107,6 +110,18 @@ func newCSIBatchSource(ctx *Context, s *plan.Scan, part *colstore.ScanPartition)
 		src.colPos[c] = i
 	}
 	src.scratch = make(value.Row, ctx.TotalSlots)
+	vecOf := func(slot int) int {
+		if vi, ok := src.vecIndex(slot); ok {
+			return vi
+		}
+		return -1
+	}
+	src.fast = make([]*fastCond, len(s.Filter))
+	for i, cond := range s.Filter {
+		if fc, ok := classifyFast(cond, vecOf); ok {
+			src.fast[i] = &fc
+		}
+	}
 	return src, nil
 }
 
@@ -121,13 +136,15 @@ func (s *csiBatchSource) next() (*vec.Batch, bool) {
 	}
 	for s.sc.Next() {
 		b := s.sc.Batch()
-		for _, cond := range s.s.Filter {
+		for i, cond := range s.s.Filter {
 			n := b.Len()
 			if n == 0 {
 				break
 			}
 			s.ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(n), m.BatchCPU), 1.0)
-			if !s.applyFast(b, cond) {
+			if fc := s.fast[i]; fc != nil {
+				s.applyFast(b, *fc)
+			} else {
 				s.applyGeneric(b, cond)
 			}
 		}
@@ -197,72 +214,17 @@ func selDensity(in, out int64) int64 {
 	return out * 1000 / in
 }
 
-// applyFast handles ColRef-op-Lit conjuncts on integer-representable
-// vectors without materializing values. Returns false if the conjunct
-// does not match the fast-path shape. All shape checks (including the
-// operator) happen before any selection buffer is touched, so a false
-// return leaves the batch untouched for applyGeneric.
-func (s *csiBatchSource) applyFast(b *vec.Batch, cond sql.Expr) bool {
-	bin, ok := cond.(*sql.BinOp)
-	if !ok {
-		return false
-	}
-	switch bin.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-	default:
-		return false
-	}
-	col, ok := bin.L.(*sql.ColRef)
-	if !ok {
-		return false
-	}
-	lit, ok := bin.R.(*sql.Lit)
-	if !ok || lit.Val.IsNull() {
-		return false
-	}
-	switch col.Kind {
-	case value.KindInt, value.KindDate, value.KindBool:
-	default:
-		return false
-	}
-	if lit.Val.Kind() != value.KindInt && lit.Val.Kind() != value.KindDate && lit.Val.Kind() != value.KindBool {
-		return false
-	}
-	vi, ok := s.colPos[col.Slot-s.s.SlotBase]
-	if !ok {
-		return false
-	}
-	v := b.Cols[vi]
-	cmp := lit.Val.Int()
+// applyFast narrows the batch by one integer-compare conjunct without
+// materializing values.
+func (s *csiBatchSource) applyFast(b *vec.Batch, fc fastCond) {
 	n := b.Len()
 	sel := s.selPool.Next(n)
 	for i := 0; i < n; i++ {
-		p := b.LiveIndex(i)
-		if v.IsNull(p) {
-			continue
-		}
-		x := v.I[p]
-		keep := false
-		switch bin.Op {
-		case "=":
-			keep = x == cmp
-		case "<>":
-			keep = x != cmp
-		case "<":
-			keep = x < cmp
-		case "<=":
-			keep = x <= cmp
-		case ">":
-			keep = x > cmp
-		case ">=":
-			keep = x >= cmp
-		}
-		if keep {
+		if p := b.LiveIndex(i); fc.eval(b, p) {
 			sel = append(sel, p)
 		}
 	}
 	b.Sel = sel
-	return true
 }
 
 // applyGeneric evaluates an arbitrary conjunct by materializing the

@@ -140,3 +140,22 @@ func TestSimLatencyMonotonic(t *testing.T) {
 		t.Errorf("serial jobs contended below saturation: %v vs %v", s1, s20)
 	}
 }
+
+// TestFig11Deterministic: the concurrency simulator behind Figure 11
+// must break every tie between clients the same way on every run, so
+// the rendered tables repeat exactly.
+func TestFig11Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	render := func() string {
+		var sb strings.Builder
+		for _, tb := range Fig11(true) {
+			tb.Fprint(&sb)
+		}
+		return sb.String()
+	}
+	if a, b := render(), render(); a != b {
+		t.Fatalf("Fig11(true) rendered differently on two runs:\n%s\n---\n%s", a, b)
+	}
+}

@@ -63,6 +63,14 @@ func (f *File) Bytes() int64 {
 	return total
 }
 
+// Free returns the file's pages to the store, ending the file's life.
+func (f *File) Free() {
+	for _, id := range f.pageIDs {
+		f.store.Free(id)
+	}
+	f.pageIDs = nil
+}
+
 // Insert appends a row and returns its RowID. Write I/O is charged by
 // the DML layer, not here.
 func (f *File) Insert(row value.Row) RowID {
@@ -177,15 +185,7 @@ func (it *Iter) Next() (RowID, value.Row, bool) {
 // Scan visits every live row in storage order, reading pages
 // sequentially, until fn returns false.
 func (f *File) Scan(tr *vclock.Tracker, fn func(rid RowID, row value.Row) bool) {
-	for pi, pid := range f.pageIDs {
-		p := f.store.Get(tr, pid, true).(*page)
-		for si, row := range p.rows {
-			if p.dead[si] {
-				continue
-			}
-			if !fn(RowID{Page: int32(pi), Slot: int32(si)}, row) {
-				return
-			}
-		}
+	it := f.NewIter(tr)
+	for rid, row, ok := it.Next(); ok && fn(rid, row); rid, row, ok = it.Next() {
 	}
 }

@@ -205,14 +205,3 @@ func (m *Manager) grantWaiters(st *stripe) {
 		// either way continue admitting this stripe's queue.
 	}
 }
-
-// HeldX reports whether any stripe of the table is X-held (test hook).
-func (m *Manager) HeldX(tableName string) bool {
-	t := m.table(tableName)
-	for i := range t.stripes {
-		if t.stripes[i].xHolder != nil {
-			return true
-		}
-	}
-	return false
-}

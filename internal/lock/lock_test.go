@@ -150,19 +150,3 @@ func TestDuplicateStripes(t *testing.T) {
 		t.Fatal("stripe not released (double-hold from dups?)")
 	}
 }
-
-func TestHeldX(t *testing.T) {
-	m := NewManager(8)
-	if m.HeldX("t") {
-		t.Fatal("fresh table has X")
-	}
-	r := req(1, X, 0)
-	m.Acquire(r)
-	if !m.HeldX("t") {
-		t.Fatal("X not visible")
-	}
-	m.Release(r)
-	if m.HeldX("t") {
-		t.Fatal("X not released")
-	}
-}

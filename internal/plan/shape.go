@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 
@@ -35,13 +34,6 @@ func Shape(root *Root) string {
 	walk(root.Input, 0)
 	fmt.Fprintf(&b, "[dop=%d]\n", root.DOP)
 	return b.String()
-}
-
-// ShapeHash returns the FNV-1a hash of the plan's Shape.
-func ShapeHash(root *Root) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(Shape(root)))
-	return h.Sum64()
 }
 
 // nodeShape renders one operator's shape line.

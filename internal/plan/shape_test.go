@@ -41,16 +41,13 @@ func testPlan(filterVal int64, estRows float64, n int64) *Root {
 }
 
 // TestShapeStableAcrossConstants checks that plans differing only in
-// literal values, estimates, and TOP N render the same shape (and
-// hash), while structural changes do not.
+// literal values, estimates, and TOP N render the same shape, while
+// structural changes do not.
 func TestShapeStableAcrossConstants(t *testing.T) {
 	a := Shape(testPlan(10, 100, 5))
 	b := Shape(testPlan(99999, 1e6, 50))
 	if a != b {
 		t.Errorf("shapes diverge on constants only:\n%s\nvs\n%s", a, b)
-	}
-	if ShapeHash(testPlan(10, 100, 5)) != ShapeHash(testPlan(99999, 1e6, 50)) {
-		t.Error("hashes diverge on constants only")
 	}
 
 	// A structural change (different DOP) must change the shape.

@@ -315,13 +315,6 @@ func (m *Manager) SetLimit(n int) {
 	m.limit = n
 }
 
-// Limit returns the admission limit (0 = unbounded).
-func (m *Manager) Limit() int {
-	m.smu.Lock()
-	defer m.smu.Unlock()
-	return m.limit
-}
-
 // QueueDepth returns the number of statements currently parked at the
 // admission controller.
 func (m *Manager) QueueDepth() int {

@@ -167,6 +167,7 @@ func (q *eventQueue) Pop() interface{} {
 // --- simulation ---
 
 type clientState struct {
+	id       int // position in Config order; breaks every tie between clients
 	group    *ClientGroup
 	job      *Job
 	start    time.Duration // statement start
@@ -178,8 +179,12 @@ type clientState struct {
 }
 
 type pool struct {
-	cores  int
-	active map[*clientState]bool
+	cores int
+	// active is the processor-sharing set, kept in client id order so
+	// that water-filling ties and same-instant completions (and through
+	// them lock grants and draws from the shared rng) come out the same
+	// on every run.
+	active []*clientState
 	gen    int64 // invalidates stale completion events
 }
 
@@ -208,12 +213,14 @@ func Run(cfg Config) *Result {
 		stats: make(map[string]*JobStats),
 	}
 	for _, c := range cfg.Pools {
-		s.pools = append(s.pools, &pool{cores: c, active: make(map[*clientState]bool)})
+		s.pools = append(s.pools, &pool{cores: c})
 	}
+	nextID := 0
 	for gi := range cfg.Groups {
 		g := &cfg.Groups[gi]
 		for i := 0; i < g.Count; i++ {
-			c := &clientState{group: g}
+			c := &clientState{id: nextID, group: g}
+			nextID++
 			s.schedule(0, func() { s.startStatement(c) })
 		}
 	}
@@ -239,7 +246,7 @@ func (s *sim) settle(to time.Duration) {
 	dt := to - s.lastUpd
 	if dt > 0 {
 		for _, p := range s.pools {
-			for c := range p.active {
+			for _, c := range p.active {
 				c.remain -= time.Duration(float64(dt) * c.rate)
 				if c.remain < 0 {
 					c.remain = 0
@@ -375,7 +382,10 @@ func (s *sim) stripesFor(lr LockReq) []int {
 // beginCPU moves the client into its pool's processor-sharing set.
 func (s *sim) beginCPU(c *clientState) {
 	p := s.pools[c.group.Pool]
-	p.active[c] = true
+	i := sort.Search(len(p.active), func(i int) bool { return p.active[i].id > c.id })
+	p.active = append(p.active, nil)
+	copy(p.active[i+1:], p.active[i:])
+	p.active[i] = c
 	s.recompute(p)
 }
 
@@ -393,14 +403,14 @@ func (s *sim) recompute(p *pool) {
 		cap float64
 	}
 	slots := make([]slot, 0, len(p.active))
-	for c := range p.active {
+	for _, c := range p.active {
 		dop := c.job.MaxDOP
 		if dop < 1 {
 			dop = 1
 		}
 		slots = append(slots, slot{c: c, cap: float64(dop)})
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i].cap < slots[j].cap })
+	sort.SliceStable(slots, func(i, j int) bool { return slots[i].cap < slots[j].cap })
 	cores := float64(p.cores)
 	remainingJobs := len(slots)
 	for _, sl := range slots {
@@ -415,7 +425,7 @@ func (s *sim) recompute(p *pool) {
 	}
 	// Next completion.
 	var next time.Duration = -1
-	for c := range p.active {
+	for _, c := range p.active {
 		if c.rate <= 0 {
 			continue
 		}
@@ -437,13 +447,16 @@ func (s *sim) recompute(p *pool) {
 // checkCompletions finishes any job whose CPU work has drained.
 func (s *sim) checkCompletions(p *pool) {
 	var finished []*clientState
-	for c := range p.active {
+	running := p.active[:0]
+	for _, c := range p.active {
 		if c.remain <= 0 {
 			finished = append(finished, c)
+		} else {
+			running = append(running, c)
 		}
 	}
+	p.active = running
 	for _, c := range finished {
-		delete(p.active, c)
 		s.finishCPU(c)
 	}
 	s.recompute(p)

@@ -182,19 +182,6 @@ func (s *Store) SizeOf(id PageID) int64 {
 	return e.size
 }
 
-// Peek returns a page without touching the buffer pool or charging any
-// tracker. Maintenance and bookkeeping paths use it; query execution
-// must go through Get.
-func (s *Store) Peek(id PageID) Page {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.pages[id]
-	if !ok {
-		panic(fmt.Sprintf("storage: peek of freed page %d", id))
-	}
-	return e.page
-}
-
 // Contains reports whether the page is currently resident (test hook).
 func (s *Store) Contains(id PageID) bool {
 	s.mu.Lock()

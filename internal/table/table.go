@@ -346,10 +346,6 @@ func (t *Table) Delete(tr *vclock.Tracker, matches []Match) int64 {
 	if len(matches) == 0 {
 		return 0
 	}
-	uidSet := make(map[int64]bool, len(matches))
-	for _, m := range matches {
-		uidSet[m.UID] = true
-	}
 	switch t.primary {
 	case PrimaryHeap:
 		for _, m := range matches {
@@ -367,28 +363,20 @@ func (t *Table) Delete(tr *vclock.Tracker, matches []Match) int64 {
 			t.tree.Delete(tr, t.clusterKey(m.Row, m.UID), nil)
 		}
 	default:
-		t.cciDeleteByUID(tr, t.cci, uidSet)
+		t.cciDeleteByUID(tr, len(matches), func(i int) int64 { return matches[i].UID })
 	}
 	for _, s := range t.Secondaries {
 		if s.Hypothetical {
 			continue
 		}
 		if s.Columnstore {
-			if s.CSI.Primary() {
-				t.cciDeleteByUID(tr, s.CSI, copySet(uidSet))
-			} else {
-				for _, m := range matches {
-					s.CSI.BufferDelete(tr, value.Row{value.NewInt(m.UID)})
-				}
+			for _, m := range matches {
+				s.CSI.BufferDelete(tr, value.Row{value.NewInt(m.UID)})
 			}
 			continue
 		}
 		for _, m := range matches {
-			key := make(value.Row, 0, len(s.Keys)+1)
-			for _, k := range s.Keys {
-				key = append(key, m.Row[k])
-			}
-			key = append(key, value.NewInt(m.UID))
+			key, _ := t.secondaryEntry(s, m.Row, m.UID)
 			s.Tree.Delete(tr, key, nil)
 		}
 	}
@@ -397,21 +385,16 @@ func (t *Table) Delete(tr *vclock.Tracker, matches []Match) int64 {
 	return int64(len(matches))
 }
 
-func copySet(s map[int64]bool) map[int64]bool {
-	out := make(map[int64]bool, len(s))
-	for k, v := range s {
-		out[k] = v
+// cciDeleteByUID locates the n rows whose UIDs uid enumerates with a
+// scan of the primary columnstore (delta rows are deleted directly;
+// compressed rows go to the delete bitmap). The scan is the expensive
+// step the paper attributes to primary-columnstore deletes.
+func (t *Table) cciDeleteByUID(tr *vclock.Tracker, n int, uid func(i int) int64) {
+	uids := make(map[int64]bool, n)
+	for i := 0; i < n; i++ {
+		uids[uid(i)] = true
 	}
-	return out
-}
-
-// cciDeleteByUID locates rows by UID with a scan (delta rows are
-// deleted directly; compressed rows go to the delete bitmap). The scan
-// is the expensive step the paper attributes to primary-columnstore
-// deletes.
-func (t *Table) cciDeleteByUID(tr *vclock.Tracker, x *colstore.Index, uids map[int64]bool) {
-	uidCol := t.UIDColumn()
-	sc := x.NewScanner(tr, colstore.ScanSpec{Cols: []int{uidCol}, PruneCol: -1})
+	sc := t.cci.NewScanner(tr, colstore.ScanSpec{Cols: []int{t.UIDColumn()}, PruneCol: -1})
 	var locs []colstore.Locator
 	var probed int64
 	for sc.Next() && len(uids) > 0 {
@@ -432,7 +415,7 @@ func (t *Table) cciDeleteByUID(tr *vclock.Tracker, x *colstore.Index, uids map[i
 		tr.ChargeParallelCPU(vclock.CPU(probed, tr.Model.HashCPU), 1.0)
 	}
 	for _, l := range locs {
-		x.DeleteAt(tr, l)
+		t.cci.DeleteAt(tr, l)
 	}
 }
 
@@ -473,11 +456,7 @@ func (t *Table) ApplyUpdates(tr *vclock.Tracker, ups []Update) int64 {
 			}
 		}
 	default:
-		uidSet := make(map[int64]bool, len(ups))
-		for _, u := range ups {
-			uidSet[u.UID] = true
-		}
-		t.cciDeleteByUID(tr, t.cci, uidSet)
+		t.cciDeleteByUID(tr, len(ups), func(i int) int64 { return ups[i].UID })
 		for _, u := range ups {
 			t.cci.Insert(tr, append(u.New.Clone(), value.NewInt(u.UID)))
 		}
@@ -487,16 +466,8 @@ func (t *Table) ApplyUpdates(tr *vclock.Tracker, ups []Update) int64 {
 			continue
 		}
 		if s.Columnstore {
-			if s.CSI.Primary() {
-				uidSet := make(map[int64]bool, len(ups))
-				for _, u := range ups {
-					uidSet[u.UID] = true
-				}
-				t.cciDeleteByUID(tr, s.CSI, uidSet)
-			} else {
-				for _, u := range ups {
-					s.CSI.BufferDelete(tr, value.Row{value.NewInt(u.UID)})
-				}
+			for _, u := range ups {
+				s.CSI.BufferDelete(tr, value.Row{value.NewInt(u.UID)})
 			}
 			for _, u := range ups {
 				s.CSI.Insert(tr, append(u.New.Clone(), value.NewInt(u.UID)))
@@ -523,8 +494,8 @@ func (t *Table) ApplyUpdates(tr *vclock.Tracker, ups []Update) int64 {
 // kind. For PrimaryBTree, keys selects the cluster key ordinals.
 func (t *Table) ConvertPrimary(tr *vclock.Tracker, kind PrimaryKind, keys []int) {
 	rows, uids := t.AllRows(tr)
-	t.heap, t.tree, t.cci = nil, nil, nil
-	t.heapLoc = nil
+	release(t.heap, t.tree, t.cci)
+	t.heap, t.tree, t.cci, t.heapLoc = nil, nil, nil, nil
 	t.primary = kind
 	switch kind {
 	case PrimaryHeap:
@@ -573,10 +544,8 @@ func (t *Table) AddSecondaryBTree(tr *vclock.Tracker, name string, keys, include
 // extension): the compressed rowgroups are globally ordered by those
 // columns, giving B+-tree-like segment elimination on them.
 func (t *Table) AddSecondaryCSI(tr *vclock.Tracker, name string, sortCols ...int) *Secondary {
-	for _, s := range t.Secondaries {
-		if s.Columnstore && !s.Hypothetical {
-			panic(fmt.Sprintf("table %s: only one columnstore index is allowed", t.Name))
-		}
+	if t.SecondaryCSI() != nil {
+		panic(fmt.Sprintf("table %s: only one columnstore index is allowed", t.Name))
 	}
 	rows, uids := t.AllRows(tr)
 	csi := colstore.Build(t.store, colstore.Config{
@@ -602,15 +571,39 @@ func (t *Table) AddHypothetical(s *Secondary) {
 	t.Secondaries = append(t.Secondaries, s)
 }
 
-// DropSecondary removes the named secondary index.
+// DropSecondary removes the named secondary index and frees its pages.
 func (t *Table) DropSecondary(name string) bool {
 	for i, s := range t.Secondaries {
 		if s.Name == name {
 			t.Secondaries = append(t.Secondaries[:i], t.Secondaries[i+1:]...)
+			release(nil, s.Tree, s.CSI)
 			return true
 		}
 	}
 	return false
+}
+
+// release returns the pages of a dropped or replaced structure to the
+// store; the kinds its owner did not have are nil.
+func release(h *heap.File, bt *btree.Tree, x *colstore.Index) {
+	if h != nil {
+		h.Free()
+	}
+	if bt != nil {
+		bt.Free()
+	}
+	if x != nil {
+		x.Free()
+	}
+}
+
+// Free returns every page the table holds to the store (DROP TABLE).
+// The table must not be used afterwards.
+func (t *Table) Free() {
+	release(t.heap, t.tree, t.cci)
+	for _, s := range t.Secondaries {
+		release(nil, s.Tree, s.CSI)
+	}
 }
 
 // FindSecondary returns the named secondary index, or nil.
@@ -710,15 +703,22 @@ func (t *Table) PrimaryBytes() int64 {
 	}
 }
 
-// TupleMove runs columnstore maintenance on every columnstore in the
-// table (delta compression + delete-buffer compaction).
-func (t *Table) TupleMove(tr *vclock.Tracker) {
+// Columnstores calls fn for each materialized columnstore of the table,
+// primary first. name is "" for the primary columnstore and the index
+// name for a secondary one.
+func (t *Table) Columnstores(fn func(name string, x *colstore.Index)) {
 	if t.cci != nil {
-		t.cci.TupleMove(tr)
+		fn("", t.cci)
 	}
 	for _, s := range t.Secondaries {
 		if s.Columnstore && !s.Hypothetical {
-			s.CSI.TupleMove(tr)
+			fn(s.Name, s.CSI)
 		}
 	}
+}
+
+// TupleMove runs columnstore maintenance on every columnstore in the
+// table (delta compression + delete-buffer compaction).
+func (t *Table) TupleMove(tr *vclock.Tracker) {
+	t.Columnstores(func(_ string, x *colstore.Index) { x.TupleMove(tr) })
 }

@@ -332,3 +332,47 @@ func TestPrimaryBytes(t *testing.T) {
 		t.Errorf("columnstore %d should compress below b+tree %d", cciB, btB)
 	}
 }
+
+// TestReplacedStructuresReturnPages: every structure the table replaces
+// (a delta store or delete buffer swapped by compaction, a converted
+// primary) or drops (a secondary index) must hand its pages back, so the
+// store holds exactly the live structures' bytes.
+func TestReplacedStructuresReturnPages(t *testing.T) {
+	tb := newTestTable(t)
+	tb.ConvertPrimary(nil, PrimaryBTree, []int{0})
+	csi := tb.AddSecondaryCSI(nil, "csi_all").CSI
+	tb.AddSecondaryBTree(nil, "ix_v", []int{1}, nil)
+	bt := tb.FindSecondary("ix_v").Tree
+	check := func(when string, want int64) {
+		t.Helper()
+		if got := tb.Store().TotalBytes(); got != want {
+			t.Fatalf("%s: store holds %d bytes, live structures %d", when, got, want)
+		}
+	}
+
+	// 20 inline compactions, each replacing the delta store.
+	for i := 0; i < 20*1024; i++ {
+		tb.Insert(nil, value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 13)), value.NewString("row")})
+	}
+	if csi.InlineCompactions() != 20 || csi.DeltaRows() != 0 {
+		t.Fatalf("inline compactions = %d, delta rows = %d", csi.InlineCompactions(), csi.DeltaRows())
+	}
+	check("after inline compactions", tb.PrimaryBytes()+csi.Bytes()+bt.Bytes())
+
+	// Buffered deletes folded by TupleMove replace the delete buffer; the
+	// bitmaps they become are index bytes but not store pages.
+	rows, uids := tb.AllRows(nil)
+	tb.Delete(nil, []Match{{Row: rows[0], UID: uids[0]}, {Row: rows[5000], UID: uids[5000]}})
+	tb.TupleMove(nil)
+	bitmaps := int64(2 * 1024 / 8)
+	check("after fold", tb.PrimaryBytes()+csi.Bytes()-bitmaps+bt.Bytes())
+
+	tb.DropSecondary("csi_all")
+	check("after dropping the columnstore", tb.PrimaryBytes()+bt.Bytes())
+	tb.DropSecondary("ix_v")
+	check("after dropping the B+ tree index", tb.PrimaryBytes())
+	for _, kind := range []PrimaryKind{PrimaryColumnstore, PrimaryHeap, PrimaryBTree} {
+		tb.ConvertPrimary(nil, kind, []int{0})
+		check("after converting to "+kind.String(), tb.PrimaryBytes())
+	}
+}

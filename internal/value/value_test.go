@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -259,60 +258,5 @@ func TestEncodeKeyStringZeroBytes(t *testing.T) {
 		if bytes.Compare(ks[i-1], ks[i]) >= 0 {
 			t.Errorf("string key order broken at index %d", i)
 		}
-	}
-}
-
-func TestRowCodecRoundTrip(t *testing.T) {
-	rows := []Row{
-		{},
-		{Null},
-		{NewInt(-5), NewFloat(3.25), NewString("héllo\x00world"), NewBool(true), NewDate(12345), Null},
-	}
-	var buf []byte
-	for _, r := range rows {
-		buf = EncodeRow(buf, r)
-	}
-	off := 0
-	for i, want := range rows {
-		got, n, err := DecodeRow(buf[off:])
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		off += n
-		if CompareRows(got, want, nil) != 0 {
-			t.Fatalf("row %d: got %v want %v", i, got, want)
-		}
-	}
-	if off != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", off, len(buf))
-	}
-}
-
-func TestRowCodecQuick(t *testing.T) {
-	f := func(i int64, fl float64, s string, b bool, d int16) bool {
-		if math.IsNaN(fl) {
-			fl = 0
-		}
-		r := Row{NewInt(i), NewFloat(fl), NewString(s), NewBool(b), NewDate(int64(d))}
-		enc := EncodeRow(nil, r)
-		got, n, err := DecodeRow(enc)
-		return err == nil && n == len(enc) && CompareRows(got, r, nil) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeRowCorrupt(t *testing.T) {
-	good := EncodeRow(nil, Row{NewInt(1), NewString("abcdef")})
-	for cut := 1; cut < len(good); cut++ {
-		if _, _, err := DecodeRow(good[:cut]); err == nil {
-			// Some prefixes decode to a shorter valid row only if the
-			// header count is satisfied; count is fixed so any cut must fail.
-			t.Fatalf("truncation at %d not detected", cut)
-		}
-	}
-	if _, _, err := DecodeRow([]byte{}); err == nil {
-		t.Fatal("empty buffer not detected")
 	}
 }

@@ -10,8 +10,8 @@
 // and PR 2 (morsel-driven parallelism) introduced and that are easiest
 // to break silently: deterministic parallel gather, statement-boundary
 // locking, registry-based metric naming, scratch-buffer ownership, and
-// error propagation on mutation paths. See ANALYSIS.md for the
-// catalog.
+// the confinement of goroutine spawns and tracker forks. See
+// ANALYSIS.md for the catalog.
 package analysis
 
 import (
@@ -51,24 +51,20 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Prog is the whole-run Program shared by every pass: the loaded
-	// package set, the function-declaration index, the CFG cache, and
-	// the project-local call graph. May be nil when a Pass is built by
-	// hand in tests; the flow-aware facilities below tolerate that.
+	// Prog is the whole-run Program shared by every pass: the
+	// function-declaration index over every loaded package. May be nil
+	// when a Pass is built by hand in tests.
 	Prog *Program
 
-	diags []Diagnostic
+	diags    []Diagnostic
+	examined int
 }
 
-// CFG returns the control-flow graph of fn, cached across analyzers
-// for the duration of the run. Without a Program (hand-built passes)
-// it builds the graph uncached.
-func (p *Pass) CFG(fn *ast.FuncDecl) *CFG {
-	if p.Prog != nil {
-		return p.Prog.CFG(fn)
-	}
-	return BuildCFG(fn.Body)
-}
+// Examined records that the analyzer evaluated one subject of its rule
+// (a lock acquisition, a metric registration, ...), flagged or not.
+// `make lint` fails when an analyzer examined nothing over ./...: a
+// rule with no subjects in the tree guarantees nothing.
+func (p *Pass) Examined() { p.examined++ }
 
 // Reportf records a finding.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {

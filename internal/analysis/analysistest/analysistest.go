@@ -55,7 +55,7 @@ var wantRE = regexp.MustCompile("(`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")")
 // fixtures' want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) {
 	t.Helper()
-	findings, _, err := analysis.RunAnalyzers(dir, []*analysis.Analyzer{a}, patterns)
+	findings, _, _, err := analysis.RunAnalyzers(dir, []*analysis.Analyzer{a}, patterns)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}

@@ -30,7 +30,9 @@
 // single-owner pull handle. The analyzer flags, anywhere in the
 // package:
 //
-//   - a go statement whose call or closure references a scratch field;
+//   - a go statement whose call or closure references a scratch field,
+//     and likewise the worker function handed to exec.spawn, the one
+//     place the executor starts goroutines;
 //   - a channel send whose value references a scratch field;
 //   - a return of a scratch field from an exported function or method
 //     (unexported helpers like nextSel hand the buffer to their own
@@ -61,6 +63,11 @@ func New() *analysis.Analyzer {
 }
 
 func run(pass *analysis.Pass) error {
+	for _, obj := range pass.TypesInfo.Defs {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && scratchVar(v) {
+			pass.Examined() // the subjects: scratch fields this package owns
+		}
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -70,8 +77,18 @@ func run(pass *analysis.Pass) error {
 			exported := fn.Name.IsExported()
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
-				case *ast.GoStmt:
-					if sel := scratchRef(pass, n); sel != nil {
+				case *ast.GoStmt, *ast.CallExpr:
+					var body ast.Node = n
+					if call, ok := n.(*ast.CallExpr); ok {
+						// The worker function handed to exec.spawn is a
+						// goroutine body; no other call is.
+						callee := analysis.CalleeFunc(pass.TypesInfo, call)
+						if callee == nil || callee.Name() != "spawn" || !analysis.IsPkg(callee.Pkg(), "exec") || len(call.Args) < 2 {
+							return true
+						}
+						body = call.Args[1]
+					}
+					if sel := scratchRef(pass, body); sel != nil {
 						pass.Reportf(n.Pos(), "scratch buffer %s escapes to a goroutine; it is overwritten by the owner's next batch", fieldName(pass, sel))
 					}
 					return false // reported once for the whole go statement
@@ -143,40 +160,21 @@ func batchBoundary(name string) bool {
 	return name == "NextBatch" || name == "Batch"
 }
 
-// IsScratchField reports whether sel selects a scratch buffer field
-// under bufalias's classification (batch-typed, or slice-bearing with
-// a scratch/buf/sel name, declared in the analyzed package). Exported
-// for goroutinelife, which applies the same class to goroutine
-// captures from a lifetime angle: a worker outliving its spawner reads
-// a buffer the owner has already recycled.
-func IsScratchField(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	return isScratchField(pass, sel)
-}
-
-// FieldName renders a flagged selector as owner.field for messages.
-func FieldName(pass *analysis.Pass, sel *ast.SelectorExpr) string {
-	return fieldName(pass, sel)
-}
-
-// isScratchField reports whether sel selects a scratch buffer field: a
-// field declared in the analyzed package that is either batch-typed or
-// slice-bearing with a scratch-ish name.
+// isScratchField reports whether sel selects a scratch buffer field
+// declared in the analyzed package.
 func isScratchField(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	s, ok := pass.TypesInfo.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return false
 	}
 	field, ok := s.Obj().(*types.Var)
-	if !ok || field.Pkg() == nil || field.Pkg() != pass.Pkg {
-		return false
-	}
-	if batchTyped(field) {
-		return true
-	}
-	if !scratchName(field.Name(), field.Exported()) {
-		return false
-	}
-	return carriesSlice(field.Type(), nil)
+	return ok && field.Pkg() == pass.Pkg && scratchVar(field)
+}
+
+// scratchVar classifies a struct field: batch-typed, or slice-bearing
+// with a scratch-ish name.
+func scratchVar(field *types.Var) bool {
+	return batchTyped(field) || scratchName(field.Name(), field.Exported()) && carriesSlice(field.Type(), nil)
 }
 
 // batchTyped reports whether field is an unexported handle to a batch:

@@ -3,28 +3,21 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
-// Program is the whole-run view the flow-aware analyzers share: every
-// loaded package, an index from *types.Func to its declaration, a
-// per-function CFG cache, and a project-local static call graph. One
-// Program is built per RunAnalyzers invocation and handed to every
-// Pass, so interprocedural analyzers (lockorder's one-level descent,
-// errflow's wrapper fixpoint) see the same function set regardless of
-// which package they are currently reporting on.
+// Program is the whole-run view the interprocedural analyzers share:
+// an index from *types.Func to its declaration over every loaded
+// package. One Program is built per RunAnalyzers invocation and
+// handed to every Pass, so lockorder's one-level descent sees the same
+// function set regardless of which package it is currently reporting
+// on.
 //
 // "Project-local" means: functions declared in the loaded target
 // packages. Dependencies (stdlib included) are visible only as
 // *types.Func without bodies; FuncOf returns nil for them and callers
 // must treat such calls opaquely.
 type Program struct {
-	Pkgs []*Package
-
-	funcs   map[*types.Func]*ProgFunc
-	ordered []*ProgFunc
-	cfgs    map[*ast.FuncDecl]*CFG
-	callees map[*ast.FuncDecl][]*types.Func
+	funcs map[*types.Func]*ProgFunc
 }
 
 // ProgFunc is one project-local function or method declaration.
@@ -36,12 +29,7 @@ type ProgFunc struct {
 
 // NewProgram indexes the loaded packages' function declarations.
 func NewProgram(pkgs []*Package) *Program {
-	p := &Program{
-		Pkgs:    pkgs,
-		funcs:   map[*types.Func]*ProgFunc{},
-		cfgs:    map[*ast.FuncDecl]*CFG{},
-		callees: map[*ast.FuncDecl][]*types.Func{},
-	}
+	p := &Program{funcs: map[*types.Func]*ProgFunc{}}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -49,26 +37,12 @@ func NewProgram(pkgs []*Package) *Program {
 				if !ok {
 					continue
 				}
-				fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
+				if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					p.funcs[fn] = &ProgFunc{Fn: fn, Decl: fd, Pkg: pkg}
 				}
-				pf := &ProgFunc{Fn: fn, Decl: fd, Pkg: pkg}
-				p.funcs[fn] = pf
-				p.ordered = append(p.ordered, pf)
 			}
 		}
 	}
-	// Packages load in sorted import-path order and files in go list
-	// order, so ordered is already deterministic; sort anyway so the
-	// iteration order is insensitive to loader changes.
-	sort.SliceStable(p.ordered, func(i, j int) bool {
-		a, b := p.ordered[i], p.ordered[j]
-		if a.Pkg.ImportPath != b.Pkg.ImportPath {
-			return a.Pkg.ImportPath < b.Pkg.ImportPath
-		}
-		return a.Decl.Pos() < b.Decl.Pos()
-	})
 	return p
 }
 
@@ -80,52 +54,4 @@ func (p *Program) FuncOf(fn *types.Func) *ProgFunc {
 		return nil
 	}
 	return p.funcs[fn]
-}
-
-// Funcs returns every project-local function in deterministic order
-// (import path, then declaration position).
-func (p *Program) Funcs() []*ProgFunc { return p.ordered }
-
-// CFG returns the (cached) control-flow graph of a declaration.
-func (p *Program) CFG(decl *ast.FuncDecl) *CFG {
-	if c, ok := p.cfgs[decl]; ok {
-		return c
-	}
-	c := BuildCFG(decl.Body)
-	p.cfgs[decl] = c
-	return c
-}
-
-// Callees returns the static callees of pf's body in source order,
-// deduplicated: every *types.Func a call expression resolves to,
-// including stdlib and dependency functions (filter with FuncOf for
-// project-local ones). Calls inside nested *ast.FuncLit bodies are
-// excluded — a literal runs when invoked, not when its enclosing
-// function does, so charging its calls to the enclosing function would
-// poison call-graph walks with edges that never execute on this
-// function's paths.
-func (p *Program) Callees(pf *ProgFunc) []*types.Func {
-	if out, ok := p.callees[pf.Decl]; ok {
-		return out
-	}
-	var out []*types.Func
-	seen := map[*types.Func]bool{}
-	if pf.Decl.Body != nil {
-		ast.Inspect(pf.Decl.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := CalleeFunc(pf.Pkg.TypesInfo, call); fn != nil && !seen[fn] {
-				seen[fn] = true
-				out = append(out, fn)
-			}
-			return true
-		})
-	}
-	p.callees[pf.Decl] = out
-	return out
 }

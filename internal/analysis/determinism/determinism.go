@@ -35,6 +35,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"hybriddb/internal/analysis"
 )
@@ -49,7 +50,7 @@ var wallClock = map[string]bool{
 }
 
 // sinkFields are order-sensitive destination field names (compared
-// case-insensitively via lower()). store/itable are the partitioned
+// case-insensitively). store/itable are the partitioned
 // hash-join build's per-partition tables: rows must land in build-input
 // order, so filling them in map iteration order is a determinism bug
 // even though they are not result rows themselves.
@@ -118,6 +119,7 @@ func checkMapOrder(pass *analysis.Pass, fn *ast.FuncDecl) {
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
 		}
+		pass.Examined()
 		l := &loop{rng: rng, locals: map[types.Object]bool{}}
 		ast.Inspect(rng.Body, func(m ast.Node) bool {
 			switch m := m.(type) {
@@ -144,7 +146,7 @@ func checkMapOrder(pass *analysis.Pass, fn *ast.FuncDecl) {
 							l.locals[obj] = true
 						}
 					case *ast.SelectorExpr:
-						if sinkFields[lower(lhs.Sel.Name)] {
+						if sinkFields[strings.ToLower(lhs.Sel.Name)] {
 							l.direct = true
 						}
 					}
@@ -226,7 +228,7 @@ func escapes(pass *analysis.Pass, fn *ast.FuncDecl, objs map[types.Object]bool, 
 			}
 			for i, lhs := range n.Lhs {
 				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-				if !ok || !sinkFields[lower(sel.Sel.Name)] || i >= len(n.Rhs) {
+				if !ok || !sinkFields[strings.ToLower(sel.Sel.Name)] || i >= len(n.Rhs) {
 					continue
 				}
 				if id, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident); ok && objs[pass.TypesInfo.ObjectOf(id)] {
@@ -254,14 +256,4 @@ func importPath(s *ast.ImportSpec) string {
 		return p[1 : len(p)-1]
 	}
 	return p
-}
-
-func lower(s string) string {
-	out := []byte(s)
-	for i, c := range out {
-		if 'A' <= c && c <= 'Z' {
-			out[i] = c + 'a' - 'A'
-		}
-	}
-	return string(out)
 }

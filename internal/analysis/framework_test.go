@@ -24,6 +24,7 @@ func dummy() *analysis.Analyzer {
 			for _, f := range pass.Files {
 				for _, decl := range f.Decls {
 					if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+						pass.Examined()
 						pass.Reportf(gd.Pos(), "var declaration")
 					}
 				}
@@ -43,7 +44,7 @@ func testdata(t *testing.T) string {
 }
 
 func TestSuppressionAndMalformed(t *testing.T) {
-	findings, suppressed, err := analysis.RunAnalyzers(testdata(t), []*analysis.Analyzer{dummy()}, []string{"./src/framework"})
+	findings, suppressed, examined, err := analysis.RunAnalyzers(testdata(t), []*analysis.Analyzer{dummy()}, []string{"./src/framework"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +70,9 @@ func TestSuppressionAndMalformed(t *testing.T) {
 	}
 	if len(suppressed) != 4 {
 		t.Fatalf("got %d suppressed, want 4", len(suppressed))
+	}
+	if examined["framework-dummy"] != 8 {
+		t.Errorf("examined = %v, want 8 var declarations", examined)
 	}
 	for _, f := range suppressed {
 		if !strings.Contains(f.Message, "var declaration") {
@@ -105,7 +109,7 @@ func TestMainExitCodes(t *testing.T) {
 	out.Reset()
 	errOut.Reset()
 	clean := &analysis.Analyzer{Name: "noop", Doc: "reports nothing", Run: func(*analysis.Pass) error { return nil }}
-	if code := analysis.Main(&out, &errOut, []*analysis.Analyzer{clean}, []string{"-dir", td, "./src/errflow/storage"}); code != analysis.ExitClean {
+	if code := analysis.Main(&out, &errOut, []*analysis.Analyzer{clean}, []string{"-dir", td, "./src/lockorder/metrics"}); code != analysis.ExitClean {
 		t.Fatalf("clean exit = %d, want %d\nstderr: %s", code, analysis.ExitClean, errOut.String())
 	}
 
@@ -159,7 +163,7 @@ func TestMainJSONAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("counts file: %v", err)
 	}
-	if want := "unsuppressed 6\nsuppressed 4\n"; string(counts) != want {
+	if want := "unsuppressed 6\nsuppressed 4\nexamined framework-dummy 8\n"; string(counts) != want {
 		t.Errorf("counts = %q, want %q", counts, want)
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"hybriddb/internal/analysis"
 )
@@ -277,6 +278,9 @@ func (w *walker) expr(e ast.Expr, h *[]held) {
 // mutexes, and known-blocking callees.
 func (w *walker) call(c *ast.CallExpr, h *[]held) {
 	if lk := w.lockOf(c, "Lock", "RLock"); lk != nil {
+		if w.collect == nil {
+			w.pass.Examined()
+		}
 		for _, held := range *h {
 			if held.lock.rank >= lk.rank {
 				if w.collect != nil {
@@ -417,13 +421,7 @@ func (w *walker) lockOf(c *ast.CallExpr, names ...string) *rankedLock {
 	if !ok {
 		return nil
 	}
-	match := false
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			match = true
-		}
-	}
-	if !match {
+	if !slices.Contains(names, sel.Sel.Name) {
 		return nil
 	}
 	fn, _ := w.pass.TypesInfo.Uses[sel.Sel].(*types.Func)

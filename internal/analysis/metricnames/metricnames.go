@@ -41,13 +41,9 @@ var registrars = map[string]bool{
 
 var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
-type seenReg struct {
-	pos token.Position
-}
-
 // New returns a fresh metricnames analyzer.
 func New() *analysis.Analyzer {
-	seen := map[string]seenReg{} // Default-registry name -> first site
+	seen := map[string]token.Position{} // Default-registry name -> first site
 	a := &analysis.Analyzer{
 		Name: "metricnames",
 		Doc:  "require constant snake_case metric names and unique Default-registry registrations",
@@ -74,6 +70,7 @@ func New() *analysis.Analyzer {
 				if !isReg || len(call.Args) == 0 {
 					return true
 				}
+				pass.Examined()
 				// metrics.Default().Counter(...) targets the Default
 				// registry through a method call.
 				if !toDefault {
@@ -99,9 +96,9 @@ func New() *analysis.Analyzer {
 				}
 				if toDefault {
 					if prev, dup := seen[name]; dup {
-						pass.Reportf(arg.Pos(), "metric %q already registered with the Default registry at %s; the second site silently shares the first metric", name, fmtPos(prev.pos))
+						pass.Reportf(arg.Pos(), "metric %q already registered with the Default registry at %s; the second site silently shares the first metric", name, fmtPos(prev))
 					} else {
-						seen[name] = seenReg{pos: pass.Fset.Position(arg.Pos())}
+						seen[name] = pass.Fset.Position(arg.Pos())
 					}
 				}
 				return true

@@ -29,14 +29,17 @@ type Finding struct {
 
 // RunAnalyzers loads the packages matched by patterns (relative to
 // dir) and applies every analyzer to each, returning unsuppressed and
-// suppressed findings separately. Packages run in sorted import-path
-// order and analyzers in slice order, so output is stable run to run.
-func RunAnalyzers(dir string, analyzers []*Analyzer, patterns []string) (findings, suppressed []Finding, err error) {
+// suppressed findings separately, plus the number of subjects each
+// analyzer examined (Pass.Examined) summed over the packages. Packages
+// run in sorted import-path order and analyzers in slice order, so
+// output is stable run to run.
+func RunAnalyzers(dir string, analyzers []*Analyzer, patterns []string) (findings, suppressed []Finding, examined map[string]int, err error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	prog := NewProgram(pkgs)
+	examined = map[string]int{}
 	for _, pkg := range pkgs {
 		sup := BuildSuppressions(pkg)
 		for _, d := range sup.Malformed {
@@ -52,8 +55,9 @@ func RunAnalyzers(dir string, analyzers []*Analyzer, patterns []string) (finding
 				Prog:      prog,
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
+				return nil, nil, nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
 			}
+			examined[a.Name] += pass.examined
 			for _, d := range pass.diags {
 				f := Finding{Analyzer: a.Name, Pos: pkg.Fset.Position(d.Pos), Message: d.Message}
 				if sup.Suppressed(a.Name, f.Pos) {
@@ -66,7 +70,7 @@ func RunAnalyzers(dir string, analyzers []*Analyzer, patterns []string) (finding
 	}
 	sortFindings(findings)
 	sortFindings(suppressed)
-	return findings, suppressed, nil
+	return findings, suppressed, examined, nil
 }
 
 func sortFindings(fs []Finding) {
@@ -104,7 +108,7 @@ func Main(out, errOut io.Writer, analyzers []*Analyzer, args []string) int {
 	showSuppressed := fs.Bool("show-suppressed", false, "also print suppressed diagnostics (marked, not counted)")
 	dir := fs.String("dir", ".", "directory to resolve package patterns in")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array (suppressed ones included, marked)")
-	countsPath := fs.String("counts", "", "write `unsuppressed N / suppressed M` counts to this file (for the lint budget gate)")
+	countsPath := fs.String("counts", "", "write `unsuppressed N / suppressed M / examined <analyzer> K` counts to this file (for the lint budget gate)")
 	fs.Usage = func() {
 		fmt.Fprintf(errOut, "usage: hybridlint [flags] [packages]\n\nhybriddb engine-invariant checks. Suppress a finding with\n`//lint:ignore <analyzer> <reason>` on or above the flagged line.\n\n")
 		fs.PrintDefaults()
@@ -123,13 +127,13 @@ func Main(out, errOut io.Writer, analyzers []*Analyzer, args []string) int {
 		patterns = []string{"./..."}
 	}
 
-	findings, suppressed, err := RunAnalyzers(*dir, analyzers, patterns)
+	findings, suppressed, examined, err := RunAnalyzers(*dir, analyzers, patterns)
 	if err != nil {
 		fmt.Fprintf(errOut, "hybridlint: %v\n", err)
 		return ExitError
 	}
 	if *countsPath != "" {
-		if err := writeCounts(*countsPath, len(findings), len(suppressed)); err != nil {
+		if err := writeCounts(*countsPath, len(findings), len(suppressed), analyzers, examined); err != nil {
 			fmt.Fprintf(errOut, "hybridlint: %v\n", err)
 			return ExitError
 		}
@@ -186,14 +190,18 @@ func writeJSON(out io.Writer, findings, suppressed []Finding) error {
 	return enc.Encode(all)
 }
 
-// writeCounts records the run's totals for the suppression-budget gate
-// (scripts/check_lint_budget.sh diffs the suppressed line against the
-// committed LINT_BUDGET).
-func writeCounts(path string, unsuppressed, suppressed int) error {
+// writeCounts records the run's totals for scripts/check_lint_budget.sh,
+// which diffs the suppressed line against the committed LINT_BUDGET and
+// fails on an analyzer that examined nothing.
+func writeCounts(path string, unsuppressed, suppressed int, analyzers []*Analyzer, examined map[string]int) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
 	}
-	return os.WriteFile(path, fmt.Appendf(nil, "unsuppressed %d\nsuppressed %d\n", unsuppressed, suppressed), 0o644)
+	counts := fmt.Appendf(nil, "unsuppressed %d\nsuppressed %d\n", unsuppressed, suppressed)
+	for _, a := range analyzers {
+		counts = fmt.Appendf(counts, "examined %s %d\n", a.Name, examined[a.Name])
+	}
+	return os.WriteFile(path, counts, 0o644)
 }

@@ -6,28 +6,21 @@ package suite
 
 import (
 	"hybriddb/internal/analysis"
-	"hybriddb/internal/analysis/atomicfield"
 	"hybriddb/internal/analysis/bufalias"
-	"hybriddb/internal/analysis/chargeparity"
+	"hybriddb/internal/analysis/confine"
 	"hybriddb/internal/analysis/determinism"
-	"hybriddb/internal/analysis/errflow"
-	"hybriddb/internal/analysis/goroutinelife"
 	"hybriddb/internal/analysis/lockorder"
 	"hybriddb/internal/analysis/metricnames"
 )
 
 // Analyzers returns a fresh instance of every analyzer in the suite.
 // Fresh instances matter: metricnames carries cross-package state for
-// the duration of one run, and errflow caches its call-graph wrapper
-// fixpoint.
+// the duration of one run.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicfield.New(),
 		bufalias.New(),
-		chargeparity.New(),
+		confine.New(),
 		determinism.New(),
-		errflow.New(),
-		goroutinelife.New(),
 		lockorder.New(),
 		metricnames.New(),
 	}

@@ -175,3 +175,25 @@ type deepSource struct {
 func (d *deepSource) Buffer() wrapped {
 	return d.rowBuf // want `scratch buffer deepSource.rowBuf returned from exported Buffer`
 }
+
+// spawn mirrors exec.spawn, the executor's one spawn/join point: fn
+// runs on n goroutines, meanwhile on the caller.
+func spawn(n int, fn func(i int) error, meanwhile func()) error { return nil }
+
+// buildAsync hands the scratch row to spawned workers: the go statement
+// lives in spawn, the capture is here.
+func (s *source) buildAsync() error {
+	return spawn(2, func(i int) error { // want `scratch buffer source.scratch escapes to a goroutine`
+		s.scratch[i] = i
+		return nil
+	}, nil)
+}
+
+// chargeMeanwhile touches the scratch row only in meanwhile, which runs
+// on the owner's goroutine, and ordinary state in the workers. Clean.
+func (s *source) chargeMeanwhile() error {
+	return spawn(2, func(i int) error {
+		s.rows[i] = i
+		return nil
+	}, func() { s.scratch = s.scratch[:0] })
+}

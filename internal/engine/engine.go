@@ -398,7 +398,7 @@ func (db *Database) run(sess *session.Session, st sql.Statement, o ExecOptions, 
 // BIGINT + VARCHAR) becomes this statement's error. Every lock and the
 // admission slot run holds are released by its defers, so the session
 // and the server carry on; what a panicking DML statement leaves half
-// applied is ROADMAP item 4's audit, not handled here.
+// applied is ROADMAP item 1d's audit, not handled here.
 func (db *Database) dispatchRecovered(st sql.Statement, o ExecOptions) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"hybriddb/internal/colstore"
 	"hybriddb/internal/plan"
 	"hybriddb/internal/value"
@@ -232,7 +230,9 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 		}
 		if colStore {
 			if len(c.parts) > 1 {
-				c.buildPartitionedBatch(sb, keyVi, storeSrc)
+				if err := c.buildPartitionedBatch(sb, keyVi, storeSrc); err != nil {
+					return nil, err
+				}
 				continue
 			}
 			pt := c.parts[0]
@@ -290,46 +290,43 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 // concurrently issues the serial charge multiset — Alloc then HashCPU
 // per non-null row, in input order on the main tracker — while the
 // builders touch only real memory; Metrics and MemPeak are therefore
-// bit-identical to a single-partition build. The per-batch barrier
+// bit-identical to a single-partition build. spawn's per-batch barrier
 // keeps the borrowed batch alive until every builder is done with it.
-func (c *batchHashJoin) buildPartitionedBatch(sb *SlotBatch, keyVi int, storeSrc []int) {
+func (c *batchHashJoin) buildPartitionedBatch(sb *SlotBatch, keyVi int, storeSrc []int) error {
 	kv := sb.B.Cols[keyVi]
 	n := sb.Len()
 	P := len(c.parts)
-	var wg sync.WaitGroup
-	for pi := 0; pi < P; pi++ {
-		wg.Add(1)
-		go func(pi int, pt *joinPart) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				p := sb.B.LiveIndex(i)
-				if kv.IsNull(p) {
-					continue
-				}
-				k := kv.I[p]
-				if partitionOf(k, P) != pi {
-					continue
-				}
-				pt.itable[k] = append(pt.itable[k], int32(pt.n))
-				for si, vi := range storeSrc {
-					pt.store[si].AppendFrom(sb.B.Cols[vi], p)
-				}
-				pt.n++
+	return spawn(P, func(pi int) error {
+		pt := c.parts[pi]
+		for i := 0; i < n; i++ {
+			p := sb.B.LiveIndex(i)
+			if kv.IsNull(p) {
+				continue
 			}
-		}(pi, c.parts[pi])
-	}
-	m := c.ctx.Tr.Model
-	for i := 0; i < n; i++ {
-		p := sb.B.LiveIndex(i)
-		if kv.IsNull(p) {
-			continue
+			k := kv.I[p]
+			if partitionOf(k, P) != pi {
+				continue
+			}
+			pt.itable[k] = append(pt.itable[k], int32(pt.n))
+			for si, vi := range storeSrc {
+				pt.store[si].AppendFrom(sb.B.Cols[vi], p)
+			}
+			pt.n++
 		}
-		w := int64(sb.rowWidth(i, c.ctx.TotalSlots) + 32)
-		c.ctx.Tr.Alloc(w)
-		c.bytes += w
-		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
-	}
-	wg.Wait()
+		return nil
+	}, func() {
+		m := c.ctx.Tr.Model
+		for i := 0; i < n; i++ {
+			p := sb.B.LiveIndex(i)
+			if kv.IsNull(p) {
+				continue
+			}
+			w := int64(sb.rowWidth(i, c.ctx.TotalSlots) + 32)
+			c.ctx.Tr.Alloc(w)
+			c.bytes += w
+			c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
+		}
+	})
 }
 
 func (c *batchHashJoin) newProbeState(owned bool) *probeState {

@@ -49,7 +49,6 @@ import (
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
 	"hybriddb/internal/value"
-	"hybriddb/internal/vclock"
 )
 
 // Process-wide parallel-execution counters.
@@ -180,18 +179,49 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("exec: statement panicked: %v", e.Value) }
 
+// spawn is the executor's one spawn/join point: it runs fn(0..n-1) on n
+// goroutines and meanwhile (may be nil) on the caller, and returns once
+// every goroutine has finished, with the first error in index order. A
+// goroutine that panics reports a *PanicError as its error (an
+// unrecovered panic there would end the process past every recover on
+// the statement's own goroutine).
+func spawn(n int, fn func(i int) error, meanwhile func()) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = &PanicError{Value: r, Stack: debug.Stack()}
+				}
+			}()
+			errs[i] = fn(i)
+		}()
+	}
+	if meanwhile != nil {
+		meanwhile()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runWorkers executes body over nMorsels morsels with w goroutines
 // claiming chunks of contiguous morsel indexes from a shared atomic
 // cursor (guided self-scheduling: a claim takes a share of the
 // remaining morsels, decaying to single-morsel stealing near the tail
 // so the last rowgroups still balance). Each worker gets a Context with
-// its own Tracker fork; all forks are merged back into ctx.Tr (in
-// worker order, though duration sums make the order irrelevant) before
-// runWorkers returns. A worker that panics stops and reports a
-// *PanicError as its error (an unrecovered panic on a worker goroutine
-// would end the process past every recover on the statement's own
-// goroutine). With w <= 1 the morsel plan runs inline on the caller's
-// context — no fork, no goroutine, no per-morsel dispatch.
+// its own Tracker fork; this is the only function that forks or merges
+// a tracker, and all forks are merged back into ctx.Tr (in worker
+// order, though duration sums make the order irrelevant) before it
+// returns, error or not. With w <= 1 the morsel plan runs inline on the
+// caller's context — no fork, no goroutine, no per-morsel dispatch.
 func runWorkers(ctx *Context, w, nMorsels int, body func(wi, mi int, wctx *Context) error) error {
 	if w <= 1 {
 		mMorselsDispatched.Add(int64(nMorsels))
@@ -202,13 +232,11 @@ func runWorkers(ctx *Context, w, nMorsels int, body func(wi, mi int, wctx *Conte
 		}
 		return nil
 	}
-	forks := make([]*vclock.Tracker, w)
-	errs := make([]error, w)
-	var next int32
-	var chunks int64
+	var next atomic.Int32
+	var chunks atomic.Int64
 	claim := func() (lo, hi int, ok bool) {
 		for {
-			cur := atomic.LoadInt32(&next)
+			cur := next.Load()
 			if int(cur) >= nMorsels {
 				return 0, 0, false
 			}
@@ -218,52 +246,36 @@ func runWorkers(ctx *Context, w, nMorsels int, body func(wi, mi int, wctx *Conte
 			} else if chunk > maxMorselChunk {
 				chunk = maxMorselChunk
 			}
-			if atomic.CompareAndSwapInt32(&next, cur, cur+int32(chunk)) {
-				atomic.AddInt64(&chunks, 1)
+			if next.CompareAndSwap(cur, cur+int32(chunk)) {
+				chunks.Add(1)
 				return int(cur), int(cur) + chunk, true
 			}
 		}
 	}
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		fork := ctx.Tr.Fork()
-		forks[wi] = fork
-		wctx := &Context{Tr: fork, TotalSlots: ctx.TotalSlots, DOP: ctx.DOP, Workers: 1}
-		wg.Add(1)
-		go func(wi int, wctx *Context) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[wi] = &PanicError{Value: r, Stack: debug.Stack()}
-				}
-			}()
-			for {
-				lo, hi, ok := claim()
-				if !ok {
-					return
-				}
-				for mi := lo; mi < hi; mi++ {
-					if err := body(wi, mi, wctx); err != nil {
-						errs[wi] = err
-						return
-					}
+	wctxs := make([]*Context, w)
+	for wi := range wctxs {
+		wctxs[wi] = &Context{Tr: ctx.Tr.Fork(), TotalSlots: ctx.TotalSlots, DOP: ctx.DOP, Workers: 1}
+	}
+	err := spawn(w, func(wi int) error {
+		for {
+			lo, hi, ok := claim()
+			if !ok {
+				return nil
+			}
+			for mi := lo; mi < hi; mi++ {
+				if err := body(wi, mi, wctxs[wi]); err != nil {
+					return err
 				}
 			}
-		}(wi, wctx)
-	}
-	wg.Wait()
-	for _, f := range forks {
-		ctx.Tr.Merge(f)
+		}
+	}, nil)
+	for _, wctx := range wctxs {
+		ctx.Tr.Merge(wctx.Tr)
 	}
 	mParallelWorkers.Add(int64(w))
 	mMorselsDispatched.Add(int64(nMorsels))
-	mMorselChunks.Add(atomic.LoadInt64(&chunks))
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	mMorselChunks.Add(chunks.Load())
+	return err
 }
 
 // annotate records the parallel-execution attributes on a scan's trace

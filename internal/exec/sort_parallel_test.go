@@ -1,14 +1,18 @@
 package exec
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hybriddb/internal/plan"
 	"hybriddb/internal/sql"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
+	"hybriddb/internal/vec"
 )
 
 func testCtx() *Context {
@@ -73,28 +77,116 @@ func TestMergeTreeStableSort(t *testing.T) {
 	}
 }
 
-// TestRunWorkersCoverage checks the chunked-claim scheduler's one
-// invariant: every morsel index is executed exactly once, at any
-// worker count, including counts that exceed the morsel count.
+// TestRunWorkersCoverage checks the worker pool's invariants at any
+// worker count, including counts that exceed the morsel count: every
+// morsel index is executed exactly once, and the per-morsel charges
+// reach ctx.Tr exactly once (a dropped or twice-merged fork changes the
+// totals against the inline w=1 run). A body that panics on one morsel
+// fails the run with a *PanicError, and no worker is still running when
+// runWorkers returns.
 func TestRunWorkersCoverage(t *testing.T) {
-	for _, w := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 5, 37, 100} {
-			seen := make([]int32, n)
+	for _, n := range []int{0, 1, 5, 37, 100} {
+		var serial vclock.Metrics
+		for _, w := range []int{1, 2, 3, 8} {
+			seen := make([]atomic.Int32, n)
 			ctx := testCtx()
 			ctx.Workers = w
 			err := runWorkers(ctx, w, n, func(wi, mi int, wctx *Context) error {
-				atomic.AddInt32(&seen[mi], 1)
+				seen[mi].Add(1)
+				wctx.Tr.ChargeParallelCPU(time.Microsecond, 1.0)
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for mi, c := range seen {
-				if c != 1 {
+			for mi := range seen {
+				if c := seen[mi].Load(); c != 1 {
 					t.Fatalf("w=%d n=%d: morsel %d executed %d times", w, n, mi, c)
 				}
 			}
+			if got := ctx.Tr.Snapshot(); w == 1 {
+				serial = got
+			} else if got != serial {
+				t.Fatalf("w=%d n=%d: metrics %+v, want the serial run's %+v", w, n, got, serial)
+			}
 		}
+	}
+	for _, w := range []int{2, 3, 8} {
+		var inFlight atomic.Int32
+		ctx := testCtx()
+		ctx.Workers = w
+		err := runWorkers(ctx, w, 37, func(wi, mi int, wctx *Context) error {
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			if mi == 5 {
+				panic("bad morsel")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "bad morsel" {
+			t.Fatalf("w=%d: err = %v, want a PanicError carrying the panic value", w, err)
+		}
+		if n := inFlight.Load(); n != 0 {
+			t.Fatalf("w=%d: %d bodies still running after runWorkers returned", w, n)
+		}
+	}
+}
+
+// TestSpawn checks the spawn/join point: meanwhile runs on the caller
+// while every fn is in flight (each side waits for the other, so running
+// them in sequence would deadlock), and the result is the first error in
+// index order, a recovered panic included.
+func TestSpawn(t *testing.T) {
+	const n = 4
+	started := make(chan int, n)
+	release := make(chan struct{})
+	errAt := func(i int) error { return fmt.Errorf("fn %d failed", i) }
+	err := spawn(n, func(i int) error {
+		started <- i
+		<-release
+		if i == 1 || i == 3 {
+			return errAt(i)
+		}
+		return nil
+	}, func() {
+		for i := 0; i < n; i++ {
+			<-started
+		}
+		close(release)
+	})
+	if err == nil || err.Error() != errAt(1).Error() {
+		t.Fatalf("err = %v, want fn 1's error", err)
+	}
+
+	err = spawn(n, func(i int) error {
+		if i == 0 {
+			panic("boom")
+		}
+		return errAt(i)
+	}, nil)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom" || len(pe.Stack) == 0 {
+		t.Fatalf("err = %v, want fn 0's recovered panic", err)
+	}
+}
+
+// TestPartitionedBuildPanic: a panic on a hash-join builder goroutine
+// (here a partition without its table) comes back as the build's error
+// instead of ending the process, after the coordinator's charges ran.
+func TestPartitionedBuildPanic(t *testing.T) {
+	b := vec.NewBatch([]value.Kind{value.KindInt})
+	for k := int64(0); k < 16; k++ {
+		b.AppendRow(value.Row{value.NewInt(k)})
+	}
+	c := &batchHashJoin{ctx: testCtx(), parts: []*joinPart{{}, {}}}
+	err := c.buildPartitionedBatch(&SlotBatch{B: b, Slots: []int{0}}, 0, nil)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a PanicError from the builder", err)
+	}
+	if c.bytes == 0 {
+		t.Fatal("coordinator charged nothing")
 	}
 }
 

@@ -9,6 +9,10 @@
 # count also fails, in the other direction: the budget ratchets down
 # with the tree so stale headroom can't absorb a future suppression
 # unreviewed.
+#
+# It also fails when an analyzer examined nothing (`examined <name> 0`):
+# a rule with no subjects in the tree is a guarantee over the empty set,
+# and should be deleted or pointed at something that exists.
 set -eu
 
 counts_file=${1:-build/lint-counts.txt}
@@ -31,6 +35,11 @@ fi
 if [ "$actual" -lt "$budget" ]; then
     echo "lint budget: $actual suppressions in tree, budget is $budget." >&2
     echo "Ratchet LINT_BUDGET down to $actual so the headroom can't be spent silently." >&2
+    exit 1
+fi
+blind=$(awk '/^examined / && $3 == 0 {print $2}' "$counts_file")
+if [ -n "$blind" ]; then
+    echo "lint: analyzer(s) with nothing to check in the tree:" $blind >&2
     exit 1
 fi
 echo "lint budget: $actual suppression(s), matching LINT_BUDGET."

@@ -7,8 +7,11 @@ all: ci
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite (fixture sources under
+# testdata are the linter's inputs and stay as written).
 vet:
 	$(GO) vet ./...
+	@fmt=$$(gofmt -l . | grep -v /testdata/); [ -z "$$fmt" ] || { echo "gofmt -l:"; echo "$$fmt"; exit 1; }
 
 # bin/hybridlint rebuilds only when the framework, an analyzer, the
 # driver, or the module definition changes; CI caches the binary on the

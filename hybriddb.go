@@ -147,7 +147,7 @@ func (db *DB) Explain(sql string, opts ...ExecOptions) (string, error) {
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	root, _, err := db.inner.Plan(sql, o)
+	root, err := db.inner.Plan(sql, o)
 	if err != nil {
 		return "", err
 	}
@@ -321,7 +321,7 @@ func (db *DB) SetAdmissionLimit(n int) { db.inner.SetAdmissionLimit(n) }
 // columnstore index — the plan-inspection hook behind the paper's
 // Figure 10.
 func (db *DB) PlanUsesColumnstore(sql string) (bool, error) {
-	root, _, err := db.inner.Plan(sql, ExecOptions{})
+	root, err := db.inner.Plan(sql, ExecOptions{})
 	if err != nil {
 		return false, err
 	}

@@ -117,7 +117,6 @@ type candidate struct {
 	sortCols    []int // sorted-columnstore build order
 	estBytes    int64
 	colBytes    []int64
-	hyp         *table.Secondary // installed hypothetical (while costing)
 }
 
 // boundStmt caches parse/bind work per statement.
@@ -133,8 +132,13 @@ type boundStmt struct {
 
 // Tune analyzes the workload and recommends a set of B+ tree and
 // columnstore indexes (Section 4.3's candidate selection, merging, and
-// workload-level greedy search).
+// workload-level greedy search). It only reads the database — candidates
+// reach the optimizer as its what-if input, never through the catalog —
+// and holds the shared statement lock throughout, like one long SELECT:
+// readers proceed beside it, writers wait for it.
 func Tune(db *engine.Database, w Workload, opts Options) (*Recommendation, error) {
+	db.SessionManager().RLock()
+	defer db.SessionManager().RUnlock()
 	binder := sql.NewBinder(db)
 	var stmts []*boundStmt
 	for _, st := range w {
@@ -187,20 +191,15 @@ func Tune(db *engine.Database, w Workload, opts Options) (*Recommendation, error
 	// --- Candidate selection (per query, Section 4.3) ---
 	pool := map[string]*candidate{}
 	for _, bs := range stmts {
+		var cs []*candidate
 		if bs.sel != nil {
-			for _, c := range selectCandidates(db, bs.sel, opts) {
-				if _, dup := pool[c.sig]; !dup {
-					pool[c.sig] = c
-				}
-			}
-			continue
+			cs = selectCandidates(db, bs.sel, opts)
+		} else if bs.dmlTbl != nil {
+			cs = dmlCandidates(bs.dmlTbl, bs.dmlConj) // indexes that help locate DML target rows
 		}
-		if bs.dmlTbl != nil && len(bs.dmlConj) > 0 {
-			// Indexes that help locate DML target rows.
-			for _, c := range dmlCandidates(bs.dmlTbl, bs.dmlConj, opts) {
-				if _, dup := pool[c.sig]; !dup {
-					pool[c.sig] = c
-				}
+		for _, c := range cs {
+			if _, dup := pool[c.sig]; !dup {
+				pool[c.sig] = c
 			}
 		}
 	}
@@ -220,13 +219,7 @@ func Tune(db *engine.Database, w Workload, opts Options) (*Recommendation, error
 
 	// --- Workload-level greedy search ---
 	model := db.Model()
-	evalCost := func(chosen []*candidate) time.Duration {
-		install(chosen)
-		defer uninstall(chosen)
-		return workloadCost(db, stmts, chosen, model, opts)
-	}
-
-	baseline := evalCost(nil)
+	baseline := workloadCost(db, stmts, nil, model, opts)
 	var chosen []*candidate
 	var usedBytes int64
 	cur := baseline
@@ -246,7 +239,7 @@ func Tune(db *engine.Database, w Workload, opts Options) (*Recommendation, error
 			if c.columnstore && hasCSI(chosen, c.tbl) {
 				continue
 			}
-			cost := evalCost(append(chosen, c))
+			cost := workloadCost(db, stmts, append(chosen, c), model, opts)
 			if cost < bestCost {
 				bestCost = cost
 				best = c
@@ -298,31 +291,24 @@ func hasCSI(chosen []*candidate, t *table.Table) bool {
 	return false
 }
 
-// install registers candidates as hypothetical indexes (what-if mode).
-func install(cs []*candidate) {
+// whatIf renders candidates as the optimizer's what-if input:
+// metadata-only indexes per table.
+func whatIf(cs []*candidate) map[*table.Table][]*table.Secondary {
+	m := make(map[*table.Table][]*table.Secondary, len(cs))
 	for _, c := range cs {
-		sec := &table.Secondary{
-			Name:        "hyp_" + c.sig,
-			Columnstore: c.columnstore,
-			Keys:        c.keys,
-			Include:     c.include,
-			SortColumns: c.sortCols,
-			EstRows:     c.tbl.RowCount(),
-			EstBytes:    c.estBytes,
-			ColBytes:    c.colBytes,
-		}
-		c.hyp = sec
-		c.tbl.AddHypothetical(sec)
+		m[c.tbl] = append(m[c.tbl], &table.Secondary{
+			Name:         "hyp_" + c.sig,
+			Hypothetical: true,
+			Columnstore:  c.columnstore,
+			Keys:         c.keys,
+			Include:      c.include,
+			SortColumns:  c.sortCols,
+			EstRows:      c.tbl.RowCount(),
+			EstBytes:     c.estBytes,
+			ColBytes:     c.colBytes,
+		})
 	}
-}
-
-func uninstall(cs []*candidate) {
-	for _, c := range cs {
-		if c.hyp != nil {
-			c.tbl.DropSecondary(c.hyp.Name)
-			c.hyp = nil
-		}
-	}
+	return m
 }
 
 // workloadCost sums optimizer-estimated costs over the workload,
@@ -330,7 +316,7 @@ func uninstall(cs []*candidate) {
 // workload-level search considers this maintenance cost").
 func workloadCost(db *engine.Database, stmts []*boundStmt, chosen []*candidate, model *vclock.Model, opts Options) time.Duration {
 	mWhatIf.Inc()
-	oopts := optimizer.Options{Model: model, ExecOptions: engine.ExecOptions{NoColumnstore: opts.NoColumnstore}}
+	oopts := optimizer.Options{Model: model, ExecOptions: engine.ExecOptions{NoColumnstore: opts.NoColumnstore}, WhatIf: whatIf(chosen)}
 	var total float64
 	for _, bs := range stmts {
 		var cost time.Duration
@@ -380,9 +366,6 @@ func maintenanceCost(t *table.Table, chosen []*candidate, rows float64, model *v
 		return time.Duration(rows) * perBTree
 	}
 	for _, s := range t.Secondaries {
-		if s.Hypothetical {
-			continue // counted below if chosen
-		}
 		cost += count(s.Columnstore)
 	}
 	for _, c := range chosen {
@@ -407,7 +390,7 @@ func selectCandidates(db *engine.Database, b *sql.BoundSelect, opts Options) []*
 		if t == nil {
 			continue
 		}
-		var eqCols, rangeCols, joinCols []int
+		var joinCols []int
 		refCols := map[int]bool{}
 		addRef := func(e sql.Expr) {
 			sql.WalkExprs(e, func(x sql.Expr) {
@@ -429,43 +412,24 @@ func selectCandidates(db *engine.Database, b *sql.BoundSelect, opts Options) []*
 		}
 		for _, c := range b.Conjuncts {
 			addRef(c)
-			switch n := c.(type) {
-			case *sql.BinOp:
-				if n.Op == "=" {
-					l, lok := n.L.(*sql.ColRef)
-					r, rok := n.R.(*sql.ColRef)
-					if lok && rok && l.TableIdx != r.TableIdx {
-						if l.TableIdx == ti {
-							joinCols = append(joinCols, l.Col)
-						}
-						if r.TableIdx == ti {
-							joinCols = append(joinCols, r.Col)
-						}
-						continue
+			if n, ok := c.(*sql.BinOp); ok && n.Op == "=" {
+				l, lok := n.L.(*sql.ColRef)
+				r, rok := n.R.(*sql.ColRef)
+				if lok && rok && l.TableIdx != r.TableIdx {
+					if l.TableIdx == ti {
+						joinCols = append(joinCols, l.Col)
 					}
-				}
-				if col, _, op := sargableCol(n); col != nil && col.TableIdx == ti {
-					if op == "=" {
-						eqCols = append(eqCols, col.Col)
-					} else {
-						rangeCols = append(rangeCols, col.Col)
+					if r.TableIdx == ti {
+						joinCols = append(joinCols, r.Col)
 					}
-				}
-			case *sql.Between:
-				if col, ok := n.E.(*sql.ColRef); ok && col.TableIdx == ti && !n.Not {
-					rangeCols = append(rangeCols, col.Col)
 				}
 			}
 		}
+		keys, rangeCols := seekKeys(b.Conjuncts, ti)
 		ref := sortedKeys(refCols)
 
 		// B+ tree candidate from the predicate columns.
-		if len(eqCols)+len(rangeCols) > 0 {
-			keys := dedupe(eqCols)
-			if len(rangeCols) > 0 {
-				keys = append(keys, rangeCols[0])
-				keys = dedupe(keys)
-			}
+		if len(keys) > 0 {
 			out = append(out, newBTreeCandidate(t, keys, minus(ref, keys)))
 		}
 		// B+ tree candidates on join columns (enable index nested loops).
@@ -488,32 +452,37 @@ func selectCandidates(db *engine.Database, b *sql.BoundSelect, opts Options) []*
 }
 
 // dmlCandidates proposes indexes that speed up locating DML targets.
-func dmlCandidates(t *table.Table, conjuncts []sql.Expr, opts Options) []*candidate {
-	var eqCols, rangeCols []int
+func dmlCandidates(t *table.Table, conjuncts []sql.Expr) []*candidate {
+	keys, _ := seekKeys(conjuncts, 0)
+	if len(keys) == 0 {
+		return nil
+	}
+	return []*candidate{newBTreeCandidate(t, keys, nil)}
+}
+
+// seekKeys returns the B+ tree key that table ti's column-versus-constant
+// conjuncts suggest — its equality columns, then its first range column
+// (BETWEEN counts as a range) — and all its range columns, in conjunct
+// order.
+func seekKeys(conjuncts []sql.Expr, ti int) (keys, rangeCols []int) {
+	var eqCols []int
 	for _, c := range conjuncts {
-		switch n := c.(type) {
-		case *sql.BinOp:
-			if col, _, op := sargableCol(n); col != nil {
-				if op == "=" {
-					eqCols = append(eqCols, col.Col)
-				} else {
-					rangeCols = append(rangeCols, col.Col)
-				}
+		if col, op, _, ok := sql.AsComparison(c); ok && col.TableIdx == ti {
+			if op == "=" {
+				eqCols = append(eqCols, col.Col)
+			} else if op != "<>" {
+				rangeCols = append(rangeCols, col.Col)
 			}
-		case *sql.Between:
-			if col, ok := n.E.(*sql.ColRef); ok && !n.Not {
+		} else if n, ok := c.(*sql.Between); ok && !n.Not {
+			if col, ok := n.E.(*sql.ColRef); ok && col.TableIdx == ti {
 				rangeCols = append(rangeCols, col.Col)
 			}
 		}
 	}
-	if len(eqCols)+len(rangeCols) == 0 {
-		return nil
-	}
-	keys := dedupe(eqCols)
 	if len(rangeCols) > 0 {
-		keys = dedupe(append(keys, rangeCols[0]))
+		eqCols = append(eqCols, rangeCols[0])
 	}
-	return []*candidate{newBTreeCandidate(t, keys, nil)}
+	return dedupe(eqCols), rangeCols
 }
 
 func newBTreeCandidate(t *table.Table, keys, include []int) *candidate {
@@ -565,25 +534,6 @@ func mergeCandidates(pool map[string]*candidate, opts Options) []*candidate {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].sig < out[j].sig })
 	return out
-}
-
-func sargableCol(n *sql.BinOp) (*sql.ColRef, *sql.Lit, string) {
-	switch n.Op {
-	case "=", "<", "<=", ">", ">=":
-	default:
-		return nil, nil, ""
-	}
-	if col, ok := n.L.(*sql.ColRef); ok {
-		if lit, ok := n.R.(*sql.Lit); ok {
-			return col, lit, n.Op
-		}
-	}
-	if col, ok := n.R.(*sql.ColRef); ok {
-		if lit, ok := n.L.(*sql.Lit); ok {
-			return col, lit, n.Op
-		}
-	}
-	return nil, nil, ""
 }
 
 func dedupe(a []int) []int {

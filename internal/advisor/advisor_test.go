@@ -3,10 +3,15 @@ package advisor
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hybriddb/internal/engine"
+	"hybriddb/internal/sql"
 	"hybriddb/internal/table"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
@@ -329,5 +334,142 @@ func TestWeightsSteerRecommendation(t *testing.T) {
 	}
 	if len(seekHeavy.Indexes) != 1 || seekHeavy.Indexes[0].Columnstore {
 		t.Errorf("seek-heavy pick: %+v", seekHeavy.Indexes)
+	}
+}
+
+// TestComparisonConsumersAgree is the advisor's half of the check the
+// optimizer and exec tests of the same name make on the same six
+// conjuncts: candidate key columns come from sql.AsComparison's reading
+// (mirrored, <> and NULL bound no key), for a SELECT and for DML alike.
+func TestComparisonConsumersAgree(t *testing.T) {
+	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	if _, err := db.Exec("CREATE TABLE t (a BIGINT, b BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	binder := sql.NewBinder(db)
+	for _, c := range []struct {
+		where      string
+		keys, rngs []int
+	}{
+		{"a = 5", []int{0}, nil},
+		{"5 < a", []int{0}, []int{0}},
+		{"b <> 3", nil, nil},
+		{"7 >= b", []int{1}, []int{1}},
+		{"a = NULL", nil, nil},
+		{"a <= b", nil, nil},
+	} {
+		sel, err := sql.ParseOne("SELECT a FROM t WHERE " + c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, err := binder.BindSelect(sel.(*sql.SelectStmt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		del, err := sql.ParseOne("DELETE FROM t WHERE " + c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd, err := binder.BindDelete(del.(*sql.DeleteStmt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, conj := range map[string][]sql.Expr{"select": bs.Conjuncts, "delete": bd.Conjuncts} {
+			keys, rngs := seekKeys(conj, 0)
+			if !slices.Equal(keys, c.keys) || !slices.Equal(rngs, c.rngs) {
+				t.Errorf("%s %s: keys %v ranges %v, want %v %v", kind, c.where, keys, rngs, c.keys, c.rngs)
+			}
+		}
+	}
+}
+
+// TestTuneBesideStatements runs the advisor next to the workload it
+// tunes. Tune only reads: what-if indexes are an optimizer input, never
+// catalog entries, and it holds the shared statement lock — so a SELECT
+// beside it must never plan onto a metadata-only index, a writer must
+// simply wait, and (under -race) no access may be unsynchronised. Next
+// to readers alone every recommendation equals the quiet database's.
+func TestTuneBesideStatements(t *testing.T) {
+	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	db.DefaultRowGroupSize = 4096
+	if _, err := db.Exec("CREATE TABLE f (id BIGINT, b BIGINT, c BIGINT, PRIMARY KEY (id))"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]value.Row, 20000)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 500)), value.NewInt(int64(i % 7))}
+	}
+	db.Table("f").BulkLoad(nil, rows)
+	w := Workload{
+		{SQL: "SELECT sum(c) FROM f WHERE b = 3"},
+		{SQL: "SELECT c, count(*) FROM f GROUP BY c"},
+		{SQL: "UPDATE f SET c = 1 WHERE b = 9"},
+	}
+	quiet, err := Tune(db, w, Options{})
+	if err != nil || len(quiet.Indexes) == 0 {
+		t.Fatalf("quiet Tune: %+v %v", quiet, err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	statement := func(next func(i int) string) {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			q := next(i)
+			if q == "" {
+				return
+			}
+			if _, err := db.Exec(q); err != nil {
+				t.Errorf("%s beside Tune: %v", q, err)
+				return
+			}
+		}
+	}
+	wg.Add(1)
+	go statement(func(int) string { return "SELECT sum(c) FROM f WHERE b = 3" })
+	for i := 0; i < 10; i++ {
+		rec, err := Tune(db, w, Options{})
+		if err != nil || !reflect.DeepEqual(rec, quiet) {
+			t.Fatalf("Tune %d beside readers: %+v %v, want %+v", i, rec, err, quiet)
+		}
+	}
+
+	// A writer joins in: each INSERT waits out whichever Tune holds the
+	// shared lock. The data now moves, so only the shape of the
+	// recommendation is compared.
+	var inserted atomic.Int64
+	wg.Add(1)
+	go statement(func(i int) string {
+		if i >= 200 {
+			return ""
+		}
+		inserted.Add(1)
+		return fmt.Sprintf("INSERT INTO f VALUES (%d, %d, %d)", 100000+i, i%500, i%7)
+	})
+	ddl := func(r *Recommendation) (out []string) {
+		for _, p := range r.Indexes {
+			out = append(out, p.DDL("x"))
+		}
+		return out
+	}
+	for i := 0; i < 5; i++ {
+		rec, err := Tune(db, w, Options{})
+		if err != nil || !slices.Equal(ddl(rec), ddl(quiet)) {
+			t.Fatalf("Tune %d beside a writer: %v %v, want %v", i, ddl(rec), err, ddl(quiet))
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if len(db.Table("f").Secondaries) != 0 {
+		t.Errorf("Tune left %d secondaries in the catalog", len(db.Table("f").Secondaries))
+	}
+	res, err := db.Exec("SELECT count(*) FROM f WHERE id >= 100000")
+	if err != nil || res.Rows[0][0].Int() != inserted.Load() {
+		t.Errorf("inserts landed: %v %v, want %d", res, err, inserted.Load())
 	}
 }

@@ -17,6 +17,7 @@
 package colstore
 
 import (
+	"cmp"
 	"sort"
 
 	"hybriddb/internal/metrics"
@@ -44,28 +45,20 @@ const (
 	PredGE
 )
 
+// predOpNames spells each PredOp as SQL does, indexed by the operator.
+var predOpNames = [...]string{"=", "<>", "<", "<=", ">", ">="}
+
 // ParseOp maps a SQL comparison operator to its kernel form.
 func ParseOp(op string) (PredOp, bool) {
-	switch op {
-	case "=":
-		return PredEQ, true
-	case "<>":
-		return PredNE, true
-	case "<":
-		return PredLT, true
-	case "<=":
-		return PredLE, true
-	case ">":
-		return PredGT, true
-	case ">=":
-		return PredGE, true
+	for i, name := range predOpNames {
+		if name == op {
+			return PredOp(i), true
+		}
 	}
 	return 0, false
 }
 
-func (op PredOp) String() string {
-	return [...]string{"=", "<>", "<", "<=", ">", ">="}[op]
-}
+func (op PredOp) String() string { return predOpNames[op] }
 
 // Pred is one predicate pushed into a columnstore scan: column <op>
 // constant. NULL column values never match, mirroring SQL comparison
@@ -101,38 +94,29 @@ func (p Pred) Match(v value.Value) bool {
 	if v.IsNull() {
 		return false
 	}
-	var c int
 	if v.Kind() == value.KindString {
-		switch {
-		case v.Str() < p.Val.Str():
-			c = -1
-		case v.Str() > p.Val.Str():
-			c = 1
-		}
-	} else {
-		a, b := intRep(v), intRep(p.Val)
-		switch {
-		case a < b:
-			c = -1
-		case a > b:
-			c = 1
-		}
+		return p.Op.Holds(cmp.Compare(v.Str(), p.Val.Str()))
 	}
-	switch p.Op {
+	return p.Op.Holds(cmp.Compare(intRep(v), intRep(p.Val)))
+}
+
+// Holds reports whether the operator accepts a three-way comparison
+// result cmp (negative, zero or positive: column versus constant).
+func (op PredOp) Holds(cmp int) bool {
+	switch op {
 	case PredEQ:
-		return c == 0
+		return cmp == 0
 	case PredNE:
-		return c != 0
+		return cmp != 0
 	case PredLT:
-		return c < 0
+		return cmp < 0
 	case PredLE:
-		return c <= 0
+		return cmp <= 0
 	case PredGT:
-		return c > 0
-	case PredGE:
-		return c >= 0
+		return cmp > 0
+	default: // PredGE
+		return cmp >= 0
 	}
-	return false
 }
 
 // segPred is a predicate compiled against one segment.

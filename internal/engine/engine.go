@@ -411,7 +411,7 @@ func (db *Database) dispatchRecovered(st sql.Statement, o ExecOptions) (res *Res
 func (db *Database) dispatch(st sql.Statement, o ExecOptions) (*Result, error) {
 	switch s := st.(type) {
 	case *sql.SelectStmt:
-		return db.execSelect(s, o)
+		return db.execSelect(s, o, nil)
 	case *sql.ExplainStmt:
 		return db.execExplain(s, o)
 	case *sql.InsertStmt:
@@ -605,93 +605,29 @@ func (db *Database) observe(sess *session.Session, st sql.Statement, res *Result
 	}
 }
 
-// execExplain optimizes (and for ANALYZE, executes) the inner SELECT,
-// returning one output row per rendered plan line.
-func (db *Database) execExplain(s *sql.ExplainStmt, o ExecOptions) (*Result, error) {
-	sel, ok := s.Stmt.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT statements, got %T", s.Stmt)
-	}
-	bound, err := sql.NewBinder(db).BindSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	root, err := optimizer.Optimize(db, bound, optimizer.Options{Model: db.model, ExecOptions: o})
-	if err != nil {
-		return nil, err
-	}
-	if !s.Analyze {
-		out := &Result{
-			Columns: []string{"EXPLAIN"},
-			Plan:    root,
-			Metrics: vclock.NewTracker(db.model).Snapshot(),
-		}
-		for _, ln := range strings.Split(strings.TrimRight(ExplainString(root), "\n"), "\n") {
-			out.Rows = append(out.Rows, value.Row{value.NewString(ln)})
-		}
-		return out, nil
-	}
-	tr := vclock.NewTracker(db.model)
-	trace := &metrics.TraceNode{} // synthetic root; children are the operators
-	res, err := exec.Execute(tr, root, bound.TotalSlots,
-		exec.RunOptions{Trace: trace, Workers: db.workers(o, root)})
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Columns: []string{"EXPLAIN ANALYZE"},
-		Metrics: res.Metrics,
-		Plan:    root,
-		Trace:   trace,
-	}
-	for _, ln := range trace.Render() {
-		out.Rows = append(out.Rows, value.Row{value.NewString(ln)})
-	}
-	out.Rows = append(out.Rows, value.Row{value.NewString(fmt.Sprintf("[%s]", res.Metrics))})
-	for _, bt := range bound.Tables {
-		out.Locks = append(out.Locks, LockDemand{Table: bt.Ref.Table, Rows: tr.RowsOut + 1})
-	}
-	return out, nil
-}
-
-// Plan optimizes a SELECT without executing it (the what-if costing
-// path DTA uses).
-func (db *Database) Plan(query string, o ExecOptions) (*plan.Root, *sql.BoundSelect, error) {
-	db.sm.RLock()
-	defer db.sm.RUnlock()
-	st, err := sql.ParseOne(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: Plan requires a SELECT, got %T", st)
-	}
-	bound, err := sql.NewBinder(db).BindSelect(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	root, err := optimizer.Optimize(db, bound, optimizer.Options{Model: db.model, ExecOptions: o})
-	if err != nil {
-		return nil, nil, err
-	}
-	return root, bound, nil
-}
-
-func (db *Database) execSelect(s *sql.SelectStmt, o ExecOptions) (*Result, error) {
+// compile is the front half of every SELECT — bind, then optimize under
+// the statement's options. Execution, EXPLAIN and Plan all come through
+// here, so it is where a plan cache or stage spans hook in.
+func (db *Database) compile(s *sql.SelectStmt, o ExecOptions) (*sql.BoundSelect, *plan.Root, error) {
 	bound, err := sql.NewBinder(db).BindSelect(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	root, err := optimizer.Optimize(db, bound, optimizer.Options{Model: db.model, ExecOptions: o})
+	return bound, root, err
+}
+
+// execSelect compiles and executes s and assembles its Result. The
+// per-operator trace goes to trace when EXPLAIN ANALYZE supplies one.
+func (db *Database) execSelect(s *sql.SelectStmt, o ExecOptions, trace *metrics.TraceNode) (*Result, error) {
+	bound, root, err := db.compile(s, o)
 	if err != nil {
 		return nil, err
 	}
-	tr := vclock.NewTracker(db.model)
-	var trace *metrics.TraceNode
-	if db.qs.Load() != nil {
+	if trace == nil && db.qs.Load() != nil {
 		trace = &metrics.TraceNode{} // query store samples operator traces
 	}
+	tr := vclock.NewTracker(db.model)
 	res, err := exec.Execute(tr, root, bound.TotalSlots,
 		exec.RunOptions{Trace: trace, Workers: db.workers(o, root)})
 	if err != nil {
@@ -708,6 +644,58 @@ func (db *Database) execSelect(s *sql.SelectStmt, o ExecOptions) (*Result, error
 		out.Locks = append(out.Locks, LockDemand{Table: bt.Ref.Table, Rows: tr.RowsOut + 1})
 	}
 	return out, nil
+}
+
+// execExplain optimizes (and for ANALYZE, executes) the inner SELECT,
+// returning one output row per rendered plan line.
+func (db *Database) execExplain(s *sql.ExplainStmt, o ExecOptions) (*Result, error) {
+	sel, ok := s.Stmt.(*sql.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT statements, got %T", s.Stmt)
+	}
+	if !s.Analyze {
+		_, root, err := db.compile(sel, o)
+		if err != nil {
+			return nil, err
+		}
+		out := &Result{
+			Columns: []string{"EXPLAIN"},
+			Plan:    root,
+			Metrics: vclock.NewTracker(db.model).Snapshot(),
+		}
+		for _, ln := range strings.Split(strings.TrimRight(ExplainString(root), "\n"), "\n") {
+			out.Rows = append(out.Rows, value.Row{value.NewString(ln)})
+		}
+		return out, nil
+	}
+	trace := &metrics.TraceNode{} // synthetic root; children are the operators
+	out, err := db.execSelect(sel, o, trace)
+	if err != nil {
+		return nil, err
+	}
+	out.Columns, out.Rows = []string{"EXPLAIN ANALYZE"}, nil
+	for _, ln := range trace.Render() {
+		out.Rows = append(out.Rows, value.Row{value.NewString(ln)})
+	}
+	out.Rows = append(out.Rows, value.Row{value.NewString(fmt.Sprintf("[%s]", out.Metrics))})
+	return out, nil
+}
+
+// Plan optimizes a SELECT without executing it: an EXPLAIN under the
+// shared statement lock and the statement-boundary recover, but not a
+// statement — no session, counter or query-store entry sees it.
+func (db *Database) Plan(query string, o ExecOptions) (*plan.Root, error) {
+	st, err := sql.ParseOne(query)
+	if err != nil {
+		return nil, err
+	}
+	db.sm.RLock()
+	defer db.sm.RUnlock()
+	res, err := db.dispatchRecovered(&sql.ExplainStmt{Stmt: st}, o)
+	if err != nil {
+		return nil, err
+	}
+	return res.Plan, nil
 }
 
 func (db *Database) execInsert(s *sql.InsertStmt) (*Result, error) {

@@ -56,7 +56,7 @@ func TestKernelNaiveEquivalence(t *testing.T) {
 		"SELECT a FROM k WHERE b = 11 AND d = 'v07' ORDER BY a",
 		"SELECT b, count(*), sum(a) FROM k WHERE b <> 9 GROUP BY b",
 		"SELECT count(*) FROM k WHERE e <= '1997-06-01'",
-		"SELECT count(*), min(a), max(a) FROM k WHERE b = 1000", // empty result
+		"SELECT count(*), min(a), max(a) FROM k WHERE b = 1000",    // empty result
 		"SELECT a, b, c FROM k WHERE b = 4 AND c < 100 ORDER BY a", // float stays post-scan
 		"SELECT d, count(*) FROM k WHERE b BETWEEN 10 AND 12 GROUP BY d",
 	}

@@ -222,7 +222,7 @@ func TestPlanFlipsUnderCompactionDebt(t *testing.T) {
 	mustExec(t, db, "CREATE NONCLUSTERED COLUMNSTORE INDEX csi ON t")
 
 	access := func() plan.AccessKind {
-		root, _, err := db.Plan("SELECT col1, col2 FROM t", ExecOptions{})
+		root, err := db.Plan("SELECT col1, col2 FROM t", ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,3 +61,26 @@ func TestStatementPanicIsContained(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanPanicIsContained: Plan (DB.Explain, PlanUsesColumnstore) is
+// not a statement but compiles like one, so a panic in its front half —
+// here constant folding DATEADD over a VARCHAR count, in the binder —
+// must come back as an error with the shared lock released, and must
+// not count as a statement.
+func TestPlanPanicIsContained(t *testing.T) {
+	db := newDB(t)
+	mustExec(t, db, "CREATE TABLE t (a BIGINT)")
+	statements := metrics.Default().Snapshot()["hybriddb_statements_total"]
+	_, err := db.Plan("SELECT DATEADD(day, 'x', '1998-01-01') FROM t", ExecOptions{})
+	var pe *exec.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a PanicError", err)
+	}
+	if got := metrics.Default().Snapshot()["hybriddb_statements_total"]; got != statements {
+		t.Fatalf("Plan counted as a statement: %v -> %v", statements, got)
+	}
+	mustExec(t, db, "INSERT INTO t VALUES (1)") // the writer side of the lock is free
+	if root, err := db.Plan("SELECT a FROM t", ExecOptions{}); err != nil || root == nil {
+		t.Fatalf("Plan after a contained panic: %v %v", root, err)
+	}
+}

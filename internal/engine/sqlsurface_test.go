@@ -76,4 +76,17 @@ func TestSQLSurface(t *testing.T) {
 	if res.Rows[0][0].Int() != 10 {
 		t.Fatalf("NOT: %v", res.Rows)
 	}
+	// A column compared with a literal it cannot hold is a bind error
+	// (this used to count every row), in SELECT and in DML alike.
+	const crossKind = "sql: cannot compare VARCHAR column kind with BIGINT literal 1"
+	for _, q := range []string{
+		"SELECT count(*) FROM ev WHERE kind > 1",
+		"SELECT count(*) FROM ev WHERE 1 < kind",
+		"DELETE FROM ev WHERE kind > 1",
+		"UPDATE ev SET amt = 0 WHERE kind > 1",
+	} {
+		if _, err := db.Exec(q); err == nil || err.Error() != crossKind {
+			t.Fatalf("%s: err = %v, want %s", q, err, crossKind)
+		}
+	}
 }

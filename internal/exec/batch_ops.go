@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"cmp"
+
+	"hybriddb/internal/colstore"
 	"hybriddb/internal/plan"
 	"hybriddb/internal/sql"
 	"hybriddb/internal/value"
@@ -29,11 +32,11 @@ type batchFilter struct {
 	out        SlotBatch
 }
 
-// fastCond is a conjunct of the shape ColRef op Lit or ColRef op
-// ColRef over integer-backed vectors, evaluated without materializing
-// values.
+// fastCond is a column compared with a literal (sql.AsComparison) or
+// with another column over integer-backed vectors, evaluated without
+// materializing values.
 type fastCond struct {
-	op  string
+	op  colstore.PredOp
 	li  int   // left vector index
 	ri  int   // right vector index, -1 when comparing to lit
 	lit int64 // literal payload when ri < 0
@@ -79,37 +82,31 @@ func (f *batchFilter) classify(slots []int) {
 // batch does not carry it). ok=false means the conjunct needs generic
 // evaluation.
 func classifyFast(cond sql.Expr, vecOf func(slot int) int) (fastCond, bool) {
-	bin, ok := cond.(*sql.BinOp)
-	if !ok {
-		return fastCond{}, false
-	}
-	switch bin.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-	default:
-		return fastCond{}, false
-	}
-	col, ok := bin.L.(*sql.ColRef)
-	if !ok || !intBacked(col.Kind) {
-		return fastCond{}, false
-	}
-	fc := fastCond{op: bin.Op, li: vecOf(col.Slot), ri: -1}
-	switch r := bin.R.(type) {
-	case *sql.Lit:
-		if r.Val.IsNull() || !intBacked(r.Val.Kind()) {
+	fc := fastCond{ri: -1}
+	col, opStr, lit, isLit := sql.AsComparison(cond)
+	if isLit {
+		if !intBacked(lit.Val.Kind()) {
 			return fastCond{}, false
 		}
-		fc.lit = r.Val.Int()
-	case *sql.ColRef:
-		if !intBacked(r.Kind) {
+		fc.lit = lit.Val.Int()
+	} else {
+		bin, _ := cond.(*sql.BinOp)
+		if bin == nil {
 			return fastCond{}, false
 		}
-		if fc.ri = vecOf(r.Slot); fc.ri < 0 {
+		l, lok := bin.L.(*sql.ColRef)
+		r, rok := bin.R.(*sql.ColRef)
+		if !lok || !rok || !intBacked(r.Kind) {
 			return fastCond{}, false
 		}
-	default:
+		col, opStr, fc.ri = l, bin.Op, vecOf(r.Slot)
+	}
+	op, isCmp := colstore.ParseOp(opStr)
+	if !isCmp || !intBacked(col.Kind) {
 		return fastCond{}, false
 	}
-	return fc, fc.li >= 0
+	fc.op, fc.li = op, vecOf(col.Slot)
+	return fc, fc.li >= 0 && (isLit || fc.ri >= 0)
 }
 
 // eval evaluates the conjunct at live position p.
@@ -127,20 +124,7 @@ func (fc fastCond) eval(b *vec.Batch, p int) bool {
 		}
 		yv = y.I[p]
 	}
-	switch fc.op {
-	case "=":
-		return xv == yv
-	case "<>":
-		return xv != yv
-	case "<":
-		return xv < yv
-	case "<=":
-		return xv <= yv
-	case ">":
-		return xv > yv
-	default: // ">="
-		return xv >= yv
-	}
+	return fc.op.Holds(cmp.Compare(xv, yv))
 }
 
 // evalFast evaluates the classified conjuncts at live position p.

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
+	"hybriddb/internal/colstore"
 	"hybriddb/internal/plan"
 	"hybriddb/internal/sql"
 	"hybriddb/internal/storage"
@@ -494,6 +496,68 @@ func TestMergeJoinDuplicateRuns(t *testing.T) {
 	for _, r := range rows {
 		if r[0].Int() != r[2].Int() {
 			t.Fatalf("bad join row %v", r)
+		}
+	}
+}
+
+// tableCatalog lets the binder resolve the fixture table.
+type tableCatalog struct{ t *table.Table }
+
+func (c tableCatalog) TableSchema(name string) (*value.Schema, bool) {
+	return c.t.Schema, name == c.t.Name
+}
+
+// TestComparisonConsumersAgree is the executor's half of the check the
+// optimizer and advisor tests of the same name make on the same six
+// conjuncts: classifyFast reads a column-versus-constant conjunct as
+// sql.AsComparison does — so 5 < a runs on the typed vectors as a > 5
+// instead of the boxed evaluator — and the typed path selects the rows
+// the generic evaluator selects.
+func TestComparisonConsumersAgree(t *testing.T) {
+	tbl := fixtureTable(t, 3000, 17)
+	for _, c := range []struct {
+		where string
+		fast  bool
+		op    colstore.PredOp
+		lit   int64
+		ri    int // -1: compared with lit
+	}{
+		{"a = 5", true, colstore.PredEQ, 5, -1},
+		{"5 < a", true, colstore.PredGT, 5, -1},
+		{"b <> 3", true, colstore.PredNE, 3, -1},
+		{"7 >= b", true, colstore.PredLE, 7, -1},
+		{"a = NULL", false, 0, 0, 0},
+		{"a <= b", true, colstore.PredLE, 0, 1}, // column versus column: not AsComparison's, still typed
+	} {
+		st, err := sql.ParseOne("SELECT a FROM t WHERE " + c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sql.NewBinder(tableCatalog{tbl}).BindSelect(st.(*sql.SelectStmt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc, ok := classifyFast(b.Conjuncts[0], func(slot int) int { return slot })
+		if ok != c.fast || (ok && (fc.op != c.op || fc.lit != c.lit || fc.ri != c.ri)) {
+			t.Errorf("%s: classifyFast = %+v, %v; want op %v lit %d ri %d, %v", c.where, fc, ok, c.op, c.lit, c.ri, c.fast)
+		}
+
+		s := scanNode(tbl, plan.AccessCSIScan)
+		s.Filter = b.Conjuncts
+		src, err := newCSIBatchSource(ctxFor(tbl), s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (src.fast[0] != nil) != c.fast {
+			t.Errorf("%s: columnstore source took the typed path = %v, want %v", c.where, src.fast[0] != nil, c.fast)
+		}
+		typed := colInt(drain(t, ctxFor(tbl), s), 0)
+		ref := scanNode(tbl, plan.AccessClusteredScan) // row fringe: sql.Eval per row
+		ref.Filter = b.Conjuncts
+		generic := colInt(drain(t, ctxFor(tbl), ref), 0)
+		sort.Slice(typed, func(i, j int) bool { return typed[i] < typed[j] })
+		if !slices.Equal(typed, generic) || (c.fast && len(typed) == 0) {
+			t.Errorf("%s: typed path kept %d rows, generic %d", c.where, len(typed), len(generic))
 		}
 	}
 }

@@ -79,7 +79,9 @@ func newCSIBatchSource(ctx *Context, s *plan.Scan, part *colstore.ScanPartition)
 		uidIdx = len(cols)
 		cols = append(cols, uidCol)
 	}
-	spec := colstore.ScanSpec{Cols: cols, PruneCol: -1, Partition: part}
+	// Pushed predicates: the scanner owns them end to end (kernel or
+	// naive fallback), so they are not re-applied here.
+	spec := colstore.ScanSpec{Cols: cols, PruneCol: -1, Partition: part, Preds: s.Push}
 	if s.SeekCol >= 0 && (!s.Lo.Unbounded || !s.Hi.Unbounded) {
 		spec.PruneCol = s.SeekCol
 		if !s.Lo.Unbounded {
@@ -88,15 +90,6 @@ func newCSIBatchSource(ctx *Context, s *plan.Scan, part *colstore.ScanPartition)
 		if !s.Hi.Unbounded {
 			spec.Hi = s.Hi.Val
 		}
-	}
-	// Pushed predicates: the scanner owns them end to end (kernel or
-	// naive fallback), so they are not re-applied here.
-	for _, p := range s.Push {
-		op, ok := colstore.ParseOp(p.Op)
-		if !ok {
-			return nil, fmt.Errorf("exec: unknown pushed operator %q", p.Op)
-		}
-		spec.Preds = append(spec.Preds, colstore.Pred{Col: p.Col, Op: op, Val: p.Val})
 	}
 	src := &csiBatchSource{
 		ctx:    ctx,

@@ -53,15 +53,10 @@ func tableSelectivity(t *table.Table, info *tableInfo) float64 {
 	}
 	sargableCount := 0
 	for _, c := range info.conjuncts {
-		switch n := c.(type) {
-		case *sql.BinOp:
-			if col, _, op := sargable(n); col != nil && op != "" {
-				sargableCount++
-			}
-		case *sql.Between:
-			if !n.Not {
-				sargableCount++
-			}
+		if _, _, _, ok := sargable(c); ok {
+			sargableCount++
+		} else if bt, ok := c.(*sql.Between); ok && !bt.Not {
+			sargableCount++
 		}
 	}
 	for i := sargableCount; i < len(info.conjuncts); i++ {
@@ -155,7 +150,7 @@ func candidates(t *table.Table, info *tableInfo, opts Options) []accessCand {
 	}
 
 	// --- Secondary indexes ---
-	for _, sec := range t.Secondaries {
+	for _, sec := range opts.secondaries(t) {
 		if sec.Columnstore {
 			if opts.NoColumnstore {
 				continue
@@ -233,7 +228,7 @@ func csiCandidate(t *table.Table, info *tableInfo, opts Options, sec *table.Seco
 		// kernels; the executor keeps only the residual expressions.
 		// Costing still uses the full conjunct set via tableSelectivity,
 		// so the split never changes the chosen plan shape.
-		s.Push, s.Filter = splitPushable(t, info.conjuncts, info.slotBase)
+		s.Push, s.Filter = splitPushable(info.conjuncts, info.slotBase)
 	}
 	frac := 1.0
 	// Pick the bounded range column with the best elimination

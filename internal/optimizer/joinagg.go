@@ -236,7 +236,7 @@ func nlInner(t *table.Table, info *tableInfo, joinOrd int, opts Options) (*plan.
 	if t.Primary() == table.PrimaryBTree && len(t.ClusterKeys) > 0 && t.ClusterKeys[0] == joinOrd {
 		return mk(plan.AccessClusteredSeek, nil, true), perSeek
 	}
-	for _, sec := range t.Secondaries {
+	for _, sec := range opts.secondaries(t) {
 		if sec.Columnstore || len(sec.Keys) == 0 || sec.Keys[0] != joinOrd {
 			continue
 		}

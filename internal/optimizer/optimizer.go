@@ -32,6 +32,20 @@ type Options struct {
 	// Model supplies the cost constants and device profiles.
 	Model *vclock.Model
 	session.ExecOptions
+	// WhatIf is the paper's what-if input (Section 4.2): per table,
+	// metadata-only indexes (Secondary.Hypothetical set) costed after
+	// the table's own secondaries as if they existed. The catalog is
+	// only read.
+	WhatIf map[*table.Table][]*table.Secondary
+}
+
+// secondaries lists t's secondary indexes followed by its what-if ones.
+func (o Options) secondaries(t *table.Table) []*table.Secondary {
+	hyp := o.WhatIf[t]
+	if len(hyp) == 0 {
+		return t.Secondaries
+	}
+	return append(t.Secondaries[:len(t.Secondaries):len(t.Secondaries)], hyp...)
 }
 
 // Optimize builds the cheapest physical plan for a bound SELECT.

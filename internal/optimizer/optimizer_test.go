@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"testing"
 
 	"hybriddb/internal/plan"
@@ -224,15 +225,24 @@ func TestHypotheticalCSIConsidered(t *testing.T) {
 	}
 	tb.BulkLoad(nil, rows)
 	tb.ConvertPrimary(nil, table.PrimaryBTree, []int{0})
-	tb.AddHypothetical(&table.Secondary{
-		Name: "hyp_csi", Columnstore: true,
+	hyp := &table.Secondary{
+		Name: "hyp_csi", Columnstore: true, Hypothetical: true,
 		EstRows: 30000, EstBytes: 60000,
 		ColBytes: []int64{30000, 8000},
-	})
+	}
 	f := &fixture{tables: map[string]*table.Table{"h": tb}}
-	root := optimize(t, f, "SELECT b, count(*) FROM h GROUP BY b", Options{})
+	const q = "SELECT b, count(*) FROM h GROUP BY b"
+	root := optimize(t, f, q, Options{WhatIf: map[*table.Table][]*table.Secondary{tb: {hyp}}})
 	if got := plan.LeafAccess(root.Input); got[0] != plan.AccessCSIScan {
 		t.Errorf("hypothetical CSI not chosen: %v", got)
+	}
+	// What-if is an input, not catalog state: the table is untouched and
+	// the same query without it plans onto what exists.
+	if len(tb.Secondaries) != 0 {
+		t.Errorf("what-if index entered the catalog: %v", tb.Secondaries)
+	}
+	if got := plan.LeafAccess(optimize(t, f, q, Options{}).Input); got[0] == plan.AccessCSIScan {
+		t.Errorf("columnstore scan planned with no columnstore: %v", got)
 	}
 }
 
@@ -316,5 +326,44 @@ func TestResidualFilterNode(t *testing.T) {
 	})
 	if !hasFilter {
 		t.Error("multi-table residual predicate did not produce a Filter node")
+	}
+}
+
+// TestComparisonConsumersAgree runs the optimizer's two consumers of
+// sql.AsComparison — range inference and kernel pushdown — over the six
+// conjuncts that exec's and advisor's tests of the same name use, so a
+// conjunct means the same thing (mirrored, <> known, NULL refused) to
+// all four.
+func TestComparisonConsumersAgree(t *testing.T) {
+	f := newFixture(t)
+	for _, c := range []struct{ where, push, rng string }{
+		{"a = 5", "col0=5", "col0[5,5]"},
+		{"5 < a", "col0>5", "col0(5,+inf)"},
+		{"b <> 3", "col1<>3", ""}, // pushed, but bounds no range
+		{"7 >= b", "col1<=7", "col1(-inf,7]"},
+		{"a = NULL", "", ""},
+		{"a <= b", "", ""},
+	} {
+		conj := bindSelect(t, f, "SELECT a FROM t WHERE "+c.where).Conjuncts
+		_, _, _, ok := sql.AsComparison(conj[0])
+		push, rest := splitPushable(conj, 0)
+		var gotPush, gotRng string
+		for _, p := range push {
+			gotPush += fmt.Sprintf("col%d%s%v", p.Col, p.Op, p.Val)
+		}
+		for ord, r := range extractRanges(conj, 0, 3) {
+			lo, hi := "(-inf", "+inf)"
+			if !r.loOpen {
+				lo = map[bool]string{true: "(", false: "["}[r.loExcl] + r.lo.String()
+			}
+			if !r.hiOpen {
+				hi = r.hi.String() + map[bool]string{true: ")", false: "]"}[r.hiExcl]
+			}
+			gotRng += fmt.Sprintf("col%d%s,%s", ord, lo, hi)
+		}
+		if gotPush != c.push || gotRng != c.rng || len(push)+len(rest) != 1 || ok != (len(push) == 1) {
+			t.Errorf("%s: push %q (want %q), ranges %q (want %q), rest %v, recognised %v",
+				c.where, gotPush, c.push, gotRng, c.rng, rest, ok)
+		}
 	}
 }

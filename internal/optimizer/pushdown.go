@@ -1,16 +1,10 @@
 package optimizer
 
 import (
-	"hybriddb/internal/plan"
+	"hybriddb/internal/colstore"
 	"hybriddb/internal/sql"
-	"hybriddb/internal/table"
 	"hybriddb/internal/value"
 )
-
-// flipOp mirrors a comparison when the literal is on the left.
-var flipOp = map[string]string{
-	"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
-}
 
 // splitPushable partitions a table's conjuncts into predicates the
 // columnstore scanner can own end to end (evaluated by encoding-aware
@@ -22,54 +16,22 @@ var flipOp = map[string]string{
 // representations — pushing those could change results above 2^53.
 // Floats are never pushed (their bit pattern is not order-preserving
 // for negatives) and bools stay behind the same-kind gate.
-func splitPushable(t *table.Table, conjuncts []sql.Expr, slotBase int) ([]plan.PushPred, []sql.Expr) {
-	var push []plan.PushPred
+func splitPushable(conjuncts []sql.Expr, slotBase int) ([]colstore.Pred, []sql.Expr) {
+	var push []colstore.Pred
 	var rest []sql.Expr
 	for _, c := range conjuncts {
-		if p, ok := pushablePred(t, c, slotBase); ok {
-			push = append(push, p)
-		} else {
+		col, op, lit, ok := sql.AsComparison(c)
+		if !ok || col.Kind != lit.Val.Kind() || !kernelKind(col.Kind) {
 			rest = append(rest, c)
+			continue
 		}
+		kop, _ := colstore.ParseOp(op) // every operator AsComparison returns parses
+		push = append(push, colstore.Pred{Col: col.Slot - slotBase, Op: kop, Val: lit.Val})
 	}
 	return push, rest
 }
 
-// pushablePred normalizes col-op-lit (or lit-op-col) comparisons into
-// a PushPred when the comparison is kernel-safe.
-func pushablePred(t *table.Table, c sql.Expr, slotBase int) (plan.PushPred, bool) {
-	bin, ok := c.(*sql.BinOp)
-	if !ok {
-		return plan.PushPred{}, false
-	}
-	op := bin.Op
-	if _, known := flipOp[op]; !known {
-		return plan.PushPred{}, false
-	}
-	col, colOK := bin.L.(*sql.ColRef)
-	lit, litOK := bin.R.(*sql.Lit)
-	if !colOK || !litOK {
-		col, colOK = bin.R.(*sql.ColRef)
-		lit, litOK = bin.L.(*sql.Lit)
-		if !colOK || !litOK {
-			return plan.PushPred{}, false
-		}
-		op = flipOp[op]
-	}
-	if lit.Val.IsNull() {
-		return plan.PushPred{}, false
-	}
-	ord := col.Slot - slotBase
-	if ord < 0 || ord >= t.Schema.Len() {
-		return plan.PushPred{}, false
-	}
-	kind := t.Schema.Columns[ord].Kind
-	if kind != lit.Val.Kind() {
-		return plan.PushPred{}, false
-	}
-	switch kind {
-	case value.KindInt, value.KindDate, value.KindString:
-		return plan.PushPred{Col: ord, Op: op, Val: lit.Val}, true
-	}
-	return plan.PushPred{}, false
+// kernelKind reports the kinds the kernels compare exactly.
+func kernelKind(k value.Kind) bool {
+	return k == value.KindInt || k == value.KindDate || k == value.KindString
 }

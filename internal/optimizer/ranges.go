@@ -85,8 +85,8 @@ func extractRanges(conjuncts []sql.Expr, slotBase, ncols int) map[int]*colRange 
 	for _, c := range conjuncts {
 		switch n := c.(type) {
 		case *sql.BinOp:
-			col, lit, op := sargable(n)
-			if col == nil {
+			col, op, lit, ok := sargable(n)
+			if !ok {
 				continue
 			}
 			r := get(col.Slot)
@@ -127,25 +127,10 @@ func extractRanges(conjuncts []sql.Expr, slotBase, ncols int) map[int]*colRange 
 	return ranges
 }
 
-// sargable normalizes col-op-lit comparisons (flipping lit-op-col).
-func sargable(n *sql.BinOp) (*sql.ColRef, *sql.Lit, string) {
-	switch n.Op {
-	case "=", "<", "<=", ">", ">=":
-	default:
-		return nil, nil, ""
-	}
-	if col, ok := n.L.(*sql.ColRef); ok {
-		if lit, ok := n.R.(*sql.Lit); ok && !lit.Val.IsNull() {
-			return col, lit, n.Op
-		}
-	}
-	if col, ok := n.R.(*sql.ColRef); ok {
-		if lit, ok := n.L.(*sql.Lit); ok && !lit.Val.IsNull() {
-			flip := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-			return col, lit, flip[n.Op]
-		}
-	}
-	return nil, nil, ""
+// sargable is sql.AsComparison minus <>, which bounds no range.
+func sargable(e sql.Expr) (*sql.ColRef, string, *sql.Lit, bool) {
+	col, op, lit, ok := sql.AsComparison(e)
+	return col, op, lit, ok && op != "<>"
 }
 
 // slotsOf returns every composite slot referenced by an expression.

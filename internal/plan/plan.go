@@ -8,6 +8,7 @@ package plan
 import (
 	"time"
 
+	"hybriddb/internal/colstore"
 	"hybriddb/internal/sql"
 	"hybriddb/internal/table"
 	"hybriddb/internal/value"
@@ -68,37 +69,27 @@ type Bound struct {
 	Unbounded bool
 }
 
-// PushPred is a column-op-constant conjunct pushed all the way into
-// the columnstore scanner, where it is evaluated by encoding-aware
-// kernels on the compressed segment representation. Op is the SQL
-// comparison operator ("=", "<>", "<", "<=", ">", ">="); Col is a
-// table ordinal. The scanner owns pushed predicates end to end, so the
-// executor must not re-evaluate them.
-type PushPred struct {
-	Col int
-	Op  string
-	Val value.Value
-}
-
 // Scan reads one FROM table through a chosen access path, applies the
 // pushed-down filter conjuncts, and emits composite rows (or batches,
 // for columnstore scans feeding batch-capable parents).
 type Scan struct {
 	Est
-	Table     *table.Table
-	TableIdx  int // position in the FROM list
-	SlotBase  int // first composite slot of this table
-	Access    AccessKind
-	Index     *table.Secondary // for AccessSecondarySeek (and CSI via secondary)
-	SeekCol   int              // table ordinal driving the seek / prune
-	Lo, Hi    Bound
-	Filter    []sql.Expr // residual conjuncts evaluated on this table's rows
-	// Push are conjuncts pushed below Filter into the columnstore
-	// scanner's encoding-aware kernels (AccessCSIScan only). Rows the
-	// scan emits already satisfy them.
-	Push     []PushPred
-	NeedCols []int // table ordinals the query needs (CSI projection)
-	BatchMode bool       // executor consumes batches (CSI only)
+	Table    *table.Table
+	TableIdx int // position in the FROM list
+	SlotBase int // first composite slot of this table
+	Access   AccessKind
+	Index    *table.Secondary // for AccessSecondarySeek (and CSI via secondary)
+	SeekCol  int              // table ordinal driving the seek / prune
+	Lo, Hi   Bound
+	Filter   []sql.Expr // residual conjuncts evaluated on this table's rows
+	// Push are column-op-constant conjuncts pushed below Filter into
+	// the columnstore scanner's encoding-aware kernels (AccessCSIScan
+	// only; Col is a table ordinal). The scanner owns them end to end:
+	// rows the scan emits already satisfy them, so the executor must
+	// not re-evaluate them.
+	Push      []colstore.Pred
+	NeedCols  []int // table ordinals the query needs (CSI projection)
+	BatchMode bool  // executor consumes batches (CSI only)
 	// Covered reports whether the access path contains every needed
 	// column; an uncovered secondary seek must look up the base table.
 	Covered bool

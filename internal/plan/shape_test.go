@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"hybriddb/internal/colstore"
 	"hybriddb/internal/sql"
 	"hybriddb/internal/table"
 	"hybriddb/internal/value"
@@ -22,7 +23,7 @@ func testPlan(filterVal int64, estRows float64, n int64) *Root {
 		SeekCol:   2,
 		Lo:        Bound{Val: value.NewInt(filterVal), Inclusive: true},
 		Hi:        Bound{Unbounded: true},
-		Push:      []PushPred{{Col: 1, Op: ">=", Val: value.NewInt(filterVal)}},
+		Push:      []colstore.Pred{{Col: 1, Op: colstore.PredGE, Val: value.NewInt(filterVal)}},
 		Filter:    []sql.Expr{litCmp("v", filterVal)},
 		NeedCols:  []int{0, 1, 2},
 		BatchMode: true,

@@ -163,6 +163,34 @@ type BinOp struct {
 	L, R Expr
 }
 
+// mirrorOp maps each comparison operator to the one that holds with its
+// operands swapped.
+var mirrorOp = map[string]string{"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+// AsComparison recognises a column compared with a non-NULL constant:
+// col op lit, or lit op col returned mirrored (5 < a reads a > 5; e
+// itself is not rewritten). Range inference, kernel pushdown, the
+// executor's typed filter and the advisor's candidate columns all
+// decide "column versus constant" here.
+func AsComparison(e Expr) (col *ColRef, op string, lit *Lit, ok bool) {
+	b, _ := e.(*BinOp)
+	if b == nil || mirrorOp[b.Op] == "" {
+		return nil, "", nil, false
+	}
+	col, isCol := b.L.(*ColRef)
+	lit, isLit := b.R.(*Lit)
+	op = b.Op
+	if !isCol || !isLit {
+		col, isCol = b.R.(*ColRef)
+		lit, isLit = b.L.(*Lit)
+		op = mirrorOp[b.Op]
+	}
+	if !isCol || !isLit || lit.Val.IsNull() {
+		return nil, "", nil, false
+	}
+	return col, op, lit, true
+}
+
 // UnOp is NOT or unary minus.
 type UnOp struct {
 	Op string

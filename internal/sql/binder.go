@@ -325,7 +325,15 @@ func (b *Binder) bindExpr(e Expr, tables []BoundTable, allowAgg bool) (Expr, err
 			return nil, err
 		}
 		l, r = coercePair(l, r)
-		return &BinOp{Op: n.Op, L: l, R: r}, nil
+		out := &BinOp{Op: n.Op, L: l, R: r}
+		if col, _, lit, ok := AsComparison(out); ok {
+			// coercePair keeps a literal it cannot convert; comparing it
+			// would silently order values of different kinds.
+			if _, err := coerceValue(lit.Val, col.Kind); err != nil {
+				return nil, fmt.Errorf("sql: cannot compare %s column %s with %s literal %s", col.Kind, col.Name, lit.Val.Kind(), lit.Val)
+			}
+		}
+		return out, nil
 	case *UnOp:
 		inner, err := b.bindExpr(n.E, tables, allowAgg)
 		if err != nil {

@@ -46,8 +46,8 @@ func (k PrimaryKind) String() string {
 }
 
 // Secondary is a secondary index: either a B+ tree (Keys + Include) or
-// a secondary columnstore over all columns. Hypothetical secondaries
-// exist only as metadata for what-if costing (Section 4.2).
+// a secondary columnstore over all columns. Every Secondary a Table
+// holds is materialized.
 type Secondary struct {
 	Name        string
 	Columnstore bool
@@ -60,8 +60,10 @@ type Secondary struct {
 	// Section 4.5 extension); nil for ordinary columnstores.
 	SortColumns []int
 
+	// Hypothetical marks a metadata-only index (Tree and CSI nil) handed
+	// to the optimizer's what-if input; a Table never holds one.
 	Hypothetical bool
-	// Metadata for hypothetical (and materialized) costing:
+	// Metadata for costing:
 	EstRows  int64
 	EstBytes int64
 	ColBytes []int64 // per-column compressed sizes (columnstore only)
@@ -298,9 +300,6 @@ func (t *Table) secondaryEntry(s *Secondary, row value.Row, uid int64) (key, pay
 }
 
 func (t *Table) secondaryInsert(tr *vclock.Tracker, s *Secondary, row value.Row, uid int64) {
-	if s.Hypothetical {
-		return
-	}
 	if s.Columnstore {
 		s.CSI.Insert(tr, append(row.Clone(), value.NewInt(uid)))
 		return
@@ -310,9 +309,6 @@ func (t *Table) secondaryInsert(tr *vclock.Tracker, s *Secondary, row value.Row,
 }
 
 func (t *Table) secondaryInsertBulk(tr *vclock.Tracker, s *Secondary, rows []value.Row, uids []int64) {
-	if s.Hypothetical {
-		return
-	}
 	if s.Columnstore {
 		s.CSI.BulkInsert(tr, t.withUIDs(rows, uids))
 		return
@@ -366,9 +362,6 @@ func (t *Table) Delete(tr *vclock.Tracker, matches []Match) int64 {
 		t.cciDeleteByUID(tr, len(matches), func(i int) int64 { return matches[i].UID })
 	}
 	for _, s := range t.Secondaries {
-		if s.Hypothetical {
-			continue
-		}
 		if s.Columnstore {
 			for _, m := range matches {
 				s.CSI.BufferDelete(tr, value.Row{value.NewInt(m.UID)})
@@ -462,9 +455,6 @@ func (t *Table) ApplyUpdates(tr *vclock.Tracker, ups []Update) int64 {
 		}
 	}
 	for _, s := range t.Secondaries {
-		if s.Hypothetical {
-			continue
-		}
 		if s.Columnstore {
 			for _, u := range ups {
 				s.CSI.BufferDelete(tr, value.Row{value.NewInt(u.UID)})
@@ -565,12 +555,6 @@ func (t *Table) AddSecondaryCSI(tr *vclock.Tracker, name string, sortCols ...int
 	return s
 }
 
-// AddHypothetical registers a metadata-only index for what-if costing.
-func (t *Table) AddHypothetical(s *Secondary) {
-	s.Hypothetical = true
-	t.Secondaries = append(t.Secondaries, s)
-}
-
 // DropSecondary removes the named secondary index and frees its pages.
 func (t *Table) DropSecondary(name string) bool {
 	for i, s := range t.Secondaries {
@@ -619,7 +603,7 @@ func (t *Table) FindSecondary(name string) *Secondary {
 // SecondaryCSI returns the materialized secondary columnstore, or nil.
 func (t *Table) SecondaryCSI() *Secondary {
 	for _, s := range t.Secondaries {
-		if s.Columnstore && !s.Hypothetical {
+		if s.Columnstore {
 			return s
 		}
 	}
@@ -711,7 +695,7 @@ func (t *Table) Columnstores(fn func(name string, x *colstore.Index)) {
 		fn("", t.cci)
 	}
 	for _, s := range t.Secondaries {
-		if s.Columnstore && !s.Hypothetical {
+		if s.Columnstore {
 			fn(s.Name, s.CSI)
 		}
 	}

@@ -254,26 +254,6 @@ func TestPrimaryCSIDeleteCostsScan(t *testing.T) {
 	}
 }
 
-func TestHypotheticalIndexesIgnoredByDML(t *testing.T) {
-	tb := newTestTable(t)
-	loadRows(tb, 100)
-	tb.AddHypothetical(&Secondary{Name: "hyp", Keys: []int{1}, EstRows: 100})
-	tb.Insert(nil, value.Row{value.NewInt(999), value.NewInt(0), value.NewString("x")})
-	s := tb.FindSecondary("hyp")
-	if s == nil || !s.Hypothetical {
-		t.Fatal("hypothetical lost")
-	}
-	if s.Tree != nil {
-		t.Fatal("hypothetical index materialized")
-	}
-	if !tb.DropSecondary("hyp") || tb.FindSecondary("hyp") != nil {
-		t.Fatal("drop failed")
-	}
-	if tb.DropSecondary("hyp") {
-		t.Fatal("double drop succeeded")
-	}
-}
-
 func TestHistograms(t *testing.T) {
 	tb := newTestTable(t)
 	rng := rand.New(rand.NewSource(4))
@@ -369,7 +349,12 @@ func TestReplacedStructuresReturnPages(t *testing.T) {
 
 	tb.DropSecondary("csi_all")
 	check("after dropping the columnstore", tb.PrimaryBytes()+bt.Bytes())
-	tb.DropSecondary("ix_v")
+	if !tb.DropSecondary("ix_v") || tb.FindSecondary("ix_v") != nil {
+		t.Fatal("drop failed")
+	}
+	if tb.DropSecondary("ix_v") {
+		t.Fatal("double drop succeeded")
+	}
 	check("after dropping the B+ tree index", tb.PrimaryBytes())
 	for _, kind := range []PrimaryKind{PrimaryColumnstore, PrimaryHeap, PrimaryBTree} {
 		tb.ConvertPrimary(nil, kind, []int{0})

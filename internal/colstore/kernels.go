@@ -88,8 +88,9 @@ func Pushable(kind value.Kind, v value.Value) bool {
 
 // Match evaluates the predicate against a materialized value — the
 // naive reference semantics the kernels must reproduce bit for bit
-// (also exec's applyFast semantics: integer-representable kinds compare
-// by their int64 representation, strings lexicographically).
+// (also the typed compare of exec's batchPred: integer-representable
+// kinds compare by their int64 representation, strings
+// lexicographically).
 func (p Pred) Match(v value.Value) bool {
 	if v.IsNull() {
 		return false

@@ -7,7 +7,6 @@ import (
 	"hybriddb/internal/sql"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
-	"hybriddb/internal/vec"
 )
 
 // aggState accumulates one aggregate for one group. DISTINCT
@@ -144,6 +143,16 @@ type aggGroup struct {
 	states []aggState
 }
 
+// output is the group's row in the agg layout: group values, then
+// aggregate results.
+func (g *aggGroup) output(specs []plan.AggSpec) value.Row {
+	out := append(make(value.Row, 0, len(g.keys)+len(specs)), g.keys...)
+	for i := range specs {
+		out = append(out, g.states[i].final(&specs[i]))
+	}
+	return out
+}
+
 // aggCore is the grant-aware hash-aggregation engine shared by the
 // scan-direct, row-rate and morsel-partial aggregations. When the hash
 // table would exceed the grant it spills partial aggregates to the temp
@@ -152,6 +161,7 @@ type aggGroup struct {
 type aggCore struct {
 	ctx     *Context
 	a       *plan.Agg
+	args    []func(value.Row) value.Value
 	groups  map[string]*aggGroup
 	bytes   int64
 	spills  []map[string]*aggGroup
@@ -165,7 +175,30 @@ type aggCore struct {
 }
 
 func newAggCore(ctx *Context, a *plan.Agg) *aggCore {
-	return &aggCore{ctx: ctx, a: a, groups: make(map[string]*aggGroup)}
+	return &aggCore{ctx: ctx, a: a, args: aggArgs(a), groups: make(map[string]*aggGroup)}
+}
+
+// aggArgs compiles each aggregate's argument once per operator build
+// (nil for COUNT(*)).
+func aggArgs(a *plan.Agg) []func(value.Row) value.Value {
+	args := make([]func(value.Row) value.Value, len(a.Specs))
+	for i := range a.Specs {
+		if a.Specs[i].Arg != nil {
+			args[i] = sql.Compile(a.Specs[i].Arg)
+		}
+	}
+	return args
+}
+
+// foldRow folds one input row into a group's aggregate states.
+func foldRow(states []aggState, a *plan.Agg, args []func(value.Row) value.Value, row value.Row) {
+	for i := range a.Specs {
+		var v value.Value
+		if args[i] != nil {
+			v = args[i](row)
+		}
+		states[i].update(&a.Specs[i], v)
+	}
 }
 
 const groupOverhead = 96
@@ -179,10 +212,7 @@ func (c *aggCore) add(row value.Row) {
 	}
 	g, ok := c.groups[string(c.buf)]
 	if !ok {
-		keys := make(value.Row, len(c.a.GroupSlots))
-		for i, slot := range c.a.GroupSlots {
-			keys[i] = row[slot]
-		}
+		keys := row.Project(c.a.GroupSlots)
 		if !c.noMem {
 			w := int64(keys.Width() + groupOverhead + 48*len(c.a.Specs))
 			if c.ctx.overGrant(w) {
@@ -194,14 +224,7 @@ func (c *aggCore) add(row value.Row) {
 		g = &aggGroup{keys: keys, states: make([]aggState, len(c.a.Specs))}
 		c.groups[string(c.buf)] = g
 	}
-	for i := range c.a.Specs {
-		spec := &c.a.Specs[i]
-		var v value.Value
-		if spec.Arg != nil {
-			v = sql.Eval(spec.Arg, row)
-		}
-		g.states[i].update(spec, v)
-	}
+	foldRow(g.states, c.a, c.args, row)
 }
 
 // spill writes the current partial aggregates to the temp device and
@@ -246,21 +269,12 @@ func (c *aggCore) finish() []value.Row {
 	// A scalar aggregate (no GROUP BY) over empty input still produces
 	// one row: COUNT(*) = 0, other aggregates NULL.
 	if len(c.groups) == 0 && len(c.a.GroupSlots) == 0 {
-		row := make(value.Row, len(c.a.Specs))
 		empty := aggGroup{states: make([]aggState, len(c.a.Specs))}
-		for i := range c.a.Specs {
-			row[i] = empty.states[i].final(&c.a.Specs[i])
-		}
-		return []value.Row{row}
+		return []value.Row{empty.output(c.a.Specs)}
 	}
 	out := make([]value.Row, 0, len(c.groups))
 	for _, g := range c.groups {
-		row := make(value.Row, len(c.a.GroupSlots)+len(c.a.Specs))
-		copy(row, g.keys)
-		for i := range c.a.Specs {
-			row[len(c.a.GroupSlots)+i] = g.states[i].final(&c.a.Specs[i])
-		}
-		out = append(out, row)
+		out = append(out, g.output(c.a.Specs))
 	}
 	// The groups map yields rows in randomized iteration order; sort by
 	// the group key tuple so a GROUP BY without ORDER BY returns the
@@ -281,61 +295,31 @@ func (c *aggCore) finish() []value.Row {
 	return out
 }
 
-// aggSlotCols resolves the batch vector index of every composite slot
-// the aggregation reads — group slots plus aggregate-argument columns —
-// so the per-row scratch fill materializes only those values instead of
+// aggSlots narrows the source's slot mapping to the slots the
+// aggregation reads — group slots plus aggregate-argument columns — so
+// the per-row scratch fill materializes only those values instead of
 // every decoded column (late materialization carried through the
-// aggregation). Pairs are (vector index, slot). ok=false when a needed
-// slot is not among the source's decoded columns (the scratch must then
-// be filled from all of them).
-func aggSlotCols(a *plan.Agg, src *csiBatchSource) ([][2]int, bool) {
-	seen := make(map[int]bool)
-	var slots []int
-	addSlot := func(s int) {
-		if !seen[s] {
-			seen[s] = true
-			slots = append(slots, s)
-		}
-	}
+// aggregation).
+func aggSlots(a *plan.Agg, src *csiBatchSource) []int {
+	need := make(map[int]bool)
 	for _, s := range a.GroupSlots {
-		addSlot(s)
+		need[s] = true
 	}
 	for i := range a.Specs {
-		if a.Specs[i].Arg == nil {
-			continue
-		}
 		sql.WalkExprs(a.Specs[i].Arg, func(x sql.Expr) {
 			if c, ok := x.(*sql.ColRef); ok {
-				addSlot(c.Slot)
+				need[c.Slot] = true
 			}
 		})
 	}
-	pairs := make([][2]int, 0, len(slots))
-	for _, slot := range slots {
-		vi, ok := src.vecIndex(slot)
-		if !ok {
-			return nil, false
-		}
-		pairs = append(pairs, [2]int{vi, slot})
-	}
-	return pairs, true
-}
-
-// fillAggScratch materializes one live batch row into the scratch
-// composite row, touching only the aggregation's needed slots when the
-// pair list is available.
-func fillAggScratch(scratch value.Row, b *vec.Batch, p int, pairs [][2]int, ok bool, src *csiBatchSource, slotBase, schemaLen int) {
-	if ok {
-		for _, pr := range pairs {
-			scratch[pr[1]] = b.Cols[pr[0]].Value(p)
-		}
-		return
-	}
-	for vi, ord := range src.cols {
-		if ord < schemaLen {
-			scratch[slotBase+ord] = b.Cols[vi].Value(p)
+	out := make([]int, len(src.slots))
+	for vi, slot := range src.slots {
+		out[vi] = -1
+		if need[slot] {
+			out[vi] = slot
 		}
 	}
+	return out
 }
 
 // aggScanDirectRows aggregates a batch-capable scan straight from its
@@ -364,17 +348,16 @@ func aggScanDirectRows(ctx *Context, a *plan.Agg, scan *plan.Scan) ([]value.Row,
 		src.timed = true
 	}
 	core := newAggCore(ctx, a)
-	core.addScan(scan, src)
+	core.addScan(src)
 	return core.finish(), nil
 }
 
 // addScan folds a columnstore batch source into the hash table at
 // batch-mode rates, materializing only the slots the aggregation reads.
-func (c *aggCore) addScan(scan *plan.Scan, src *csiBatchSource) {
+func (c *aggCore) addScan(src *csiBatchSource) {
 	m := c.ctx.Tr.Model
 	scratch := make(value.Row, c.ctx.TotalSlots)
-	schemaLen := scan.Table.Schema.Len()
-	pairs, fast := aggSlotCols(c.a, src)
+	slots := aggSlots(c.a, src)
 	for {
 		b, ok := src.next()
 		if !ok {
@@ -383,8 +366,7 @@ func (c *aggCore) addScan(scan *plan.Scan, src *csiBatchSource) {
 		n := b.Len()
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(n), (m.BatchCPU*2)+m.BatchCPU), 1.0)
 		for i := 0; i < n; i++ {
-			fillAggScratch(scratch, b, b.LiveIndex(i), pairs, fast, src, scan.SlotBase, schemaLen)
-			c.add(scratch)
+			c.add(fillRow(b, b.LiveIndex(i), slots, scratch))
 		}
 	}
 }
@@ -395,6 +377,7 @@ func (c *aggCore) addScan(scan *plan.Scan, src *csiBatchSource) {
 type streamAggCursor struct {
 	ctx    *Context
 	a      *plan.Agg
+	args   []func(value.Row) value.Value
 	in     Cursor
 	cur    *aggGroup
 	curKey []byte
@@ -427,21 +410,10 @@ func (c *streamAggCursor) Next() (value.Row, bool) {
 			ready = c.emit()
 		}
 		if c.cur == nil {
-			keys := make(value.Row, len(c.a.GroupSlots))
-			for i, slot := range c.a.GroupSlots {
-				keys[i] = row[slot]
-			}
-			c.cur = &aggGroup{keys: keys, states: make([]aggState, len(c.a.Specs))}
+			c.cur = &aggGroup{keys: row.Project(c.a.GroupSlots), states: make([]aggState, len(c.a.Specs))}
 			c.curKey = append(c.curKey[:0], buf...)
 		}
-		for i := range c.a.Specs {
-			spec := &c.a.Specs[i]
-			var v value.Value
-			if spec.Arg != nil {
-				v = sql.Eval(spec.Arg, row)
-			}
-			c.cur.states[i].update(spec, v)
-		}
+		foldRow(c.cur.states, c.a, c.args, row)
 		if ready != nil {
 			return ready, true
 		}
@@ -449,11 +421,7 @@ func (c *streamAggCursor) Next() (value.Row, bool) {
 }
 
 func (c *streamAggCursor) emit() value.Row {
-	out := make(value.Row, len(c.a.GroupSlots)+len(c.a.Specs))
-	copy(out, c.cur.keys)
-	for i := range c.a.Specs {
-		out[len(c.a.GroupSlots)+i] = c.cur.states[i].final(&c.a.Specs[i])
-	}
+	out := c.cur.output(c.a.Specs)
 	c.cur = nil
 	return out
 }

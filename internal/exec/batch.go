@@ -76,10 +76,15 @@ func (sb *SlotBatch) evalRow(i int, scratch value.Row) value.Row {
 	if sb.Rows != nil {
 		return sb.Rows[i]
 	}
-	p := sb.B.LiveIndex(i)
-	for vi, slot := range sb.Slots {
+	return fillRow(sb.B, sb.B.LiveIndex(i), sb.Slots, scratch)
+}
+
+// fillRow writes position p of b's vectors into scratch at the composite
+// slots they carry (slots[vi] < 0: not carried) and returns scratch.
+func fillRow(b *vec.Batch, p int, slots []int, scratch value.Row) value.Row {
+	for vi, slot := range slots {
 		if slot >= 0 {
-			scratch[slot] = sb.B.Cols[vi].Value(p)
+			scratch[slot] = b.Cols[vi].Value(p)
 		}
 	}
 	return scratch
@@ -476,25 +481,9 @@ func (c *rowsBatchCursor) NextBatch() (*SlotBatch, bool) {
 // the composite-row boundary cost per batch exactly as the DML path's
 // csiCursor does, so a scan is priced the same whoever reads it.
 type batchScanCursor struct {
-	ctx   *Context
-	src   *csiBatchSource
-	slots []int
-	out   SlotBatch
-}
-
-// scanSlots maps a batch source's vectors to composite slots (-1 for
-// the hidden uid column).
-func scanSlots(s *plan.Scan, src *csiBatchSource) []int {
-	schemaLen := s.Table.Schema.Len()
-	slots := make([]int, len(src.cols))
-	for vi, ord := range src.cols {
-		if ord < schemaLen {
-			slots[vi] = s.SlotBase + ord
-		} else {
-			slots[vi] = -1
-		}
-	}
-	return slots
+	ctx *Context
+	src *csiBatchSource
+	out SlotBatch
 }
 
 func newBatchScan(ctx *Context, s *plan.Scan) (BatchCursor, error) {
@@ -513,7 +502,7 @@ func newBatchScan(ctx *Context, s *plan.Scan) (BatchCursor, error) {
 		// only adds batch counts and rowgroup-elimination attributes.
 		src.tn = ctx.Trace
 	}
-	return &batchScanCursor{ctx: ctx, src: src, slots: scanSlots(s, src)}, nil
+	return &batchScanCursor{ctx: ctx, src: src}, nil
 }
 
 func (c *batchScanCursor) NextBatch() (*SlotBatch, bool) {
@@ -521,7 +510,7 @@ func (c *batchScanCursor) NextBatch() (*SlotBatch, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.out = SlotBatch{B: b, Slots: c.slots}
+	c.out = SlotBatch{B: b, Slots: c.src.slots}
 	return &c.out, true
 }
 
@@ -551,7 +540,7 @@ func newParallelBatchScan(ctx *Context, s *plan.Scan) (BatchCursor, bool, error)
 	}
 	outs := make([][]*SlotBatch, len(morsels))
 	err := runMorsels(ctx, s, morsels, false, func(mi int, _ *Context, src *csiBatchSource) error {
-		outs[mi] = drainScanBatches(s, src)
+		outs[mi] = drainScanBatches(src)
 		return nil
 	})
 	if err != nil {
@@ -568,8 +557,7 @@ func newParallelBatchScan(ctx *Context, s *plan.Scan) (BatchCursor, bool, error)
 // compacted batches, charging the same per-batch boundary cost as the
 // serial batch leaf. Batch boundaries are preserved, so the charge
 // multiset and downstream batch counts match a serial scan exactly.
-func drainScanBatches(s *plan.Scan, src *csiBatchSource) []*SlotBatch {
-	slots := scanSlots(s, src)
+func drainScanBatches(src *csiBatchSource) []*SlotBatch {
 	var out []*SlotBatch
 	for {
 		b, ok := src.nextCharged()
@@ -589,6 +577,6 @@ func drainScanBatches(s *plan.Scan, src *csiBatchSource) []*SlotBatch {
 			}
 		}
 		ob.SetLen(n)
-		out = append(out, &SlotBatch{B: ob, Slots: slots})
+		out = append(out, &SlotBatch{B: ob, Slots: src.slots})
 	}
 }

@@ -11,9 +11,10 @@ import (
 // batchHashJoin is the hash join: build on the outer side, probe with
 // the inner. The build side is drained into a columnar store (typed
 // vectors, one growable column per populated slot) keyed by an int64
-// map when the join key is integer-backed — value.EncodeKey carries no
-// kind tag for int-payload kinds, so the raw payload is the same key
-// the string-keyed table would hash.
+// map when both key columns are the same integer-backed kind
+// (plan.Join.KeyKind) — value.EncodeKey carries no kind tag for
+// int-payload kinds, so the raw payload is the same key the
+// string-keyed table would hash.
 // Parallel-marked int-keyed builds shard that store by key hash into
 // per-worker partitions built concurrently (see buildPartitionedBatch);
 // serial and string-keyed builds use exactly one partition. Probe
@@ -28,8 +29,9 @@ import (
 // check, residual conjuncts evaluate uncharged, and the build memory is
 // freed when the last output has been emitted.
 type batchHashJoin struct {
-	ctx *Context
-	j   *plan.Join
+	ctx      *Context
+	j        *plan.Join
+	residual []func(value.Row) bool
 
 	// Build store: columnar partitions (parts) or composite rows
 	// (storeRows), decided on the first build batch.
@@ -107,6 +109,16 @@ func buildPartitions(ctx *Context) int {
 	return w
 }
 
+// encodeKey appends a non-NULL join key to buf for the string-keyed
+// table, in the join's key kind: a BIGINT = DOUBLE join compares in
+// DOUBLE, so the other numeric kind is widened before encoding.
+func (c *batchHashJoin) encodeKey(buf []byte, v value.Value) []byte {
+	if c.j.KeyKind == value.KindFloat && v.Kind() != value.KindFloat {
+		v = value.NewFloat(v.Float())
+	}
+	return value.EncodeKey(buf, v)
+}
+
 // intKeyed reports whether the columnar build keyed by int64 payload.
 func (c *batchHashJoin) intKeyed() bool {
 	return len(c.parts) > 0 && c.parts[0].itable != nil
@@ -156,7 +168,7 @@ type probeState struct {
 }
 
 func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
-	c := &batchHashJoin{ctx: ctx, j: j}
+	c := &batchHashJoin{ctx: ctx, j: j, residual: compilePreds(j.Residual)}
 	build, err := buildDrained(ctx, j.Outer)
 	if err != nil {
 		return nil, err
@@ -208,7 +220,7 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 					storeSrc = append(storeSrc, vi)
 				}
 				nParts := 1
-				intKey := intBacked(sb.B.Cols[keyVi].Kind)
+				intKey := intBacked(j.KeyKind)
 				if intKey && j.Parallel {
 					nParts = buildPartitions(ctx)
 				}
@@ -246,7 +258,7 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 				if pt.itable != nil {
 					pt.itable[kv.I[p]] = append(pt.itable[kv.I[p]], int32(pt.n))
 				} else {
-					buf = value.EncodeKey(buf[:0], kv.Value(p))
+					buf = c.encodeKey(buf[:0], kv.Value(p))
 					c.htable[string(buf)] = append(c.htable[string(buf)], int32(pt.n))
 				}
 				for si, vi := range storeSrc {
@@ -265,7 +277,7 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 			if k.IsNull() {
 				continue
 			}
-			buf = value.EncodeKey(buf[:0], k)
+			buf = c.encodeKey(buf[:0], k)
 			c.htable[string(buf)] = append(c.htable[string(buf)], int32(len(c.storeRows)))
 			c.storeRows = append(c.storeRows, row)
 			w := int64(row.Width() + 32)
@@ -437,7 +449,7 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 			if c.intKeyed() {
 				matches, pt = c.lookupInt(k.Int())
 			} else {
-				st.buf = value.EncodeKey(st.buf[:0], k)
+				st.buf = c.encodeKey(st.buf[:0], k)
 				matches = c.htable[string(st.buf)]
 			}
 		} else {
@@ -449,7 +461,7 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 			if c.intKeyed() {
 				matches, pt = c.lookupInt(kv.I[p])
 			} else {
-				st.buf = value.EncodeKey(st.buf[:0], kv.Value(p))
+				st.buf = c.encodeKey(st.buf[:0], kv.Value(p))
 				matches = c.htable[string(st.buf)]
 			}
 		}
@@ -465,7 +477,7 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 					for _, vi := range st.probeSrc {
 						st.scratch[sb.Slots[vi]] = sb.B.Cols[vi].Value(p)
 					}
-					if !passes(c.ctx, c.j.Residual, st.scratch) {
+					if !passes(c.residual, st.scratch) {
 						continue
 					}
 				}
@@ -505,7 +517,7 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 					}
 				}
 			}
-			if !passes(c.ctx, c.j.Residual, out) {
+			if !passes(c.residual, out) {
 				continue
 			}
 			rows = append(rows, out)
@@ -533,14 +545,13 @@ func (c *batchHashJoin) fusedProbe(scan *plan.Scan, morsels []colstore.ScanParti
 	c.fused = true
 	outs := make([][]*SlotBatch, len(morsels))
 	err := runMorsels(c.ctx, scan, morsels, true, func(mi int, wctx *Context, src *csiBatchSource) error {
-		slots := scanSlots(scan, src)
 		st := c.newProbeState(true)
 		for {
 			b, ok := src.nextCharged()
 			if !ok {
 				return nil
 			}
-			sb := SlotBatch{B: b, Slots: slots}
+			sb := SlotBatch{B: b, Slots: src.slots}
 			if out := c.probeOne(wctx.Tr, &sb, st); out != nil {
 				outs[mi] = append(outs[mi], out)
 			}

@@ -14,32 +14,15 @@ import (
 // batchFilter evaluates residual conjuncts vectorized: columnar inputs
 // have their selection vector narrowed in place (zero copies), row
 // inputs are filtered into a fresh row run. Every input row is charged
-// RowCPU/2; integer comparisons take a typed-vector fast path that
-// skips the composite-row materialization for rows it rejects.
+// RowCPU/2.
 type batchFilter struct {
 	ctx     *Context
 	in      BatchCursor
 	conds   []sql.Expr
+	preds   []batchPred // built against the first batch's slot mapping
 	scratch value.Row
 	selPool vec.SelPool
-
-	// fast, when classified (against the first columnar batch's slot
-	// mapping), holds the vector-comparable conjuncts; ok=false means at
-	// least one conjunct needs the generic scratch-row path.
-	fast       []fastCond
-	fastOK     bool
-	classified bool
-	out        SlotBatch
-}
-
-// fastCond is a column compared with a literal (sql.AsComparison) or
-// with another column over integer-backed vectors, evaluated without
-// materializing values.
-type fastCond struct {
-	op  colstore.PredOp
-	li  int   // left vector index
-	ri  int   // right vector index, -1 when comparing to lit
-	lit int64 // literal payload when ri < 0
+	out     SlotBatch
 }
 
 func newBatchFilter(ctx *Context, in BatchCursor, conds []sql.Expr) *batchFilter {
@@ -61,80 +44,77 @@ func slotVec(slots []int, slot int) int {
 	return -1
 }
 
-// classify maps every conjunct onto the fast vector path, or reports
-// ok=false if any needs generic evaluation. The slot mapping is stable
-// across a producer's batches, so this runs once.
-func (f *batchFilter) classify(slots []int) {
-	f.classified = true
-	f.fastOK = true
-	for _, cond := range f.conds {
-		fc, ok := classifyFast(cond, func(slot int) int { return slotVec(slots, slot) })
-		if !ok {
-			f.fastOK = false
-			return
-		}
-		f.fast = append(f.fast, fc)
-	}
+// batchPred is one conjunct compiled for batches whose vectors carry
+// the composite slots in slots. A column compared with a literal
+// (sql.AsComparison) or with another column, both over integer-backed
+// vectors, compares the typed payloads in place; any other conjunct
+// fills the scratch row from the vectors and runs the compiled
+// predicate. It is the executor's one predicate constructor: the
+// filter operator and the columnstore scan both build theirs here.
+type batchPred struct {
+	pred   func(value.Row) bool
+	slots  []int
+	op     colstore.PredOp
+	li, ri int   // typed compare: vector indexes, li < 0 when compiled only, ri < 0 against lit
+	lit    int64 // literal payload when ri < 0
 }
 
-// classifyFast maps one conjunct onto the fast vector path; vecOf
-// resolves a composite slot to its vector index (negative when the
-// batch does not carry it). ok=false means the conjunct needs generic
-// evaluation.
-func classifyFast(cond sql.Expr, vecOf func(slot int) int) (fastCond, bool) {
-	fc := fastCond{ri: -1}
+func newBatchPred(cond sql.Expr, slots []int) batchPred {
+	bp := batchPred{pred: sql.CompilePred(cond), slots: slots, li: -1, ri: -1}
 	col, opStr, lit, isLit := sql.AsComparison(cond)
 	if isLit {
 		if !intBacked(lit.Val.Kind()) {
-			return fastCond{}, false
+			return bp
 		}
-		fc.lit = lit.Val.Int()
-	} else {
-		bin, _ := cond.(*sql.BinOp)
-		if bin == nil {
-			return fastCond{}, false
-		}
+		bp.lit = lit.Val.Int()
+	} else if bin, _ := cond.(*sql.BinOp); bin != nil {
 		l, lok := bin.L.(*sql.ColRef)
 		r, rok := bin.R.(*sql.ColRef)
 		if !lok || !rok || !intBacked(r.Kind) {
-			return fastCond{}, false
+			return bp
 		}
-		col, opStr, fc.ri = l, bin.Op, vecOf(r.Slot)
+		if col, opStr, bp.ri = l, bin.Op, slotVec(slots, r.Slot); bp.ri < 0 {
+			return bp
+		}
+	} else {
+		return bp
 	}
-	op, isCmp := colstore.ParseOp(opStr)
-	if !isCmp || !intBacked(col.Kind) {
-		return fastCond{}, false
+	if op, isCmp := colstore.ParseOp(opStr); isCmp && intBacked(col.Kind) {
+		bp.op, bp.li = op, slotVec(slots, col.Slot)
 	}
-	fc.op, fc.li = op, vecOf(col.Slot)
-	return fc, fc.li >= 0 && (isLit || fc.ri >= 0)
+	return bp
 }
 
-// eval evaluates the conjunct at live position p.
-func (fc fastCond) eval(b *vec.Batch, p int) bool {
-	x := b.Cols[fc.li]
+// holds evaluates the conjunct at live position p of b.
+func (bp *batchPred) holds(b *vec.Batch, p int, scratch value.Row) bool {
+	if bp.li < 0 {
+		return bp.pred(fillRow(b, p, bp.slots, scratch))
+	}
+	x := b.Cols[bp.li]
 	if x.IsNull(p) {
 		return false
 	}
-	xv := x.I[p]
-	yv := fc.lit
-	if fc.ri >= 0 {
-		y := b.Cols[fc.ri]
+	yv := bp.lit
+	if bp.ri >= 0 {
+		y := b.Cols[bp.ri]
 		if y.IsNull(p) {
 			return false
 		}
 		yv = y.I[p]
 	}
-	return fc.op.Holds(cmp.Compare(xv, yv))
+	return bp.op.Holds(cmp.Compare(x.I[p], yv))
 }
 
-// evalFast evaluates the classified conjuncts at live position p.
-func (f *batchFilter) evalFast(b *vec.Batch, p int) bool {
-	for _, fc := range f.fast {
-		if !fc.eval(b, p) {
-			return false
+// narrow drops the rows the conjunct rejects from b's selection.
+func (bp *batchPred) narrow(b *vec.Batch, scratch value.Row, pool *vec.SelPool) {
+	n := b.Len()
+	sel := pool.Next(n)
+	for i := 0; i < n; i++ {
+		if p := b.LiveIndex(i); bp.holds(b, p, scratch) {
+			sel = append(sel, p)
 		}
 	}
-	return true
+	b.Sel = sel
 }
 
 func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
@@ -144,12 +124,17 @@ func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
 		if !ok {
 			return nil, false
 		}
+		if f.preds == nil {
+			for _, c := range f.conds {
+				f.preds = append(f.preds, newBatchPred(c, sb.Slots))
+			}
+		}
 		n := sb.Len()
 		if sb.Rows != nil {
 			out := make([]value.Row, 0, n)
 			for i := 0; i < n; i++ {
 				f.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU/2), 1.0)
-				if passes(f.ctx, f.conds, sb.Rows[i]) {
+				if f.rowHolds(sb.Rows[i]) {
 					out = append(out, sb.Rows[i])
 				}
 			}
@@ -159,29 +144,27 @@ func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
 			f.out = SlotBatch{Rows: out}
 			return &f.out, true
 		}
-		if !f.classified {
-			f.classify(sb.Slots)
-		}
-		sel := f.selPool.Next(n)
 		for i := 0; i < n; i++ {
 			f.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU/2), 1.0)
-			p := sb.B.LiveIndex(i)
-			var keep bool
-			if f.fastOK {
-				keep = f.evalFast(sb.B, p)
-			} else {
-				keep = passes(f.ctx, f.conds, sb.evalRow(i, f.scratch))
-			}
-			if keep {
-				sel = append(sel, p)
-			}
 		}
-		if len(sel) == 0 {
+		for k := range f.preds {
+			f.preds[k].narrow(sb.B, f.scratch, &f.selPool)
+		}
+		if sb.B.Len() == 0 {
 			continue
 		}
-		sb.B.Sel = sel
 		return sb, true
 	}
+}
+
+// rowHolds applies the compiled conjuncts to a row-layout row.
+func (f *batchFilter) rowHolds(row value.Row) bool {
+	for k := range f.preds {
+		if !f.preds[k].pred(row) {
+			return false
+		}
+	}
+	return true
 }
 
 // batchProject computes the output expressions per batch, emitting
@@ -190,13 +173,17 @@ func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
 type batchProject struct {
 	ctx     *Context
 	in      BatchCursor
-	exprs   []sql.Expr
+	exprs   []func(value.Row) value.Value
 	scratch value.Row
 	out     SlotBatch
 }
 
 func newBatchProject(ctx *Context, in BatchCursor, exprs []sql.Expr) *batchProject {
-	return &batchProject{ctx: ctx, in: in, exprs: exprs, scratch: make(value.Row, ctx.TotalSlots)}
+	p := &batchProject{ctx: ctx, in: in, scratch: make(value.Row, ctx.TotalSlots)}
+	for _, e := range exprs {
+		p.exprs = append(p.exprs, sql.Compile(e))
+	}
+	return p
 }
 
 func (p *batchProject) NextBatch() (*SlotBatch, bool) {
@@ -214,7 +201,7 @@ func (p *batchProject) NextBatch() (*SlotBatch, bool) {
 		p.ctx.Tr.ChargeSerialCPU(vclock.CPU(1, m.RowCPU/4))
 		out := backing[i*ne : (i+1)*ne : (i+1)*ne]
 		for j, e := range p.exprs {
-			out[j] = sql.Eval(e, row)
+			out[j] = e(row)
 		}
 		rows[i] = out
 	}
@@ -264,7 +251,7 @@ func (t *batchTop) NextBatch() (*SlotBatch, bool) {
 // batches are materialized to composite rows (one backing array per
 // batch) as they are added, so memory is accounted per composite row.
 func newBatchSort(ctx *Context, in BatchCursor, keys []plan.SortKey) (BatchCursor, error) {
-	s := &rowSorter{ctx: ctx, keys: keys}
+	s := &rowSorter{ctx: ctx, keys: keys, cmp: compileSortKeys(keys)}
 	for {
 		sb, ok := in.NextBatch()
 		if !ok {

@@ -159,7 +159,7 @@ func openTrace(ctx *Context, n plan.Node) (tn *metrics.TraceNode, done func()) {
 func buildNode(ctx *Context, n plan.Node) (Cursor, error) {
 	switch node := n.(type) {
 	case *plan.Scan:
-		return buildScan(ctx, node)
+		return BuildScan(ctx, node)
 	case *plan.Join:
 		return buildJoin(ctx, node)
 	case *plan.Agg:
@@ -167,7 +167,7 @@ func buildNode(ctx *Context, n plan.Node) (Cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &streamAggCursor{ctx: ctx, a: node, in: in}, nil
+		return &streamAggCursor{ctx: ctx, a: node, args: aggArgs(node), in: in}, nil
 	case *plan.Top:
 		in, err := buildEarlyStop(ctx, node.Input)
 		if err != nil {

@@ -509,10 +509,10 @@ func (c tableCatalog) TableSchema(name string) (*value.Schema, bool) {
 
 // TestComparisonConsumersAgree is the executor's half of the check the
 // optimizer and advisor tests of the same name make on the same six
-// conjuncts: classifyFast reads a column-versus-constant conjunct as
+// conjuncts: newBatchPred reads a column-versus-constant conjunct as
 // sql.AsComparison does — so 5 < a runs on the typed vectors as a > 5
-// instead of the boxed evaluator — and the typed path selects the rows
-// the generic evaluator selects.
+// instead of the compiled predicate — and the typed path selects the
+// rows the compiled predicate selects.
 func TestComparisonConsumersAgree(t *testing.T) {
 	tbl := fixtureTable(t, 3000, 17)
 	for _, c := range []struct {
@@ -537,9 +537,9 @@ func TestComparisonConsumersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc, ok := classifyFast(b.Conjuncts[0], func(slot int) int { return slot })
-		if ok != c.fast || (ok && (fc.op != c.op || fc.lit != c.lit || fc.ri != c.ri)) {
-			t.Errorf("%s: classifyFast = %+v, %v; want op %v lit %d ri %d, %v", c.where, fc, ok, c.op, c.lit, c.ri, c.fast)
+		bp := newBatchPred(b.Conjuncts[0], []int{0, 1, 2})
+		if ok := bp.li >= 0; ok != c.fast || (ok && (bp.op != c.op || bp.lit != c.lit || bp.ri != c.ri)) {
+			t.Errorf("%s: newBatchPred = %+v; want op %v lit %d ri %d, typed %v", c.where, bp, c.op, c.lit, c.ri, c.fast)
 		}
 
 		s := scanNode(tbl, plan.AccessCSIScan)
@@ -548,11 +548,11 @@ func TestComparisonConsumersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (src.fast[0] != nil) != c.fast {
-			t.Errorf("%s: columnstore source took the typed path = %v, want %v", c.where, src.fast[0] != nil, c.fast)
+		if typed := src.preds[0].li >= 0; typed != c.fast {
+			t.Errorf("%s: columnstore source took the typed path = %v, want %v", c.where, typed, c.fast)
 		}
 		typed := colInt(drain(t, ctxFor(tbl), s), 0)
-		ref := scanNode(tbl, plan.AccessClusteredScan) // row fringe: sql.Eval per row
+		ref := scanNode(tbl, plan.AccessClusteredScan) // row fringe: compiled predicate per row
 		ref.Filter = b.Conjuncts
 		generic := colInt(drain(t, ctxFor(tbl), ref), 0)
 		sort.Slice(typed, func(i, j int) bool { return typed[i] < typed[j] })

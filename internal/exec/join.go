@@ -20,7 +20,8 @@ func buildJoin(ctx *Context, j *plan.Join) (Cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := &nljCursor{ctx: ctx, j: j, outer: outer, inner: inner}
+		c := &nljCursor{ctx: ctx, j: j, outer: outer, inner: inner,
+			filter: compilePreds(inner.Filter), residual: compilePreds(j.Residual)}
 		if ctx.Trace != nil {
 			// The inner scan is re-instantiated per outer row, so all
 			// instantiations share one trace node with Loops counting
@@ -38,7 +39,7 @@ func buildJoin(ctx *Context, j *plan.Join) (Cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &mergeJoinCursor{ctx: ctx, j: j, left: outer, right: inner}, nil
+		return &mergeJoinCursor{ctx: ctx, j: j, residual: compilePreds(j.Residual), left: outer, right: inner}, nil
 	}
 	return nil, fmt.Errorf("exec: %v join is not a row fringe", j.Strategy)
 }
@@ -47,8 +48,9 @@ func buildJoin(ctx *Context, j *plan.Join) (Cursor, error) {
 // columns, buffering only the current run of equal inner keys — the
 // O(1)-memory join that B+ tree sort order enables.
 type mergeJoinCursor struct {
-	ctx *Context
-	j   *plan.Join
+	ctx      *Context
+	j        *plan.Join
+	residual []func(value.Row) bool
 
 	left, right Cursor
 	started     bool
@@ -94,7 +96,7 @@ func (c *mergeJoinCursor) Next() (value.Row, bool) {
 				}
 			}
 			c.runIdx++
-			if passes(c.ctx, c.j.Residual, out) {
+			if passes(c.residual, out) {
 				return out, true
 			}
 			continue
@@ -159,6 +161,8 @@ type nljCursor struct {
 	inner   *plan.Scan
 	innerTN *metrics.TraceNode // shared across inner rebinds (EXPLAIN ANALYZE)
 
+	filter, residual []func(value.Row) bool // inner.Filter and j.Residual compiled
+
 	curOuter value.Row
 	innerCur Cursor
 }
@@ -183,7 +187,7 @@ func (c *nljCursor) Next() (value.Row, bool) {
 			if scan.Access == plan.AccessClusteredScan {
 				scan.Access = plan.AccessClusteredSeek
 			}
-			cur, err := buildScan(c.ctx, &scan)
+			cur, err := buildScan(c.ctx, &scan, c.filter)
 			if err != nil {
 				// Planner guarantees seekability; treat as empty inner.
 				c.innerCur = nil
@@ -209,7 +213,7 @@ func (c *nljCursor) Next() (value.Row, bool) {
 				}
 			}
 		}
-		if !passes(c.ctx, c.j.Residual, out) {
+		if !passes(c.residual, out) {
 			continue
 		}
 		return out, true

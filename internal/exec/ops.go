@@ -43,39 +43,45 @@ type sortRunData struct {
 type rowSorter struct {
 	ctx  *Context
 	keys []plan.SortKey
+	cmp  func(a, b value.Row) int
 	runs []sortRunData
 	cur  sortRunData
 }
 
-// compareSortKeys orders two rows under keys: negative when a sorts
-// strictly before b, zero on a full-key tie.
-func compareSortKeys(keys []plan.SortKey, a, b value.Row) int {
-	for _, k := range keys {
-		va, vb := sql.Eval(k.Expr, a), sql.Eval(k.Expr, b)
-		c := value.Compare(va, vb)
-		if k.Desc {
-			c = -c
-		}
-		if c != 0 {
-			return c
-		}
+// compileSortKeys compiles ORDER BY keys once into a row comparator:
+// negative when a sorts strictly before b, zero on a full-key tie.
+func compileSortKeys(keys []plan.SortKey) func(a, b value.Row) int {
+	vals := make([]func(value.Row) value.Value, len(keys))
+	for i, k := range keys {
+		vals[i] = sql.Compile(k.Expr)
 	}
-	return 0
+	return func(a, b value.Row) int {
+		for i, k := range keys {
+			c := value.Compare(vals[i](a), vals[i](b))
+			if k.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
 }
 
-// sortRowsCharged stable-sorts one run in place and charges the
-// comparison cost — shared by the serial sorter and the per-morsel
-// local sorts of the parallel sort, so a run's charge depends only on
-// its length, never on who sorts it.
-func sortRowsCharged(ctx *Context, keys []plan.SortKey, r []value.Row) {
+// sortRowsCharged stable-sorts one run in place under cmp (compiled
+// from nKeys keys) and charges the comparison cost — shared by the
+// serial sorter and the per-morsel local sorts of the parallel sort, so
+// a run's charge depends only on its length, never on who sorts it.
+func sortRowsCharged(ctx *Context, cmp func(a, b value.Row) int, nKeys int, r []value.Row) {
 	m := ctx.Tr.Model
 	sort.SliceStable(r, func(i, j int) bool {
-		return compareSortKeys(keys, r[i], r[j]) < 0
+		return cmp(r[i], r[j]) < 0
 	})
 	n := int64(len(r))
 	if n > 1 {
 		comparisons := n * int64(log2(n))
-		ctx.Tr.ChargeParallelCPU(vclock.CPU(comparisons*int64(len(keys)), m.SortCPU), 0.7)
+		ctx.Tr.ChargeParallelCPU(vclock.CPU(comparisons*int64(nKeys), m.SortCPU), 0.7)
 	}
 }
 
@@ -83,7 +89,7 @@ func (s *rowSorter) flushRun() {
 	if len(s.cur.rows) == 0 {
 		return
 	}
-	sortRowsCharged(s.ctx, s.keys, s.cur.rows)
+	sortRowsCharged(s.ctx, s.cmp, len(s.keys), s.cur.rows)
 	// Spill the run: temp write now, temp read at merge.
 	s.ctx.Tr.ChargeTempWrite(s.cur.bytes)
 	s.ctx.Tr.Free(s.cur.bytes)
@@ -108,7 +114,7 @@ func (s *rowSorter) add(row value.Row) {
 func (s *rowSorter) finish() []value.Row {
 	if len(s.runs) == 0 {
 		// Everything fit: in-memory sort.
-		sortRowsCharged(s.ctx, s.keys, s.cur.rows)
+		sortRowsCharged(s.ctx, s.cmp, len(s.keys), s.cur.rows)
 		s.ctx.Tr.Free(s.cur.bytes)
 		return s.cur.rows
 	}
@@ -124,7 +130,7 @@ func (s *rowSorter) finish() []value.Row {
 	for _, r := range s.runs {
 		merged = append(merged, r.rows...)
 	}
-	sortRowsCharged(s.ctx, s.keys, merged) // merge cost approximated as one more pass
+	sortRowsCharged(s.ctx, s.cmp, len(s.keys), merged) // merge cost approximated as one more pass
 	return merged
 }
 

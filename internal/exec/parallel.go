@@ -170,8 +170,8 @@ func parallelizableScan(ctx *Context, parallel bool, s *plan.Scan) (*colstore.In
 }
 
 // PanicError is a panic caught at a goroutine or statement boundary and
-// turned into the statement's error: a bad expression must fail its
-// statement, not the process and every other session with it.
+// turned into the statement's error: a fault must fail its statement,
+// not the process and every other session with it.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -364,7 +364,7 @@ func morselScanAggRows(ctx *Context, a *plan.Agg, scan *plan.Scan) ([]value.Row,
 	err := runMorsels(ctx, scan, morsels, true, func(mi int, wctx *Context, src *csiBatchSource) error {
 		cores[mi] = newAggCore(wctx, a)
 		cores[mi].noMem = true
-		cores[mi].addScan(scan, src)
+		cores[mi].addScan(src)
 		return nil
 	})
 	if err != nil {

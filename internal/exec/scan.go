@@ -21,35 +21,50 @@ type UIDCursor interface {
 
 // BuildScan exposes scan-cursor construction (with UIDs) for the DML
 // layer in the engine.
-func BuildScan(ctx *Context, s *plan.Scan) (Cursor, error) { return buildScan(ctx, s) }
+func BuildScan(ctx *Context, s *plan.Scan) (Cursor, error) {
+	return buildScan(ctx, s, compilePreds(s.Filter))
+}
 
-func buildScan(ctx *Context, s *plan.Scan) (Cursor, error) {
+// buildScan builds a scan cursor; filter is s.Filter compiled, which a
+// nested-loop join compiles once for all its inner rebinds. A
+// columnstore scan compiles its own (newCSIBatchSource).
+func buildScan(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) (Cursor, error) {
 	switch s.Access {
 	case plan.AccessHeapScan:
 		if s.Table.Heap() == nil {
 			return nil, fmt.Errorf("exec: %s has no heap", s.Table.Name)
 		}
-		return &heapScanCursor{ctx: ctx, s: s, it: s.Table.Heap().NewIter(ctx.Tr)}, nil
+		return &heapScanCursor{ctx: ctx, s: s, filter: filter, it: s.Table.Heap().NewIter(ctx.Tr)}, nil
 	case plan.AccessClusteredScan, plan.AccessClusteredSeek:
 		if s.Table.Clustered() == nil {
 			return nil, fmt.Errorf("exec: %s has no clustered index", s.Table.Name)
 		}
-		return newClusteredCursor(ctx, s), nil
+		return newClusteredCursor(ctx, s, filter), nil
 	case plan.AccessSecondarySeek:
 		if s.Index == nil || s.Index.Tree == nil {
 			return nil, fmt.Errorf("exec: %s: secondary index unavailable", s.Table.Name)
 		}
-		return newSecondaryCursor(ctx, s), nil
+		return newSecondaryCursor(ctx, s, filter), nil
 	case plan.AccessCSIScan:
 		return newCSICursor(ctx, s)
 	}
 	return nil, fmt.Errorf("exec: unknown access kind %v", s.Access)
 }
 
-// passes evaluates pushed-down conjuncts against the composite row.
-func passes(ctx *Context, conds []sql.Expr, row value.Row) bool {
-	for _, c := range conds {
-		if !sql.Truthy(sql.Eval(c, row)) {
+// compilePreds compiles conjuncts once per operator build.
+func compilePreds(conds []sql.Expr) []func(value.Row) bool {
+	preds := make([]func(value.Row) bool, len(conds))
+	for i, c := range conds {
+		preds[i] = sql.CompilePred(c)
+	}
+	return preds
+}
+
+// passes reports whether the composite row satisfies every compiled
+// conjunct.
+func passes(preds []func(value.Row) bool, row value.Row) bool {
+	for _, p := range preds {
+		if !p(row) {
 			return false
 		}
 	}
@@ -58,10 +73,11 @@ func passes(ctx *Context, conds []sql.Expr, row value.Row) bool {
 
 // heapScanCursor scans a heap file (row mode, sequential reads).
 type heapScanCursor struct {
-	ctx *Context
-	s   *plan.Scan
-	it  *heap.Iter
-	uid int64
+	ctx    *Context
+	s      *plan.Scan
+	filter []func(value.Row) bool
+	it     *heap.Iter
+	uid    int64
 }
 
 func (c *heapScanCursor) UID() int64 { return c.uid }
@@ -77,7 +93,7 @@ func (c *heapScanCursor) Next() (value.Row, bool) {
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU), 0.9)
 		out := make(value.Row, c.ctx.TotalSlots)
 		copy(out[c.s.SlotBase:], stored[:n])
-		if !passes(c.ctx, c.s.Filter, out) {
+		if !passes(c.filter, out) {
 			continue
 		}
 		c.uid = stored[n].Int()
@@ -87,15 +103,16 @@ func (c *heapScanCursor) Next() (value.Row, bool) {
 
 // clusteredCursor scans or seeks the clustered B+ tree.
 type clusteredCursor struct {
-	ctx *Context
-	s   *plan.Scan
-	it  *btree.Iterator
-	uid int64
+	ctx    *Context
+	s      *plan.Scan
+	filter []func(value.Row) bool
+	it     *btree.Iterator
+	uid    int64
 }
 
-func newClusteredCursor(ctx *Context, s *plan.Scan) *clusteredCursor {
+func newClusteredCursor(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) *clusteredCursor {
 	t := s.Table.Clustered()
-	c := &clusteredCursor{ctx: ctx, s: s}
+	c := &clusteredCursor{ctx: ctx, s: s, filter: filter}
 	if s.Access == plan.AccessClusteredSeek && !s.Lo.Unbounded {
 		c.it = t.Seek(ctx.Tr, value.Row{s.Lo.Val})
 	} else {
@@ -127,7 +144,7 @@ func (c *clusteredCursor) Next() (value.Row, bool) {
 		}
 		out := make(value.Row, c.ctx.TotalSlots)
 		copy(out[c.s.SlotBase:], row)
-		if !passes(c.ctx, c.s.Filter, out) {
+		if !passes(c.filter, out) {
 			continue
 		}
 		c.uid = key[len(key)-1].Int()
@@ -139,15 +156,16 @@ func (c *clusteredCursor) Next() (value.Row, bool) {
 // secondaryCursor seeks a secondary B+ tree; when the index does not
 // cover the query it fetches the base row per result (key lookup).
 type secondaryCursor struct {
-	ctx *Context
-	s   *plan.Scan
-	it  *btree.Iterator
-	uid int64
+	ctx    *Context
+	s      *plan.Scan
+	filter []func(value.Row) bool
+	it     *btree.Iterator
+	uid    int64
 }
 
-func newSecondaryCursor(ctx *Context, s *plan.Scan) *secondaryCursor {
+func newSecondaryCursor(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) *secondaryCursor {
 	t := s.Index.Tree
-	c := &secondaryCursor{ctx: ctx, s: s}
+	c := &secondaryCursor{ctx: ctx, s: s, filter: filter}
 	if !s.Lo.Unbounded {
 		c.it = t.Seek(ctx.Tr, value.Row{s.Lo.Val})
 	} else {
@@ -198,7 +216,7 @@ func (c *secondaryCursor) Next() (value.Row, bool) {
 			}
 			copy(out[c.s.SlotBase:], base)
 		}
-		if !passes(c.ctx, c.s.Filter, out) {
+		if !passes(c.filter, out) {
 			continue
 		}
 		c.uid = uid
@@ -214,7 +232,6 @@ func (c *secondaryCursor) Next() (value.Row, bool) {
 // charges the adapter cost.
 type csiCursor struct {
 	ctx  *Context
-	s    *plan.Scan
 	src  *csiBatchSource
 	rows []value.Row
 	uids []int64
@@ -227,40 +244,27 @@ func newCSICursor(ctx *Context, s *plan.Scan) (Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &csiCursor{ctx: ctx, s: s, src: src}, nil
+	return &csiCursor{ctx: ctx, src: src}, nil
 }
 
 func (c *csiCursor) UID() int64 { return c.uid }
 
 func (c *csiCursor) Next() (value.Row, bool) {
-	schemaLen := c.s.Table.Schema.Len()
-	for {
-		if c.pos < len(c.rows) {
-			c.uid = c.uids[c.pos]
-			row := c.rows[c.pos]
-			c.pos++
-			return row, true
-		}
+	for c.pos >= len(c.rows) {
 		b, ok := c.src.nextCharged() // batch-to-row adapter cost
 		if !ok {
 			return nil, false
 		}
-		n := b.Len()
-		c.rows, c.uids, c.pos = c.rows[:0], c.uids[:0], 0
-		// One backing array per batch (colstore.ScanRows discipline)
-		// instead of one allocation per row. Consumers may retain the
-		// rows; only the row headers in c.rows are reused.
-		backing := make([]value.Value, n*c.ctx.TotalSlots)
-		for i := 0; i < n; i++ {
-			p := b.LiveIndex(i)
-			out := backing[i*c.ctx.TotalSlots : (i+1)*c.ctx.TotalSlots : (i+1)*c.ctx.TotalSlots]
-			for vi, ord := range c.src.cols {
-				if ord < schemaLen {
-					out[c.s.SlotBase+ord] = b.Cols[vi].Value(p)
-				}
-			}
-			c.rows = append(c.rows, out)
-			c.uids = append(c.uids, b.Cols[c.src.uidIdx].I[p])
+		// One backing array per batch (appendRows) instead of one
+		// allocation per row. Consumers may retain the rows; only the
+		// row headers in c.rows are reused.
+		c.rows = (&SlotBatch{B: b, Slots: c.src.slots}).appendRows(c.rows[:0], c.ctx.TotalSlots)
+		c.uids, c.pos = c.uids[:0], 0
+		for i := 0; i < b.Len(); i++ {
+			c.uids = append(c.uids, b.Cols[c.src.uidIdx].I[b.LiveIndex(i)])
 		}
 	}
+	c.uid = c.uids[c.pos]
+	c.pos++
+	return c.rows[c.pos-1], true
 }

@@ -7,7 +7,6 @@ import (
 	"hybriddb/internal/colstore"
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
-	"hybriddb/internal/sql"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 	"hybriddb/internal/vec"
@@ -20,13 +19,11 @@ type csiBatchSource struct {
 	ctx     *Context
 	s       *plan.Scan
 	sc      *colstore.Scanner
-	cols    []int       // CSI ordinals decoded (NeedCols + hidden uid)
-	colPos  map[int]int // table ordinal -> vector index
+	cols    []int // CSI ordinals decoded (NeedCols + hidden uid)
+	slots   []int // composite slot per vector, -1 for the uid
 	uidIdx  int
 	scratch value.Row
-	// fast holds, per Filter conjunct, its integer-compare form (nil
-	// when it has none), classified once when the source is built.
-	fast []*fastCond
+	preds   []batchPred // one per Filter conjunct
 
 	// selPool provides the reusable selection buffers conjunct
 	// evaluation ping-pongs between (see vec.SelPool).
@@ -92,28 +89,22 @@ func newCSIBatchSource(ctx *Context, s *plan.Scan, part *colstore.ScanPartition)
 		}
 	}
 	src := &csiBatchSource{
-		ctx:    ctx,
-		s:      s,
-		sc:     idx.NewScanner(ctx.Tr, spec),
-		cols:   cols,
-		colPos: make(map[int]int, len(cols)),
-		uidIdx: uidIdx,
+		ctx:     ctx,
+		s:       s,
+		sc:      idx.NewScanner(ctx.Tr, spec),
+		cols:    cols,
+		slots:   make([]int, len(cols)),
+		uidIdx:  uidIdx,
+		scratch: make(value.Row, ctx.TotalSlots),
 	}
 	for i, c := range cols {
-		src.colPos[c] = i
-	}
-	src.scratch = make(value.Row, ctx.TotalSlots)
-	vecOf := func(slot int) int {
-		if vi, ok := src.vecIndex(slot); ok {
-			return vi
+		src.slots[i] = -1
+		if c < s.Table.Schema.Len() {
+			src.slots[i] = s.SlotBase + c
 		}
-		return -1
 	}
-	src.fast = make([]*fastCond, len(s.Filter))
-	for i, cond := range s.Filter {
-		if fc, ok := classifyFast(cond, vecOf); ok {
-			src.fast[i] = &fc
-		}
+	for _, cond := range s.Filter {
+		src.preds = append(src.preds, newBatchPred(cond, src.slots))
 	}
 	return src, nil
 }
@@ -129,17 +120,13 @@ func (s *csiBatchSource) next() (*vec.Batch, bool) {
 	}
 	for s.sc.Next() {
 		b := s.sc.Batch()
-		for i, cond := range s.s.Filter {
+		for k := range s.preds {
 			n := b.Len()
 			if n == 0 {
 				break
 			}
 			s.ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(n), m.BatchCPU), 1.0)
-			if fc := s.fast[i]; fc != nil {
-				s.applyFast(b, *fc)
-			} else {
-				s.applyGeneric(b, cond)
-			}
+			s.preds[k].narrow(b, s.scratch, &s.selPool)
 		}
 		if b.Len() > 0 {
 			s.observe(b.Len(), b0, t0)
@@ -205,42 +192,4 @@ func selDensity(in, out int64) int64 {
 		return 0
 	}
 	return out * 1000 / in
-}
-
-// applyFast narrows the batch by one integer-compare conjunct without
-// materializing values.
-func (s *csiBatchSource) applyFast(b *vec.Batch, fc fastCond) {
-	n := b.Len()
-	sel := s.selPool.Next(n)
-	for i := 0; i < n; i++ {
-		if p := b.LiveIndex(i); fc.eval(b, p) {
-			sel = append(sel, p)
-		}
-	}
-	b.Sel = sel
-}
-
-// applyGeneric evaluates an arbitrary conjunct by materializing the
-// table's columns into a scratch composite row per live position.
-func (s *csiBatchSource) applyGeneric(b *vec.Batch, cond sql.Expr) {
-	sel := s.selPool.Next(b.Len())
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		p := b.LiveIndex(i)
-		for vi, ord := range s.cols {
-			if ord < s.s.Table.Schema.Len() {
-				s.scratch[s.s.SlotBase+ord] = b.Cols[vi].Value(p)
-			}
-		}
-		if sql.Truthy(sql.Eval(cond, s.scratch)) {
-			sel = append(sel, p)
-		}
-	}
-	b.Sel = sel
-}
-
-// vecIndex returns the batch vector index for a composite slot.
-func (s *csiBatchSource) vecIndex(slot int) (int, bool) {
-	vi, ok := s.colPos[slot-s.s.SlotBase]
-	return vi, ok
 }

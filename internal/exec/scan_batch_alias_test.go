@@ -52,8 +52,8 @@ func TestInterleavedBatchScanSelectionIsolation(t *testing.T) {
 		if b.Len() == 0 {
 			t.Fatalf("%s: empty selection on a live batch", tag)
 		}
-		aIdx, ok := src.vecIndex(0)
-		if !ok {
+		aIdx := slotVec(src.slots, 0)
+		if aIdx < 0 {
 			t.Fatalf("%s: column a not decoded", tag)
 		}
 		for i := 0; i < b.Len(); i++ {

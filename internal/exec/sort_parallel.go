@@ -14,6 +14,7 @@
 package exec
 
 import (
+	"fmt"
 	"time"
 
 	"hybriddb/internal/metrics"
@@ -55,22 +56,22 @@ func morselSortRows(ctx *Context, s *plan.Sort, limit int64) ([]value.Row, bool,
 	}
 	runs := make([][]value.Row, len(morsels))
 	runBytes := make([]int64, len(morsels))
+	cmp := compileSortKeys(s.Keys)
 	err := runMorsels(ctx, scan, morsels, true, func(mi int, wctx *Context, src *csiBatchSource) error {
-		slots := scanSlots(scan, src)
 		var rows []value.Row
 		for {
 			b, ok := src.nextCharged()
 			if !ok {
 				break
 			}
-			rows = (&SlotBatch{B: b, Slots: slots}).appendRows(rows, wctx.TotalSlots)
+			rows = (&SlotBatch{B: b, Slots: src.slots}).appendRows(rows, wctx.TotalSlots)
 		}
 		// Workers never Alloc (fork MemPeak would double-count); byte
 		// totals are recorded per morsel and accounted at the gather.
 		for _, r := range rows {
 			runBytes[mi] += int64(r.Width() + 24)
 		}
-		sortRowsCharged(wctx, s.Keys, rows)
+		sortRowsCharged(wctx, cmp, len(s.Keys), rows)
 		runs[mi] = rows
 		return nil
 	})
@@ -86,7 +87,7 @@ func morselSortRows(ctx *Context, s *plan.Sort, limit int64) ([]value.Row, bool,
 		ctx.Tr.Alloc(runBytes[mi])
 		total += runBytes[mi]
 	}
-	out, mergeCost := mergeSortedRuns(ctx, s.Keys, runs, limit)
+	out, mergeCost := mergeSortedRuns(ctx, cmp, len(s.Keys), runs, limit)
 	if ctx.Trace != nil {
 		// Virtual nanoseconds of the k-way merge (the charge above) —
 		// never wall-clock time, which is banned in this package.
@@ -101,7 +102,7 @@ func morselSortRows(ctx *Context, s *plan.Sort, limit int64) ([]value.Row, bool,
 // stopping after limit rows when limit > 0. The comparison charge is a
 // function of (emitted, run count, key count) only, so it is identical
 // at every worker count.
-func mergeSortedRuns(ctx *Context, keys []plan.SortKey, runs [][]value.Row, limit int64) ([]value.Row, time.Duration) {
+func mergeSortedRuns(ctx *Context, cmp func(a, b value.Row) int, nKeys int, runs [][]value.Row, limit int64) ([]value.Row, time.Duration) {
 	var total int64
 	for _, r := range runs {
 		total += int64(len(r))
@@ -111,7 +112,7 @@ func mergeSortedRuns(ctx *Context, keys []plan.SortKey, runs [][]value.Row, limi
 		n = limit
 	}
 	out := make([]value.Row, 0, n)
-	lt := newMergeTree(keys, runs)
+	lt := newMergeTree(cmp, runs)
 	for int64(len(out)) < n {
 		row, ok := lt.pop()
 		if !ok {
@@ -122,7 +123,7 @@ func mergeSortedRuns(ctx *Context, keys []plan.SortKey, runs [][]value.Row, limi
 	var cost time.Duration
 	if len(runs) > 1 && len(out) > 0 {
 		comparisons := int64(len(out)) * int64(log2(int64(len(runs))))
-		cost = vclock.CPU(comparisons*int64(len(keys)), ctx.Tr.Model.SortCPU)
+		cost = vclock.CPU(comparisons*int64(nKeys), ctx.Tr.Model.SortCPU)
 		ctx.Tr.ChargeSerialCPU(cost)
 	}
 	return out, cost
@@ -135,19 +136,19 @@ func mergeSortedRuns(ctx *Context, keys []plan.SortKey, runs [][]value.Row, limi
 // resolve to the lower run index, which preserves global stability
 // because run order is morsel order is serial scan order.
 type mergeTree struct {
-	keys []plan.SortKey
+	cmp  func(a, b value.Row) int
 	runs [][]value.Row
 	pos  []int
 	kp   int   // leaf width, len(runs) padded to a power of two
 	node []int // 1-based heap layout; node[1] is the overall winner
 }
 
-func newMergeTree(keys []plan.SortKey, runs [][]value.Row) *mergeTree {
+func newMergeTree(cmp func(a, b value.Row) int, runs [][]value.Row) *mergeTree {
 	kp := 1
 	for kp < len(runs) {
 		kp *= 2
 	}
-	t := &mergeTree{keys: keys, runs: runs, pos: make([]int, len(runs)), kp: kp, node: make([]int, 2*kp)}
+	t := &mergeTree{cmp: cmp, runs: runs, pos: make([]int, len(runs)), kp: kp, node: make([]int, 2*kp)}
 	for i := 0; i < kp; i++ {
 		if i < len(runs) {
 			t.node[kp+i] = i
@@ -184,7 +185,7 @@ func (t *mergeTree) winner(a, b int) int {
 	case rb == nil:
 		return a
 	}
-	c := compareSortKeys(t.keys, ra, rb)
+	c := t.cmp(ra, rb)
 	if c < 0 || (c == 0 && a < b) {
 		return a
 	}
@@ -217,9 +218,9 @@ func fusedTopSortRows(ctx *Context, t *plan.Top, s *plan.Sort) ([]value.Row, *me
 		return nil, nil, err
 	}
 	if !ok {
-		// Unreachable when the caller pre-checked eligibility; fail loudly
+		// Unreachable when the caller pre-checked eligibility; fail
 		// rather than silently double-building the subtree.
-		panic("exec: fusedTopSortRows on ineligible sort")
+		return nil, nil, fmt.Errorf("exec: fusedTopSortRows on ineligible sort")
 	}
 	return rows, tn, nil
 }

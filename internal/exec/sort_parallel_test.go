@@ -30,6 +30,7 @@ func TestMergeTreeStableSort(t *testing.T) {
 		{Expr: &sql.ColRef{Slot: 0, Kind: value.KindInt}},
 		{Expr: &sql.ColRef{Slot: 1, Kind: value.KindInt}, Desc: true},
 	}
+	cmp := compileSortKeys(keys)
 	rng := rand.New(rand.NewSource(42))
 	for _, shape := range []struct{ rows, runs int }{
 		{0, 1}, {1, 1}, {100, 1}, {100, 3}, {257, 4}, {1000, 7}, {500, 13},
@@ -51,14 +52,14 @@ func TestMergeTreeStableSort(t *testing.T) {
 				hi = len(all)
 			}
 			run := append([]value.Row(nil), all[lo:hi]...)
-			sortRowsCharged(testCtx(), keys, run)
+			sortRowsCharged(testCtx(), cmp, len(keys), run)
 			runs[ri] = run
 		}
 		want := append([]value.Row(nil), all...)
-		sortRowsCharged(testCtx(), keys, want)
+		sortRowsCharged(testCtx(), cmp, len(keys), want)
 
 		for _, limit := range []int64{0, 1, 7, int64(shape.rows), int64(shape.rows) + 5} {
-			got, _ := mergeSortedRuns(testCtx(), keys, runs, limit)
+			got, _ := mergeSortedRuns(testCtx(), cmp, len(keys), runs, limit)
 			wantN := len(want)
 			if limit > 0 && int(limit) < wantN {
 				wantN = int(limit)

@@ -118,10 +118,11 @@ func joinPlan(tables []*table.Table, infos []*tableInfo, joins []joinEq, opts Op
 		nextInfo := infos[bestNext]
 		innerOrd := innerSlot - nextInfo.slotBase
 
-		// Nested-loop option: seekable index on the inner join column.
+		// Nested-loop option: seekable index on the inner join column. A
+		// seek matches encoded keys, so the key columns must share a kind.
 		nlScan, nlPerSeek := nlInner(nextTable, nextInfo, innerOrd, opts)
 		nlCost := time.Duration(math.MaxInt64)
-		if nlScan != nil {
+		if nlScan != nil && e.sameKind {
 			nlCost = time.Duration(rows) * nlPerSeek
 		}
 		// Hash option: full scan of inner + build/probe (+ batch-to-row
@@ -147,7 +148,7 @@ func joinPlan(tables []*table.Table, infos []*tableInfo, joins []joinEq, opts Op
 			jn = &plan.Join{
 				Strategy: plan.JoinMerge,
 				Outer:    tree, Inner: inner,
-				LeftSlot: outerSlot, RightSlot: innerSlot,
+				LeftSlot: outerSlot, RightSlot: innerSlot, KeyKind: e.kind,
 				Residual: residual,
 			}
 			cost += mergeCost
@@ -159,7 +160,7 @@ func joinPlan(tables []*table.Table, infos []*tableInfo, joins []joinEq, opts Op
 				Strategy: plan.JoinNestedLoop,
 				Outer:    tree,
 				Inner:    nlScan,
-				LeftSlot: outerSlot, RightSlot: innerSlot,
+				LeftSlot: outerSlot, RightSlot: innerSlot, KeyKind: e.kind,
 				Residual: residual,
 			}
 			cost += nlCost
@@ -173,14 +174,14 @@ func joinPlan(tables []*table.Table, infos []*tableInfo, joins []joinEq, opts Op
 				jn = &plan.Join{
 					Strategy: plan.JoinHash,
 					Outer:    inner, Inner: tree,
-					LeftSlot: innerSlot, RightSlot: outerSlot,
+					LeftSlot: innerSlot, RightSlot: outerSlot, KeyKind: e.kind,
 					Residual: residual,
 				}
 			} else {
 				jn = &plan.Join{
 					Strategy: plan.JoinHash,
 					Outer:    tree, Inner: inner,
-					LeftSlot: outerSlot, RightSlot: innerSlot,
+					LeftSlot: outerSlot, RightSlot: innerSlot, KeyKind: e.kind,
 					Residual: residual,
 				}
 			}
@@ -372,26 +373,10 @@ func rewriteAgg(e sql.Expr, groupIdx map[int]int, aggIdx map[*sql.AggCall]int, n
 			return &out
 		}
 		return n
-	case *sql.Lit:
-		return n
-	case *sql.BinOp:
-		return &sql.BinOp{Op: n.Op, L: rewriteAgg(n.L, groupIdx, aggIdx, nGroups), R: rewriteAgg(n.R, groupIdx, aggIdx, nGroups)}
-	case *sql.UnOp:
-		return &sql.UnOp{Op: n.Op, E: rewriteAgg(n.E, groupIdx, aggIdx, nGroups)}
-	case *sql.Between:
-		return &sql.Between{
-			E:   rewriteAgg(n.E, groupIdx, aggIdx, nGroups),
-			Lo:  rewriteAgg(n.Lo, groupIdx, aggIdx, nGroups),
-			Hi:  rewriteAgg(n.Hi, groupIdx, aggIdx, nGroups),
-			Not: n.Not,
-		}
-	case *sql.FuncCall:
-		args := make([]sql.Expr, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = rewriteAgg(a, groupIdx, aggIdx, nGroups)
-		}
-		return &sql.FuncCall{Name: n.Name, Args: args}
-	default:
-		return e
 	}
+	ops := sql.Operands(e)
+	for i, op := range ops {
+		ops[i] = rewriteAgg(op, groupIdx, aggIdx, nGroups)
+	}
+	return sql.WithOperands(e, ops)
 }

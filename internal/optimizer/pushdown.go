@@ -11,8 +11,8 @@ import (
 // kernels on the compressed representation) and residual expressions
 // the executor keeps. The gate is deliberately stricter than the
 // kernels themselves: only same-kind int, date, and string comparisons
-// are pushed, because sql.Eval widens cross-kind numeric comparisons
-// through float64 while the kernels compare exact int64
+// are pushed, because the compiled evaluator (value.Compare) widens
+// cross-kind numeric comparisons through float64 while the kernels compare exact int64
 // representations — pushing those could change results above 2^53.
 // Floats are never pushed (their bit pattern is not order-preserving
 // for negatives) and bools stay behind the same-kind gate.

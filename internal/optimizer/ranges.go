@@ -158,6 +158,8 @@ func tableOf(slot int, offsets []int, widths []int) int {
 type joinEq struct {
 	leftTable, rightTable int
 	leftSlot, rightSlot   int
+	kind                  value.Kind // the comparison's sql.BinOp.CmpKind
+	sameKind              bool       // both key columns have that kind
 	expr                  sql.Expr
 }
 
@@ -190,6 +192,7 @@ func classify(conjuncts []sql.Expr, offsets, widths []int) (perTable map[int][]s
 					joins = append(joins, joinEq{
 						leftTable: lt, rightTable: rt,
 						leftSlot: l.Slot, rightSlot: r.Slot,
+						kind: b.CmpKind, sameKind: l.Kind == r.Kind,
 						expr: c,
 					})
 					continue

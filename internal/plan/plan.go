@@ -156,7 +156,10 @@ type Join struct {
 	Inner     Node // probe/inner side (Scan for nested loop)
 	LeftSlot  int  // equijoin slot in outer composite row
 	RightSlot int  // equijoin slot in inner composite row
-	Residual  []sql.Expr
+	// KeyKind is the kind the key columns compare in (sql.BinOp.CmpKind):
+	// a hash join keys both sides in it.
+	KeyKind  value.Kind
+	Residual []sql.Expr
 	// Parallel marks a hash join whose probe may run morsel-driven
 	// (the join output is guaranteed to be fully drained).
 	Parallel bool

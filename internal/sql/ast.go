@@ -161,6 +161,9 @@ type Lit struct {
 type BinOp struct {
 	Op   string
 	L, R Expr
+	// CmpKind is, for a bound comparison, the kind both operands are
+	// compared in (see commonKind): a hash join keys both sides in it.
+	CmpKind value.Kind
 }
 
 // mirrorOp maps each comparison operator to the one that holds with its
@@ -314,28 +317,69 @@ func WalkExprs(e Expr, fn func(Expr)) {
 		return
 	}
 	fn(e)
+	for _, x := range Operands(e) {
+		WalkExprs(x, fn)
+	}
+}
+
+// Operands returns a fresh slice of e's operand expressions in order:
+// nil for a literal, a column or COUNT(*).
+func Operands(e Expr) []Expr {
 	switch n := e.(type) {
 	case *BinOp:
-		WalkExprs(n.L, fn)
-		WalkExprs(n.R, fn)
+		return []Expr{n.L, n.R}
 	case *UnOp:
-		WalkExprs(n.E, fn)
+		return []Expr{n.E}
 	case *Between:
-		WalkExprs(n.E, fn)
-		WalkExprs(n.Lo, fn)
-		WalkExprs(n.Hi, fn)
+		return []Expr{n.E, n.Lo, n.Hi}
 	case *IsNull:
-		WalkExprs(n.E, fn)
+		return []Expr{n.E}
 	case *InList:
-		WalkExprs(n.E, fn)
-		for _, x := range n.List {
-			WalkExprs(x, fn)
-		}
+		return append([]Expr{n.E}, n.List...)
 	case *FuncCall:
-		for _, x := range n.Args {
-			WalkExprs(x, fn)
-		}
+		return append([]Expr(nil), n.Args...)
 	case *AggCall:
-		WalkExprs(n.Arg, fn)
+		if n.Arg != nil {
+			return []Expr{n.Arg}
+		}
 	}
+	return nil
+}
+
+// WithOperands returns a copy of e whose operands are ops, ordered as
+// Operands returns them; every other field is kept.
+func WithOperands(e Expr, ops []Expr) Expr {
+	switch n := e.(type) {
+	case *BinOp:
+		c := *n
+		c.L, c.R = ops[0], ops[1]
+		return &c
+	case *UnOp:
+		c := *n
+		c.E = ops[0]
+		return &c
+	case *Between:
+		c := *n
+		c.E, c.Lo, c.Hi = ops[0], ops[1], ops[2]
+		return &c
+	case *IsNull:
+		c := *n
+		c.E = ops[0]
+		return &c
+	case *InList:
+		c := *n
+		c.E, c.List = ops[0], ops[1:]
+		return &c
+	case *FuncCall:
+		c := *n
+		c.Args = ops
+		return &c
+	case *AggCall:
+		c := *n
+		if len(ops) == 1 {
+			c.Arg = ops[0]
+		}
+		return &c
+	}
+	return e
 }

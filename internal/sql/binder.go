@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strings"
 
 	"hybriddb/internal/value"
 )
@@ -98,13 +99,10 @@ func (b *Binder) BindSelect(s *SelectStmt) (*BoundSelect, error) {
 	if len(out.Tables) == 0 {
 		return nil, fmt.Errorf("sql: SELECT without FROM")
 	}
-	// WHERE.
-	if s.Where != nil {
-		bound, err := b.bindExpr(s.Where, out.Tables, false)
-		if err != nil {
-			return nil, err
-		}
-		out.Conjuncts = Conjuncts(bound)
+	// WHERE (and JOIN ... ON, which the parser folds into it).
+	var err error
+	if out.Conjuncts, err = b.bindCond(s.Where, out.Tables); err != nil {
+		return nil, err
 	}
 	// Select items. Expand *.
 	for _, item := range s.Items {
@@ -232,12 +230,13 @@ func (b *Binder) BindInsert(s *InsertStmt) (*BoundInsert, error) {
 			if !isConst(e) {
 				return nil, fmt.Errorf("sql: INSERT values must be constants, got %s", e)
 			}
-			v := Eval(e, nil)
-			cv, err := coerceValue(v, sch.Columns[ci].Kind)
+			bound, err := b.bindExpr(e, nil, false)
 			if err != nil {
-				return nil, fmt.Errorf("sql: column %q: %v", sch.Columns[ci].Name, err)
+				return nil, err
 			}
-			row[ci] = cv
+			if row[ci], err = assignValue(Compile(bound)(nil), sch.Columns[ci]); err != nil {
+				return nil, err
+			}
 		}
 		out.Rows = append(out.Rows, row)
 	}
@@ -257,28 +256,23 @@ func (b *Binder) BindUpdate(s *UpdateStmt) (*BoundUpdate, error) {
 		if ord < 0 {
 			return nil, fmt.Errorf("sql: unknown column %q in SET", set.Col)
 		}
-		val, err := b.bindExpr(set.Val, tables, false)
+		e := set.Val
+		if set.Op != "=" { // += and -=
+			e = &BinOp{Op: set.Op[:1], L: &ColRef{Name: set.Col}, R: set.Val}
+		}
+		val, err := b.bindExpr(e, tables, false)
 		if err != nil {
 			return nil, err
 		}
-		// Coerce literal assignments to the column's kind (e.g. a date
-		// string assigned to a DATE column).
-		val = coerceLitTo(val, sch.Columns[ord].Kind)
-		switch set.Op {
-		case "+=":
-			val = &BinOp{Op: "+", L: colRefFor(sch, ord, 0), R: val}
-		case "-=":
-			val = &BinOp{Op: "-", L: colRefFor(sch, ord, 0), R: val}
+		if val, err = assignExpr(val, sch.Columns[ord]); err != nil {
+			return nil, err
 		}
 		out.SetCols = append(out.SetCols, ord)
 		out.SetExprs = append(out.SetExprs, val)
 	}
-	if s.Where != nil {
-		bound, err := b.bindExpr(s.Where, tables, false)
-		if err != nil {
-			return nil, err
-		}
-		out.Conjuncts = Conjuncts(bound)
+	var err error
+	if out.Conjuncts, err = b.bindCond(s.Where, tables); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -291,134 +285,105 @@ func (b *Binder) BindDelete(s *DeleteStmt) (*BoundDelete, error) {
 	}
 	tables := []BoundTable{{Ref: TableRef{Table: s.Table}, Schema: sch}}
 	out := &BoundDelete{Table: s.Table, Schema: sch, Top: s.Top}
-	if s.Where != nil {
-		bound, err := b.bindExpr(s.Where, tables, false)
-		if err != nil {
-			return nil, err
-		}
-		out.Conjuncts = Conjuncts(bound)
+	var err error
+	if out.Conjuncts, err = b.bindCond(s.Where, tables); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-func colRefFor(sch *value.Schema, ord, offset int) *ColRef {
-	return &ColRef{
-		Name: sch.Columns[ord].Name, Col: ord,
-		Slot: offset + ord, Kind: sch.Columns[ord].Kind,
+// bindExpr resolves column references, applies literal coercions and
+// types every node it builds (typeOf), so an expression that leaves the
+// binder cannot meet a value of the wrong kind when compiled.
+func (b *Binder) bindExpr(e Expr, tables []BoundTable, allowAgg bool) (Expr, error) {
+	out, err := b.bindNode(e, tables, allowAgg)
+	if err != nil {
+		return nil, err
 	}
+	if _, err := typeOf(out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// bindExpr resolves column references and applies literal coercions.
-func (b *Binder) bindExpr(e Expr, tables []BoundTable, allowAgg bool) (Expr, error) {
+// bindAll binds each expression (bindExpr).
+func (b *Binder) bindAll(es []Expr, tables []BoundTable, allowAgg bool) ([]Expr, error) {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		var err error
+		if out[i], err = b.bindExpr(e, tables, allowAgg); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (b *Binder) bindNode(e Expr, tables []BoundTable, allowAgg bool) (Expr, error) {
 	switch n := e.(type) {
 	case *Lit:
 		return n, nil
 	case *ColRef:
 		return b.resolveCol(n, tables)
-	case *BinOp:
-		l, err := b.bindExpr(n.L, tables, allowAgg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.bindExpr(n.R, tables, allowAgg)
-		if err != nil {
-			return nil, err
-		}
-		l, r = coercePair(l, r)
-		out := &BinOp{Op: n.Op, L: l, R: r}
-		if col, _, lit, ok := AsComparison(out); ok {
-			// coercePair keeps a literal it cannot convert; comparing it
-			// would silently order values of different kinds.
-			if _, err := coerceValue(lit.Val, col.Kind); err != nil {
-				return nil, fmt.Errorf("sql: cannot compare %s column %s with %s literal %s", col.Kind, col.Name, lit.Val.Kind(), lit.Val)
-			}
-		}
-		return out, nil
-	case *UnOp:
-		inner, err := b.bindExpr(n.E, tables, allowAgg)
-		if err != nil {
-			return nil, err
-		}
-		return &UnOp{Op: n.Op, E: inner}, nil
-	case *Between:
-		inner, err := b.bindExpr(n.E, tables, allowAgg)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := b.bindExpr(n.Lo, tables, allowAgg)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := b.bindExpr(n.Hi, tables, allowAgg)
-		if err != nil {
-			return nil, err
-		}
-		inner, lo = coercePair(inner, lo)
-		inner, hi = coercePair(inner, hi)
-		return &Between{E: inner, Lo: lo, Hi: hi, Not: n.Not}, nil
-	case *IsNull:
-		inner, err := b.bindExpr(n.E, tables, allowAgg)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{E: inner, Not: n.Not}, nil
-	case *InList:
-		inner, err := b.bindExpr(n.E, tables, allowAgg)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]Expr, len(n.List))
-		for i, le := range n.List {
-			bl, err := b.bindExpr(le, tables, allowAgg)
-			if err != nil {
-				return nil, err
-			}
-			_, bl = coercePair(inner, bl)
-			list[i] = bl
-		}
-		return &InList{E: inner, List: list, Not: n.Not}, nil
-	case *FuncCall:
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			ba, err := b.bindExpr(a, tables, allowAgg)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ba
-		}
-		// DATEADD's date argument may be a string literal.
-		if len(args) == 2 {
-			if lit, ok := args[1].(*Lit); ok && lit.Val.Kind() == value.KindString {
-				d, err := ParseDate(lit.Val.Str())
-				if err != nil {
-					return nil, err
-				}
-				args[1] = &Lit{Val: d}
-			}
-		}
-		out := &FuncCall{Name: n.Name, Args: args}
-		// Constant-fold calls over literals so predicates like
-		// col BETWEEN '1998-09-02' AND DATEADD(day, 1, '1998-09-02')
-		// stay sargable for index-range selection.
-		if isConst(out) {
-			return &Lit{Val: Eval(out, nil)}, nil
-		}
-		return out, nil
 	case *AggCall:
 		if !allowAgg {
 			return nil, fmt.Errorf("sql: aggregate %s not allowed here", n)
 		}
-		out := &AggCall{Func: n.Func, Star: n.Star, Distinct: n.Distinct}
-		if n.Arg != nil {
-			arg, err := b.bindExpr(n.Arg, tables, false)
-			if err != nil {
-				return nil, err
-			}
-			out.Arg = arg
-		}
-		return out, nil
+		allowAgg = false // no aggregate inside another
+	case *BinOp, *UnOp, *Between, *IsNull, *InList, *FuncCall:
+	default:
+		return nil, fmt.Errorf("sql: cannot bind %T", e)
 	}
-	return nil, fmt.Errorf("sql: cannot bind %T", e)
+	k, err := b.bindAll(Operands(e), tables, allowAgg)
+	if err != nil {
+		return nil, err
+	}
+	switch e.(type) {
+	case *BinOp:
+		k[0], k[1] = coercePair(k[0], k[1])
+	case *Between, *InList:
+		for i := range k[1:] {
+			k[0], k[1+i] = coercePair(k[0], k[1+i])
+		}
+	case *FuncCall:
+		// DATEADD's date argument may be a string literal.
+		if len(k) == 2 {
+			k[1] = coerceLitTo(k[1], value.KindDate)
+		}
+	}
+	out := WithOperands(e, k)
+	switch n := out.(type) {
+	case *BinOp:
+		if cmpHolds[n.Op] != nil {
+			n.CmpKind = commonKind(ExprKind(n.L), ExprKind(n.R))
+		}
+	case *FuncCall:
+		// Constant-fold calls over literals so predicates like
+		// col BETWEEN '1998-09-02' AND DATEADD(day, 1, '1998-09-02')
+		// stay sargable for index-range selection.
+		if _, err := typeOf(n); err != nil {
+			return nil, err
+		}
+		if isConst(n) {
+			return &Lit{Val: Compile(n)(nil)}, nil
+		}
+	}
+	return out, nil
+}
+
+// bindCond binds a WHERE (or ON, or DML WHERE) condition, which must be
+// BOOLEAN, and splits it into conjuncts.
+func (b *Binder) bindCond(e Expr, tables []BoundTable) ([]Expr, error) {
+	if e == nil {
+		return nil, nil
+	}
+	bound, err := b.bindExpr(e, tables, false)
+	if err != nil {
+		return nil, err
+	}
+	if k := ExprKind(bound); k != value.KindBool && k != value.KindNull {
+		return nil, fmt.Errorf("sql: WHERE needs a BOOLEAN condition, got %s in %s", k, bound)
+	}
+	return Conjuncts(bound), nil
 }
 
 func (b *Binder) resolveCol(c *ColRef, tables []BoundTable) (*ColRef, error) {
@@ -451,8 +416,8 @@ func (b *Binder) resolveCol(c *ColRef, tables []BoundTable) (*ColRef, error) {
 // into date literals, so predicates like l_shipdate = '1998-09-02'
 // type-check and use index ranges.
 func coercePair(l, r Expr) (Expr, Expr) {
-	l2 := coerceLitTo(l, exprKind(r))
-	r2 := coerceLitTo(r, exprKind(l))
+	l2 := coerceLitTo(l, ExprKind(r))
+	r2 := coerceLitTo(r, ExprKind(l))
 	return l2, r2
 }
 
@@ -468,80 +433,217 @@ func coerceLitTo(e Expr, target value.Kind) Expr {
 	return &Lit{Val: v}
 }
 
-// coerceValue converts v to the target kind when a safe conversion
-// exists; otherwise it returns an error for genuinely mismatched kinds
-// and v unchanged for compatible ones.
+// coerceValue converts v to the target kind when a lossless conversion
+// exists, and fails otherwise. A comparison keeps a literal it cannot
+// convert (coerceLitTo) for typeOf to judge; a stored value must
+// convert (assignValue).
 func coerceValue(v value.Value, target value.Kind) (value.Value, error) {
-	if v.IsNull() || v.Kind() == target {
+	switch k := v.Kind(); {
+	case v.IsNull() || k == target:
 		return v, nil
-	}
-	switch {
-	case v.Kind() == value.KindString && target == value.KindDate:
+	case k == value.KindString && target == value.KindDate:
 		return ParseDate(v.Str())
-	case v.Kind() == value.KindInt && target == value.KindFloat:
+	case k == value.KindInt && target == value.KindFloat:
 		return value.NewFloat(v.Float()), nil
-	case v.Kind() == value.KindFloat && target == value.KindInt:
-		f := v.Float()
-		if f == float64(int64(f)) {
-			return value.NewInt(int64(f)), nil
-		}
-		return v, nil
-	case v.Kind() == value.KindInt && target == value.KindDate:
+	case k == value.KindFloat && target == value.KindInt && v.Float() == float64(int64(v.Float())):
+		return value.NewInt(int64(v.Float())), nil
+	case k == value.KindInt && target == value.KindDate:
 		return value.NewDate(v.Int()), nil
-	case v.Kind().Numeric() && target.Numeric():
-		return v, nil
 	}
 	return v, fmt.Errorf("cannot convert %s to %s", v.Kind(), target)
 }
 
-// exprKind infers the result kind of a bound expression (KindNull when
-// unknown).
-func exprKind(e Expr) value.Kind {
+// assignValue converts a constant to the kind of the column it is
+// stored in, or fails: the rule INSERT and a constant SET share.
+func assignValue(v value.Value, col value.Column) (value.Value, error) {
+	cv, err := coerceValue(v, col.Kind)
+	if err != nil {
+		return v, fmt.Errorf("sql: column %q: %v", col.Name, err)
+	}
+	return cv, nil
+}
+
+// assignExpr checks a bound SET value against its column: a constant
+// is folded and converted (assignValue); any other value must have the
+// column's kind, or be a BIGINT bound for a DOUBLE column, which
+// CompileAs widens.
+func assignExpr(e Expr, col value.Column) (Expr, error) {
+	if isConst(e) {
+		v, err := assignValue(Compile(e)(nil), col)
+		return &Lit{Val: v}, err
+	}
+	k := ExprKind(e)
+	if k == col.Kind || k == value.KindNull || (k == value.KindInt && col.Kind == value.KindFloat) {
+		return e, nil
+	}
+	return nil, fmt.Errorf("sql: column %q: cannot assign %s to %s", col.Name, k, col.Kind)
+}
+
+// typeOf is the binder's type checker: the result kind of a bound
+// expression (KindNull for one that is always NULL), or an error naming
+// the kinds when the expression cannot be evaluated over them. Numeric
+// kinds compare with one another; arithmetic takes BIGINT and DOUBLE
+// (% BIGINT only); AND, OR and NOT take BOOLEANs; DATEADD adds a BIGINT
+// to a DATE; SUM and AVG take numbers.
+func typeOf(e Expr) (value.Kind, error) {
 	switch n := e.(type) {
 	case *Lit:
-		return n.Val.Kind()
+		return n.Val.Kind(), nil
 	case *ColRef:
-		return n.Kind
+		return n.Kind, nil
 	case *BinOp:
-		switch n.Op {
-		case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
-			return value.KindBool
+		ks, err := kindsOf(n.L, n.R)
+		l, r := kindAt(ks, 0), kindAt(ks, 1)
+		switch {
+		case err != nil:
+			return 0, err
+		case n.Op == "AND" || n.Op == "OR":
+			return value.KindBool, takes(n, isKind(l, value.KindBool) && isKind(r, value.KindBool), ks)
+		case n.Op == "/":
+			return value.KindFloat, takes(n, arithmetic(l) && arithmetic(r), ks)
+		case arith[n.Op] != nil:
+			return commonKind(l, r), takes(n, arithmetic(l) && arithmetic(r), ks)
+		case n.Op == "%":
+			return value.KindInt, takes(n, isKind(l, value.KindInt) && isKind(r, value.KindInt), ks)
+		case cmpHolds[n.Op] != nil:
+			return value.KindBool, comparable(n, n.L, n.R)
 		}
-		lk, rk := exprKind(n.L), exprKind(n.R)
-		if n.Op == "/" || lk == value.KindFloat || rk == value.KindFloat {
-			return value.KindFloat
-		}
-		if lk == value.KindNull {
-			return rk
-		}
-		return lk
+		return 0, fmt.Errorf("sql: unknown operator %q", n.Op)
 	case *UnOp:
-		if n.Op == "NOT" {
-			return value.KindBool
+		ks, err := kindsOf(n.E)
+		switch k := kindAt(ks, 0); {
+		case err != nil:
+			return 0, err
+		case n.Op == "NOT":
+			return value.KindBool, takes(n, isKind(k, value.KindBool), ks)
+		case n.Op == "-":
+			return k, takes(n, arithmetic(k), ks)
 		}
-		return exprKind(n.E)
-	case *Between, *IsNull, *InList:
-		return value.KindBool
-	case *FuncCall:
-		return value.KindDate
-	case *AggCall:
-		switch n.Func {
-		case "COUNT":
-			return value.KindInt
-		case "AVG":
-			return value.KindFloat
-		default:
-			if n.Arg != nil {
-				return exprKind(n.Arg)
+		return 0, fmt.Errorf("sql: unknown operator %q", n.Op)
+	case *Between:
+		if err := comparable(n, n.E, n.Lo); err != nil {
+			return 0, err
+		}
+		return value.KindBool, comparable(n, n.E, n.Hi)
+	case *IsNull:
+		_, err := typeOf(n.E)
+		return value.KindBool, err
+	case *InList:
+		_, err := typeOf(n.E)
+		for _, le := range n.List {
+			if err == nil {
+				err = comparable(n, n.E, le)
 			}
-			return value.KindFloat
 		}
+		return value.KindBool, err
+	case *FuncCall:
+		if dateAddDays[n.Name] == 0 || len(n.Args) != 2 {
+			return 0, fmt.Errorf("sql: unknown function %q", n.Name)
+		}
+		ks, err := kindsOf(n.Args...)
+		if err != nil {
+			return 0, err
+		}
+		return value.KindDate, takes(n, isKind(ks[0], value.KindInt) && isKind(ks[1], value.KindDate), ks)
+	case *AggCall:
+		ks, err := kindsOf(n.Arg)
+		switch k := kindAt(ks, 0); {
+		case err != nil:
+			return 0, err
+		case n.Func == "COUNT":
+			return value.KindInt, nil
+		case n.Func == "MIN" || n.Func == "MAX":
+			return k, nil
+		case n.Func == "SUM":
+			return k, takes(n, arithmetic(k), ks)
+		case n.Func == "AVG":
+			return value.KindFloat, takes(n, arithmetic(k), ks)
+		}
+		return 0, fmt.Errorf("sql: unknown aggregate %q", n.Func)
+	}
+	return 0, fmt.Errorf("sql: cannot type %T", e)
+}
+
+// takes is typeOf's verdict on node n over operand kinds ks.
+func takes(n Expr, ok bool, ks []value.Kind) error {
+	if ok {
+		return nil
+	}
+	names := make([]string, len(ks))
+	for i, k := range ks {
+		names[i] = k.String()
+	}
+	return fmt.Errorf("sql: cannot evaluate %s over %s", n, strings.Join(names, " and "))
+}
+
+// comparable checks that x and y, operands of the comparison in, can be
+// ordered against each other: same kind, both numeric, or one NULL.
+func comparable(in, x, y Expr) error {
+	ks, err := kindsOf(x, y)
+	if err != nil {
+		return err
+	}
+	if xk, yk := ks[0], ks[1]; xk == yk || xk == value.KindNull || yk == value.KindNull || (xk.Numeric() && yk.Numeric()) {
+		return nil
+	}
+	if col, _, lit, ok := AsComparison(&BinOp{Op: "=", L: x, R: y}); ok {
+		return fmt.Errorf("sql: cannot compare %s column %s with %s literal %s", col.Kind, col.Name, lit.Val.Kind(), lit.Val)
+	}
+	return fmt.Errorf("sql: cannot compare %s with %s in %s", ks[0], ks[1], in)
+}
+
+// kindsOf types each non-nil expression.
+func kindsOf(es ...Expr) ([]value.Kind, error) {
+	var ks []value.Kind
+	for _, e := range es {
+		if e == nil {
+			continue
+		}
+		k, err := typeOf(e)
+		if err != nil {
+			return nil, err
+		}
+		ks = append(ks, k)
+	}
+	return ks, nil
+}
+
+// kindAt is ks[i], or KindNull past its end.
+func kindAt(ks []value.Kind, i int) value.Kind {
+	if i < len(ks) {
+		return ks[i]
 	}
 	return value.KindNull
 }
 
-// ExprKind exposes result-kind inference for other packages.
-func ExprKind(e Expr) value.Kind { return exprKind(e) }
+// isKind reports whether a value of kind k is a want or always NULL.
+func isKind(k, want value.Kind) bool { return k == want || k == value.KindNull }
+
+// arithmetic reports whether + - * / and unary minus take kind k.
+func arithmetic(k value.Kind) bool {
+	return k == value.KindInt || k == value.KindFloat || k == value.KindNull
+}
+
+// commonKind is the kind two comparable (or arithmetic) operands meet
+// in: their shared kind, the other one's when one is always NULL, and
+// DOUBLE for two different numeric kinds (value.Compare and value.Add
+// widen through float64).
+func commonKind(a, b value.Kind) value.Kind {
+	switch {
+	case a == b || b == value.KindNull:
+		return a
+	case a == value.KindNull:
+		return b
+	}
+	return value.KindFloat
+}
+
+// ExprKind is the result kind of a bound expression (typeOf for one
+// already known to type-check).
+func ExprKind(e Expr) value.Kind {
+	k, _ := typeOf(e)
+	return k
+}
 
 func isConst(e Expr) bool {
 	ok := true

@@ -83,6 +83,26 @@ func (p *parser) expectIdent() (string, error) {
 	return "", fmt.Errorf("sql: expected identifier, found %q at offset %d", t.text, t.pos)
 }
 
+// parenList parses "(item, item, ...)" with one or more items.
+func parenList[T any](p *parser, item func() (T, error)) ([]T, error) {
+	if _, err := p.expect(tokPunct, "("); err != nil {
+		return nil, err
+	}
+	var out []T
+	for {
+		x, err := item()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, x)
+		if !p.accept(tokPunct, ",") {
+			break
+		}
+	}
+	_, err := p.expect(tokPunct, ")")
+	return out, err
+}
+
 func (p *parser) statement() (Statement, error) {
 	switch {
 	case p.at(tokKeyword, "SELECT"):
@@ -310,21 +330,8 @@ func (p *parser) insertStmt() (Statement, error) {
 	}
 	s := &InsertStmt{Table: table}
 	for {
-		if _, err := p.expect(tokPunct, "("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.accept(tokPunct, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokPunct, ")"); err != nil {
+		row, err := parenList(p, p.expr)
+		if err != nil {
 			return nil, err
 		}
 		s.Rows = append(s.Rows, row)
@@ -426,20 +433,8 @@ func (p *parser) createTable() (Statement, error) {
 			if _, err := p.expect(tokKeyword, "KEY"); err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(tokPunct, "("); err != nil {
-				return nil, err
-			}
-			for {
-				c, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				s.PrimaryKey = append(s.PrimaryKey, c)
-				if !p.accept(tokPunct, ",") {
-					break
-				}
-			}
-			if _, err := p.expect(tokPunct, ")"); err != nil {
+			var err error
+			if s.PrimaryKey, err = parenList(p, p.expectIdent); err != nil {
 				return nil, err
 			}
 		} else {
@@ -522,36 +517,13 @@ func (p *parser) createIndex() (Statement, error) {
 	if s.Table, err = p.expectIdent(); err != nil {
 		return nil, err
 	}
-	if p.accept(tokPunct, "(") {
-		for {
-			c, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			s.Cols = append(s.Cols, c)
-			if !p.accept(tokPunct, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokPunct, ")"); err != nil {
+	if p.at(tokPunct, "(") {
+		if s.Cols, err = parenList(p, p.expectIdent); err != nil {
 			return nil, err
 		}
 	}
 	if p.accept(tokKeyword, "INCLUDE") {
-		if _, err := p.expect(tokPunct, "("); err != nil {
-			return nil, err
-		}
-		for {
-			c, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			s.Include = append(s.Include, c)
-			if !p.accept(tokPunct, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokPunct, ")"); err != nil {
+		if s.Include, err = parenList(p, p.expectIdent); err != nil {
 			return nil, err
 		}
 	}
@@ -586,47 +558,55 @@ func (p *parser) dropStmt() (Statement, error) {
 
 // Expression grammar, lowest to highest precedence:
 // OR, AND, NOT, comparison/BETWEEN/IS/IN, + -, * / %, unary, primary.
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
+// Expression precedence, loosest first: OR, AND, NOT, comparison,
+// + and -, * / and %, unary minus, primary.
+func (p *parser) expr() (Expr, error) { return p.chain(tokKeyword, []string{"OR"}, p.andExpr) }
 
-func (p *parser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
+func (p *parser) andExpr() (Expr, error) { return p.chain(tokKeyword, []string{"AND"}, p.notExpr) }
+
+func (p *parser) notExpr() (Expr, error) { return p.prefix(tokKeyword, "NOT", p.notExpr, p.cmpExpr) }
+
+func (p *parser) addExpr() (Expr, error) { return p.chain(tokPunct, []string{"+", "-"}, p.mulExpr) }
+
+func (p *parser) mulExpr() (Expr, error) {
+	return p.chain(tokPunct, []string{"*", "/", "%"}, p.unaryExpr)
+}
+
+func (p *parser) unaryExpr() (Expr, error) { return p.prefix(tokPunct, "-", p.unaryExpr, p.primary) }
+
+// chain parses a left-associative run of operands, parsed by next,
+// joined by any of ops.
+func (p *parser) chain(kind tokenKind, ops []string, next func() (Expr, error)) (Expr, error) {
+	l, err := next()
+	for err == nil {
+		op := ""
+		for _, o := range ops {
+			if p.accept(kind, o) {
+				op = o
+				break
+			}
+		}
+		if op == "" {
+			return l, nil
+		}
+		var r Expr
+		r, err = next()
+		l = &BinOp{Op: op, L: l, R: r}
+	}
+	return nil, err
+}
+
+// prefix parses op applied to an operand parsed by self, or else an
+// operand parsed by next.
+func (p *parser) prefix(kind tokenKind, op string, self, next func() (Expr, error)) (Expr, error) {
+	if !p.accept(kind, op) {
+		return next()
+	}
+	e, err := self()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(tokKeyword, "OR") {
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	l, err := p.notExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokKeyword, "AND") {
-		r, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{Op: "AND", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) notExpr() (Expr, error) {
-	if p.accept(tokKeyword, "NOT") {
-		e, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &UnOp{Op: "NOT", E: e}, nil
-	}
-	return p.cmpExpr()
+	return &UnOp{Op: op, E: e}, nil
 }
 
 func (p *parser) cmpExpr() (Expr, error) {
@@ -650,21 +630,8 @@ func (p *parser) cmpExpr() (Expr, error) {
 		}
 		return &Between{E: l, Lo: lo, Hi: hi, Not: not}, nil
 	case p.accept(tokKeyword, "IN"):
-		if _, err := p.expect(tokPunct, "("); err != nil {
-			return nil, err
-		}
-		var list []Expr
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, e)
-			if !p.accept(tokPunct, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokPunct, ")"); err != nil {
+		list, err := parenList(p, p.expr)
+		if err != nil {
 			return nil, err
 		}
 		return &InList{E: l, List: list, Not: not}, nil
@@ -692,65 +659,6 @@ func (p *parser) cmpExpr() (Expr, error) {
 		}
 	}
 	return l, nil
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	l, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.accept(tokPunct, "+"):
-			op = "+"
-		case p.accept(tokPunct, "-"):
-			op = "-"
-		default:
-			return l, nil
-		}
-		r, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{Op: op, L: l, R: r}
-	}
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	l, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.accept(tokPunct, "*"):
-			op = "*"
-		case p.accept(tokPunct, "/"):
-			op = "/"
-		case p.accept(tokPunct, "%"):
-			op = "%"
-		default:
-			return l, nil
-		}
-		r, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{Op: op, L: l, R: r}
-	}
-}
-
-func (p *parser) unaryExpr() (Expr, error) {
-	if p.accept(tokPunct, "-") {
-		e, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &UnOp{Op: "-", E: e}, nil
-	}
-	return p.primary()
 }
 
 var aggFuncs = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}

@@ -246,59 +246,6 @@ func TestDDLParsing(t *testing.T) {
 	}
 }
 
-func TestEvalExpressions(t *testing.T) {
-	row := value.Row{value.NewInt(10), value.NewFloat(2.5), value.NewString("abc"), value.Null}
-	col := func(slot int, k value.Kind) *ColRef { return &ColRef{Slot: slot, Kind: k} }
-	cases := []struct {
-		e    Expr
-		want value.Value
-	}{
-		{&BinOp{Op: "+", L: col(0, value.KindInt), R: &Lit{value.NewInt(5)}}, value.NewInt(15)},
-		{&BinOp{Op: "*", L: col(1, value.KindFloat), R: &Lit{value.NewInt(2)}}, value.NewFloat(5)},
-		{&BinOp{Op: "<", L: col(0, value.KindInt), R: &Lit{value.NewInt(11)}}, value.NewBool(true)},
-		{&BinOp{Op: "=", L: col(2, value.KindString), R: &Lit{value.NewString("abc")}}, value.NewBool(true)},
-		{&BinOp{Op: "AND", L: &Lit{value.NewBool(true)}, R: &Lit{value.NewBool(false)}}, value.NewBool(false)},
-		{&BinOp{Op: "OR", L: &Lit{value.NewBool(false)}, R: &Lit{value.NewBool(true)}}, value.NewBool(true)},
-		{&BinOp{Op: "%", L: col(0, value.KindInt), R: &Lit{value.NewInt(3)}}, value.NewInt(1)},
-		{&UnOp{Op: "NOT", E: &Lit{value.NewBool(true)}}, value.NewBool(false)},
-		{&UnOp{Op: "-", E: col(0, value.KindInt)}, value.NewInt(-10)},
-		{&Between{E: col(0, value.KindInt), Lo: &Lit{value.NewInt(5)}, Hi: &Lit{value.NewInt(10)}}, value.NewBool(true)},
-		{&Between{E: col(0, value.KindInt), Lo: &Lit{value.NewInt(5)}, Hi: &Lit{value.NewInt(9)}, Not: true}, value.NewBool(true)},
-		{&IsNull{E: col(3, value.KindInt)}, value.NewBool(true)},
-		{&IsNull{E: col(0, value.KindInt), Not: true}, value.NewBool(true)},
-		{&InList{E: col(0, value.KindInt), List: []Expr{&Lit{value.NewInt(9)}, &Lit{value.NewInt(10)}}}, value.NewBool(true)},
-		{&BinOp{Op: "=", L: col(3, value.KindInt), R: &Lit{value.NewInt(1)}}, value.Null},
-		{&FuncCall{Name: "DATEADD_DAY", Args: []Expr{&Lit{value.NewInt(3)}, &Lit{value.NewDate(100)}}}, value.NewDate(103)},
-	}
-	for i, c := range cases {
-		got := Eval(c.e, row)
-		if value.Compare(got, c.want) != 0 || got.IsNull() != c.want.IsNull() {
-			t.Errorf("case %d (%s): got %v, want %v", i, c.e, got, c.want)
-		}
-	}
-}
-
-func TestThreeValuedLogic(t *testing.T) {
-	null := &Lit{value.Null}
-	tru := &Lit{value.NewBool(true)}
-	fls := &Lit{value.NewBool(false)}
-	if got := Eval(&BinOp{Op: "AND", L: null, R: fls}, nil); got.IsNull() || got.Bool() {
-		t.Errorf("null AND false = %v, want false", got)
-	}
-	if got := Eval(&BinOp{Op: "AND", L: null, R: tru}, nil); !got.IsNull() {
-		t.Errorf("null AND true = %v, want null", got)
-	}
-	if got := Eval(&BinOp{Op: "OR", L: null, R: tru}, nil); got.IsNull() || !got.Bool() {
-		t.Errorf("null OR true = %v, want true", got)
-	}
-	if got := Eval(&BinOp{Op: "OR", L: null, R: fls}, nil); !got.IsNull() {
-		t.Errorf("null OR false = %v, want null", got)
-	}
-	if Truthy(value.Null) || !Truthy(value.NewBool(true)) || Truthy(value.NewBool(false)) {
-		t.Error("Truthy broken")
-	}
-}
-
 func TestConjunctsAndAndAll(t *testing.T) {
 	e := AndAll([]Expr{
 		&BinOp{Op: "<", L: &Lit{value.NewInt(1)}, R: &Lit{value.NewInt(2)}},

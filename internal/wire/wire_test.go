@@ -270,9 +270,9 @@ func execExpectError(t *testing.T, nc net.Conn, sqlText string) string {
 }
 
 // TestServerSurvivesStatementPanic: a statement that panics in the
-// evaluator (BIGINT + VARCHAR gets past the binder) fails alone — its
-// session and a second session both run their next statement, and the
-// panic is counted.
+// evaluator (over a VARCHAR planted in a BIGINT column through the
+// table API, past the binder) fails alone — its session and a second
+// session both run their next statement, and the panic is counted.
 func TestServerSurvivesStatementPanic(t *testing.T) {
 	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
 	_, addr := startServer(t, db, Options{})
@@ -280,10 +280,12 @@ func TestServerSurvivesStatementPanic(t *testing.T) {
 	defer nc.Close()
 	execSQL(t, nc, `CREATE TABLE t (a BIGINT, s VARCHAR(8))`)
 	execSQL(t, nc, `INSERT INTO t VALUES (1, 'x'), (2, 'y')`)
+	execSQL(t, nc, `CREATE TABLE bad (a BIGINT)`)
+	db.Table("bad").BulkLoad(nil, []value.Row{{value.NewString("x")}})
 
 	const counter = "hybriddb_statement_panics_total"
 	before := metrics.Default().Snapshot()[counter]
-	if msg := execExpectError(t, nc, `SELECT a + s FROM t`); !strings.Contains(msg, "panicked") {
+	if msg := execExpectError(t, nc, `SELECT a + 1 FROM bad`); !strings.Contains(msg, "panicked") {
 		t.Fatalf("error = %q, want the contained panic", msg)
 	}
 	if got := metrics.Default().Snapshot()[counter] - before; got != 1 {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ci benchmark-module loc bench
+.PHONY: all build vet lint test race ci benchmark-module bench-smoke loc bench
 
 all: ci
 
@@ -55,11 +55,17 @@ benchmark-module:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
 
+# bench-smoke runs every DOP sweep once (about 6 s). It checks no
+# threshold: it is there so that a query a sweep runs which the engine
+# now rejects fails CI, not the next `make bench`.
+bench-smoke:
+	$(GO) test -run '^$$' -bench Scaling -benchtime 1x .
+
 # ci is the tier-1 gate referenced from ROADMAP.md. It times nothing:
 # wall-clock questions go to `sh benchmark/run.sh` (BENCHMARK.json). It
 # ends by printing `make loc`, so every CI log carries the tracked line
 # count next to the lint timing line; the number is reported, not gated.
-ci: vet lint build test race benchmark-module loc
+ci: vet lint build test race benchmark-module bench-smoke loc
 
 # loc prints non-test Go lines per package and in total (benchmark/
 # excluded): the number ROADMAP tracks and a simplification PR quotes.

@@ -128,6 +128,46 @@ func BenchmarkScalingJoin(b *testing.B) {
 		"SELECT o_g, count(*), sum(l_v) FROM borders JOIN blineitem ON l_ok = o_k WHERE o_g < 8 GROUP BY o_g")
 }
 
+// BenchmarkScalingJoinComposite sweeps the CH Q03/Q18 join shape: a
+// two-column key whose first column alone has 40 build rows per value.
+func BenchmarkScalingJoinComposite(b *testing.B) {
+	benchScalingQuery(b, compositeBenchDB(b),
+		"SELECT o_g, count(*), sum(l_v) FROM corders JOIN clines ON l_ok = o_k AND l_w = o_w GROUP BY o_g")
+}
+
+// compositeBenchDB builds batchBenchDB's sizes keyed (o_k, o_w): 20k
+// orders, 500 values of o_k times 40 of o_w, and 120k lines.
+func compositeBenchDB(b *testing.B) *DB {
+	b.Helper()
+	db := Open(WithRowGroupSize(8192))
+	rng := rand.New(rand.NewSource(31))
+	orders := make([]value.Row, 20_000)
+	for i := range orders {
+		orders[i] = value.Row{value.NewInt(int64(i / 40)), value.NewInt(int64(i % 40)), value.NewInt(rng.Int63n(64))}
+	}
+	lines := make([]value.Row, 120_000)
+	for i := range lines {
+		lines[i] = value.Row{value.NewInt(rng.Int63n(500)), value.NewInt(rng.Int63n(40)),
+			value.NewFloat(float64(rng.Intn(10_000)) / 4)}
+	}
+	for _, t := range []struct {
+		ddl, name string
+		rows      []value.Row
+	}{
+		{"CREATE TABLE corders (o_k BIGINT, o_w BIGINT, o_g BIGINT)", "corders", orders},
+		{"CREATE TABLE clines (l_ok BIGINT, l_w BIGINT, l_v DOUBLE)", "clines", lines},
+	} {
+		if _, err := db.Exec(t.ddl); err != nil {
+			b.Fatal(err)
+		}
+		db.Internal().Table(t.name).BulkLoad(nil, t.rows)
+		if _, err := db.Exec("CREATE CLUSTERED COLUMNSTORE INDEX cci_" + t.name + " ON " + t.name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
 // BenchmarkScalingTopN sweeps the parallel sort: per-morsel local
 // sorts with the serial loser-tree merge capped at TOP N.
 func BenchmarkScalingTopN(b *testing.B) {

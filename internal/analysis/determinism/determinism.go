@@ -12,16 +12,16 @@
 //  1. A `range` over a map whose body feeds an order-sensitive sink —
 //     an append to a result-row slice that the function returns, or to
 //     a field named Rows/Metrics/Children (TraceNode children,
-//     Result.Metrics) or Store/Itable (the partitioned hash-join
-//     build's per-partition tables, whose per-key append order is the
-//     probe's match-emission order), or a TraceNode Child call, or a
+//     Result.Metrics) or Store (the partitioned hash-join build's
+//     per-partition row store, whose order is the probe's
+//     match-emission order), or a TraceNode Child call, or a
 //     vec.Vec Append (stored column order is result order) — must be
 //     followed by a sort (any sort.* / slices.Sort* call after the
 //     loop) before the function ends. Otherwise row order changes run
 //     to run, which breaks the serial-vs-parallel crosscheck, the
 //     partitioned-vs-single-table build equivalence, and the paper's
 //     reproducibility. Appends through an index expression
-//     (`t.itable[k] = append(t.itable[k], ...)`) are unwrapped to the
+//     (`t.rows[k] = append(t.rows[k], ...)`) are unwrapped to the
 //     indexed field.
 //
 //  2. Wall-clock and ambient randomness are banned: time.Now, Since,
@@ -50,13 +50,12 @@ var wallClock = map[string]bool{
 }
 
 // sinkFields are order-sensitive destination field names (compared
-// case-insensitively). store/itable are the partitioned
-// hash-join build's per-partition tables: rows must land in build-input
-// order, so filling them in map iteration order is a determinism bug
-// even though they are not result rows themselves.
+// case-insensitively). store is the partitioned hash-join build's
+// per-partition row store: rows must land in build-input order, so
+// filling it in map iteration order is a determinism bug even though
+// it holds no result rows itself.
 var sinkFields = map[string]bool{
-	"rows": true, "metrics": true, "children": true,
-	"store": true, "itable": true,
+	"rows": true, "metrics": true, "children": true, "store": true,
 }
 
 // New returns a fresh determinism analyzer.
@@ -130,9 +129,9 @@ func checkMapOrder(pass *analysis.Pass, fn *ast.FuncDecl) {
 						continue
 					}
 					target := ast.Unparen(m.Lhs[i])
-					// Unwrap index expressions so partition-table writes
-					// (`t.itable[k] = append(t.itable[k], ...)`) resolve
-					// to the indexed field or variable.
+					// Unwrap index expressions so per-key writes
+					// (`t.rows[k] = append(t.rows[k], ...)`) resolve to
+					// the indexed field or variable.
 					for {
 						ix, ok := target.(*ast.IndexExpr)
 						if !ok {

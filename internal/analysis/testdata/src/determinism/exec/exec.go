@@ -94,12 +94,12 @@ func suppressed(groups map[string]Row) []Row {
 	return out
 }
 
-// part mirrors the partitioned hash-join build's per-partition state:
-// an integer-keyed table of row positions plus the stored rows. Both
-// must be filled in build-input order.
+// part mirrors a partitioned build's per-partition state: row
+// positions per key plus the stored rows. Both must be filled in
+// build-input order.
 type part struct {
-	itable map[int64][]int32
-	store  []Row
+	rows  map[int64][]int32
+	store []Row
 }
 
 // repartitionUnsorted rebuilds a partition by ranging over another
@@ -107,7 +107,7 @@ type part struct {
 // order probes emit matches.
 func repartitionUnsorted(dst *part, src map[int64][]int32) {
 	for k, rows := range src { // want `map iteration order flows into result rows`
-		dst.itable[k] = append(dst.itable[k], rows...)
+		dst.rows[k] = append(dst.rows[k], rows...)
 	}
 }
 
@@ -121,15 +121,15 @@ func storeFillUnsorted(dst *part, src map[int64]Row) {
 // repartitionSorted restores a total order afterwards: clean.
 func repartitionSorted(dst *part, src map[int64][]int32) {
 	for k, rows := range src {
-		dst.itable[k] = append(dst.itable[k], rows...)
+		dst.rows[k] = append(dst.rows[k], rows...)
 	}
 	var keys []int64
-	for k := range dst.itable {
+	for k := range dst.rows {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
-		sort.Slice(dst.itable[k], func(i, j int) bool { return dst.itable[k][i] < dst.itable[k][j] })
+		sort.Slice(dst.rows[k], func(i, j int) bool { return dst.rows[k][i] < dst.rows[k][j] })
 	}
 }
 

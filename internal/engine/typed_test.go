@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
+	"hybriddb/internal/plan"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 )
@@ -102,6 +105,70 @@ func TestMixedNumericJoin(t *testing.T) {
 			if n := res.Rows[0][0].Int(); n != want || want == 0 {
 				t.Errorf("%s: %s = %d, filter form %d", d.name, q.join, n, want)
 			}
+		}
+	}
+}
+
+// TestNegativeZeroKeys: −0.0 and +0.0 compare equal, so they are one
+// join key, one group, one distinct value and one index key, as they
+// are one value to WHERE f = 0.0 over a scan. Before, value.EncodeKey
+// kept the sign bit: the join found 2 of the 4 pairs and, keyed on f
+// with a.k = b.k beside it, 0 of 2; GROUP BY and COUNT(DISTINCT) saw
+// two values; a secondary-index seek for 0.0 found one of two rows.
+func TestNegativeZeroKeys(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, d := range []struct {
+		name string
+		ddl  []string
+		seek bool // a has a B+ tree on f, and WHERE f = 0.0 seeks it
+	}{
+		{"btree", []string{"CREATE CLUSTERED INDEX cia ON a (k)", "CREATE NONCLUSTERED INDEX ixf ON a (f)",
+			"CREATE CLUSTERED INDEX cib ON b (k)"}, true},
+		{"cci", []string{"CREATE CLUSTERED COLUMNSTORE INDEX ccia ON a", "CREATE CLUSTERED COLUMNSTORE INDEX ccib ON b"}, false},
+	} {
+		db := New(vclock.DefaultModel(vclock.DRAM), 0)
+		mustExec(t, db, "CREATE TABLE a (k BIGINT, f DOUBLE)")
+		mustExec(t, db, "CREATE TABLE b (k BIGINT, g DOUBLE)")
+		// k 1 and 2 hold the zeros, signs crossed between the tables; the
+		// other rows' f and g never meet.
+		ar := []value.Row{{value.NewInt(1), value.NewFloat(negZero)}, {value.NewInt(2), value.NewFloat(0)}}
+		br := []value.Row{{value.NewInt(1), value.NewFloat(0)}, {value.NewInt(2), value.NewFloat(negZero)}}
+		for i := 3; i <= 1000; i++ {
+			ar = append(ar, value.Row{value.NewInt(int64(i)), value.NewFloat(float64(i))})
+			br = append(br, value.Row{value.NewInt(int64(i)), value.NewFloat(float64(i) + 0.5)})
+		}
+		db.Table("a").BulkLoad(nil, ar)
+		db.Table("b").BulkLoad(nil, br)
+		for _, q := range d.ddl {
+			mustExec(t, db, q)
+		}
+		checks := []struct {
+			q    string
+			want int64
+		}{
+			{"SELECT count(*) FROM a JOIN b ON f = g", 4},
+			{"SELECT count(*) FROM a JOIN b ON f = g AND a.k = b.k", 2},
+			{"SELECT count(DISTINCT f) FROM a WHERE k <= 2", 1},
+		}
+		if d.seek {
+			checks = append(checks, struct {
+				q    string
+				want int64
+			}{"SELECT count(*) FROM a WHERE f = 0.0", 2})
+		}
+		for _, c := range checks {
+			res := mustExec(t, db, c.q)
+			if n := res.Rows[0][0].Int(); n != c.want {
+				t.Errorf("%s: %s = %d, want %d", d.name, c.q, n, c.want)
+			}
+			if d.seek && strings.Contains(c.q, "f = 0.0") {
+				if acc := plan.LeafAccess(res.Plan); len(acc) != 1 || acc[0] != plan.AccessSecondarySeek {
+					t.Errorf("%s: %s ran %v, want a SecondarySeek", d.name, c.q, acc)
+				}
+			}
+		}
+		if rows := mustExec(t, db, "SELECT f, count(*) FROM a WHERE k <= 2 GROUP BY f").Rows; len(rows) != 1 || rows[0][1].Int() != 2 {
+			t.Errorf("%s: GROUP BY f over the two zeros = %v, want one group of 2", d.name, rows)
 		}
 	}
 }

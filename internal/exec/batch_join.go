@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"math"
+	"math/bits"
+
 	"hybriddb/internal/colstore"
 	"hybriddb/internal/plan"
 	"hybriddb/internal/value"
@@ -9,41 +12,36 @@ import (
 )
 
 // batchHashJoin is the hash join: build on the outer side, probe with
-// the inner. The build side is drained into a columnar store (typed
-// vectors, one growable column per populated slot) keyed by an int64
-// map when both key columns are the same integer-backed kind
-// (plan.Join.KeyKind) — value.EncodeKey carries no kind tag for
-// int-payload kinds, so the raw payload is the same key the
-// string-keyed table would hash.
-// Parallel-marked int-keyed builds shard that store by key hash into
-// per-worker partitions built concurrently (see buildPartitionedBatch);
-// serial and string-keyed builds use exactly one partition. Probe
-// batches stream through, emitting columnar output batches when both
-// sides are columnar and composite rows otherwise.
+// the inner, on every pair of plan.Join.Keys. The build side is drained
+// into a columnar store (typed vectors, one growable column per build
+// slot; row-layout build batches are copied in, see storeBatch) under
+// one flat chained hash table: buckets picked by a fixed-seed 64-bit
+// hash of the key columns (keyHash), and head/next chains linked after
+// the drain, so one key's candidates are visited in build-input order.
+// A candidate matches when every key column, compared typed and in
+// place on the vectors (keysEqual), is equal.
+// Parallel-marked builds shard the store by the same hash into
+// per-worker partitions built concurrently (see buildPartitionedBatch).
+// Probe batches stream through, emitting columnar output batches when
+// the probe side is columnar and composite rows otherwise.
 //
 // The charge schedule (pinned by the root package's spine golden): the
 // probe subtree is constructed before the build drain (grant-aware
 // blocking operators below the probe side allocate and release before
-// build memory is held), each non-null build row allocates Width()+32
-// then charges HashCPU, each probe row charges HashCPU before its null
-// check, residual conjuncts evaluate uncharged, and the build memory is
-// freed when the last output has been emitted.
+// build memory is held), each build row whose Keys[0] is non-NULL
+// allocates Width()+32 then charges HashCPU, each probe row charges
+// HashCPU before its null check, key comparisons are uncharged, and the
+// build memory is freed when the last output has been emitted.
 type batchHashJoin struct {
-	ctx      *Context
-	j        *plan.Join
-	residual []func(value.Row) bool
+	ctx *Context
+	j   *plan.Join
 
-	// Build store: columnar partitions (parts) or composite rows
-	// (storeRows), decided on the first build batch.
+	// Build store, laid out on the first build batch (initStore). parts
+	// stays nil when the build side is empty: probes then charge and
+	// miss.
 	parts      []*joinPart
 	storeSlots []int
-	storeRows  []value.Row
-
-	// htable is the string-keyed hash table (always single-partition);
-	// integer-backed keys live in the per-partition itable maps. All
-	// tables are nil when the build side is empty (probes then charge
-	// and miss).
-	htable map[string][]int32
+	conv       *vec.Batch // row-layout build batches copied into store layout
 
 	bytes int64
 	freed bool
@@ -56,41 +54,146 @@ type batchHashJoin struct {
 	gpos     int
 }
 
-// joinPart is one build-side partition: a columnar row store plus the
-// int-keyed hash table over it. Rows are assigned to partitions by key
+// joinPart is one build-side partition: a columnar row store and the
+// chained hash table over it. Rows are assigned to partitions by key
 // hash, so every match for one probe key lives in one partition, and
 // each partition is appended by exactly one builder scanning the input
 // in order — the two facts that make partitioned output row-for-row
 // identical to a serial build at any partition count.
 type joinPart struct {
-	store  []*vec.Vec
-	itable map[int64][]int32
-	n      int
+	store []*vec.Vec
+	keys  []*vec.Vec // the store columns holding the build keys, in Keys order
+	head  []int32    // per bucket (the top bits of a key hash): first stored row, -1 if none
+	next  []int32    // per stored row: the next row of its bucket, -1 at the end
+	shift uint
 }
 
-func newJoinPart(kinds []value.Kind, intKey bool) *joinPart {
-	pt := &joinPart{}
-	for _, k := range kinds {
-		pt.store = append(pt.store, vec.NewVec(k))
+// fill appends the rows of a build batch that belong to partition pi of
+// nParts: every key non-NULL (such a row matches nothing) and the key
+// hash pi modulo nParts. keys are the batch's key vectors, src the batch
+// vector feeding each store column.
+func (pt *joinPart) fill(sb *SlotBatch, keys []*vec.Vec, src []int, jk []plan.JoinKey, pi, nParts int) {
+	n := sb.Len()
+	for i := 0; i < n; i++ {
+		p := sb.B.LiveIndex(i)
+		if anyNull(keys, p) || nParts > 1 && int(keyHash(keys, jk, p)%uint64(nParts)) != pi {
+			continue
+		}
+		for si, vi := range src {
+			pt.store[si].AppendFrom(sb.B.Cols[vi], p)
+		}
 	}
-	if intKey {
-		pt.itable = make(map[int64][]int32)
-	}
-	return pt
 }
 
-// partitionOf assigns an int-backed join key to a build partition with
-// a splitmix64-style finalizer. The raw payload doubles as the hash-
-// table key, so the partition function must scramble it first:
-// sequential surrogate keys would otherwise stripe into few partitions.
-func partitionOf(k int64, parts int) int {
-	x := uint64(k)
+// link chains every stored row into its bucket, last row first, so each
+// chain runs in build-input order. The bucket is the key hash's top
+// bits (partitions route on its low bits), over more buckets than rows.
+func (pt *joinPart) link(jk []plan.JoinKey) {
+	n := pt.keys[0].Len()
+	b := bits.Len(uint(n))
+	pt.shift = uint(64 - b)
+	pt.head = make([]int32, 1<<b)
+	for i := range pt.head {
+		pt.head[i] = -1
+	}
+	pt.next = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		bk := keyHash(pt.keys, jk, i) >> pt.shift
+		pt.next[i], pt.head[bk] = pt.head[bk], int32(i)
+	}
+}
+
+// mix is the splitmix64 finalizer. Raw payloads are scrambled through
+// it so that sequential surrogate keys spread over buckets and
+// partitions instead of striping.
+func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int(x % uint64(parts))
+	return x
+}
+
+// keyHash combines the hashes of position p's key columns, each read in
+// its pair's kind: an integer-backed payload as it is, a number widened
+// to DOUBLE with −0.0 made +0.0, a string by its bytes (FNV-1a).
+func keyHash(keys []*vec.Vec, jk []plan.JoinKey, p int) uint64 {
+	var h uint64
+	for k, v := range keys {
+		var x uint64
+		switch jk[k].Kind {
+		case value.KindFloat:
+			x = math.Float64bits(floatAt(v, p) + 0) // −0.0 + 0 is +0.0
+		case value.KindString:
+			x = 14695981039346656037
+			for _, ch := range []byte(v.S[p]) {
+				x = (x ^ uint64(ch)) * 1099511628211
+			}
+		default:
+			x = uint64(v.I[p])
+		}
+		h = mix(h ^ x)
+	}
+	return h
+}
+
+// keysEqual reports whether build row i (key vectors bk) and probe
+// position p (key vectors pk) carry equal keys, each pair compared in
+// its kind. Neither side holds a NULL key here.
+func keysEqual(bk []*vec.Vec, i int, pk []*vec.Vec, p int, jk []plan.JoinKey) bool {
+	for k, b := range bk {
+		switch jk[k].Kind {
+		case value.KindFloat:
+			if floatAt(b, i) != floatAt(pk[k], p) {
+				return false
+			}
+		case value.KindString:
+			if b.S[i] != pk[k].S[p] {
+				return false
+			}
+		default:
+			if b.I[i] != pk[k].I[p] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// floatAt reads a numeric vector's position p widened to DOUBLE.
+func floatAt(v *vec.Vec, p int) float64 {
+	if v.Kind == value.KindFloat {
+		return v.F[p]
+	}
+	return float64(v.I[p])
+}
+
+func anyNull(keys []*vec.Vec, p int) bool {
+	for _, v := range keys {
+		if v.IsNull(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// keyVecs returns the vectors of a columnar batch that carry each key's
+// build (Left) or probe (Right) slot, or nil when one is not carried.
+func keyVecs(sb *SlotBatch, keys []plan.JoinKey, probe bool) []*vec.Vec {
+	out := make([]*vec.Vec, len(keys))
+	for k, jk := range keys {
+		slot := jk.Left
+		if probe {
+			slot = jk.Right
+		}
+		vi := slotVec(sb.Slots, slot)
+		if vi < 0 {
+			return nil
+		}
+		out[k] = sb.B.Cols[vi]
+	}
+	return out
 }
 
 // buildPartitions picks the build fan-out for a Parallel-marked join:
@@ -109,49 +212,12 @@ func buildPartitions(ctx *Context) int {
 	return w
 }
 
-// encodeKey appends a non-NULL join key to buf for the string-keyed
-// table, in the join's key kind: a BIGINT = DOUBLE join compares in
-// DOUBLE, so the other numeric kind is widened before encoding.
-func (c *batchHashJoin) encodeKey(buf []byte, v value.Value) []byte {
-	if c.j.KeyKind == value.KindFloat && v.Kind() != value.KindFloat {
-		v = value.NewFloat(v.Float())
-	}
-	return value.EncodeKey(buf, v)
-}
-
-// intKeyed reports whether the columnar build keyed by int64 payload.
-func (c *batchHashJoin) intKeyed() bool {
-	return len(c.parts) > 0 && c.parts[0].itable != nil
-}
-
-// lookupInt returns the matches for an int-backed probe key and the
-// partition storing them.
-func (c *batchHashJoin) lookupInt(k int64) ([]int32, *joinPart) {
-	if len(c.parts) == 0 {
-		return nil, nil
-	}
-	pt := c.parts[0]
-	if len(c.parts) > 1 {
-		pt = c.parts[partitionOf(k, len(c.parts))]
-	}
-	return pt.itable[k], pt
-}
-
-func (c *batchHashJoin) part0() *joinPart {
-	if len(c.parts) == 0 {
-		return nil
-	}
-	return c.parts[0]
-}
-
 // probeState is the per-prober scratch: serial probing has one, each
 // fused morsel worker gets its own.
 type probeState struct {
-	scratch value.Row
-	buf     []byte
-
-	keyRes bool
-	keyVi  int // probe-batch vector carrying the join key, -1 if absent
+	// rowKeys holds a row-layout probe batch's keys, one vector per pair
+	// in the pair's kind, so both layouts hash and compare alike.
+	rowKeys []*vec.Vec
 
 	// Columnar-output plumbing, resolved against the first columnar
 	// probe batch (slot mappings are stable across a producer's batches).
@@ -168,7 +234,7 @@ type probeState struct {
 }
 
 func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
-	c := &batchHashJoin{ctx: ctx, j: j, residual: compilePreds(j.Residual)}
+	c := &batchHashJoin{ctx: ctx, j: j}
 	build, err := buildDrained(ctx, j.Outer)
 	if err != nil {
 		return nil, err
@@ -189,102 +255,33 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 		if c.probe, err = BuildBatch(ctx, j.Inner); err != nil {
 			return nil, err
 		}
-		c.st = c.newProbeState(false)
+		c.st = &probeState{}
 	}
 
-	m := ctx.Tr.Model
-	var buf []byte
-	first := true
-	colStore := false
-	keyVi := -1
-	var storeSrc []int // build vector index per store column
+	var src []int // build batch vector per store column
 	for {
 		sb, ok := build.NextBatch()
 		if !ok {
 			break
 		}
-		if first {
-			first = false
-			if sb.Rows == nil {
-				keyVi = slotVec(sb.Slots, j.LeftSlot)
-				colStore = keyVi >= 0
-			}
-			if colStore {
-				var kinds []value.Kind
-				for vi, slot := range sb.Slots {
-					if slot < 0 {
-						continue
-					}
-					kinds = append(kinds, sb.B.Cols[vi].Kind)
-					c.storeSlots = append(c.storeSlots, slot)
-					storeSrc = append(storeSrc, vi)
-				}
-				nParts := 1
-				intKey := intBacked(j.KeyKind)
-				if intKey && j.Parallel {
-					nParts = buildPartitions(ctx)
-				}
-				for pi := 0; pi < nParts; pi++ {
-					c.parts = append(c.parts, newJoinPart(kinds, intKey))
-				}
-				if !intKey {
-					c.htable = make(map[string][]int32)
-				}
-				if nParts > 1 {
-					mBuildPartitions.Add(int64(nParts))
-					if ctx.Trace != nil {
-						ctx.Trace.SetAttr("build_partitions", int64(nParts))
-					}
-				}
-			} else {
-				c.htable = make(map[string][]int32)
-			}
+		if c.parts == nil {
+			src = c.initStore(sb)
 		}
-		if colStore {
-			if len(c.parts) > 1 {
-				if err := c.buildPartitionedBatch(sb, keyVi, storeSrc); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			pt := c.parts[0]
-			kv := sb.B.Cols[keyVi]
-			n := sb.Len()
-			for i := 0; i < n; i++ {
-				p := sb.B.LiveIndex(i)
-				if kv.IsNull(p) {
-					continue
-				}
-				if pt.itable != nil {
-					pt.itable[kv.I[p]] = append(pt.itable[kv.I[p]], int32(pt.n))
-				} else {
-					buf = c.encodeKey(buf[:0], kv.Value(p))
-					c.htable[string(buf)] = append(c.htable[string(buf)], int32(pt.n))
-				}
-				for si, vi := range storeSrc {
-					pt.store[si].AppendFrom(sb.B.Cols[vi], p)
-				}
-				pt.n++
-				w := int64(sb.rowWidth(i, ctx.TotalSlots) + 32)
-				ctx.Tr.Alloc(w)
-				c.bytes += w
-				ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
+		if c.conv != nil {
+			sb = c.storeBatch(sb)
+		}
+		keys := keyVecs(sb, j.Keys, false)
+		if len(c.parts) > 1 {
+			if err := c.buildPartitionedBatch(sb, keys, src); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		for _, row := range sb.materializeRows(ctx.TotalSlots) {
-			k := row[j.LeftSlot]
-			if k.IsNull() {
-				continue
-			}
-			buf = c.encodeKey(buf[:0], k)
-			c.htable[string(buf)] = append(c.htable[string(buf)], int32(len(c.storeRows)))
-			c.storeRows = append(c.storeRows, row)
-			w := int64(row.Width() + 32)
-			ctx.Tr.Alloc(w)
-			c.bytes += w
-			ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
-		}
+		c.parts[0].fill(sb, keys, src, j.Keys, 0, 1)
+		c.chargeBuild(sb, keys[0])
+	}
+	for _, pt := range c.parts {
+		pt.link(j.Keys)
 	}
 
 	if fusedScan != nil {
@@ -295,54 +292,108 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 	return c, nil
 }
 
+// initStore lays the build store out from the first build batch and
+// returns the batch vector feeding each store column. A columnar batch
+// that carries every build key keeps its own vectors. Otherwise the
+// store holds every slot the build subtree's scans fill, in their
+// columns' kinds, and each batch is copied into that layout first.
+func (c *batchHashJoin) initStore(sb *SlotBatch) (src []int) {
+	var kinds []value.Kind
+	if sb.Rows == nil && keyVecs(sb, c.j.Keys, false) != nil {
+		for vi, slot := range sb.Slots {
+			if slot >= 0 {
+				kinds = append(kinds, sb.B.Cols[vi].Kind)
+				c.storeSlots = append(c.storeSlots, slot)
+				src = append(src, vi)
+			}
+		}
+	} else {
+		plan.Walk(c.j.Outer, func(n plan.Node) {
+			if s, ok := n.(*plan.Scan); ok {
+				for ord, col := range s.Table.Schema.Columns {
+					src = append(src, len(src))
+					kinds = append(kinds, col.Kind)
+					c.storeSlots = append(c.storeSlots, s.SlotBase+ord)
+				}
+			}
+		})
+		// Unsized vectors: they grow to the largest batch, so a small
+		// build stays small.
+		c.conv = &vec.Batch{}
+		for _, k := range kinds {
+			c.conv.Cols = append(c.conv.Cols, &vec.Vec{Kind: k})
+		}
+	}
+	nParts := 1
+	if c.j.Parallel {
+		nParts = buildPartitions(c.ctx)
+	}
+	for pi := 0; pi < nParts; pi++ {
+		pt := &joinPart{}
+		for _, k := range kinds {
+			pt.store = append(pt.store, vec.NewVec(k))
+		}
+		for _, jk := range c.j.Keys {
+			pt.keys = append(pt.keys, pt.store[slotVec(c.storeSlots, jk.Left)])
+		}
+		c.parts = append(c.parts, pt)
+	}
+	if nParts > 1 {
+		mBuildPartitions.Add(int64(nParts))
+		if c.ctx.Trace != nil {
+			c.ctx.Trace.SetAttr("build_partitions", int64(nParts))
+		}
+	}
+	return src
+}
+
+// storeBatch copies a build batch's rows into the store's slot layout
+// (c.conv, reused batch to batch). The copy carries every non-NULL
+// value the rows do, so the width charged per row is unchanged.
+func (c *batchHashJoin) storeBatch(sb *SlotBatch) *SlotBatch {
+	c.conv.Reset()
+	rows := sb.materializeRows(c.ctx.TotalSlots)
+	for _, row := range rows {
+		for si, slot := range c.storeSlots {
+			c.conv.Cols[si].Append(row[slot])
+		}
+	}
+	c.conv.SetLen(len(rows))
+	return &SlotBatch{B: c.conv, Slots: c.storeSlots}
+}
+
+// chargeBuild issues one build batch's charges in input order: per row
+// whose first key is non-NULL, Alloc of its composite-row width + 32,
+// then HashCPU.
+func (c *batchHashJoin) chargeBuild(sb *SlotBatch, key0 *vec.Vec) {
+	m := c.ctx.Tr.Model
+	n := sb.Len()
+	for i := 0; i < n; i++ {
+		if key0.IsNull(sb.B.LiveIndex(i)) {
+			continue
+		}
+		w := int64(sb.rowWidth(i, c.ctx.TotalSlots) + 32)
+		c.ctx.Tr.Alloc(w)
+		c.bytes += w
+		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
+	}
+}
+
 // buildPartitionedBatch routes one borrowed build batch into the
 // partitions SPMD-style: every partition's builder goroutine scans the
 // whole batch and appends only its own rows, so there are no routing
 // queues and per-partition order is build-input order. The coordinator
-// concurrently issues the serial charge multiset — Alloc then HashCPU
-// per non-null row, in input order on the main tracker — while the
-// builders touch only real memory; Metrics and MemPeak are therefore
-// bit-identical to a single-partition build. spawn's per-batch barrier
-// keeps the borrowed batch alive until every builder is done with it.
-func (c *batchHashJoin) buildPartitionedBatch(sb *SlotBatch, keyVi int, storeSrc []int) error {
-	kv := sb.B.Cols[keyVi]
-	n := sb.Len()
+// concurrently issues the serial charge multiset (chargeBuild) on the
+// main tracker while the builders touch only real memory; Metrics and
+// MemPeak are therefore bit-identical to a single-partition build.
+// spawn's per-batch barrier keeps the borrowed batch alive until every
+// builder is done with it.
+func (c *batchHashJoin) buildPartitionedBatch(sb *SlotBatch, keys []*vec.Vec, src []int) error {
 	P := len(c.parts)
 	return spawn(P, func(pi int) error {
-		pt := c.parts[pi]
-		for i := 0; i < n; i++ {
-			p := sb.B.LiveIndex(i)
-			if kv.IsNull(p) {
-				continue
-			}
-			k := kv.I[p]
-			if partitionOf(k, P) != pi {
-				continue
-			}
-			pt.itable[k] = append(pt.itable[k], int32(pt.n))
-			for si, vi := range storeSrc {
-				pt.store[si].AppendFrom(sb.B.Cols[vi], p)
-			}
-			pt.n++
-		}
+		c.parts[pi].fill(sb, keys, src, c.j.Keys, pi, P)
 		return nil
-	}, func() {
-		m := c.ctx.Tr.Model
-		for i := 0; i < n; i++ {
-			p := sb.B.LiveIndex(i)
-			if kv.IsNull(p) {
-				continue
-			}
-			w := int64(sb.rowWidth(i, c.ctx.TotalSlots) + 32)
-			c.ctx.Tr.Alloc(w)
-			c.bytes += w
-			c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
-		}
-	})
-}
-
-func (c *batchHashJoin) newProbeState(owned bool) *probeState {
-	return &probeState{scratch: make(value.Row, c.ctx.TotalSlots), keyVi: -1, owned: owned}
+	}, func() { c.chargeBuild(sb, keys[0]) })
 }
 
 func (c *batchHashJoin) NextBatch() (*SlotBatch, bool) {
@@ -378,18 +429,38 @@ func (c *batchHashJoin) release() {
 	c.bytes = 0
 }
 
+// rowKeyVecs copies the keys of a row-layout probe batch into
+// st.rowKeys.
+func (st *probeState) rowKeyVecs(rows []value.Row, keys []plan.JoinKey) []*vec.Vec {
+	if st.rowKeys == nil {
+		for _, jk := range keys {
+			st.rowKeys = append(st.rowKeys, vec.NewVec(jk.Kind))
+		}
+	}
+	for k, jk := range keys {
+		v := st.rowKeys[k]
+		v.Reset()
+		for _, row := range rows {
+			v.Append(row[jk.Right])
+		}
+	}
+	return st.rowKeys
+}
+
 // probeOne probes one input batch against the build table, returning an
 // output batch of joined rows, or nil when no probe row survived.
 func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeState) *SlotBatch {
 	m := tr.Model
-	if sb.Rows == nil && !st.keyRes {
-		st.keyRes = true
-		st.keyVi = slotVec(sb.Slots, c.j.RightSlot)
+	var keys []*vec.Vec
+	if sb.Rows == nil {
+		if keys = keyVecs(sb, c.j.Keys, true); keys == nil {
+			// A key column not decoded in this batch shape: probe the
+			// whole batch as composite rows.
+			sb = &SlotBatch{Rows: sb.materializeRows(c.ctx.TotalSlots)}
+		}
 	}
-	if sb.Rows == nil && st.keyVi < 0 {
-		// Key column not decoded in this batch shape: fall back to
-		// composite rows for the whole batch.
-		sb = &SlotBatch{Rows: sb.materializeRows(c.ctx.TotalSlots)}
+	if sb.Rows != nil {
+		keys = st.rowKeyVecs(sb.Rows, c.j.Keys)
 	}
 	if sb.Rows == nil && c.parts != nil && !st.colInit {
 		st.colInit = true
@@ -429,80 +500,41 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 		outB = st.outB
 	}
 	var rows []value.Row
-	var nStoreCols int
-	if c.parts != nil {
-		nStoreCols = len(c.parts[0].store)
-	}
 	n := sb.Len()
 	for i := 0; i < n; i++ {
 		tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
-		var matches []int32
-		pt := c.part0()
-		var probeRow value.Row
-		var p int
-		if sb.Rows != nil {
-			probeRow = sb.Rows[i]
-			k := probeRow[c.j.RightSlot]
-			if k.IsNull() {
-				continue
-			}
-			if c.intKeyed() {
-				matches, pt = c.lookupInt(k.Int())
-			} else {
-				st.buf = c.encodeKey(st.buf[:0], k)
-				matches = c.htable[string(st.buf)]
-			}
-		} else {
+		p := i
+		if sb.Rows == nil {
 			p = sb.B.LiveIndex(i)
-			kv := sb.B.Cols[st.keyVi]
-			if kv.IsNull(p) {
-				continue
-			}
-			if c.intKeyed() {
-				matches, pt = c.lookupInt(kv.I[p])
-			} else {
-				st.buf = c.encodeKey(st.buf[:0], kv.Value(p))
-				matches = c.htable[string(st.buf)]
-			}
 		}
-		if len(matches) == 0 {
+		if c.parts == nil || anyNull(keys, p) {
 			continue
 		}
-		if colOut {
-			for _, idx := range matches {
-				if len(c.j.Residual) > 0 {
-					for si, slot := range c.storeSlots {
-						st.scratch[slot] = pt.store[si].Value(int(idx))
-					}
-					for _, vi := range st.probeSrc {
-						st.scratch[sb.Slots[vi]] = sb.B.Cols[vi].Value(p)
-					}
-					if !passes(c.residual, st.scratch) {
-						continue
-					}
-				}
-				for si := 0; si < nStoreCols; si++ {
-					outB.Cols[si].AppendFrom(pt.store[si], int(idx))
+		h := keyHash(keys, c.j.Keys, p)
+		pt := c.parts[0]
+		if len(c.parts) > 1 {
+			pt = c.parts[h%uint64(len(c.parts))]
+		}
+		for idx := pt.head[h>>pt.shift]; idx >= 0; idx = pt.next[idx] {
+			if !keysEqual(pt.keys, int(idx), keys, p, c.j.Keys) {
+				continue
+			}
+			if colOut {
+				for si, v := range pt.store {
+					outB.Cols[si].AppendFrom(v, int(idx))
 				}
 				for k, vi := range st.probeSrc {
-					outB.Cols[nStoreCols+k].AppendFrom(sb.B.Cols[vi], p)
+					outB.Cols[len(pt.store)+k].AppendFrom(sb.B.Cols[vi], p)
 				}
 				outCount++
+				continue
 			}
-			continue
-		}
-		for _, idx := range matches {
-			var out value.Row
-			if c.storeRows != nil {
-				out = c.storeRows[idx].Clone()
-			} else {
-				out = make(value.Row, c.ctx.TotalSlots)
-				for si, slot := range c.storeSlots {
-					out[slot] = pt.store[si].Value(int(idx))
-				}
+			out := make(value.Row, c.ctx.TotalSlots)
+			for si, slot := range c.storeSlots {
+				out[slot] = pt.store[si].Value(int(idx))
 			}
-			if probeRow != nil {
-				for s2, v := range probeRow {
+			if sb.Rows != nil {
+				for s2, v := range sb.Rows[i] {
 					if !v.IsNull() {
 						out[s2] = v
 					}
@@ -516,9 +548,6 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 						out[slot] = v
 					}
 				}
-			}
-			if !passes(c.residual, out) {
-				continue
 			}
 			rows = append(rows, out)
 		}
@@ -545,7 +574,7 @@ func (c *batchHashJoin) fusedProbe(scan *plan.Scan, morsels []colstore.ScanParti
 	c.fused = true
 	outs := make([][]*SlotBatch, len(morsels))
 	err := runMorsels(c.ctx, scan, morsels, true, func(mi int, wctx *Context, src *csiBatchSource) error {
-		st := c.newProbeState(true)
+		st := &probeState{owned: true}
 		for {
 			b, ok := src.nextCharged()
 			if !ok {

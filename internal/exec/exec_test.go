@@ -331,7 +331,7 @@ func TestJoinStrategiesAgree(t *testing.T) {
 	nlj := &plan.Join{
 		Strategy: plan.JoinNestedLoop,
 		Outer:    outerScan(), Inner: innerSeek,
-		LeftSlot: 0, RightSlot: 3,
+		Keys: []plan.JoinKey{{Left: 0, Right: 3, Kind: value.KindInt}},
 	}
 	nljRows := drain(t, mkCtx(), nlj)
 
@@ -340,7 +340,7 @@ func TestJoinStrategiesAgree(t *testing.T) {
 	hj := &plan.Join{
 		Strategy: plan.JoinHash,
 		Outer:    outerScan(), Inner: innerScan,
-		LeftSlot: 0, RightSlot: 3,
+		Keys: []plan.JoinKey{{Left: 0, Right: 3, Kind: value.KindInt}},
 	}
 	hjRows := drain(t, mkCtx(), hj)
 
@@ -433,7 +433,7 @@ func TestMergeJoinAgreesWithHashJoin(t *testing.T) {
 	mj := &plan.Join{
 		Strategy: plan.JoinMerge,
 		Outer:    outerScan(), Inner: innerScan(),
-		LeftSlot: 0, RightSlot: 3,
+		Keys: []plan.JoinKey{{Left: 0, Right: 3, Kind: value.KindInt}},
 	}
 	mjCtx := mkCtx()
 	mjRows := drain(t, mjCtx, mj)
@@ -441,7 +441,7 @@ func TestMergeJoinAgreesWithHashJoin(t *testing.T) {
 	hj := &plan.Join{
 		Strategy: plan.JoinHash,
 		Outer:    outerScan(), Inner: innerScan(),
-		LeftSlot: 0, RightSlot: 3,
+		Keys: []plan.JoinKey{{Left: 0, Right: 3, Kind: value.KindInt}},
 	}
 	hjCtx := mkCtx()
 	hjRows := drain(t, hjCtx, hj)
@@ -488,7 +488,7 @@ func TestMergeJoinDuplicateRuns(t *testing.T) {
 	rs.SlotBase = 2
 	ctx := &Context{Tr: vclock.NewTracker(vclock.DefaultModel(vclock.DRAM)), TotalSlots: 4, DOP: 1}
 	rows := drain(t, ctx, &plan.Join{
-		Strategy: plan.JoinMerge, Outer: ls, Inner: rs, LeftSlot: 0, RightSlot: 2,
+		Strategy: plan.JoinMerge, Outer: ls, Inner: rs, Keys: []plan.JoinKey{{Left: 0, Right: 2, Kind: value.KindInt}},
 	})
 	if len(rows) != 60*30 {
 		t.Fatalf("rows = %d, want %d", len(rows), 60*30)

@@ -20,8 +20,7 @@ func buildJoin(ctx *Context, j *plan.Join) (Cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := &nljCursor{ctx: ctx, j: j, outer: outer, inner: inner,
-			filter: compilePreds(inner.Filter), residual: compilePreds(j.Residual)}
+		c := &nljCursor{ctx: ctx, j: j, outer: outer, inner: inner, filter: compilePreds(inner.Filter)}
 		if ctx.Trace != nil {
 			// The inner scan is re-instantiated per outer row, so all
 			// instantiations share one trace node with Loops counting
@@ -39,18 +38,32 @@ func buildJoin(ctx *Context, j *plan.Join) (Cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &mergeJoinCursor{ctx: ctx, j: j, residual: compilePreds(j.Residual), left: outer, right: inner}, nil
+		return &mergeJoinCursor{ctx: ctx, j: j, left: outer, right: inner}, nil
 	}
 	return nil, fmt.Errorf("exec: %v join is not a row fringe", j.Strategy)
 }
 
-// mergeJoinCursor joins two inputs that arrive ordered on their join
+// keysMatch reports whether a joined composite row satisfies every key
+// pair: neither column NULL and the two equal in the pair's kind
+// (value.Compare widens mixed numeric kinds to DOUBLE, and −0.0 equals
+// +0.0) — the equality the hash join checks on its vectors.
+func keysMatch(keys []plan.JoinKey, row value.Row) bool {
+	for _, k := range keys {
+		l, r := row[k.Left], row[k.Right]
+		if l.IsNull() || r.IsNull() || value.Compare(l, r) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeJoinCursor joins two inputs that arrive ordered on their Keys[0]
 // columns, buffering only the current run of equal inner keys — the
-// O(1)-memory join that B+ tree sort order enables.
+// O(1)-memory join that B+ tree sort order enables — and checks the
+// other pairs per joined row.
 type mergeJoinCursor struct {
-	ctx      *Context
-	j        *plan.Join
-	residual []func(value.Row) bool
+	ctx *Context
+	j   *plan.Join
 
 	left, right Cursor
 	started     bool
@@ -84,11 +97,12 @@ func (c *mergeJoinCursor) Next() (value.Row, bool) {
 		c.advanceLeft()
 		c.advanceRight()
 	}
+	ls, rs := c.j.Keys[0].Left, c.j.Keys[0].Right
 	for {
 		// Emit pending combinations of the current left row with the
 		// buffered inner run.
 		if c.runIdx < len(c.run) && c.leftOK && !c.runKey.IsNull() &&
-			value.Compare(c.leftRow[c.j.LeftSlot], c.runKey) == 0 {
+			value.Compare(c.leftRow[ls], c.runKey) == 0 {
 			out := c.leftRow.Clone()
 			for i, v := range c.run[c.runIdx] {
 				if !v.IsNull() {
@@ -96,13 +110,13 @@ func (c *mergeJoinCursor) Next() (value.Row, bool) {
 				}
 			}
 			c.runIdx++
-			if passes(c.residual, out) {
+			if keysMatch(c.j.Keys[1:], out) {
 				return out, true
 			}
 			continue
 		}
 		if c.runIdx >= len(c.run) && len(c.run) > 0 && c.leftOK &&
-			!c.runKey.IsNull() && value.Compare(c.leftRow[c.j.LeftSlot], c.runKey) == 0 {
+			!c.runKey.IsNull() && value.Compare(c.leftRow[ls], c.runKey) == 0 {
 			// Finished the run for this left row; next left row may match
 			// the same run.
 			c.advanceLeft()
@@ -112,7 +126,7 @@ func (c *mergeJoinCursor) Next() (value.Row, bool) {
 		if !c.leftOK {
 			return nil, false
 		}
-		lk := c.leftRow[c.j.LeftSlot]
+		lk := c.leftRow[ls]
 		if lk.IsNull() {
 			c.advanceLeft()
 			continue
@@ -124,7 +138,7 @@ func (c *mergeJoinCursor) Next() (value.Row, bool) {
 		if len(c.run) == 0 {
 			// Advance the inner side to the first key >= lk.
 			for c.rightOK {
-				rk := c.rightRow[c.j.RightSlot]
+				rk := c.rightRow[rs]
 				if rk.IsNull() || value.Compare(rk, lk) < 0 {
 					c.advanceRight()
 					continue
@@ -134,14 +148,14 @@ func (c *mergeJoinCursor) Next() (value.Row, bool) {
 			if !c.rightOK {
 				return nil, false
 			}
-			rk := c.rightRow[c.j.RightSlot]
+			rk := c.rightRow[rs]
 			if value.Compare(rk, lk) > 0 {
 				c.advanceLeft()
 				continue
 			}
 			// Buffer the run of equal inner keys.
 			c.runKey = rk
-			for c.rightOK && value.Compare(c.rightRow[c.j.RightSlot], rk) == 0 {
+			for c.rightOK && value.Compare(c.rightRow[rs], rk) == 0 {
 				c.run = append(c.run, c.rightRow.Clone())
 				c.advanceRight()
 			}
@@ -151,7 +165,8 @@ func (c *mergeJoinCursor) Next() (value.Row, bool) {
 }
 
 // nljCursor is an index nested-loop join: for each outer row it seeks
-// the inner scan's index at the outer key and merges matching rows —
+// the inner scan's index at the outer Keys[0] value and merges the rows
+// that also match the other pairs —
 // the plan shape the paper's Section 5.3 hybrid examples use (index
 // seek + nested loop into fact tables).
 type nljCursor struct {
@@ -161,7 +176,7 @@ type nljCursor struct {
 	inner   *plan.Scan
 	innerTN *metrics.TraceNode // shared across inner rebinds (EXPLAIN ANALYZE)
 
-	filter, residual []func(value.Row) bool // inner.Filter and j.Residual compiled
+	filter []func(value.Row) bool // inner.Filter compiled
 
 	curOuter value.Row
 	innerCur Cursor
@@ -176,7 +191,7 @@ func (c *nljCursor) Next() (value.Row, bool) {
 				return nil, false
 			}
 			c.curOuter = row
-			key := row[c.j.LeftSlot]
+			key := row[c.j.Keys[0].Left]
 			if key.IsNull() {
 				continue
 			}
@@ -213,7 +228,7 @@ func (c *nljCursor) Next() (value.Row, bool) {
 				}
 			}
 		}
-		if !passes(c.residual, out) {
+		if !keysMatch(c.j.Keys[1:], out) {
 			continue
 		}
 		return out, true

@@ -173,15 +173,16 @@ func TestSpawn(t *testing.T) {
 }
 
 // TestPartitionedBuildPanic: a panic on a hash-join builder goroutine
-// (here a partition without its table) comes back as the build's error
+// (here a partition without its store) comes back as the build's error
 // instead of ending the process, after the coordinator's charges ran.
 func TestPartitionedBuildPanic(t *testing.T) {
 	b := vec.NewBatch([]value.Kind{value.KindInt})
 	for k := int64(0); k < 16; k++ {
 		b.AppendRow(value.Row{value.NewInt(k)})
 	}
-	c := &batchHashJoin{ctx: testCtx(), parts: []*joinPart{{}, {}}}
-	err := c.buildPartitionedBatch(&SlotBatch{B: b, Slots: []int{0}}, 0, nil)
+	c := &batchHashJoin{ctx: testCtx(), parts: []*joinPart{{}, {}},
+		j: &plan.Join{Keys: []plan.JoinKey{{Kind: value.KindInt}}}}
+	err := c.buildPartitionedBatch(&SlotBatch{B: b, Slots: []int{0}}, b.Cols, []int{0})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a PanicError from the builder", err)
@@ -214,19 +215,20 @@ func TestSchedulableWorkers(t *testing.T) {
 }
 
 // TestPartitionOf checks range and determinism of the build partition
-// function, and that sequential keys spread rather than stripe.
+// a key hash routes to, and that sequential keys spread rather than
+// stripe.
 func TestPartitionOf(t *testing.T) {
 	const parts = 8
+	v := vec.NewVec(value.KindInt)
+	jk := []plan.JoinKey{{Kind: value.KindInt}}
 	counts := make([]int, parts)
 	for k := int64(0); k < 8000; k++ {
-		p := partitionOf(k, parts)
-		if p < 0 || p >= parts {
-			t.Fatalf("partitionOf(%d, %d) = %d out of range", k, parts, p)
+		v.Append(value.NewInt(k))
+		h := keyHash([]*vec.Vec{v}, jk, int(k))
+		if h2 := keyHash([]*vec.Vec{v}, jk, int(k)); h2 != h {
+			t.Fatalf("keyHash(%d) nondeterministic: %d then %d", k, h, h2)
 		}
-		if p2 := partitionOf(k, parts); p2 != p {
-			t.Fatalf("partitionOf(%d) nondeterministic: %d then %d", k, p, p2)
-		}
-		counts[p]++
+		counts[h%parts]++
 	}
 	for p, c := range counts {
 		// Perfect balance is 1000 per partition; a splitmix-scrambled

@@ -96,24 +96,24 @@ func joinPlan(tables []*table.Table, infos []*tableInfo, joins []joinEq, opts Op
 		}
 		e := joins[bestEdge]
 		used[bestEdge] = true
-		// Residual: any other join predicates now fully bound.
-		var residual []sql.Expr
+		// Keys: the chosen edge first, then every other join predicate
+		// now fully bound. Each of those joins bestNext to the tree (an
+		// edge between two tree tables was used when the later joined),
+		// so it orients as (tree slot, bestNext slot).
+		keys := []plan.JoinKey{e.key(joined)}
 		for ei, o := range joins {
-			if used[ei] || ei == bestEdge {
+			if used[ei] {
 				continue
 			}
 			inTables := joined[o.leftTable] || o.leftTable == bestNext
 			inTables = inTables && (joined[o.rightTable] || o.rightTable == bestNext)
 			if inTables {
-				residual = append(residual, o.expr)
+				keys = append(keys, o.key(joined))
 				used[ei] = true
 			}
 		}
 
-		outerSlot, innerSlot := e.leftSlot, e.rightSlot
-		if !joined[e.leftTable] {
-			outerSlot, innerSlot = e.rightSlot, e.leftSlot
-		}
+		outerSlot, innerSlot := keys[0].Left, keys[0].Right
 		nextTable := tables[bestNext]
 		nextInfo := infos[bestNext]
 		innerOrd := innerSlot - nextInfo.slotBase
@@ -145,24 +145,13 @@ func joinPlan(tables []*table.Table, infos []*tableInfo, joins []joinEq, opts Op
 		if mergeCost < hashCost && mergeCost < nlCost {
 			inner := mergeInner.scan
 			setEst(inner, mergeInner.outRows, mergeInner.cost())
-			jn = &plan.Join{
-				Strategy: plan.JoinMerge,
-				Outer:    tree, Inner: inner,
-				LeftSlot: outerSlot, RightSlot: innerSlot, KeyKind: e.kind,
-				Residual: residual,
-			}
+			jn = &plan.Join{Strategy: plan.JoinMerge, Outer: tree, Inner: inner, Keys: keys}
 			cost += mergeCost
 			work += mergeCost
 			// Merge output stays ordered on the join key.
 			treeSortedSlot = outerSlot
 		} else if nlCost < hashCost {
-			jn = &plan.Join{
-				Strategy: plan.JoinNestedLoop,
-				Outer:    tree,
-				Inner:    nlScan,
-				LeftSlot: outerSlot, RightSlot: innerSlot, KeyKind: e.kind,
-				Residual: residual,
-			}
+			jn = &plan.Join{Strategy: plan.JoinNestedLoop, Outer: tree, Inner: nlScan, Keys: keys}
 			cost += nlCost
 			work += nlCost
 			treeSortedSlot = -1
@@ -171,25 +160,20 @@ func joinPlan(tables []*table.Table, infos []*tableInfo, joins []joinEq, opts Op
 			inner := cands[bestNext].scan
 			setEst(inner, cands[bestNext].outRows, cands[bestNext].cost())
 			if cands[bestNext].outRows < rows {
-				jn = &plan.Join{
-					Strategy: plan.JoinHash,
-					Outer:    inner, Inner: tree,
-					LeftSlot: innerSlot, RightSlot: outerSlot, KeyKind: e.kind,
-					Residual: residual,
+				for i, k := range keys {
+					keys[i] = plan.JoinKey{Left: k.Right, Right: k.Left, Kind: k.Kind}
 				}
+				jn = &plan.Join{Strategy: plan.JoinHash, Outer: inner, Inner: tree, Keys: keys}
 			} else {
-				jn = &plan.Join{
-					Strategy: plan.JoinHash,
-					Outer:    tree, Inner: inner,
-					LeftSlot: outerSlot, RightSlot: innerSlot, KeyKind: e.kind,
-					Residual: residual,
-				}
+				jn = &plan.Join{Strategy: plan.JoinHash, Outer: tree, Inner: inner, Keys: keys}
 			}
 			cost += hashCost
 			work += hashCost
 			treeSortedSlot = -1
 		}
-		rows = bestRows * math.Pow(0.5, float64(len(residual)))
+		// Each pair after the first halves the estimate; the composite
+		// key's NDV is not used.
+		rows = bestRows * math.Pow(0.5, float64(len(keys)-1))
 		if rows < 1 {
 			rows = 1
 		}

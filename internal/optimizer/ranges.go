@@ -13,6 +13,7 @@ package optimizer
 import (
 	"sort"
 
+	"hybriddb/internal/plan"
 	"hybriddb/internal/sql"
 	"hybriddb/internal/value"
 )
@@ -160,7 +161,15 @@ type joinEq struct {
 	leftSlot, rightSlot   int
 	kind                  value.Kind // the comparison's sql.BinOp.CmpKind
 	sameKind              bool       // both key columns have that kind
-	expr                  sql.Expr
+}
+
+// key orients e as a join key pair: Left is the slot of e's table in
+// joined (the tree), Right the slot of the table being attached.
+func (e joinEq) key(joined map[int]bool) plan.JoinKey {
+	if joined[e.leftTable] {
+		return plan.JoinKey{Left: e.leftSlot, Right: e.rightSlot, Kind: e.kind}
+	}
+	return plan.JoinKey{Left: e.rightSlot, Right: e.leftSlot, Kind: e.kind}
 }
 
 // classify splits conjuncts into per-table, equijoin, and residual
@@ -193,7 +202,6 @@ func classify(conjuncts []sql.Expr, offsets, widths []int) (perTable map[int][]s
 						leftTable: lt, rightTable: rt,
 						leftSlot: l.Slot, rightSlot: r.Slot,
 						kind: b.CmpKind, sameKind: l.Kind == r.Kind,
-						expr: c,
 					})
 					continue
 				}

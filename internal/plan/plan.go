@@ -146,20 +146,27 @@ func (s JoinStrategy) String() string {
 	}
 }
 
-// Join combines two inputs. For nested loop the Inner must be a Scan
-// with a seekable access path; OuterKeySlot feeds the seek. For hash
-// joins LeftSlot/RightSlot are the equijoin columns.
+// JoinKey is one column = column equality between a join's inputs:
+// Left is the slot in the outer composite row, Right the slot in the
+// inner one, and Kind the kind the two columns compare in
+// (sql.BinOp.CmpKind, DOUBLE for two different numeric kinds). NULL
+// matches nothing.
+type JoinKey struct {
+	Left, Right int
+	Kind        value.Kind
+}
+
+// Join combines two inputs on every equi-predicate between them. Keys
+// holds all of them, Keys[0] first: the pair the optimizer ordered the
+// join by, which a nested-loop join seeks the inner Scan's index on and
+// a merge join merges on; those two check the other pairs per joined
+// row. A hash join keys its table on all of them.
 type Join struct {
 	Est
-	Strategy  JoinStrategy
-	Outer     Node // build/outer side
-	Inner     Node // probe/inner side (Scan for nested loop)
-	LeftSlot  int  // equijoin slot in outer composite row
-	RightSlot int  // equijoin slot in inner composite row
-	// KeyKind is the kind the key columns compare in (sql.BinOp.CmpKind):
-	// a hash join keys both sides in it.
-	KeyKind  value.Kind
-	Residual []sql.Expr
+	Strategy JoinStrategy
+	Outer    Node // build/outer side
+	Inner    Node // probe/inner side (Scan for nested loop)
+	Keys     []JoinKey
 	// Parallel marks a hash join whose probe may run morsel-driven
 	// (the join output is guaranteed to be fully drained).
 	Parallel bool

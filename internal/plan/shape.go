@@ -48,10 +48,11 @@ func nodeShape(n Node) string {
 		}
 		return s
 	case *Join:
-		s := fmt.Sprintf("%s(%d=%d)", v.Strategy, v.LeftSlot, v.RightSlot)
-		if len(v.Residual) > 0 {
-			s += " residual=" + exprShapes(v.Residual)
+		keys := make([]string, len(v.Keys))
+		for i, k := range v.Keys {
+			keys[i] = fmt.Sprintf("%d=%d", k.Left, k.Right)
 		}
+		s := v.Strategy.String() + "(" + strings.Join(keys, ",") + ")"
 		if v.Parallel {
 			s += " parallel"
 		}

@@ -112,8 +112,8 @@ func noSpaceAfter(t string) bool { return t == "(" || t == "." }
 
 // ExprShape renders an expression like String() but with every literal
 // replaced by `?`, so two predicates differing only in constants have
-// the same shape. The plan-shape hash uses it for filter and residual
-// conjuncts, project expressions, and sort keys.
+// the same shape. The plan-shape hash uses it for filter conjuncts,
+// project expressions, and sort keys.
 func ExprShape(e Expr) string {
 	if e == nil {
 		return ""

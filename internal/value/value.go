@@ -414,7 +414,8 @@ func (s *Schema) RowWidth() int {
 // and returns the extended slice: comparing two encoded keys with
 // bytes.Compare yields the same ordering as CompareRows on the source
 // values. Each value is prefixed with a presence tag so NULL sorts
-// first.
+// first. −0.0 encodes as +0.0, since the two compare equal: GROUP BY,
+// DISTINCT and B+ tree seeks all key on this encoding.
 func EncodeKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
 		if v.IsNull() {
@@ -426,7 +427,7 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 		case KindInt, KindDate:
 			dst = appendUint64(dst, uint64(v.i)^(1<<63))
 		case KindFloat:
-			bits := math.Float64bits(v.f)
+			bits := math.Float64bits(v.f + 0) // −0.0 + 0 is +0.0
 			if bits&(1<<63) != 0 {
 				bits = ^bits
 			} else {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"hybriddb/internal/sql"
@@ -8,8 +9,8 @@ import (
 	"hybriddb/internal/vec"
 )
 
-// adapterInput is a two-slot batch stream mixing the layouts an adapter
-// can meet: a columnar batch with a selection (live rows 1, 3, 4 of
+// adapterInput is a two-slot batch stream mixing the layouts a rowReader
+// or a oneRowCursor can meet: a columnar batch with a selection (live rows 1, 3, 4 of
 // five), a fully live columnar batch, and a row-layout run. Slot 0
 // counts 0..9 over the live rows; slot 1 is the row's parity.
 func adapterInput() (*gatherBatchCursor, int) {
@@ -32,16 +33,16 @@ func adapterInput() (*gatherBatchCursor, int) {
 	}}, 10
 }
 
-// TestBatchRowAdapter reads a batch stream row by row: every live row
-// exactly once and in order, and — because rows are carved from a fresh
-// backing array per batch — still intact after the adapter has moved
-// on to later batches.
-func TestBatchRowAdapter(t *testing.T) {
+// TestRowReader reads a batch stream row by row: every live row exactly
+// once and in order, and — because rows are carved from a fresh backing
+// array per batch — still intact after the reader has moved on to later
+// batches.
+func TestRowReader(t *testing.T) {
 	in, n := adapterInput()
-	ad := &batchRowAdapter{in: in, width: 2}
+	rd := &rowReader{in: in, width: 2}
 	var got []value.Row
 	for {
-		r, ok := ad.Next()
+		r, ok := rd.next()
 		if !ok {
 			break
 		}
@@ -52,6 +53,43 @@ func TestBatchRowAdapter(t *testing.T) {
 	}
 	for i, r := range got {
 		if r[0].Int() != int64(i) || r[1].Int() != int64(i%2) {
+			t.Fatalf("row %d = %v", i, r)
+		}
+	}
+}
+
+// TestLift lifts a row step in batches of limit rows, and never calls
+// the step again once it has reported the end: a bounded B+ tree cursor
+// would read and charge one more row past its range.
+func TestLift(t *testing.T) {
+	calls, ended := 0, 0
+	step := func() (value.Row, bool) {
+		calls++
+		if calls > 7 {
+			ended++
+			return nil, false
+		}
+		return value.Row{value.NewInt(int64(calls))}, true
+	}
+	l := &lift{step: step, limit: 3}
+	var sizes []int
+	var got []value.Row
+	for {
+		sb, ok := l.NextBatch()
+		if !ok {
+			break
+		}
+		sizes = append(sizes, sb.Len())
+		got = sb.appendRows(got, 1)
+	}
+	if _, ok := l.NextBatch(); ok || ended != 1 {
+		t.Fatalf("step called %d times after the end", ended)
+	}
+	if !slices.Equal(sizes, []int{3, 3, 1}) {
+		t.Fatalf("batch sizes %v, want [3 3 1]", sizes)
+	}
+	for i, r := range got {
+		if r[0].Int() != int64(i+1) {
 			t.Fatalf("row %d = %v", i, r)
 		}
 	}

@@ -378,20 +378,20 @@ type streamAggCursor struct {
 	ctx    *Context
 	a      *plan.Agg
 	args   []func(value.Row) value.Value
-	in     Cursor
+	in     *rowReader
 	cur    *aggGroup
 	curKey []byte
 	done   bool
 }
 
-func (c *streamAggCursor) Next() (value.Row, bool) {
+func (c *streamAggCursor) next() (value.Row, bool) {
 	if c.done {
 		return nil, false
 	}
 	m := c.ctx.Tr.Model
 	var buf []byte
 	for {
-		row, ok := c.in.Next()
+		row, ok := c.in.next()
 		if !ok {
 			c.done = true
 			if c.cur == nil {

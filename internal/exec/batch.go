@@ -1,36 +1,41 @@
 // The batch spine: the executor's one pipeline. Operators pull
 // SlotBatch units (typed column vectors plus a selection vector, or a
-// materialized row run at the fringes) through BatchCursor trees, so
+// materialized row run from a row-wise operator) through BatchCursor
+// trees, so
 // the selection vectors produced by the columnstore scan kernels flow
 // end-to-end instead of being rematerialized at the first row-mode
 // parent — the MonetDB/X100-style vectorization behind the paper's
 // batch-mode CPU asymmetry.
 //
-// Row-mode survives as thin fringes: B+ tree seeks and heap scans,
-// merge and nested-loop joins, stream aggregation, and bare TOP without
-// a blocking child (which must preserve row-at-a-time early
-// termination). Everything else — filter, project, hash join
-// build/probe, sort, hash aggregation, TOP above a blocking operator —
-// has only a vectorized implementation. Two adapters join the halves:
-// rowBatchAdapter lifts a fringe's rows into batches for a batch
-// parent, batchRowAdapter hands a batch child's rows to a fringe
-// parent. Neither charges the virtual clock (the columnstore scan's
-// batch-to-row boundary cost is charged at the scan leaf).
+// BatchCursor is the only operator interface, and BuildBatch the only
+// builder. A few operators are row-wise by algorithm: B+ tree seeks and
+// heap scans, merge and nested-loop joins, stream aggregation, and bare
+// TOP without a blocking child (which must preserve row-at-a-time early
+// termination). Each keeps a row-at-a-time step, reads its input
+// through a rowReader, and is put on the spine by a lift, which hands
+// the step's rows upward as row-layout batches. Everything else —
+// filter, project, hash join build/probe, sort, hash aggregation, TOP
+// above a blocking operator — is vectorized. Neither the lift nor the
+// reader charges the virtual clock (the columnstore scan's batch-to-row
+// boundary cost is charged at the scan leaf).
 //
 // The one-row rule: virtual charges are issued as a batch is
 // processed, so batch granularity would be observable wherever a
 // consumer stops early — a bare TOP, a merge join running off its
 // shorter input. Subtrees built under Context.oneRow therefore wrap
-// every batch operator in a oneRowCursor and pull fringes one row at a
-// time, until a blocking operator (sort, hash aggregate, hash-join
-// build) drains its input regardless and lifts the rule beneath it.
+// every vectorized operator in a oneRowCursor and lift row-wise ones
+// one row per batch, until a blocking operator (sort, hash aggregate,
+// hash-join build) drains its input regardless and lifts the rule
+// beneath it.
 //
 // Ownership: columnar batches are borrowed — valid only until the
 // producer's next NextBatch call (producers reuse vectors and
 // selection buffers; see vec.SelPool). Blocking consumers copy out.
-// Row-layout batches carry freshly materialized rows and are owned by
-// the consumer. The bufalias analyzer enforces that reused batch
-// buffers do not escape their owner except through NextBatch itself.
+// The rows of a row-layout batch are freshly materialized and owned by
+// the consumer; the slice holding them, like a columnar batch, only
+// until the next call. The bufalias analyzer enforces that reused
+// batch buffers do not escape their owner except through NextBatch
+// itself.
 package exec
 
 import (
@@ -43,15 +48,15 @@ import (
 )
 
 // BatchCursor produces SlotBatches. A returned batch is valid until
-// the next NextBatch call on the same cursor (columnar layout) or
-// owned by the caller (row layout).
+// the next NextBatch call on the same cursor; the rows of a row-layout
+// batch are the caller's to keep.
 type BatchCursor interface {
 	NextBatch() (*SlotBatch, bool)
 }
 
 // SlotBatch is the unit of batch-mode data flow: either a columnar
 // vec.Batch whose vectors are mapped to composite-row slots, or a run
-// of materialized rows (fringe adapters, aggregate/project/sort
+// of materialized rows (row-wise operators, aggregate/project/sort
 // output). Exactly one layout is active: Rows != nil selects the row
 // layout.
 type SlotBatch struct {
@@ -141,26 +146,6 @@ func (sb *SlotBatch) appendRows(dst []value.Row, totalSlots int) []value.Row {
 	return dst
 }
 
-// rowFringe reports whether a plan node executes row at a time: Build
-// constructs it natively and BuildBatch adapts it; for every other
-// node it is the other way round.
-func rowFringe(n plan.Node) bool {
-	switch v := n.(type) {
-	case *plan.Scan:
-		return v.Access != plan.AccessCSIScan
-	case *plan.Join:
-		return v.Strategy != plan.JoinHash
-	case *plan.Agg:
-		return v.Strategy == plan.AggStream
-	case *plan.Top:
-		// A bare TOP terminates its input early row by row; batching it
-		// would charge for the rest of the final batch. Above a blocking
-		// operator the input is fully drained either way, so TOP batches.
-		return !blockingBelow(v.Input)
-	}
-	return false
-}
-
 // blockingBelow reports whether the pipeline below n contains an
 // operator that drains its input completely before emitting (sort or
 // hash aggregation), following the streaming path the way
@@ -187,45 +172,12 @@ func blockingBelow(n plan.Node) bool {
 	return false
 }
 
-// countBatchOperators counts the batch-native operators of a plan for
-// the batch_operators trace attribute, above and below row fringes.
-func countBatchOperators(n plan.Node) (count int64) {
-	plan.Walk(n, func(n plan.Node) {
-		if _, root := n.(*plan.Root); !root && !rowFringe(n) {
-			count++
-		}
-	})
-	return count
-}
-
-// lastTraced returns the trace node of the operator Build or BuildBatch
-// just constructed under ctx.Trace (each appends exactly one child),
-// where an adapter records its traffic; nil untraced.
-func lastTraced(ctx *Context) *metrics.TraceNode {
-	if ctx.Trace == nil || len(ctx.Trace.Children) == 0 {
-		return nil
-	}
-	return ctx.Trace.Children[len(ctx.Trace.Children)-1]
-}
-
-// BuildBatch constructs the batch-cursor tree for a plan node,
-// mirroring Build's trace wiring: one TraceNode per operator,
-// construction deltas included. Row fringes are built by Build (which
-// traces them itself) and lifted by a rowBatchAdapter.
+// BuildBatch constructs the operator tree for a plan node: one
+// TraceNode per operator when tracing, construction deltas included.
+// It is the executor's only builder.
 func BuildBatch(ctx *Context, n plan.Node) (BatchCursor, error) {
 	if root, ok := n.(*plan.Root); ok {
 		return BuildBatch(ctx, root.Input)
-	}
-	if rowFringe(n) {
-		cur, err := Build(ctx, n)
-		if err != nil {
-			return nil, err
-		}
-		ad := &rowBatchAdapter{in: cur, limit: vec.BatchSize, tn: lastTraced(ctx)}
-		if ctx.oneRow {
-			ad.limit = 1
-		}
-		return ad, nil
 	}
 	tn, done := openTrace(ctx, n)
 	cur, err := buildBatchNode(ctx, n)
@@ -239,7 +191,8 @@ func BuildBatch(ctx *Context, n plan.Node) (BatchCursor, error) {
 	if _, ok := cur.(*gatherBatchCursor); ok {
 		selfBatches = true
 	}
-	if ctx.oneRow {
+	// A lift already hands over one row per batch under the rule.
+	if _, lifted := cur.(*lift); ctx.oneRow && !lifted {
 		cur = &oneRowCursor{in: cur}
 	}
 	if tn != nil {
@@ -248,12 +201,13 @@ func BuildBatch(ctx *Context, n plan.Node) (BatchCursor, error) {
 	return cur, nil
 }
 
-// buildDrained builds a blocking operator's input: the operator pulls
-// it to exhaustion whatever its own consumer does, so the one-row rule
-// is lifted beneath it.
-func buildDrained(ctx *Context, n plan.Node) (BatchCursor, error) {
+// buildInput builds an operator's input with the one-row rule set
+// (below a bare TOP or a merge join, which may stop pulling early) or
+// lifted (below a blocking operator, which pulls its input to
+// exhaustion whatever its own consumer does).
+func buildInput(ctx *Context, n plan.Node, oneRow bool) (BatchCursor, error) {
 	saved := ctx.oneRow
-	ctx.oneRow = false
+	ctx.oneRow = oneRow
 	cur, err := BuildBatch(ctx, n)
 	ctx.oneRow = saved
 	return cur, err
@@ -262,7 +216,14 @@ func buildDrained(ctx *Context, n plan.Node) (BatchCursor, error) {
 func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 	switch node := n.(type) {
 	case *plan.Scan:
-		return newBatchScan(ctx, node)
+		if node.Access == plan.AccessCSIScan {
+			return newBatchScan(ctx, node)
+		}
+		cur, err := BuildScan(ctx, node)
+		if err != nil {
+			return nil, err
+		}
+		return newLift(ctx, cur.Next), nil
 	case *plan.Filter:
 		in, err := BuildBatch(ctx, node.Input)
 		if err != nil {
@@ -270,8 +231,19 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 		}
 		return newBatchFilter(ctx, in, node.Conds), nil
 	case *plan.Join:
-		return newBatchHashJoin(ctx, node)
+		if node.Strategy == plan.JoinHash {
+			return newBatchHashJoin(ctx, node)
+		}
+		return buildJoin(ctx, node)
 	case *plan.Agg:
+		if node.Strategy == plan.AggStream {
+			in, err := BuildBatch(ctx, node.Input)
+			if err != nil {
+				return nil, err
+			}
+			c := &streamAggCursor{ctx: ctx, a: node, args: aggArgs(node), in: newRowReader(ctx, in)}
+			return newLift(ctx, c.next), nil
+		}
 		return buildBatchAgg(ctx, node)
 	case *plan.Project:
 		in, err := BuildBatch(ctx, node.Input)
@@ -285,12 +257,24 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 		} else if ok {
 			return &rowsBatchCursor{rows: rows}, nil
 		}
-		in, err := buildDrained(ctx, node.Input)
+		in, err := buildInput(ctx, node.Input, false)
 		if err != nil {
 			return nil, err
 		}
 		return newBatchSort(ctx, in, node.Keys)
 	case *plan.Top:
+		if !blockingBelow(node.Input) {
+			// A bare TOP terminates its input early row by row; batching it
+			// would charge for the rest of the final batch.
+			in, err := buildInput(ctx, node.Input, true)
+			if err != nil {
+				return nil, err
+			}
+			c := &topCursor{in: newRowReader(ctx, in), n: node.N}
+			return newLift(ctx, c.next), nil
+		}
+		// Above a blocking operator the input is fully drained either way,
+		// so TOP batches.
 		if s, ok := node.Input.(*plan.Sort); ok && parallelSortEligible(ctx, s) {
 			rows, tn, err := fusedTopSortRows(ctx, node, s)
 			if err != nil {
@@ -311,8 +295,11 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 	return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 }
 
-// traceBatchCursor mirrors traceCursor for batch operators: emitted
-// live rows, batch counts, and the subtree's byte/time deltas. It sits
+// traceBatchCursor accounts one plan node for EXPLAIN ANALYZE: emitted
+// live rows, batch counts, and the byte-read and simulated-time deltas
+// across each NextBatch call. A child's work happens inside its
+// parent's call, so BytesRead and Time are inclusive of the subtree,
+// like the actual execution statistics of production engines. It sits
 // outside the operator's oneRowCursor, so under the one-row rule Rows
 // counts the rows the consumer actually pulled.
 type traceBatchCursor struct {
@@ -338,78 +325,76 @@ func (c *traceBatchCursor) NextBatch() (*SlotBatch, bool) {
 	return sb, ok
 }
 
-// rowBatchAdapter lifts a row fringe's cursor into the batch spine, up
-// to limit rows per batch (one under the one-row rule). Rows arrive
-// already materialized (each fringe cursor allocates its own output
-// rows), so the adaptation is free of virtual-clock charges; the
-// adapter_rows attribute records the traffic crossing the boundary.
-// done latches end of stream: a fringe cursor is never polled again
+// lift puts a row-wise operator on the spine: it calls the operator's
+// row step until it holds limit rows (vec.BatchSize, or one under the
+// one-row rule) and hands them over as one row-layout batch. The step
+// materializes each row itself, so lifting is free of virtual-clock
+// charges. done latches end of stream: a step is never called again
 // after it reports exhaustion (a bounded clusteredCursor would read and
 // charge one more row past its range).
-type rowBatchAdapter struct {
-	in      Cursor
-	limit   int
-	tn      *metrics.TraceNode
-	adapted int64
-	out     SlotBatch
-	done    bool
+type lift struct {
+	step  func() (value.Row, bool)
+	limit int
+	rows  []value.Row // the batch's row headers, reused batch to batch
+	out   SlotBatch
+	done  bool
 }
 
-func (a *rowBatchAdapter) NextBatch() (*SlotBatch, bool) {
-	if a.done {
+func newLift(ctx *Context, step func() (value.Row, bool)) *lift {
+	l := &lift{step: step, limit: vec.BatchSize}
+	if ctx.oneRow {
+		l.limit = 1
+	}
+	return l
+}
+
+func (l *lift) NextBatch() (*SlotBatch, bool) {
+	if l.done {
 		return nil, false
 	}
-	var rows []value.Row
-	for len(rows) < a.limit {
-		r, ok := a.in.Next()
+	l.rows = l.rows[:0]
+	for len(l.rows) < l.limit {
+		r, ok := l.step()
 		if !ok {
-			a.done = true
+			l.done = true
 			break
 		}
-		rows = append(rows, r)
+		l.rows = append(l.rows, r)
 	}
-	if len(rows) == 0 {
+	if len(l.rows) == 0 {
 		return nil, false
 	}
-	a.adapted += int64(len(rows))
-	if a.tn != nil {
-		a.tn.SetAttr("adapter_rows", a.adapted)
-	}
-	a.out = SlotBatch{Rows: rows}
-	return &a.out, true
+	l.out = SlotBatch{Rows: l.rows}
+	return &l.out, true
 }
 
-// batchRowAdapter is the mirror: it hands a batch operator's output to
-// a row-fringe parent one row at a time, pulling the next batch only
-// when the last is used up. A columnar batch's rows are carved from one
-// backing array (the csiCursor discipline) and only the row headers are
-// reused, so consumers may retain what Next returns. Charge-free like
-// its twin; row_adapter_rows records the traffic on the child's node.
-type batchRowAdapter struct {
-	in      BatchCursor
-	width   int // composite row width
-	rows    []value.Row
-	pos     int
-	tn      *metrics.TraceNode
-	adapted int64
+// rowReader is how a row-wise operator reads its input: one row at a
+// time, pulling the next batch only when the last is used up. A
+// columnar batch's rows are carved from one backing array (the
+// csiCursor discipline) and only the row headers are reused, so
+// callers may retain what next returns. It is charge-free like the
+// lift.
+type rowReader struct {
+	in    BatchCursor
+	width int // composite row width
+	rows  []value.Row
+	pos   int
 }
 
-func (a *batchRowAdapter) Next() (value.Row, bool) {
-	for a.pos >= len(a.rows) {
-		sb, ok := a.in.NextBatch()
+func newRowReader(ctx *Context, in BatchCursor) *rowReader {
+	return &rowReader{in: in, width: ctx.TotalSlots}
+}
+
+func (r *rowReader) next() (value.Row, bool) {
+	for r.pos >= len(r.rows) {
+		sb, ok := r.in.NextBatch()
 		if !ok {
 			return nil, false
 		}
-		a.rows, a.pos = sb.appendRows(a.rows[:0], a.width), 0
-		if a.tn != nil {
-			// Per batch, not per row; where the parent may stop early the
-			// one-row rule makes a batch one row, so this is rows pulled.
-			a.adapted += int64(len(a.rows))
-			a.tn.SetAttr("row_adapter_rows", a.adapted)
-		}
+		r.rows, r.pos = sb.appendRows(r.rows[:0], r.width), 0
 	}
-	row := a.rows[a.pos]
-	a.pos++
+	row := r.rows[r.pos]
+	r.pos++
 	return row, true
 }
 

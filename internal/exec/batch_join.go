@@ -235,7 +235,7 @@ type probeState struct {
 
 func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 	c := &batchHashJoin{ctx: ctx, j: j}
-	build, err := buildDrained(ctx, j.Outer)
+	build, err := buildInput(ctx, j.Outer, false)
 	if err != nil {
 		return nil, err
 	}

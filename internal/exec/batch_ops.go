@@ -210,7 +210,7 @@ func (p *batchProject) NextBatch() (*SlotBatch, bool) {
 }
 
 // batchTop limits output to N rows at batch granularity. It only runs
-// above a blocking operator (bare TOP is a row fringe, see rowFringe),
+// above a blocking operator (bare TOP is row-wise, see topCursor),
 // so trimming the final batch never leaves charged-but-unconsumed work
 // behind: the input was fully drained either way.
 type batchTop struct {
@@ -265,7 +265,7 @@ func newBatchSort(ctx *Context, in BatchCursor, keys []plan.SortKey) (BatchCurso
 }
 
 // buildBatchAgg dispatches hash aggregation. Stream aggregation never
-// reaches here (it is a row fringe). A batch-mode aggregate directly
+// reaches here (it is row-wise, see streamAggCursor). A batch-mode aggregate directly
 // over a columnstore scan consumes the scan's batch source at batch
 // rates; anything else aggregates its input at row rates through the
 // same aggCore.
@@ -279,7 +279,7 @@ func buildBatchAgg(ctx *Context, a *plan.Agg) (BatchCursor, error) {
 			return &rowsBatchCursor{rows: rows}, nil
 		}
 	}
-	in, err := buildDrained(ctx, a.Input)
+	in, err := buildInput(ctx, a.Input, false)
 	if err != nil {
 		return nil, err
 	}

@@ -63,21 +63,21 @@ func scanNode(t *table.Table, access plan.AccessKind) *plan.Scan {
 	return s
 }
 
-// drain reads a plan row by row through Build: fringes natively, every
-// other operator as the batch form queries run, behind the adapter.
+// drain runs a plan the way Execute does: built by BuildBatch, its
+// batches materialized as composite rows.
 func drain(tb testing.TB, ctx *Context, n plan.Node) []value.Row {
 	tb.Helper()
-	cur, err := Build(ctx, n)
+	cur, err := BuildBatch(ctx, n)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var out []value.Row
 	for {
-		r, ok := cur.Next()
+		sb, ok := cur.NextBatch()
 		if !ok {
 			return out
 		}
-		out = append(out, r)
+		out = sb.appendRows(out, ctx.TotalSlots)
 	}
 }
 
@@ -391,11 +391,10 @@ func TestBatchFilterFastAndGenericAgree(t *testing.T) {
 func TestUIDCursorExposesUIDs(t *testing.T) {
 	tbl := fixtureTable(t, 100, 5)
 	ctx := ctxFor(tbl)
-	cur, err := BuildScan(ctx, scanNode(tbl, plan.AccessClusteredScan))
+	uc, err := BuildScan(ctx, scanNode(tbl, plan.AccessClusteredScan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uc := cur.(UIDCursor)
 	seen := map[int64]bool{}
 	for {
 		_, ok := uc.Next()
@@ -552,7 +551,7 @@ func TestComparisonConsumersAgree(t *testing.T) {
 			t.Errorf("%s: columnstore source took the typed path = %v, want %v", c.where, typed, c.fast)
 		}
 		typed := colInt(drain(t, ctxFor(tbl), s), 0)
-		ref := scanNode(tbl, plan.AccessClusteredScan) // row fringe: compiled predicate per row
+		ref := scanNode(tbl, plan.AccessClusteredScan) // row-wise scan: compiled predicate per row
 		ref.Filter = b.Conjuncts
 		generic := colInt(drain(t, ctxFor(tbl), ref), 0)
 		sort.Slice(typed, func(i, j int) bool { return typed[i] < typed[j] })

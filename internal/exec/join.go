@@ -9,38 +9,41 @@ import (
 	"hybriddb/internal/vclock"
 )
 
-func buildJoin(ctx *Context, j *plan.Join) (Cursor, error) {
+// buildJoin builds the row-wise joins, nested-loop and merge, and lifts
+// them onto the spine.
+func buildJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 	switch j.Strategy {
 	case plan.JoinNestedLoop:
 		inner, ok := j.Inner.(*plan.Scan)
 		if !ok {
 			return nil, fmt.Errorf("exec: nested loop inner must be a scan, got %T", j.Inner)
 		}
-		outer, err := Build(ctx, j.Outer)
+		outer, err := BuildBatch(ctx, j.Outer)
 		if err != nil {
 			return nil, err
 		}
-		c := &nljCursor{ctx: ctx, j: j, outer: outer, inner: inner, filter: compilePreds(inner.Filter)}
+		c := &nljCursor{ctx: ctx, j: j, outer: newRowReader(ctx, outer), inner: inner, filter: compilePreds(inner.Filter)}
 		if ctx.Trace != nil {
 			// The inner scan is re-instantiated per outer row, so all
 			// instantiations share one trace node with Loops counting
 			// the rebinds.
 			c.innerTN = ctx.Trace.Child(inner.Describe())
 		}
-		return c, nil
+		return newLift(ctx, c.next), nil
 	case plan.JoinMerge:
 		// Either side may be left unexhausted when the other runs out.
-		outer, err := buildEarlyStop(ctx, j.Outer)
+		outer, err := buildInput(ctx, j.Outer, true)
 		if err != nil {
 			return nil, err
 		}
-		inner, err := buildEarlyStop(ctx, j.Inner)
+		inner, err := buildInput(ctx, j.Inner, true)
 		if err != nil {
 			return nil, err
 		}
-		return &mergeJoinCursor{ctx: ctx, j: j, left: outer, right: inner}, nil
+		c := &mergeJoinCursor{ctx: ctx, j: j, left: newRowReader(ctx, outer), right: newRowReader(ctx, inner)}
+		return newLift(ctx, c.next), nil
 	}
-	return nil, fmt.Errorf("exec: %v join is not a row fringe", j.Strategy)
+	return nil, fmt.Errorf("exec: %v join is not row-wise", j.Strategy)
 }
 
 // keysMatch reports whether a joined composite row satisfies every key
@@ -65,7 +68,7 @@ type mergeJoinCursor struct {
 	ctx *Context
 	j   *plan.Join
 
-	left, right Cursor
+	left, right *rowReader
 	started     bool
 	leftRow     value.Row
 	leftOK      bool
@@ -78,20 +81,20 @@ type mergeJoinCursor struct {
 }
 
 func (c *mergeJoinCursor) advanceLeft() {
-	c.leftRow, c.leftOK = c.left.Next()
+	c.leftRow, c.leftOK = c.left.next()
 	if c.leftOK {
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, c.ctx.Tr.Model.RowCPU/4), 0.8)
 	}
 }
 
 func (c *mergeJoinCursor) advanceRight() {
-	c.rightRow, c.rightOK = c.right.Next()
+	c.rightRow, c.rightOK = c.right.next()
 	if c.rightOK {
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, c.ctx.Tr.Model.RowCPU/4), 0.8)
 	}
 }
 
-func (c *mergeJoinCursor) Next() (value.Row, bool) {
+func (c *mergeJoinCursor) next() (value.Row, bool) {
 	if !c.started {
 		c.started = true
 		c.advanceLeft()
@@ -172,21 +175,21 @@ func (c *mergeJoinCursor) Next() (value.Row, bool) {
 type nljCursor struct {
 	ctx     *Context
 	j       *plan.Join
-	outer   Cursor
+	outer   *rowReader
 	inner   *plan.Scan
 	innerTN *metrics.TraceNode // shared across inner rebinds (EXPLAIN ANALYZE)
 
 	filter []func(value.Row) bool // inner.Filter compiled
 
-	curOuter value.Row
-	innerCur Cursor
+	curOuter  value.Row
+	innerNext func() (value.Row, bool) // the current rebind's scan step; nil between rebinds
 }
 
-func (c *nljCursor) Next() (value.Row, bool) {
+func (c *nljCursor) next() (value.Row, bool) {
 	m := c.ctx.Tr.Model
 	for {
-		if c.innerCur == nil {
-			row, ok := c.outer.Next()
+		if c.innerNext == nil {
+			row, ok := c.outer.next()
 			if !ok {
 				return nil, false
 			}
@@ -205,27 +208,27 @@ func (c *nljCursor) Next() (value.Row, bool) {
 			cur, err := buildScan(c.ctx, &scan, c.filter)
 			if err != nil {
 				// Planner guarantees seekability; treat as empty inner.
-				c.innerCur = nil
 				continue
 			}
+			c.innerNext = cur.Next
 			if c.innerTN != nil {
+				// Traced on the shared node one row per batch, so each
+				// inner row's charges land exactly as it is pulled.
 				c.innerTN.Loops++
-				cur = &traceCursor{ctx: c.ctx, tn: c.innerTN, in: cur}
+				traced := &traceBatchCursor{ctx: c.ctx, tn: c.innerTN, in: &lift{step: cur.Next, limit: 1}}
+				c.innerNext = newRowReader(c.ctx, traced).next
 			}
-			c.innerCur = cur
 		}
-		inRow, ok := c.innerCur.Next()
+		inRow, ok := c.innerNext()
 		if !ok {
-			c.innerCur = nil
+			c.innerNext = nil
 			continue
 		}
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU/2), 0.8)
 		out := c.curOuter.Clone()
 		for i, v := range inRow {
-			if !v.IsNull() || out[i].IsNull() {
-				if !v.IsNull() {
-					out[i] = v
-				}
+			if !v.IsNull() {
+				out[i] = v
 			}
 		}
 		if !keysMatch(c.j.Keys[1:], out) {

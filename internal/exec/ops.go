@@ -9,18 +9,19 @@ import (
 	"hybriddb/internal/vclock"
 )
 
-// topCursor limits output to N rows.
+// topCursor is bare TOP: it limits output to N rows, pulling its input
+// one row at a time so that nothing past the N-th row is charged.
 type topCursor struct {
-	in   Cursor
+	in   *rowReader
 	n    int64
 	seen int64
 }
 
-func (c *topCursor) Next() (value.Row, bool) {
+func (c *topCursor) next() (value.Row, bool) {
 	if c.seen >= c.n {
 		return nil, false
 	}
-	row, ok := c.in.Next()
+	row, ok := c.in.next()
 	if !ok {
 		return nil, false
 	}

@@ -11,24 +11,25 @@ import (
 	"hybriddb/internal/vclock"
 )
 
-// UIDCursor is a Cursor that also exposes the UID of the last row
+// UIDCursor reads a scan row by row and exposes the UID of the last row
 // returned — the DML layer uses it to identify target rows. Every scan
-// cursor implements it.
+// cursor implements it; Next is also the step a query's row-wise scan
+// is lifted by.
 type UIDCursor interface {
-	Cursor
+	Next() (value.Row, bool)
 	UID() int64
 }
 
-// BuildScan exposes scan-cursor construction (with UIDs) for the DML
-// layer in the engine.
-func BuildScan(ctx *Context, s *plan.Scan) (Cursor, error) {
+// BuildScan builds a scan cursor: for a query's B+ tree or heap scan,
+// and for the DML layer in the engine.
+func BuildScan(ctx *Context, s *plan.Scan) (UIDCursor, error) {
 	return buildScan(ctx, s, compilePreds(s.Filter))
 }
 
 // buildScan builds a scan cursor; filter is s.Filter compiled, which a
 // nested-loop join compiles once for all its inner rebinds. A
 // columnstore scan compiles its own (newCSIBatchSource).
-func buildScan(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) (Cursor, error) {
+func buildScan(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) (UIDCursor, error) {
 	switch s.Access {
 	case plan.AccessHeapScan:
 		if s.Table.Heap() == nil {
@@ -239,7 +240,7 @@ type csiCursor struct {
 	uid  int64
 }
 
-func newCSICursor(ctx *Context, s *plan.Scan) (Cursor, error) {
+func newCSICursor(ctx *Context, s *plan.Scan) (UIDCursor, error) {
 	src, err := newCSIBatchSource(ctx, s, nil)
 	if err != nil {
 		return nil, err

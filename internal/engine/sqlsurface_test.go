@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
+	"hybriddb/internal/metrics"
 	"hybriddb/internal/value"
 )
 
@@ -88,5 +90,62 @@ func TestSQLSurface(t *testing.T) {
 		if _, err := db.Exec(q); err == nil || err.Error() != crossKind {
 			t.Fatalf("%s: err = %v, want %s", q, err, crossKind)
 		}
+	}
+}
+
+// TestDDLRejectsIllegalDesigns: DDL that would break a table's design
+// rules — one name per column, one columnstore per table (paper §4.3),
+// one name per index — fails as an ordinary error before any table is
+// touched, instead of panicking at the statement boundary or quietly
+// building the illegal design.
+func TestDDLRejectsIllegalDesigns(t *testing.T) {
+	db := newDB(t)
+	for _, name := range []string{"h", "c"} {
+		mustExec(t, db, "CREATE TABLE "+name+" (a BIGINT, b BIGINT)")
+		mustExec(t, db, "INSERT INTO "+name+" VALUES (1, 2), (3, 4)")
+	}
+	mustExec(t, db, "CREATE CLUSTERED COLUMNSTORE INDEX cci ON c")
+	mustExec(t, db, "CREATE NONCLUSTERED COLUMNSTORE INDEX ncci ON h")
+	mustExec(t, db, "CREATE INDEX ix ON h (a)")
+	design := func(name string) string {
+		tb := db.Table(name)
+		out := tb.Primary().String()
+		for _, s := range tb.Secondaries {
+			out += " " + s.Name
+		}
+		return out
+	}
+	const panics = "hybriddb_statement_panics_total"
+	for _, c := range []struct{ stmt, table, msg string }{
+		{"CREATE TABLE d (a BIGINT, a BIGINT)", "", `column "a" appears twice in table "d"`},
+		{"CREATE NONCLUSTERED COLUMNSTORE INDEX ncci2 ON h", "h", `"h" already has columnstore index "ncci"`},
+		{"CREATE NONCLUSTERED COLUMNSTORE INDEX ncci ON c", "c", `"c" is a clustered columnstore`},
+		{"CREATE CLUSTERED COLUMNSTORE INDEX cci ON h", "h", `"h" already has columnstore index "ncci"`},
+		{"CREATE INDEX ix ON h (b)", "h", `index "ix" already exists on "h"`},
+	} {
+		var before string
+		if c.table != "" {
+			before = design(c.table)
+		}
+		p0 := metrics.Default().Snapshot()[panics]
+		_, err := db.Exec(c.stmt)
+		if err == nil || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s: err = %v, want one containing %s", c.stmt, err, c.msg)
+		}
+		if got := metrics.Default().Snapshot()[panics] - p0; got != 0 {
+			t.Errorf("%s: %s rose by %v", c.stmt, panics, got)
+		}
+		if c.table == "" {
+			if db.Table("d") != nil {
+				t.Errorf("%s: table created", c.stmt)
+			}
+		} else if after := design(c.table); after != before {
+			t.Errorf("%s: design of %s changed from %q to %q", c.stmt, c.table, before, after)
+		}
+	}
+	// One DROP removes the one index of that name.
+	mustExec(t, db, "DROP INDEX ix ON h")
+	if got := design("h"); got != "heap ncci" {
+		t.Errorf("after DROP INDEX: design of h = %q", got)
 	}
 }

@@ -69,8 +69,10 @@ ci: vet lint build test race benchmark-module bench-smoke loc
 
 # loc prints non-test Go lines per package and in total (benchmark/
 # excluded): the number ROADMAP tracks and a simplification PR quotes.
+# `make loc BASE=<rev>` prints each package as base → tree (Δ), the
+# base counted from `git archive <rev>` in a temporary directory.
 loc:
-	@./scripts/loc.sh
+	@./scripts/loc.sh $(if $(BASE),-base $(BASE))
 
 # bench runs every micro-benchmark (quick-scale experiments, core
 # structures, the DOP sweep, the colstore kernel sweep) on this machine.

@@ -208,7 +208,7 @@ func (t *mergeTree) pop() (value.Row, bool) {
 
 // fusedTopSortRows executes TOP-over-Sort with the limit pushed into
 // the parallel merge, manufacturing the Sort's trace node (the sort
-// never becomes a cursor) with the construction deltas Build would
+// never becomes a cursor) with the construction deltas BuildBatch would
 // record. The caller must have checked parallelSortEligible.
 func fusedTopSortRows(ctx *Context, t *plan.Top, s *plan.Sort) ([]value.Row, *metrics.TraceNode, error) {
 	tn, done := openTrace(ctx, s)

@@ -451,3 +451,114 @@ func TestKernelStatsAndRunSkipping(t *testing.T) {
 		t.Fatal("no RLE runs skipped on run-friendly data")
 	}
 }
+
+// TestLocatorsAcrossPaths deletes rows through the locators of the
+// batch that returned them on every scan path — the kernel path, the
+// dense and selection-vector range paths, the delete-buffer fallback
+// and the delta phase — and checks a fresh scan returns exactly the
+// rows left. Locators are resolved on demand, so two calls on one
+// batch must agree.
+func TestLocatorsAcrossPaths(t *testing.T) {
+	const n, gs, extra = 9000, 2048, 700
+	sch := value.NewSchema(
+		value.Column{Name: "k", Kind: value.KindInt},
+		value.Column{Name: "v", Kind: value.KindInt},
+	)
+	row := func(k int64) value.Row { return value.Row{value.NewInt(k), value.NewInt(k % 40)} }
+	preds := []Pred{{Col: 1, Op: PredLT, Val: value.NewInt(25)}}
+
+	// scan runs spec over x and returns the keys it saw with their
+	// locators, checking both Locators calls per batch agree.
+	scan := func(tag string, x *Index, spec ScanSpec) ([]int64, []Locator, *Scanner) {
+		sc := x.NewScanner(nil, spec)
+		var keys []int64
+		var locs []Locator
+		for sc.Next() {
+			b := sc.Batch()
+			ls := sc.Locators()
+			if len(ls) != b.Len() {
+				t.Fatalf("%s: %d locators for %d rows", tag, len(ls), b.Len())
+			}
+			first := append([]Locator(nil), ls...)
+			for i, l := range sc.Locators() {
+				if l != first[i] {
+					t.Fatalf("%s: second Locators call gives %v at %d, first %v", tag, l, i, first[i])
+				}
+			}
+			for i := 0; i < b.Len(); i++ {
+				keys = append(keys, b.Row(i)[0].Int())
+			}
+			locs = append(locs, first...)
+		}
+		return keys, locs, sc
+	}
+
+	for _, primary := range []bool{true, false} {
+		for _, pushed := range []bool{false, true} {
+			tag := fmt.Sprintf("primary=%v pushed=%v", primary, pushed)
+			rows := make([]value.Row, n)
+			for i := range rows {
+				rows[i] = row(int64(i))
+			}
+			cfg := Config{Schema: sch, Primary: primary, RowGroupSize: gs}
+			if !primary {
+				cfg.KeyOrdinals = []int{0}
+			}
+			x := Build(storage.NewStore(0), cfg, rows, nil)
+			for k := int64(n); k < n+extra; k++ {
+				x.Insert(nil, row(k))
+			}
+			// Primary: bitmap-delete every fifth key of the first three
+			// rowgroups (the rest keep dense batches). Secondary: leave
+			// every fifth key of the first 4000 in the delete buffer.
+			if primary {
+				keys, locs, _ := scan(tag+" pre-delete", x, ScanSpec{PruneCol: -1})
+				for i, l := range locs {
+					if !l.Delta && l.Group < 3 && keys[i]%5 == 0 && !x.DeleteAt(nil, l) {
+						t.Fatalf("%s: pre-delete at %v failed", tag, l)
+					}
+				}
+			} else {
+				for k := int64(0); k < 4000; k += 5 {
+					x.BufferDelete(nil, value.Row{value.NewInt(k)})
+				}
+			}
+			before, _, _ := scan(tag+" before", x, ScanSpec{PruneCol: -1})
+
+			spec := ScanSpec{PruneCol: -1}
+			if pushed {
+				spec.Preds = preds
+			}
+			keys, locs, sc := scan(tag, x, spec)
+			if pushed && primary && (sc.KernelBatches == 0 || sc.FallbackBatches == 0) {
+				t.Fatalf("%s: kernel batches %d, fallback batches %d: both paths must run", tag, sc.KernelBatches, sc.FallbackBatches)
+			}
+			if sc.DeltaRowsScanned == 0 {
+				t.Fatalf("%s: the delta phase did not run", tag)
+			}
+			for i, k := range keys {
+				if k%7 == 0 && !x.DeleteAt(nil, locs[i]) {
+					t.Fatalf("%s: delete of key %d at %v failed", tag, k, locs[i])
+				}
+			}
+
+			want := map[int64]bool{}
+			for _, k := range before {
+				if k%7 != 0 || (pushed && !preds[0].Match(row(k)[1])) {
+					want[k] = true
+				}
+			}
+			after, _, _ := scan(tag+" after", x, ScanSpec{PruneCol: -1})
+			got := map[int64]bool{}
+			for _, k := range after {
+				if got[k] || !want[k] {
+					t.Fatalf("%s: fresh scan returned key %d (again, or deleted)", tag, k)
+				}
+				got[k] = true
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: fresh scan returned %d rows, want %d", tag, len(got), len(want))
+			}
+		}
+	}
+}

@@ -70,7 +70,17 @@ type Scanner struct {
 	deltaIt *btree.Iterator // non-nil once the delta phase has begun
 
 	batch *vec.Batch
-	locs  []Locator
+
+	// Where the current batch's rows live, for Locators to resolve on
+	// demand: batch position p is delta key deltaSeqs[p] in the delta
+	// phase; otherwise row locRows[p] of rowgroup locGroup when the
+	// kernel path late-materialized the positions locRows lists, else
+	// row locFrom+p. locs is Locators' reusable output.
+	locGroup  int32
+	locFrom   int
+	locRows   []int
+	deltaSeqs []int64
+	locs      []Locator
 
 	del    *deleteSet // pending buffered deletes to anti-semi join, or nil
 	keyPos []int      // positions of key ordinals within s.cols
@@ -89,10 +99,9 @@ type Scanner struct {
 	// valid only until the next Next call on this scanner.
 	selScratch []int
 	unpackBuf  []uint64
-	// deltaRowBuf and locScratch are the delta path's reusable row and
-	// locator-compaction buffers, same lifetime contract as the batch.
+	// deltaRowBuf is the delta path's reusable row buffer, same
+	// lifetime contract as the batch.
 	deltaRowBuf []value.Row
-	locScratch  []Locator
 
 	// Stats
 	GroupsScanned    int
@@ -191,8 +200,25 @@ func (x *Index) NewScanner(tr *vclock.Tracker, spec ScanSpec) *Scanner {
 func (s *Scanner) Batch() *vec.Batch { return s.batch }
 
 // Locators returns the physical locator of each live batch row,
-// indexed like Batch().Row(i)'s live ordinals.
-func (s *Scanner) Locators() []Locator { return s.locs }
+// indexed like Batch().Row(i)'s live ordinals. They are resolved from
+// the batch's positions when asked for, so a scan that never asks
+// builds none; the slice is valid until the next Next call.
+func (s *Scanner) Locators() []Locator {
+	n := s.batch.Len()
+	s.locs = s.locs[:0]
+	for i := 0; i < n; i++ {
+		p := s.batch.LiveIndex(i)
+		switch {
+		case s.deltaIt != nil:
+			s.locs = append(s.locs, Locator{Delta: true, Seq: s.deltaSeqs[p]})
+		case s.locRows != nil:
+			s.locs = append(s.locs, Locator{Group: s.locGroup, Row: int32(s.locRows[p])})
+		default:
+			s.locs = append(s.locs, Locator{Group: s.locGroup, Row: int32(s.locFrom + p)})
+		}
+	}
+	return s.locs
+}
 
 // eliminated reports whether the rowgroup can be skipped entirely via
 // min/max metadata (segment elimination / data skipping).
@@ -292,7 +318,7 @@ func (s *Scanner) nextCompressed() bool {
 	}
 
 	s.batch.Reset()
-	s.locs = s.locs[:0]
+	s.locGroup, s.locFrom, s.locRows = int32(s.gi-1), from, nil
 	n := to - from
 
 	if s.kernelOK && len(s.segPreds) > 0 {
@@ -324,9 +350,7 @@ func (s *Scanner) nextCompressed() bool {
 			s.segs[ci].decodeSelected(sinkFor(s.batch.Cols[ci]), sel)
 		}
 		s.batch.SetLen(len(sel))
-		for _, p := range sel {
-			s.locs = append(s.locs, Locator{Group: int32(s.gi - 1), Row: int32(p)})
-		}
+		s.locRows = sel
 		if s.tr != nil {
 			// Compressed-domain compare over all rows (cheaper than
 			// decode), then decode cost for survivors only.
@@ -340,9 +364,6 @@ func (s *Scanner) nextCompressed() bool {
 		s.segs[ci].decodeRange(sinkFor(s.batch.Cols[ci]), from, to)
 	}
 	s.batch.SetLen(n)
-	for i := from; i < to; i++ {
-		s.locs = append(s.locs, Locator{Group: int32(s.gi - 1), Row: int32(i)})
-	}
 
 	// Decode CPU: batch mode, scales with the plan's DOP.
 	if s.tr != nil {
@@ -373,14 +394,6 @@ func (s *Scanner) nextCompressed() bool {
 		if s.del != nil && s.tr != nil {
 			s.tr.ChargeParallelCPU(vclock.CPU(int64(n), s.tr.Model.HashCPU), 1.0)
 		}
-		// Compact locators to live rows — exactly once, after both the
-		// delete logic and predicate filtering, so locs[i] stays aligned
-		// with live ordinal i.
-		live := make([]Locator, len(sel))
-		for i, p := range sel {
-			live[i] = s.locs[p]
-		}
-		s.locs = live
 	}
 	return true
 }
@@ -466,7 +479,7 @@ func markNull(v *vec.Vec) {
 // nextDelta fills the batch from the delta store (row-mode access: the
 // delta store is a B+ tree, which is why heavy delta traffic hurts
 // columnstore scans). One tree range pass collects the batch's rows and
-// locators into reusable scratch buffers; the batch vectors are then
+// delta keys into reusable scratch buffers; the batch vectors are then
 // filled column-at-a-time so each vector's append loop stays tight.
 func (s *Scanner) nextDelta() bool {
 	it := s.deltaIt
@@ -474,11 +487,11 @@ func (s *Scanner) nextDelta() bool {
 		return false
 	}
 	s.batch.Reset()
-	s.locs = s.locs[:0]
+	s.deltaSeqs = s.deltaSeqs[:0]
 	rows := s.deltaRowBuf[:0]
 	for it.Valid() && len(rows) < vec.BatchSize {
 		rows = append(rows, it.Row())
-		s.locs = append(s.locs, Locator{Delta: true, Seq: it.Key()[0].Int()})
+		s.deltaSeqs = append(s.deltaSeqs, it.Key()[0].Int())
 		it.Next()
 	}
 	s.deltaRowBuf = rows
@@ -511,14 +524,7 @@ func (s *Scanner) nextDelta() bool {
 			mKernelFallbacks.Inc()
 			sel = s.applyPredsNaive(sel)
 		}
-		// Compact locators to live rows through the scratch buffer, then
-		// swap so the old locator slice becomes the next batch's scratch.
-		live := s.locScratch[:0]
-		for _, p := range sel {
-			live = append(live, s.locs[p])
-		}
 		s.batch.Sel = sel
-		s.locScratch, s.locs = s.locs, live
 	}
 	return true
 }

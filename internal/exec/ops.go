@@ -71,18 +71,22 @@ func compileSortKeys(keys []plan.SortKey) func(a, b value.Row) int {
 }
 
 // sortRowsCharged stable-sorts one run in place under cmp (compiled
-// from nKeys keys) and charges the comparison cost — shared by the
-// serial sorter and the per-morsel local sorts of the parallel sort, so
-// a run's charge depends only on its length, never on who sorts it.
+// from nKeys keys) and charges the comparison cost.
 func sortRowsCharged(ctx *Context, cmp func(a, b value.Row) int, nKeys int, r []value.Row) {
-	m := ctx.Tr.Model
 	sort.SliceStable(r, func(i, j int) bool {
 		return cmp(r[i], r[j]) < 0
 	})
-	n := int64(len(r))
+	chargeSort(ctx, nKeys, int64(len(r)))
+}
+
+// chargeSort charges the comparisons of sorting n rows on nKeys keys —
+// shared by the serial sorter and the per-morsel runs of the parallel
+// sort, so a run's charge depends only on how many rows it sorts, never
+// on who sorts them or how many it keeps.
+func chargeSort(ctx *Context, nKeys int, n int64) {
 	if n > 1 {
 		comparisons := n * int64(log2(n))
-		ctx.Tr.ChargeParallelCPU(vclock.CPU(comparisons*int64(nKeys), m.SortCPU), 0.7)
+		ctx.Tr.ChargeParallelCPU(vclock.CPU(comparisons*int64(nKeys), ctx.Tr.Model.SortCPU), 0.7)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,6 +237,97 @@ func TestPartitionOf(t *testing.T) {
 		// assignment stays well within 2x of it.
 		if c < 500 || c > 2000 {
 			t.Errorf("partition %d got %d of 8000 sequential keys; want near-uniform", p, c)
+		}
+	}
+}
+
+// TestRowWidthMatchesMaterialized pins the invariant the morsel sort's
+// memory accounting rests on: the width SlotBatch.rowWidth reports for
+// a live row equals Row.Width of the composite row appendRows
+// materializes for it — every kind, NULLs, empty and long strings, a
+// hidden uid vector (slot -1), slots no vector populates, and a
+// selection vector.
+func TestRowWidthMatchesMaterialized(t *testing.T) {
+	kinds := []value.Kind{value.KindInt, value.KindFloat, value.KindString, value.KindBool, value.KindDate, value.KindInt}
+	slots := []int{0, 2, 3, 5, 6, -1}
+	const totalSlots = 8
+	b := vec.NewBatch(kinds)
+	long := strings.Repeat("x", 1000)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 64; i++ {
+		r := value.Row{
+			value.NewInt(rng.Int63()),
+			value.NewFloat(rng.Float64()),
+			value.NewString([]string{"", "ab", long}[i%3]),
+			value.NewBool(i%2 == 0),
+			value.NewDate(int64(i)),
+			value.NewInt(int64(i)), // uid
+		}
+		for c := range r[:5] {
+			if rng.Intn(4) == 0 {
+				r[c] = value.Null
+			}
+		}
+		b.AppendRow(r)
+	}
+	for _, sel := range [][]int{nil, {0, 3, 4, 17, 40, 63}} {
+		b.Sel = sel
+		sb := &SlotBatch{B: b, Slots: slots}
+		rows := sb.appendRows(nil, totalSlots)
+		if len(rows) != b.Len() {
+			t.Fatalf("appendRows gave %d rows for %d live", len(rows), b.Len())
+		}
+		for i, r := range rows {
+			if got, want := sb.rowWidth(i, totalSlots), r.Width(); got != want {
+				t.Fatalf("sel=%v row %d (%v): rowWidth %d, Row.Width %d", sel, i, r, got, want)
+			}
+		}
+	}
+}
+
+// TestTopNRunMatchesStableSort checks the per-morsel bounded heap
+// against the ground truth it replaces: the first n rows of
+// sort.SliceStable under the same comparator. Narrow key domains force
+// ties at the boundary; the second key is DESC; column 2 is the arrival
+// order, so a stability slip shows as a row-for-row divergence.
+func TestTopNRunMatchesStableSort(t *testing.T) {
+	keys := []plan.SortKey{
+		{Expr: &sql.ColRef{Slot: 0, Kind: value.KindInt}},
+		{Expr: &sql.ColRef{Slot: 1, Kind: value.KindInt}, Desc: true},
+	}
+	cmp := compileSortKeys(keys)
+	rng := rand.New(rand.NewSource(11))
+	for _, size := range []int{1, 2, 50, 1000, 3000} {
+		all := make([]value.Row, size)
+		for i := range all {
+			all[i] = value.Row{value.NewInt(rng.Int63n(6)), value.NewInt(rng.Int63n(3)), value.NewInt(int64(i))}
+		}
+		want := append([]value.Row(nil), all...)
+		sort.SliceStable(want, func(i, j int) bool { return cmp(want[i], want[j]) < 0 })
+		for _, n := range []int{1, 7, size - 1, size, size + 5} {
+			if n < 1 {
+				continue
+			}
+			h := &topNRun{cmp: cmp, n: int64(n)}
+			scratch := make(value.Row, 3)
+			for _, r := range all {
+				copy(scratch, r)
+				h.offer(scratch)
+				scratch[0], scratch[1], scratch[2] = value.Null, value.Null, value.Null // offer must have copied
+			}
+			got := h.sorted()
+			wantN := want
+			if n < len(want) {
+				wantN = want[:n]
+			}
+			if len(got) != len(wantN) {
+				t.Fatalf("size=%d n=%d: kept %d rows, want %d", size, n, len(got), len(wantN))
+			}
+			for i := range got {
+				if got[i][2].Int() != wantN[i][2].Int() {
+					t.Fatalf("size=%d n=%d: row %d = %v, want %v", size, n, i, got[i], wantN[i])
+				}
+			}
 		}
 	}
 }

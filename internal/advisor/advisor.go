@@ -332,7 +332,7 @@ func workloadCost(db *engine.Database, stmts []*boundStmt, chosen []*candidate, 
 		default:
 			scan := optimizer.ChooseDMLScan(bs.dmlTbl, bs.dmlConj, oopts)
 			rows, locate := scan.Estimate()
-			if bs.dmlTop > 0 && float64(bs.dmlTop) < rows {
+			if bs.dmlTop != sql.NoTop && float64(bs.dmlTop) < rows {
 				rows = float64(bs.dmlTop)
 			}
 			cost = locate + maintenanceCost(bs.dmlTbl, chosen, rows, model)

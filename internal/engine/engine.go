@@ -726,15 +726,12 @@ func (db *Database) findMatches(tr *vclock.Tracker, t *table.Table, conjuncts []
 		return nil, err
 	}
 	var matches []table.Match
-	for {
+	for top == sql.NoTop || int64(len(matches)) < top {
 		row, more := cur.Next()
 		if !more {
 			break
 		}
 		matches = append(matches, table.Match{Row: row[:t.Schema.Len()].Clone(), UID: cur.UID()})
-		if top > 0 && int64(len(matches)) >= top {
-			break
-		}
 	}
 	return matches, nil
 }

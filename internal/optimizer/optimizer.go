@@ -170,7 +170,7 @@ func Optimize(res Resolver, b *sql.BoundSelect, opts Options) (*plan.Root, error
 			cpuWork += sortCost(opts, treeRows, 64)
 			tree = srt
 		}
-		if b.Stmt.Top > 0 {
+		if b.Stmt.Top != sql.NoTop {
 			top := &plan.Top{Input: tree, N: b.Stmt.Top}
 			setEst(top, math.Min(treeRows, float64(b.Stmt.Top)), nodeCost(tree))
 			tree = top
@@ -193,7 +193,7 @@ func Optimize(res Resolver, b *sql.BoundSelect, opts Options) (*plan.Root, error
 			cpuWork += sc
 			tree = srt
 		}
-		if b.Stmt.Top > 0 {
+		if b.Stmt.Top != sql.NoTop {
 			top := &plan.Top{Input: tree, N: b.Stmt.Top}
 			setEst(top, math.Min(treeRows, float64(b.Stmt.Top)), nodeCost(tree))
 			tree = top

@@ -10,9 +10,13 @@ import (
 // Statement is any parsed SQL statement.
 type Statement interface{ stmt() }
 
+// NoTop is a statement's Top when it has no TOP clause. TOP 0 is a
+// limit of zero rows, as in SQL Server.
+const NoTop int64 = -1
+
 // SelectStmt is a SELECT query.
 type SelectStmt struct {
-	Top     int64 // 0 = no TOP
+	Top     int64 // NoTop = no TOP
 	Items   []SelectItem
 	From    []TableRef
 	Where   Expr // conjunction of WHERE and JOIN ... ON conditions
@@ -63,7 +67,7 @@ type SetClause struct {
 // UpdateStmt is UPDATE [TOP (n)] t SET ... [WHERE ...].
 type UpdateStmt struct {
 	Table string
-	Top   int64
+	Top   int64 // NoTop = no TOP
 	Sets  []SetClause
 	Where Expr
 }
@@ -71,7 +75,7 @@ type UpdateStmt struct {
 // DeleteStmt is DELETE [TOP (n)] FROM t [WHERE ...].
 type DeleteStmt struct {
 	Table string
-	Top   int64
+	Top   int64 // NoTop = no TOP
 	Where Expr
 }
 

@@ -58,7 +58,7 @@ type BoundInsert struct {
 type BoundUpdate struct {
 	Table     string
 	Schema    *value.Schema
-	Top       int64
+	Top       int64 // NoTop = no TOP
 	SetCols   []int
 	SetExprs  []Expr // full expression for the new value (+= expanded)
 	Conjuncts []Expr
@@ -68,7 +68,7 @@ type BoundUpdate struct {
 type BoundDelete struct {
 	Table     string
 	Schema    *value.Schema
-	Top       int64
+	Top       int64 // NoTop = no TOP
 	Conjuncts []Expr
 }
 

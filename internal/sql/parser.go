@@ -142,7 +142,7 @@ func (p *parser) explainStmt() (Statement, error) {
 
 func (p *parser) topClause() (int64, error) {
 	if !p.accept(tokKeyword, "TOP") {
-		return 0, nil
+		return NoTop, nil
 	}
 	paren := p.accept(tokPunct, "(")
 	t, err := p.expectNumber()

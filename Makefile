@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ci benchmark-module bench-smoke loc bench
+.PHONY: all build vet lint test race ci benchmark-module bench-smoke loc bench bench-pairs
 
 all: ci
 
@@ -78,3 +78,13 @@ loc:
 # structures, the DOP sweep, the colstore kernel sweep) on this machine.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
+
+# bench-pairs runs N alternating base/change pairs of the wall-clock
+# benchmark (scripts/bench_pairs.sh): base built from `git archive
+# BASE`, change from the working tree, then `-compare base change`.
+# Not part of ci: one pair of full runs takes minutes.
+N ?= 3
+SEED ?= 1
+bench-pairs:
+	@[ -n "$(BASE)" ] || { echo "usage: make bench-pairs BASE=<rev> [N=3] [WORKLOAD=<name>] [SEED=1]"; exit 1; }
+	./scripts/bench_pairs.sh -base $(BASE) -n $(N) -seed $(SEED) $(if $(WORKLOAD),-workload $(WORKLOAD))

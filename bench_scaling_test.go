@@ -168,8 +168,9 @@ func compositeBenchDB(b *testing.B) *DB {
 	return db
 }
 
-// BenchmarkScalingTopN sweeps the parallel sort: per-morsel local
-// sorts with the serial loser-tree merge capped at TOP N.
+// BenchmarkScalingTopN sweeps the parallel sort under TOP N: each
+// morsel keeps its first N rows in a bounded heap, and the serial
+// loser-tree merge stops after N rows.
 func BenchmarkScalingTopN(b *testing.B) {
 	benchScalingQuery(b, batchBenchDB(b),
 		"SELECT TOP 100 l_ok, l_v FROM blineitem WHERE l_q < 20 ORDER BY l_v DESC, l_ok")

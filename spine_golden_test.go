@@ -10,7 +10,10 @@
 // answer. The rowwise suite was added on the last commit that still
 // built row-wise operators with a second builder beside BuildBatch, and
 // the topn suite on the last commit whose morsel sort materialized and
-// sorted every scanned row under a TOP.
+// sorted every scanned row under a TOP. The nljseek suite was added on
+// the last commit whose columnstore scans built a scanner per morsel,
+// whose nested-loop join cloned the outer row per match and whose hash
+// join grew its output vectors match by match.
 // Regenerate only with
 //
 //	go test -run TestSpineGolden -update .
@@ -66,6 +69,10 @@ type spineEntry struct {
 type spineQuery struct {
 	name, sql string
 	dml       bool // mutates: every run gets a freshly built database
+	// shape, when set, lists operator names the EXPLAIN ANALYZE trace
+	// must contain in this order (depth first): the plan the entry is
+	// there to pin.
+	shape []string
 }
 
 type spineSuite struct {
@@ -174,6 +181,19 @@ func spineRowwiseDB(tb testing.TB) *DB {
 	return db
 }
 
+// spineNLJSeekDB is spineCHDB plus the B+ tree secondaries of the
+// benchmark's hybrid design, so that an item-filtered orderline join
+// seeks ix_ol_item per item row.
+func spineNLJSeekDB(tb testing.TB) *DB {
+	db := spineCHDB(tb)
+	mustExecAll(tb, db,
+		"CREATE INDEX ix_ol_item ON orderline (ol_i_id) INCLUDE (ol_amount, ol_quantity)",
+		"CREATE INDEX ix_ol_order ON orderline (ol_o_id) INCLUDE (ol_w_id, ol_d_id, ol_amount)",
+		"CREATE INDEX ix_stock_item ON stock (s_i_id) INCLUDE (s_quantity)",
+	)
+	return db
+}
+
 func spineSuites() []spineSuite {
 	var ch []spineQuery
 	for i, q := range workload.CHQueries() {
@@ -248,6 +268,28 @@ func spineSuites() []spineSuite {
 		{name: "top_sort_serial_ties", sql: `SELECT TOP 5 o_id, o_ol_cnt FROM oorder WHERE o_carrier_id = 3 ORDER BY o_ol_cnt`},
 	}
 
+	// Nested-loop joins into a B+ tree secondary seek — covered (CH
+	// Q14's shape), covered with a residual on the inner (Q17's), and
+	// uncovered, fetching each base row — and hash joins whose probe
+	// batches emit several batch sizes of rows (serial at Parallelism
+	// 1, the fused morsel probe at 8).
+	nljSeek := []spineQuery{
+		{name: "nlj_seek_covered", sql: `SELECT i_im_id, sum(ol_amount), count(*) FROM orderline JOIN ch_item ON ol_i_id = i_id WHERE i_im_id < 1000 GROUP BY i_im_id`,
+			shape: []string{"HashAggregate", "NestedLoopJoin", "ColumnstoreScan(ch_item)", "SecondarySeek(orderline)"}},
+		{name: "nlj_seek_covered_residual", sql: `SELECT i_im_id, sum(ol_amount), count(*) FROM orderline JOIN ch_item ON ol_i_id = i_id WHERE i_im_id < 1000 AND ol_quantity < 4 GROUP BY i_im_id`,
+			shape: []string{"HashAggregate", "NestedLoopJoin", "ColumnstoreScan(ch_item)", "SecondarySeek(orderline)"}},
+		{name: "nlj_seek_uncovered", sql: `SELECT i_im_id, max(ol_delivery_d), count(*) FROM orderline JOIN ch_item ON ol_i_id = i_id WHERE i_id < 4 GROUP BY i_im_id`,
+			shape: []string{"HashAggregate", "NestedLoopJoin", "ColumnstoreScan(ch_item)", "SecondarySeek(orderline)"}},
+		{name: "top_nlj_seek_residual", sql: `SELECT TOP 20 i_id, ol_amount, ol_quantity FROM orderline JOIN ch_item ON ol_i_id = i_id WHERE i_im_id < 1000 AND ol_quantity < 4`,
+			shape: []string{"Top", "NestedLoopJoin", "ColumnstoreScan(ch_item)", "SecondarySeek(orderline)"}},
+		{name: "nlj_seek_under_sort", sql: `SELECT i_id, ol_amount, ol_quantity FROM orderline JOIN ch_item ON ol_i_id = i_id WHERE i_price < 3 AND ol_quantity < 4 ORDER BY ol_amount, i_id`,
+			shape: []string{"Sort", "NestedLoopJoin", "ColumnstoreScan(ch_item)", "SecondarySeek(orderline)"}},
+		{name: "hashjoin_fanout", sql: `SELECT o_c_id, sum(ol_amount) FROM oorder JOIN orderline ON ol_o_id = o_id GROUP BY o_c_id`,
+			shape: []string{"HashAggregate", "HashJoin", "ColumnstoreScan(oorder)", "ColumnstoreScan(orderline)"}},
+		{name: "hashjoin_fanout_filtered", sql: `SELECT o_c_id, ol_number, sum(ol_amount) FROM oorder JOIN orderline ON ol_o_id = o_id WHERE o_d_id < 4 GROUP BY o_c_id, ol_number`,
+			shape: []string{"HashAggregate", "HashJoin", "ColumnstoreScan(oorder)", "ColumnstoreScan(orderline)"}},
+	}
+
 	return []spineSuite{
 		{name: "ch", build: spineCHDB, queries: ch},
 		{name: "micro_btree", build: spineMicroDB("CREATE CLUSTERED INDEX cix ON t (col1)"), queries: micro},
@@ -257,6 +299,7 @@ func spineSuites() []spineSuite {
 		{name: "dimfact", build: spineDimFactDB, queries: dimFact},
 		{name: "rowwise", build: spineRowwiseDB, queries: rowwise},
 		{name: "topn", build: spineCHDB, queries: topn},
+		{name: "nljseek", build: spineNLJSeekDB, queries: nljSeek},
 	}
 }
 
@@ -333,7 +376,21 @@ func runSpineQuery(tb testing.TB, s spineSuite, db *DB, q spineQuery, opts ExecO
 		tb.Errorf("%s: EXPLAIN ANALYZE metrics %v differ from the plain run's %v", name, ex.Metrics, res.Metrics)
 	}
 	e.Trace = traceSkeleton(ex.Trace, 0, nil)
+	if !hasShape(e.Trace, q.shape) {
+		tb.Errorf("%s: plan lost its shape %v:\n%s", name, q.shape, ex.Trace)
+	}
 	return e
+}
+
+// hasShape reports whether the skeleton's operator names contain want
+// as a subsequence.
+func hasShape(ops []spineOp, want []string) bool {
+	for _, op := range ops {
+		if len(want) > 0 && op.Name == want[0] {
+			want = want[1:]
+		}
+	}
+	return len(want) == 0
 }
 
 // maskTime returns e without per-operator times. A morsel-driven

@@ -56,6 +56,7 @@ type ScanPartition struct {
 //	    b := sc.Batch()          // decoded columns, spec.Cols order
 //	    locs := sc.Locators()    // physical locator per live row
 //	}
+//	sc.Reaim(&part)              // the same scan over another partition
 type Scanner struct {
 	x    *Index
 	tr   *vclock.Tracker
@@ -94,29 +95,34 @@ type Scanner struct {
 	kernelOK bool
 	segPreds []segPred // compiled for the current rowgroup
 
-	// selScratch and unpackBuf are the kernel's reusable selection
-	// vector and packed-decode block. Like the batch, their contents are
-	// valid only until the next Next call on this scanner.
+	// selScratch is the reusable selection vector (the kernel's, and the
+	// naive fallback's), unpackBuf the kernel's packed-decode block.
+	// Like the batch, their contents are valid only until the next Next
+	// or Reaim call on this scanner.
 	selScratch []int
 	unpackBuf  []uint64
 	// deltaRowBuf is the delta path's reusable row buffer, same
 	// lifetime contract as the batch.
 	deltaRowBuf []value.Row
 
-	// Stats
+	ScanStats
+}
+
+// ScanStats counts what one aim of a Scanner read. KernelBatches /
+// FallbackBatches count batches with pushed predicates evaluated by the
+// compressed-domain kernels vs the naive post-decode fallback;
+// KernelRowsIn/Out measure kernel selectivity (RowsOut/RowsIn is the
+// sel_density trace attribute); RunsSkipped counts whole RLE runs
+// rejected without touching their rows.
+type ScanStats struct {
 	GroupsScanned    int
 	GroupsEliminated int
 	DeltaRowsScanned int
-	// KernelBatches / FallbackBatches count batches with pushed
-	// predicates evaluated by the compressed-domain kernels vs the naive
-	// post-decode fallback; KernelRowsIn/Out measure kernel selectivity
-	// (RowsOut/RowsIn is the sel_density trace attribute); RunsSkipped
-	// counts whole RLE runs rejected without touching their rows.
-	KernelBatches   int
-	FallbackBatches int
-	KernelRowsIn    int64
-	KernelRowsOut   int64
-	RunsSkipped     int64
+	KernelBatches    int
+	FallbackBatches  int
+	KernelRowsIn     int64
+	KernelRowsOut    int64
+	RunsSkipped      int64
 }
 
 // NewScanner starts a scan.
@@ -127,14 +133,43 @@ func (x *Index) NewScanner(tr *vclock.Tracker, spec ScanSpec) *Scanner {
 			spec.Cols[i] = i
 		}
 	}
-	s := &Scanner{x: x, tr: tr, spec: spec, cols: spec.Cols}
-	if spec.Partition != nil {
-		s.gi = spec.Partition.GroupLo
+	s := &Scanner{x: x, tr: tr, spec: spec}
+	s.Reaim(spec.Partition)
+	return s
+}
+
+// Reaim restarts the scan on partition part (nil: the whole index) with
+// the same index, tracker and spec, keeping the batch, selection and
+// decode buffers, so a worker that scans many morsels allocates them
+// once. What belongs to one pass starts over: the position, the stats
+// and the pending delete buffer, which a pass consumes. The batch and
+// locators of the previous aim are invalid from here on.
+func (s *Scanner) Reaim(part *ScanPartition) {
+	s.spec.Partition = part
+	s.gi, s.offset, s.curGroup, s.deltaIt = 0, 0, nil, nil
+	if part != nil {
+		s.gi = part.GroupLo
 	}
+	s.ScanStats = ScanStats{}
+	del := s.x.pendingDeletes(s.tr)
+	if s.batch == nil || (del == nil) != (s.del == nil) {
+		s.del = del
+		s.layout()
+	}
+	s.del = del
+	s.batch.Reset()
+}
+
+// layout resolves the columns the scan decodes — the requested ones,
+// plus the logical key when a delete buffer is pending and any pred
+// column not requested — and allocates the batch that holds them.
+func (s *Scanner) layout() {
+	x, spec := s.x, s.spec
+	s.cols, s.keyPos, s.key = spec.Cols, nil, nil
 
 	// The anti-semi join against the delete buffer needs the logical key
 	// columns; decode them too if they are not already requested.
-	if s.del = x.pendingDeletes(tr); s.del != nil {
+	if s.del != nil {
 		s.cols = append([]int(nil), spec.Cols...)
 		s.keyPos = make([]int, len(x.cfg.KeyOrdinals))
 		s.key = make(value.Row, len(s.keyPos))
@@ -161,6 +196,7 @@ func (x *Index) NewScanner(tr *vclock.Tracker, spec ScanSpec) *Scanner {
 	// destructive anti-semi multiset consumed in physical row order, so
 	// filtering before it could cancel a different physical duplicate
 	// than the naive path would.
+	s.predPos, s.kernelOK = nil, false
 	if len(spec.Preds) > 0 {
 		s.predPos = make([]int, len(spec.Preds))
 		s.kernelOK = s.del == nil
@@ -191,12 +227,13 @@ func (x *Index) NewScanner(tr *vclock.Tracker, spec ScanSpec) *Scanner {
 		kinds[i] = x.cfg.Schema.Columns[c].Kind
 	}
 	s.batch = vec.NewBatch(kinds)
-	return s
 }
 
 // Batch returns the current batch. Only the first len(spec.Cols)
 // vectors are the requested columns; any extra vectors were decoded for
-// the delete-buffer anti-semi join.
+// the delete-buffer anti-semi join. The batch, its vectors and its
+// selection are the scanner's and are overwritten by the next Next or
+// Reaim call: a consumer that keeps rows past that copies them out.
 func (s *Scanner) Batch() *vec.Batch { return s.batch }
 
 // Locators returns the physical locator of each live batch row,
@@ -287,9 +324,9 @@ func (s *Scanner) nextCompressed() bool {
 		s.GroupsScanned++
 		mGroupsScanned.Inc()
 		// Fetch the needed segments: sequential multi-megabyte reads.
-		s.segs = make([]*segment, len(s.cols))
-		for i, c := range s.cols {
-			s.segs[i] = s.x.store.Get(s.tr, g.segIDs[c], true).(*segment)
+		s.segs = s.segs[:0]
+		for _, c := range s.cols {
+			s.segs = append(s.segs, s.x.store.Get(s.tr, g.segIDs[c], true).(*segment))
 			if s.tr != nil {
 				s.tr.SegmentsRead++
 			}
@@ -325,7 +362,7 @@ func (s *Scanner) nextCompressed() bool {
 		// Kernel fast path: evaluate the pushed predicates on the
 		// compressed representation, then late-materialize the surviving
 		// positions only. The emitted batch is dense (Sel == nil).
-		sel := s.selScratch[:0]
+		sel := s.selBuf(n)
 		sel, s.unpackBuf = s.segPreds[0].first(sel, from, to, s.unpackBuf, &s.RunsSkipped)
 		for i := 1; i < len(s.segPreds) && len(sel) > 0; i++ {
 			sel = s.segPreds[i].refine(sel)
@@ -340,7 +377,6 @@ func (s *Scanner) nextCompressed() bool {
 			}
 			sel = out
 		}
-		s.selScratch = sel // retain the grown buffer for the next batch
 		s.KernelBatches++
 		s.KernelRowsIn += int64(n)
 		s.KernelRowsOut += int64(len(sel))
@@ -377,7 +413,7 @@ func (s *Scanner) nextCompressed() bool {
 	// different physical duplicate.
 	needSel := g.ndel > 0 || s.del != nil || len(s.spec.Preds) > 0
 	if needSel {
-		sel := make([]int, 0, n)
+		sel := s.selBuf(n)
 		for i := 0; i < n; i++ {
 			if g.isDeleted(from+i) || s.cancelled(i) {
 				continue
@@ -396,6 +432,15 @@ func (s *Scanner) nextCompressed() bool {
 		}
 	}
 	return true
+}
+
+// selBuf returns the selection buffer emptied, with room for n
+// positions. It is never nil: a nil selection means every row is live.
+func (s *Scanner) selBuf(n int) []int {
+	if cap(s.selScratch) < n {
+		s.selScratch = make([]int, 0, max(n, vec.BatchSize))
+	}
+	return s.selScratch[:0]
 }
 
 // cancelled reports whether a pending buffered delete cancels the row
@@ -513,7 +558,7 @@ func (s *Scanner) nextDelta() bool {
 	// delta store is uncompressed, so there is no kernel form.
 	needSel := s.del != nil || len(s.spec.Preds) > 0
 	if needSel {
-		sel := make([]int, 0, n)
+		sel := s.selBuf(n)
 		for i := 0; i < n; i++ {
 			if !s.cancelled(i) {
 				sel = append(sel, i)

@@ -335,7 +335,7 @@ func aggScanDirectRows(ctx *Context, a *plan.Agg, scan *plan.Scan) ([]value.Row,
 	} else if ok {
 		return rows, nil
 	}
-	src, err := newCSIBatchSource(ctx, scan, nil)
+	src, err := newCSIBatchSource(ctx, scan)
 	if err != nil {
 		return nil, err
 	}

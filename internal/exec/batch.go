@@ -477,7 +477,7 @@ func newBatchScan(ctx *Context, s *plan.Scan) (BatchCursor, error) {
 	} else if ok {
 		return cur, nil
 	}
-	src, err := newCSIBatchSource(ctx, s, nil)
+	src, err := newCSIBatchSource(ctx, s)
 	if err != nil {
 		return nil, err
 	}

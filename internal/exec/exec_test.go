@@ -543,7 +543,7 @@ func TestComparisonConsumersAgree(t *testing.T) {
 
 		s := scanNode(tbl, plan.AccessCSIScan)
 		s.Filter = b.Conjuncts
-		src, err := newCSIBatchSource(ctxFor(tbl), s, nil)
+		src, err := newCSIBatchSource(ctxFor(tbl), s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -309,6 +309,8 @@ func annotate(tn *metrics.TraceNode, morselTNs []*metrics.TraceNode, w int, work
 // cursor: it then gets its own trace child, and the sources own its
 // rows, bytes, and time. Otherwise the caller's own node (ctx.Trace) is
 // the scan's and only batch counts and rowgroup stats are gathered.
+// Each worker keeps one source and re-aims it at every morsel it claims,
+// so body must copy out whatever it keeps of a batch before it returns.
 func runMorsels(ctx *Context, scan *plan.Scan, morsels []colstore.ScanPartition, ownNode bool,
 	body func(mi int, wctx *Context, src *csiBatchSource) error) error {
 	w := schedulableWorkers(ctx, len(morsels))
@@ -322,16 +324,21 @@ func runMorsels(ctx *Context, scan *plan.Scan, morsels []colstore.ScanPartition,
 		morselTNs = make([]*metrics.TraceNode, len(morsels))
 	}
 	workerGroups := make([]int64, w)
+	srcs := make([]*csiBatchSource, w)
 	err := runWorkers(ctx, w, len(morsels), func(wi, mi int, wctx *Context) error {
-		src, err := newCSIBatchSource(wctx, scan, &morsels[mi])
-		if err != nil {
-			return err
+		if srcs[wi] == nil {
+			var err error
+			if srcs[wi], err = newCSIBatchSource(wctx, scan); err != nil {
+				return err
+			}
 		}
+		src := srcs[wi]
+		src.sc.Reaim(&morsels[mi])
 		if morselTNs != nil {
 			morselTNs[mi] = &metrics.TraceNode{}
 			src.tn, src.timed = morselTNs[mi], ownNode
 		}
-		err = body(mi, wctx, src)
+		err := body(mi, wctx, src)
 		workerGroups[wi] += int64(src.sc.GroupsScanned)
 		return err
 	})

@@ -49,10 +49,9 @@ func resolveCSI(s *plan.Scan) (*colstore.Index, error) {
 	return nil, fmt.Errorf("exec: %s has no columnstore", s.Table.Name)
 }
 
-// newCSIBatchSource builds the batch pipeline leaf for a CSI scan.
-// part, when non-nil, restricts the scan to one morsel of a parallel
-// execution.
-func newCSIBatchSource(ctx *Context, s *plan.Scan, part *colstore.ScanPartition) (*csiBatchSource, error) {
+// newCSIBatchSource builds the batch pipeline leaf for a CSI scan of the
+// whole index (runMorsels re-aims it at one morsel).
+func newCSIBatchSource(ctx *Context, s *plan.Scan) (*csiBatchSource, error) {
 	idx, err := resolveCSI(s)
 	if err != nil {
 		return nil, err
@@ -78,7 +77,7 @@ func newCSIBatchSource(ctx *Context, s *plan.Scan, part *colstore.ScanPartition)
 	}
 	// Pushed predicates: the scanner owns them end to end (kernel or
 	// naive fallback), so they are not re-applied here.
-	spec := colstore.ScanSpec{Cols: cols, PruneCol: -1, Partition: part, Preds: s.Push}
+	spec := colstore.ScanSpec{Cols: cols, PruneCol: -1, Preds: s.Push}
 	if s.SeekCol >= 0 && (!s.Lo.Unbounded || !s.Hi.Unbounded) {
 		spec.PruneCol = s.SeekCol
 		if !s.Lo.Unbounded {

@@ -33,7 +33,7 @@ func TestInterleavedBatchScanSelectionIsolation(t *testing.T) {
 	newSource := func(v int64) *csiBatchSource {
 		s := scanNode(tbl, plan.AccessCSIScan)
 		s.Filter = []sql.Expr{cond(v)}
-		src, err := newCSIBatchSource(ctxFor(tbl), s, nil)
+		src, err := newCSIBatchSource(ctxFor(tbl), s)
 		if err != nil {
 			t.Fatal(err)
 		}

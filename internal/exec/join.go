@@ -14,9 +14,14 @@ import (
 func buildJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 	switch j.Strategy {
 	case plan.JoinNestedLoop:
+		// The inner is rebound to a seek per outer row, and a rebind
+		// cannot report an error: check here that it can be opened.
 		inner, ok := j.Inner.(*plan.Scan)
 		if !ok {
 			return nil, fmt.Errorf("exec: nested loop inner must be a scan, got %T", j.Inner)
+		}
+		if err := checkBTreeScan(inner); err != nil {
+			return nil, err
 		}
 		outer, err := BuildBatch(ctx, j.Outer)
 		if err != nil {
@@ -205,11 +210,7 @@ func (c *nljCursor) next() (value.Row, bool) {
 			if scan.Access == plan.AccessClusteredScan {
 				scan.Access = plan.AccessClusteredSeek
 			}
-			cur, err := buildScan(c.ctx, &scan, c.filter)
-			if err != nil {
-				// Planner guarantees seekability; treat as empty inner.
-				continue
-			}
+			cur := openBTreeScan(c.ctx, &scan, c.filter)
 			c.innerNext = cur.Next
 			if c.innerTN != nil {
 				// Traced on the shared node one row per batch, so each
@@ -225,15 +226,16 @@ func (c *nljCursor) next() (value.Row, bool) {
 			continue
 		}
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU/2), 0.8)
-		out := c.curOuter.Clone()
-		for i, v := range inRow {
-			if !v.IsNull() {
-				out[i] = v
+		// The inner row is the caller's (UIDCursor) and its slots are
+		// disjoint from the outer's: the outer values fill its NULLs.
+		for i, v := range c.curOuter {
+			if inRow[i].IsNull() {
+				inRow[i] = v
 			}
 		}
-		if !keysMatch(c.j.Keys[1:], out) {
+		if !keysMatch(c.j.Keys[1:], inRow) {
 			continue
 		}
-		return out, true
+		return inRow, true
 	}
 }

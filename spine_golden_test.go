@@ -13,7 +13,9 @@
 // sorted every scanned row under a TOP. The nljseek suite was added on
 // the last commit whose columnstore scans built a scanner per morsel,
 // whose nested-loop join cloned the outer row per match and whose hash
-// join grew its output vectors match by match.
+// join grew its output vectors match by match, and the aggkeys suite on
+// the last commit whose hash aggregate kept a string-keyed group map
+// beside the join's hash table.
 // Regenerate only with
 //
 //	go test -run TestSpineGolden -update .
@@ -73,6 +75,10 @@ type spineQuery struct {
 	// must contain in this order (depth first): the plan the entry is
 	// there to pin.
 	shape []string
+	// grant, when set, is the query's memory grant in bytes. It must be
+	// small enough that the query writes more than twice the grant to
+	// the temp device, so at least three partials are merged.
+	grant int64
 }
 
 type spineSuite struct {
@@ -194,6 +200,69 @@ func spineNLJSeekDB(tb testing.TB) *DB {
 	return db
 }
 
+// spineAggKeysDB holds the key kinds a GROUP BY must keep apart or
+// together: akc (clustered columnstore) and akb (B+ tree clustered on f)
+// carry the same 24 000 rows, akd is a columnstore dimension joined on
+// akc.g. g is a BIGINT of ~3 600 values with NULLs, f a DOUBLE holding
+// both −0.0 and +0.0 and NULLs, s a VARCHAR holding both the empty
+// string and NULL, d a DATE and b a BOOLEAN, each with NULLs, and v a
+// DOUBLE whose sums depend on the order they are added in. The rows are loaded through the
+// table API, because SQL has no literal for −0.0.
+func spineAggKeysDB(tb testing.TB) *DB {
+	db := Open(WithRowGroupSize(1024))
+	cols := "(k BIGINT, g BIGINT, f DOUBLE, s VARCHAR(8), d DATE, b BOOLEAN, v DOUBLE)"
+	mustExecAll(tb, db, "CREATE TABLE akc "+cols, "CREATE TABLE akb "+cols,
+		"CREATE TABLE akd (dk BIGINT, dname VARCHAR(8))")
+	rows := make([]value.Row, 24_000)
+	for i := range rows {
+		r := value.Row{value.NewInt(int64(i)), value.NewInt(int64(i*7919) % 3600),
+			value.NewFloat(float64(i%9) * 0.25), value.NewString(fmt.Sprintf("s%d", i%50)),
+			value.NewDate(int64(18_000 + i%40)), value.NewBool(i%3 == 0), value.NewFloat(float64(i%1000) / 7)}
+		if i%101 == 0 {
+			r[1] = value.Null
+		}
+		switch i % 9 {
+		case 0:
+			r[2] = value.NewFloat(math.Copysign(0, -1))
+		case 2:
+			r[2] = value.Null
+		}
+		switch i % 13 {
+		case 0:
+			r[3] = value.Null
+		case 1:
+			r[3] = value.NewString("")
+		}
+		if i%5 == 0 {
+			r[4] = value.Null
+		}
+		if i%3 == 2 {
+			r[5] = value.Null
+		}
+		rows[i] = r
+	}
+	dim := make([]value.Row, 4000)
+	for i := range dim {
+		dim[i] = value.Row{value.NewInt(int64(i)), value.NewString(fmt.Sprintf("n%d", i%17))}
+		switch i % 7 {
+		case 0:
+			dim[i][1] = value.Null
+		case 1:
+			dim[i][1] = value.NewString("")
+		}
+	}
+	in := db.Internal()
+	in.Table("akc").BulkLoad(nil, rows)
+	in.Table("akb").BulkLoad(nil, rows)
+	in.Table("akd").BulkLoad(nil, dim)
+	mustExecAll(tb, db,
+		"CREATE CLUSTERED COLUMNSTORE INDEX ccic ON akc",
+		"CREATE CLUSTERED INDEX cib ON akb (f)",
+		"CREATE CLUSTERED COLUMNSTORE INDEX ccid ON akd",
+	)
+	return db
+}
+
 func spineSuites() []spineSuite {
 	var ch []spineQuery
 	for i, q := range workload.CHQueries() {
@@ -290,6 +359,33 @@ func spineSuites() []spineSuite {
 			shape: []string{"HashAggregate", "HashJoin", "ColumnstoreScan(oorder)", "ColumnstoreScan(orderline)"}},
 	}
 
+	// GROUP BY keys of every kind, NULLs, −0.0 beside +0.0 and '' beside
+	// NULL among them, on each aggregation path: batch mode over a
+	// columnstore (serial and morsel partials), row rate over a B+ tree
+	// and over a hash join, a stream aggregate over the clustered key,
+	// DISTINCT beside the groups, an empty scalar aggregate, and two
+	// spills under a small grant.
+	hashAggCCI := []string{"HashAggregate", "ColumnstoreScan(akc)"}
+	hashAggBtree := []string{"HashAggregate", "ClusteredScan(akb)"}
+	aggKeys := []spineQuery{
+		{name: "cci_bigint_nulls", sql: `SELECT g, count(*), sum(v) FROM akc GROUP BY g`, shape: hashAggCCI},
+		{name: "cci_bigint_filtered", sql: `SELECT g, count(*), min(v) FROM akc WHERE k < 9000 GROUP BY g`, shape: hashAggCCI},
+		{name: "cci_double_zeros", sql: `SELECT f, count(*), sum(v) FROM akc GROUP BY f`, shape: hashAggCCI},
+		{name: "cci_varchar_empty_null", sql: `SELECT s, count(*), min(k) FROM akc GROUP BY s`, shape: hashAggCCI},
+		{name: "cci_date_bool", sql: `SELECT d, b, count(*), max(v) FROM akc GROUP BY d, b`, shape: hashAggCCI},
+		{name: "cci_two_col", sql: `SELECT g, s, count(*), sum(v) FROM akc GROUP BY g, s`, shape: hashAggCCI},
+		{name: "cci_scalar_empty", sql: `SELECT count(*), sum(v), min(s) FROM akc WHERE k < 0`, shape: hashAggCCI},
+		{name: "btree_bigint_nulls", sql: `SELECT g, count(*), sum(v) FROM akb GROUP BY g`, shape: hashAggBtree},
+		{name: "btree_varchar_bool", sql: `SELECT s, b, count(*), sum(v) FROM akb GROUP BY s, b`, shape: hashAggBtree},
+		{name: "hashagg_over_hashjoin", sql: `SELECT dname, b, count(*), sum(v) FROM akc JOIN akd ON g = dk GROUP BY dname, b`,
+			shape: []string{"HashAggregate", "HashJoin"}},
+		{name: "streamagg_clustered_double", sql: `SELECT f, count(*), sum(v) FROM akb GROUP BY f`,
+			shape: []string{"StreamAggregate", "ClusteredScan(akb)"}},
+		{name: "distinct_beside_groupby", sql: `SELECT b, count(DISTINCT s), count(*), sum(v) FROM akc GROUP BY b`, shape: hashAggCCI},
+		{name: "spill_cci_double_sum", sql: `SELECT g, sum(v), count(*) FROM akc WHERE k < 9000 GROUP BY g`, shape: hashAggCCI, grant: 64 << 10},
+		{name: "spill_btree_two_col", sql: `SELECT g, s, count(*) FROM akb GROUP BY g, s`, shape: hashAggBtree, grant: 64 << 10},
+	}
+
 	return []spineSuite{
 		{name: "ch", build: spineCHDB, queries: ch},
 		{name: "micro_btree", build: spineMicroDB("CREATE CLUSTERED INDEX cix ON t (col1)"), queries: micro},
@@ -300,6 +396,7 @@ func spineSuites() []spineSuite {
 		{name: "rowwise", build: spineRowwiseDB, queries: rowwise},
 		{name: "topn", build: spineCHDB, queries: topn},
 		{name: "nljseek", build: spineNLJSeekDB, queries: nljSeek},
+		{name: "aggkeys", build: spineAggKeysDB, queries: aggKeys},
 	}
 }
 
@@ -358,6 +455,7 @@ func runSpineQuery(tb testing.TB, s spineSuite, db *DB, q spineQuery, opts ExecO
 	if q.dml {
 		db = s.build(tb)
 	}
+	opts.MemGrant = q.grant
 	res, err := db.Exec(q.sql, opts)
 	if err != nil {
 		tb.Fatalf("%s: %v", name, err)
@@ -378,6 +476,9 @@ func runSpineQuery(tb testing.TB, s spineSuite, db *DB, q spineQuery, opts ExecO
 	e.Trace = traceSkeleton(ex.Trace, 0, nil)
 	if !hasShape(e.Trace, q.shape) {
 		tb.Errorf("%s: plan lost its shape %v:\n%s", name, q.shape, ex.Trace)
+	}
+	if q.grant > 0 && e.Metrics.DataWrite <= 2*q.grant {
+		tb.Errorf("%s: wrote %d bytes to temp under a %d-byte grant, want more than twice the grant", name, e.Metrics.DataWrite, q.grant)
 	}
 	return e
 }

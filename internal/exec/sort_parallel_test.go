@@ -222,12 +222,12 @@ func TestSchedulableWorkers(t *testing.T) {
 func TestPartitionOf(t *testing.T) {
 	const parts = 8
 	v := vec.NewVec(value.KindInt)
-	jk := []plan.JoinKey{{Kind: value.KindInt}}
+	kinds := []value.Kind{value.KindInt}
 	counts := make([]int, parts)
 	for k := int64(0); k < 8000; k++ {
 		v.Append(value.NewInt(k))
-		h := keyHash([]*vec.Vec{v}, jk, int(k))
-		if h2 := keyHash([]*vec.Vec{v}, jk, int(k)); h2 != h {
+		h := keyHash([]*vec.Vec{v}, kinds, int(k))
+		if h2 := keyHash([]*vec.Vec{v}, kinds, int(k)); h2 != h {
 			t.Fatalf("keyHash(%d) nondeterministic: %d then %d", k, h, h2)
 		}
 		counts[h%parts]++

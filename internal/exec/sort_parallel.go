@@ -21,6 +21,7 @@ import (
 	"sort"
 	"time"
 
+	"hybriddb/internal/colstore"
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
 	"hybriddb/internal/value"
@@ -28,33 +29,27 @@ import (
 )
 
 // parallelSortEligible reports whether s takes the morsel-driven path
-// under ctx. It checks exactly the gates morselSortRows applies, so a
-// caller that pre-checks (the TOP fusion, which must not manufacture a
-// trace node for a sort that then declines) gets a guaranteed ok.
-func parallelSortEligible(ctx *Context, s *plan.Sort) bool {
-	if !s.Parallel {
-		return false
+// under ctx (a nil s does not), and if so over which scan and morsels.
+// morselSortRows applies exactly this gate, so a caller that pre-checks
+// (the TOP fusion, which must not manufacture a trace node for a sort
+// that then declines) gets a guaranteed ok.
+func parallelSortEligible(ctx *Context, s *plan.Sort) (*plan.Scan, []colstore.ScanPartition, bool) {
+	if s == nil || !s.Parallel {
+		return nil, nil, false
 	}
 	scan, ok := s.Input.(*plan.Scan)
 	if !ok || scan.Access != plan.AccessCSIScan {
-		return false
+		return nil, nil, false
 	}
-	_, _, ok = morselizableScan(ctx, scan.Parallel, scan)
-	return ok
+	_, morsels, ok := morselizableScan(ctx, scan.Parallel, scan)
+	return scan, morsels, ok
 }
 
 // morselSortRows runs a Parallel-marked sort morsel-driven and returns
 // the globally ordered rows (the first limit rows when limit > 0).
 // Returns ok=false when the sort must stay serial.
 func morselSortRows(ctx *Context, s *plan.Sort, limit int64) ([]value.Row, bool, error) {
-	if !s.Parallel {
-		return nil, false, nil
-	}
-	scan, ok := s.Input.(*plan.Scan)
-	if !ok || scan.Access != plan.AccessCSIScan {
-		return nil, false, nil
-	}
-	_, morsels, ok := morselizableScan(ctx, scan.Parallel, scan)
+	scan, morsels, ok := parallelSortEligible(ctx, s)
 	if !ok {
 		return nil, false, nil
 	}

@@ -229,6 +229,7 @@ func aggNode(input plan.Node, strategy plan.AggStrategy, batch bool) *plan.Agg {
 		Input:      input,
 		Strategy:   strategy,
 		GroupSlots: []int{1},
+		GroupKinds: []value.Kind{value.KindInt},
 		Specs: []plan.AggSpec{
 			{Func: plan.AggCount},
 			{Func: plan.AggSum, Arg: col(0)},

@@ -8,6 +8,7 @@ import (
 	"hybriddb/internal/plan"
 	"hybriddb/internal/sql"
 	"hybriddb/internal/table"
+	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 )
 
@@ -257,9 +258,10 @@ func aggPlan(tree plan.Node, treeRows float64, b *sql.BoundSelect, infos []*tabl
 		})
 	}
 	groupSlots := make([]int, len(b.GroupBy))
+	groupKinds := make([]value.Kind, len(b.GroupBy))
 	groupIdx := make(map[int]int)
 	for i, g := range b.GroupBy {
-		groupSlots[i] = g.Slot
+		groupSlots[i], groupKinds[i] = g.Slot, g.Kind
 		groupIdx[g.Slot] = i
 	}
 	specs := make([]plan.AggSpec, len(aggs))
@@ -314,6 +316,7 @@ func aggPlan(tree plan.Node, treeRows float64, b *sql.BoundSelect, infos []*tabl
 		Input:      tree,
 		Strategy:   strategy,
 		GroupSlots: groupSlots,
+		GroupKinds: groupKinds,
 		Specs:      specs,
 		BatchMode:  batch,
 		EstGroups:  groups,

@@ -219,6 +219,7 @@ type Agg struct {
 	Input      Node
 	Strategy   AggStrategy
 	GroupSlots []int
+	GroupKinds []value.Kind // the kind of each group column
 	Specs      []AggSpec
 	BatchMode  bool
 	// EstGroups is the optimizer's estimate of the number of groups

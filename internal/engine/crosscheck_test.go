@@ -51,12 +51,15 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	mustExec(t, db, "DELETE FROM p WHERE a BETWEEN 500 AND 700")
 
 	// Second columnstore table so hash joins cross the exchange on both
-	// sides (parallel build-side scan, fused morsel-driven probe).
+	// sides (parallel build-side scan, fused morsel-driven probe). q.x
+	// spreads over 2 000 values, of which p.b meets 40, so p ⋈ q emits
+	// ~90 000 rows: with q.x over the same 40 values as p.b it emitted
+	// 4.5 M, most of this test's time under -race.
 	mustExec(t, db, "CREATE TABLE q (x BIGINT, y BIGINT, z DOUBLE)")
 	qrows := make([]value.Row, 6000)
 	for i := range qrows {
 		qrows[i] = value.Row{
-			value.NewInt(int64(i % 40)),
+			value.NewInt(int64(i % 2000)),
 			value.NewInt(rng.Int63n(12)),
 			value.NewFloat(float64(rng.Intn(400)) / 8),
 		}
@@ -183,7 +186,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 
 	// Partitioned join build: parallel runs record the partition count;
 	// the serial-vs-parallel Metrics loop above already proved the
-	// partitioning is invisible to the virtual clock.
+	// partitioning is invisible to the virtual clock. Both scans must
+	// still run as several morsels, so that shrinking the tables cannot
+	// drop a parallel path unnoticed.
 	jt := mustExec(t, db, "EXPLAIN ANALYZE SELECT x, count(*), sum(a) FROM p JOIN q ON b = x GROUP BY x",
 		ExecOptions{Parallelism: 4})
 	jn := jt.Trace.Find("HashJoin")
@@ -192,6 +197,15 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 	if v, ok := jn.Attr("build_partitions"); !ok || v < 2 {
 		t.Errorf("build_partitions attr = %d (present=%v), want >= 2:\n%s", v, ok, jt.Trace)
+	}
+	for _, scan := range []string{"ColumnstoreScan(p)", "ColumnstoreScan(q)"} {
+		sn := jt.Trace.Find(scan)
+		if sn == nil {
+			t.Fatalf("missing %s trace node:\n%s", scan, jt.Trace)
+		}
+		if v, ok := sn.Attr("morsels"); !ok || v < 2 {
+			t.Errorf("%s: morsels attr = %d (present=%v), want >= 2:\n%s", scan, v, ok, jt.Trace)
+		}
 	}
 }
 

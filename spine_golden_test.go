@@ -13,9 +13,11 @@
 // sorted every scanned row under a TOP. The nljseek suite was added on
 // the last commit whose columnstore scans built a scanner per morsel,
 // whose nested-loop join cloned the outer row per match and whose hash
-// join grew its output vectors match by match, and the aggkeys suite on
+// join grew its output vectors match by match, the aggkeys suite on
 // the last commit whose hash aggregate kept a string-keyed group map
-// beside the join's hash table.
+// beside the join's hash table, and the dml suite on the last commit
+// whose UPDATE and DELETE read their target rows through a scan cursor
+// of their own instead of exec.Execute.
 // Regenerate only with
 //
 //	go test -run TestSpineGolden -update .
@@ -38,6 +40,9 @@ import (
 
 	"hybriddb/internal/exec"
 	"hybriddb/internal/metrics"
+	"hybriddb/internal/optimizer"
+	"hybriddb/internal/plan"
+	"hybriddb/internal/sql"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 	"hybriddb/internal/workload"
@@ -79,6 +84,10 @@ type spineQuery struct {
 	// small enough that the query writes more than twice the grant to
 	// the temp device, so at least three partials are merged.
 	grant int64
+	// check, when set on a dml entry, is a SELECT run after the
+	// statement on the same database; its row digest is the entry's
+	// Digest, so the golden pins which rows the statement changed.
+	check string
 }
 
 type spineSuite struct {
@@ -263,6 +272,97 @@ func spineAggKeysDB(tb testing.TB) *DB {
 	return db
 }
 
+// spineDMLDB holds one table per access path a DML statement can
+// locate its rows through: dh a heap, dc a B+ tree clustered on c_k
+// with an uncovered secondary on c_v and a covering one on c_w, dcc a
+// clustered columnstore (deletes go to its bitmaps), and dn a B+ tree
+// whose nonclustered columnstore holds delta rows and buffered deletes
+// when a statement runs.
+func spineDMLDB(tb testing.TB) *DB {
+	db := Open(WithRowGroupSize(1024))
+	mustExecAll(tb, db,
+		"CREATE TABLE dh (h_k BIGINT, h_v BIGINT, h_s VARCHAR(8))",
+		"CREATE TABLE dc (c_k BIGINT, c_v BIGINT, c_w BIGINT, c_s VARCHAR(8))",
+		"CREATE TABLE dcc (k BIGINT, g BIGINT, v DOUBLE)",
+		"CREATE TABLE dn (n_k BIGINT, n_g BIGINT, n_v BIGINT)")
+	load := func(name string, n int, row func(i int) value.Row) {
+		rows := make([]value.Row, n)
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		db.Internal().Table(name).BulkLoad(nil, rows)
+	}
+	load("dh", 2000, func(i int) value.Row {
+		return value.Row{value.NewInt(int64(i*13) % 5000), value.NewInt(int64(i % 10)), value.NewString(fmt.Sprintf("s%d", i%7))}
+	})
+	load("dc", 8000, func(i int) value.Row {
+		return value.Row{value.NewInt(int64(i)), value.NewInt(int64(i*7) % 1000), value.NewInt(int64(i*11) % 400), value.NewString(fmt.Sprintf("s%d", i%9))}
+	})
+	load("dcc", 8192, func(i int) value.Row {
+		return value.Row{value.NewInt(int64(i)), value.NewInt(int64(i*31) % 100), value.NewFloat(float64(i%1000) / 8)}
+	})
+	load("dn", 6000, func(i int) value.Row {
+		return value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 12)), value.NewInt(int64(i*3) % 700)}
+	})
+	mustExecAll(tb, db,
+		"CREATE CLUSTERED INDEX cix_dc ON dc (c_k)",
+		"CREATE INDEX ix_dc_v ON dc (c_v)",
+		"CREATE INDEX ix_dc_w ON dc (c_w) INCLUDE (c_v, c_s)",
+		"CREATE CLUSTERED COLUMNSTORE INDEX cci_dcc ON dcc",
+		"CREATE CLUSTERED INDEX cix_dn ON dn (n_k)",
+		"CREATE NONCLUSTERED COLUMNSTORE INDEX csi_dn ON dn",
+		"INSERT INTO dn VALUES "+insertValues(300, func(i int) string {
+			return fmt.Sprintf("(%d,%d,%d)", 6000+i, i%12, i%50)
+		}),
+		"DELETE FROM dn WHERE n_k < 150",
+		"UPDATE dn SET n_v = n_v + 1000 WHERE n_k >= 2000 AND n_k < 2100",
+	)
+	csi := db.Internal().Table("dn").SecondaryCSI().CSI
+	if csi.DeltaRows() == 0 || csi.BufferedDeletes() == 0 {
+		tb.Fatalf("dn's columnstore holds %d delta rows and %d buffered deletes, want both", csi.DeltaRows(), csi.BufferedDeletes())
+	}
+	return db
+}
+
+// dmlAccess describes the scan a DML statement locates its rows with:
+// the access path, whether a secondary seek covers the row, and whether
+// any conjunct is pushed into the columnstore kernels.
+func dmlAccess(tb testing.TB, db *DB, query string) []string {
+	tb.Helper()
+	st, err := sql.ParseOne(query)
+	if err != nil {
+		tb.Fatalf("%s: %v", query, err)
+	}
+	b := sql.NewBinder(db.Internal())
+	var tbl string
+	var conj []sql.Expr
+	switch st := st.(type) {
+	case *sql.UpdateStmt:
+		bound, err := b.BindUpdate(st)
+		if err != nil {
+			tb.Fatalf("%s: %v", query, err)
+		}
+		tbl, conj = bound.Table, bound.Conjuncts
+	case *sql.DeleteStmt:
+		bound, err := b.BindDelete(st)
+		if err != nil {
+			tb.Fatalf("%s: %v", query, err)
+		}
+		tbl, conj = bound.Table, bound.Conjuncts
+	default:
+		tb.Fatalf("%s: not an UPDATE or DELETE", query)
+	}
+	scan := optimizer.ChooseDMLScan(db.Internal().Table(tbl), conj, optimizer.Options{Model: db.Internal().Model()})
+	out := []string{scan.Describe()}
+	if scan.Access == plan.AccessSecondarySeek {
+		out = append(out, map[bool]string{true: "covered", false: "uncovered"}[scan.Covered])
+	}
+	if len(scan.Push) > 0 {
+		out = append(out, "push")
+	}
+	return out
+}
+
 func spineSuites() []spineSuite {
 	var ch []spineQuery
 	for i, q := range workload.CHQueries() {
@@ -386,6 +486,52 @@ func spineSuites() []spineSuite {
 		{name: "spill_btree_two_col", sql: `SELECT g, s, count(*) FROM akb GROUP BY g, s`, shape: hashAggBtree, grant: 64 << 10},
 	}
 
+	// UPDATE and DELETE, with and without TOP and with TOP (0), through
+	// every access path DML locates rows with. shape is the chosen scan
+	// (dmlAccess); check reads back what the statement left.
+	checkDH := `SELECT h_k, h_v, h_s FROM dh ORDER BY h_k`
+	checkDC := `SELECT c_k, c_v, c_w, c_s FROM dc ORDER BY c_k`
+	checkDCC := `SELECT k, g, v FROM dcc ORDER BY k`
+	checkDN := `SELECT n_k, n_g, n_v FROM dn ORDER BY n_k`
+	dml := []spineQuery{
+		{name: "heap_update", sql: `UPDATE dh SET h_v = h_v + 100 WHERE h_s = 's3'`,
+			dml: true, check: checkDH, shape: []string{"HeapScan(dh)"}},
+		{name: "heap_delete_top", sql: `DELETE TOP (40) FROM dh WHERE h_v = 3`,
+			dml: true, check: checkDH, shape: []string{"HeapScan(dh)"}},
+		{name: "clustered_seek_update", sql: `UPDATE dc SET c_s = 'u' WHERE c_k BETWEEN 100 AND 400`,
+			dml: true, check: checkDC, shape: []string{"ClusteredSeek(dc)"}},
+		{name: "clustered_seek_delete_top", sql: `DELETE TOP (10) FROM dc WHERE c_k > 500 AND c_k <= 900`,
+			dml: true, check: checkDC, shape: []string{"ClusteredSeek(dc)"}},
+		{name: "clustered_seek_update_top_zero", sql: `UPDATE TOP (0) dc SET c_v = 1 WHERE c_k < 50`,
+			dml: true, check: checkDC, shape: []string{"ClusteredSeek(dc)"}},
+		{name: "clustered_scan_update_top", sql: `UPDATE TOP (30) dc SET c_v = c_v + 1 WHERE c_s = 's2'`,
+			dml: true, check: checkDC, shape: []string{"ClusteredScan(dc)"}},
+		{name: "clustered_scan_delete", sql: `DELETE FROM dc WHERE c_s = 's5'`,
+			dml: true, check: checkDC, shape: []string{"ClusteredScan(dc)"}},
+		{name: "uncovered_seek_update", sql: `UPDATE dc SET c_s = 'x' WHERE c_v = 17`,
+			dml: true, check: checkDC, shape: []string{"SecondarySeek(dc)", "uncovered"}},
+		{name: "uncovered_seek_delete_top", sql: `DELETE TOP (3) FROM dc WHERE c_v = 18`,
+			dml: true, check: checkDC, shape: []string{"SecondarySeek(dc)", "uncovered"}},
+		{name: "covered_seek_update_top", sql: `UPDATE TOP (5) dc SET c_v = 0 WHERE c_w > 5 AND c_w < 8`,
+			dml: true, check: checkDC, shape: []string{"SecondarySeek(dc)", "covered"}},
+		{name: "covered_seek_delete", sql: `DELETE FROM dc WHERE c_w > 2 AND c_w <= 4`,
+			dml: true, check: checkDC, shape: []string{"SecondarySeek(dc)", "covered"}},
+		{name: "cci_delete", sql: `DELETE FROM dcc WHERE g < 10`,
+			dml: true, check: checkDCC, shape: []string{"ColumnstoreScan(dcc)", "push"}},
+		{name: "cci_update_top", sql: `UPDATE TOP (25) dcc SET v = v + 1 WHERE g = 3`,
+			dml: true, check: checkDCC, shape: []string{"ColumnstoreScan(dcc)", "push"}},
+		{name: "cci_update", sql: `UPDATE dcc SET v = v * 2 WHERE g >= 95 AND v > 100`,
+			dml: true, check: checkDCC, shape: []string{"ColumnstoreScan(dcc)", "push"}},
+		{name: "cci_delete_top", sql: `DELETE TOP (100) FROM dcc WHERE v > 50`,
+			dml: true, check: checkDCC, shape: []string{"ColumnstoreScan(dcc)"}},
+		{name: "cci_delete_top_zero", sql: `DELETE TOP (0) FROM dcc WHERE g < 10`,
+			dml: true, check: checkDCC, shape: []string{"ColumnstoreScan(dcc)", "push"}},
+		{name: "ncci_update", sql: `UPDATE dn SET n_v = n_v + 1 WHERE n_g = 4`,
+			dml: true, check: checkDN, shape: []string{"ColumnstoreScan(dn)", "push"}},
+		{name: "ncci_delete_top", sql: `DELETE TOP (20) FROM dn WHERE n_g = 5`,
+			dml: true, check: checkDN, shape: []string{"ColumnstoreScan(dn)", "push"}},
+	}
+
 	return []spineSuite{
 		{name: "ch", build: spineCHDB, queries: ch},
 		{name: "micro_btree", build: spineMicroDB("CREATE CLUSTERED INDEX cix ON t (col1)"), queries: micro},
@@ -397,6 +543,7 @@ func spineSuites() []spineSuite {
 		{name: "topn", build: spineCHDB, queries: topn},
 		{name: "nljseek", build: spineNLJSeekDB, queries: nljSeek},
 		{name: "aggkeys", build: spineAggKeysDB, queries: aggKeys},
+		{name: "dml", build: spineDMLDB, queries: dml},
 	}
 }
 
@@ -454,6 +601,11 @@ func runSpineQuery(tb testing.TB, s spineSuite, db *DB, q spineQuery, opts ExecO
 	name := s.name + "/" + q.name
 	if q.dml {
 		db = s.build(tb)
+		if q.shape != nil {
+			if got := dmlAccess(tb, db, q.sql); !reflect.DeepEqual(got, q.shape) {
+				tb.Errorf("%s: locates its rows with %v, want %v", name, got, q.shape)
+			}
+		}
 	}
 	opts.MemGrant = q.grant
 	res, err := db.Exec(q.sql, opts)
@@ -464,6 +616,13 @@ func runSpineQuery(tb testing.TB, s spineSuite, db *DB, q spineQuery, opts ExecO
 		Digest: rowsDigest(res.Rows), Metrics: res.Metrics}
 	if q.dml {
 		e.Rows = res.RowsAffected
+		if q.check != "" {
+			chk, err := db.Exec(q.check)
+			if err != nil {
+				tb.Fatalf("%s: check: %v", name, err)
+			}
+			e.Digest = rowsDigest(chk.Rows)
+		}
 		return e
 	}
 	ex, err := db.Exec("EXPLAIN ANALYZE "+q.sql, opts)

@@ -642,7 +642,7 @@ func (db *Database) execSelect(s *sql.SelectStmt, o ExecOptions, trace *metrics.
 		Trace:   trace,
 	}
 	for _, bt := range bound.Tables {
-		out.Locks = append(out.Locks, LockDemand{Table: bt.Ref.Table, Rows: tr.RowsOut + 1})
+		out.Locks = append(out.Locks, LockDemand{Table: bt.Ref.Table, Rows: res.Metrics.Rows + 1})
 	}
 	return out, nil
 }
@@ -717,21 +717,22 @@ func (db *Database) execInsert(s *sql.InsertStmt) (*Result, error) {
 }
 
 // findMatches locates the rows a DML statement targets using the
-// cheapest access path for its WHERE clause.
+// cheapest access path for its WHERE clause. The scan reads the hidden
+// UID column beside the table's, one slot past them, and runs under a
+// bare TOP when the statement has one.
 func (db *Database) findMatches(tr *vclock.Tracker, t *table.Table, conjuncts []sql.Expr, top int64, o ExecOptions) ([]table.Match, error) {
-	scan := optimizer.ChooseDMLScan(t, conjuncts, optimizer.Options{Model: db.model, ExecOptions: o})
-	ctx := &exec.Context{Tr: tr, TotalSlots: t.Schema.Len(), DOP: 1}
-	cur, err := exec.BuildScan(ctx, scan)
+	var in plan.Node = optimizer.ChooseDMLScan(t, conjuncts, optimizer.Options{Model: db.model, ExecOptions: o})
+	if top != sql.NoTop {
+		in = &plan.Top{Input: in, N: top}
+	}
+	uid := t.UIDColumn()
+	res, err := exec.Execute(tr, &plan.Root{Input: in, DOP: 1}, uid+1, exec.RunOptions{})
 	if err != nil {
 		return nil, err
 	}
-	var matches []table.Match
-	for top == sql.NoTop || int64(len(matches)) < top {
-		row, more := cur.Next()
-		if !more {
-			break
-		}
-		matches = append(matches, table.Match{Row: row[:t.Schema.Len()].Clone(), UID: cur.UID()})
+	matches := make([]table.Match, len(res.Rows))
+	for i, row := range res.Rows {
+		matches[i] = table.Match{Row: row[:uid:uid], UID: row[uid].Int()}
 	}
 	return matches, nil
 }

@@ -214,16 +214,19 @@ func buildInput(ctx *Context, n plan.Node, oneRow bool) (BatchCursor, error) {
 }
 
 func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
+	if cur, ok, err := buildMorselSort(ctx, n); ok || err != nil {
+		return cur, err
+	}
 	switch node := n.(type) {
 	case *plan.Scan:
 		if node.Access == plan.AccessCSIScan {
 			return newBatchScan(ctx, node)
 		}
-		cur, err := BuildScan(ctx, node)
+		step, err := buildScan(ctx, node)
 		if err != nil {
 			return nil, err
 		}
-		return newLift(ctx, cur.Next), nil
+		return newLift(ctx, step), nil
 	case *plan.Filter:
 		in, err := BuildBatch(ctx, node.Input)
 		if err != nil {
@@ -252,11 +255,6 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 		}
 		return newBatchProject(ctx, in, node.Exprs), nil
 	case *plan.Sort:
-		if rows, ok, err := morselSortRows(ctx, node, 0); err != nil {
-			return nil, err
-		} else if ok {
-			return &rowsBatchCursor{rows: rows}, nil
-		}
 		in, err := buildInput(ctx, node.Input, false)
 		if err != nil {
 			return nil, err
@@ -275,18 +273,6 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 		}
 		// Above a blocking operator the input is fully drained either way,
 		// so TOP batches.
-		s, _ := node.Input.(*plan.Sort)
-		if _, _, ok := parallelSortEligible(ctx, s); ok {
-			rows, tn, err := fusedTopSortRows(ctx, node, s)
-			if err != nil {
-				return nil, err
-			}
-			var in BatchCursor = &rowsBatchCursor{rows: rows}
-			if tn != nil {
-				in = &traceBatchCursor{ctx: ctx, tn: tn, in: in}
-			}
-			return &batchTop{in: in, n: node.N}, nil
-		}
 		in, err := BuildBatch(ctx, node.Input)
 		if err != nil {
 			return nil, err
@@ -334,14 +320,14 @@ func (c *traceBatchCursor) NextBatch() (*SlotBatch, bool) {
 // after it reports exhaustion (a bounded clusteredCursor would read and
 // charge one more row past its range).
 type lift struct {
-	step  func() (value.Row, bool)
+	step  rowStep
 	limit int
 	rows  []value.Row // the batch's row headers, reused batch to batch
 	out   SlotBatch
 	done  bool
 }
 
-func newLift(ctx *Context, step func() (value.Row, bool)) *lift {
+func newLift(ctx *Context, step rowStep) *lift {
 	l := &lift{step: step, limit: vec.BatchSize}
 	if ctx.oneRow {
 		l.limit = 1
@@ -371,10 +357,9 @@ func (l *lift) NextBatch() (*SlotBatch, bool) {
 
 // rowReader is how a row-wise operator reads its input: one row at a
 // time, pulling the next batch only when the last is used up. A
-// columnar batch's rows are carved from one backing array (the
-// csiCursor discipline) and only the row headers are reused, so
-// callers may retain what next returns. It is charge-free like the
-// lift.
+// columnar batch's rows are carved from one backing array per batch
+// (appendRows) and only the row headers are reused, so callers may
+// retain what next returns. It is charge-free like the lift.
 type rowReader struct {
 	in    BatchCursor
 	width int // composite row width
@@ -464,8 +449,8 @@ func (c *rowsBatchCursor) NextBatch() (*SlotBatch, bool) {
 
 // batchScanCursor is the serial columnstore leaf of the batch spine:
 // it forwards the batch source's output with slot mapping, charging
-// the composite-row boundary cost per batch exactly as the DML path's
-// csiCursor does, so a scan is priced the same whoever reads it.
+// the composite-row boundary cost per batch (nextCharged), so a scan is
+// priced the same whoever reads it.
 type batchScanCursor struct {
 	ctx *Context
 	src *csiBatchSource

@@ -8,8 +8,9 @@
 // batch.go), so each operator has exactly one implementation. The
 // paper's row-mode/batch-mode CPU asymmetry lives in the vclock charges
 // the operators issue, not in which Go loop runs;
-// testdata/spine_golden.json in the root package pins them. DML locates
-// its target rows with the scan cursors BuildScan returns.
+// testdata/spine_golden.json in the root package pins them. Execute is
+// the only entry point: SELECTs and the scans DML locates its target
+// rows with (reading the table's hidden UID column) both run through it.
 package exec
 
 import (
@@ -92,8 +93,8 @@ func Execute(tr *vclock.Tracker, root *plan.Root, totalSlots int, opts RunOption
 		}
 		res.Rows = sb.appendRows(res.Rows, totalSlots)
 	}
-	tr.RowsOut = int64(len(res.Rows))
 	res.Metrics = tr.Snapshot()
+	res.Metrics.Rows = int64(len(res.Rows))
 	return res, nil
 }
 

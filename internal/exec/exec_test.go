@@ -389,26 +389,38 @@ func TestBatchFilterFastAndGenericAgree(t *testing.T) {
 	}
 }
 
-func TestUIDCursorExposesUIDs(t *testing.T) {
+// TestScanWritesUIDSlot checks how DML finds its target rows: a scan
+// whose NeedCols asks for the hidden UID column writes each row's UID
+// to the slot after the table's, and a scan that does not ask leaves
+// that slot NULL.
+func TestScanWritesUIDSlot(t *testing.T) {
 	tbl := fixtureTable(t, 100, 5)
-	ctx := ctxFor(tbl)
-	uc, err := BuildScan(ctx, scanNode(tbl, plan.AccessClusteredScan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int64]bool{}
-	for {
-		_, ok := uc.Next()
-		if !ok {
-			break
+	_, uids := tbl.AllRows(nil) // in key order: uids[a] is row a's
+	uid := tbl.UIDColumn()
+	for _, access := range []plan.AccessKind{plan.AccessClusteredScan, plan.AccessCSIScan} {
+		for _, asked := range []bool{true, false} {
+			s := scanNode(tbl, access)
+			if asked {
+				s.NeedCols = []int{0, 1, 2, uid}
+			}
+			ctx := ctxFor(tbl)
+			ctx.TotalSlots = uid + 1
+			rows := drain(t, ctx, s)
+			if len(rows) != len(uids) {
+				t.Fatalf("%v: %d rows, want %d", access, len(rows), len(uids))
+			}
+			for _, r := range rows {
+				if !asked {
+					if !r[uid].IsNull() {
+						t.Fatalf("%v: UID slot holds %v though NeedCols did not ask for it", access, r[uid])
+					}
+					continue
+				}
+				if got, want := r[uid].Int(), uids[r[0].Int()]; got != want {
+					t.Fatalf("%v: row a=%d carries UID %d, want %d", access, r[0].Int(), got, want)
+				}
+			}
 		}
-		if seen[uc.UID()] {
-			t.Fatalf("duplicate uid %d", uc.UID())
-		}
-		seen[uc.UID()] = true
-	}
-	if len(seen) != 100 {
-		t.Fatalf("uids = %d", len(seen))
 	}
 }
 

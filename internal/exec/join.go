@@ -187,7 +187,7 @@ type nljCursor struct {
 	filter []func(value.Row) bool // inner.Filter compiled
 
 	curOuter  value.Row
-	innerNext func() (value.Row, bool) // the current rebind's scan step; nil between rebinds
+	innerNext rowStep // the current rebind's scan step; nil between rebinds
 }
 
 func (c *nljCursor) next() (value.Row, bool) {
@@ -210,13 +210,12 @@ func (c *nljCursor) next() (value.Row, bool) {
 			if scan.Access == plan.AccessClusteredScan {
 				scan.Access = plan.AccessClusteredSeek
 			}
-			cur := openBTreeScan(c.ctx, &scan, c.filter)
-			c.innerNext = cur.Next
+			c.innerNext = openBTreeScan(c.ctx, &scan, c.filter)
 			if c.innerTN != nil {
 				// Traced on the shared node one row per batch, so each
 				// inner row's charges land exactly as it is pulled.
 				c.innerTN.Loops++
-				traced := &traceBatchCursor{ctx: c.ctx, tn: c.innerTN, in: &lift{step: cur.Next, limit: 1}}
+				traced := &traceBatchCursor{ctx: c.ctx, tn: c.innerTN, in: &lift{step: c.innerNext, limit: 1}}
 				c.innerNext = newRowReader(c.ctx, traced).next
 			}
 		}
@@ -226,7 +225,7 @@ func (c *nljCursor) next() (value.Row, bool) {
 			continue
 		}
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU/2), 0.8)
-		// The inner row is the caller's (UIDCursor) and its slots are
+		// The inner row is the caller's (rowStep) and its slots are
 		// disjoint from the outer's: the outer values fill its NULLs.
 		for i, v := range c.curOuter {
 			if inRow[i].IsNull() {

@@ -11,12 +11,14 @@ import (
 	"hybriddb/internal/vclock"
 )
 
-// TestUIDCursorRowsAreFresh checks what the nested-loop join's overlay
-// rests on: every row a UIDCursor returns is the caller's, sharing no
-// storage with any row it returned before. Each cursor runs under a
-// filter that rejects rows between the ones it returns, so a cursor
-// that refills a spare row must replace it once it is handed over.
-func TestUIDCursorRowsAreFresh(t *testing.T) {
+// TestScanRowsAreFresh checks what the nested-loop join's overlay rests
+// on: every row a scan's row step returns is the caller's, sharing no
+// storage with any row it returned before. Each scan runs under a
+// filter that rejects rows between the ones it returns, so a step that
+// refills a spare row must replace it once it is handed over. The
+// columnstore scan is read the way a row-wise operator reads it, through
+// a rowReader.
+func TestScanRowsAreFresh(t *testing.T) {
 	tbl := fixtureTable(t, 3000, 50)
 	heapT := table.New(storage.NewStore(0), "h", tbl.Schema, nil)
 	rows := make([]value.Row, 2000)
@@ -54,13 +56,24 @@ func TestUIDCursorRowsAreFresh(t *testing.T) {
 		"heap": heapScan, "clustered": clustered, "clustered_seek": seek,
 		"secondary_covered": secondary(true), "secondary_lookup": secondary(false), "csi": csi,
 	} {
-		cur, err := BuildScan(ctxFor(tbl), s)
+		ctx := ctxFor(tbl)
+		var next rowStep
+		var err error
+		if s.Access == plan.AccessCSIScan {
+			var cur BatchCursor
+			cur, err = BuildBatch(ctx, s)
+			if cur != nil {
+				next = newRowReader(ctx, cur).next
+			}
+		} else {
+			next, err = buildScan(ctx, s)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var got []value.Row
 		for {
-			r, ok := cur.Next()
+			r, ok := next()
 			if !ok {
 				break
 			}

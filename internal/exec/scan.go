@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"hybriddb/internal/btree"
 	"hybriddb/internal/heap"
@@ -11,34 +12,21 @@ import (
 	"hybriddb/internal/vclock"
 )
 
-// UIDCursor reads a scan row by row and exposes the UID of the last row
-// returned — the DML layer uses it to identify target rows. Every scan
-// cursor implements it; Next is also the step a query's row-wise scan
-// is lifted by. A row Next returns is the caller's to keep and write
-// into: it shares no storage with any other row the cursor returns.
-type UIDCursor interface {
-	Next() (value.Row, bool)
-	UID() int64
-}
+// rowStep is a row-wise operator's step: the next row, or false at the
+// end. A row it returns is the caller's to keep and write into: it
+// shares no storage with any other row the step returns.
+type rowStep func() (value.Row, bool)
 
-// BuildScan builds a scan cursor: for a query's B+ tree or heap scan,
-// and for the DML layer in the engine.
-func BuildScan(ctx *Context, s *plan.Scan) (UIDCursor, error) {
-	return buildScan(ctx, s, compilePreds(s.Filter))
-}
-
-// buildScan builds a scan cursor; filter is s.Filter compiled, which a
-// nested-loop join compiles once for all its inner rebinds. A
-// columnstore scan compiles its own (newCSIBatchSource).
-func buildScan(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) (UIDCursor, error) {
-	switch s.Access {
-	case plan.AccessHeapScan:
+// buildScan builds a B+ tree or heap scan's row step (a columnstore
+// scan is a batch source, newBatchScan).
+func buildScan(ctx *Context, s *plan.Scan) (rowStep, error) {
+	filter := compilePreds(s.Filter)
+	if s.Access == plan.AccessHeapScan {
 		if s.Table.Heap() == nil {
 			return nil, fmt.Errorf("exec: %s has no heap", s.Table.Name)
 		}
-		return &heapScanCursor{ctx: ctx, s: s, filter: filter, it: s.Table.Heap().NewIter(ctx.Tr)}, nil
-	case plan.AccessCSIScan:
-		return newCSICursor(ctx, s)
+		c := &heapScanCursor{ctx: ctx, s: s, filter: filter, it: s.Table.Heap().NewIter(ctx.Tr), uidSlot: uidSlot(s)}
+		return c.next, nil
 	}
 	if err := checkBTreeScan(s); err != nil {
 		return nil, err
@@ -64,12 +52,38 @@ func checkBTreeScan(s *plan.Scan) error {
 	return nil
 }
 
-// openBTreeScan opens a scan checkBTreeScan accepted.
-func openBTreeScan(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) UIDCursor {
+// openBTreeScan opens a scan checkBTreeScan accepted; filter is
+// s.Filter compiled, which a nested-loop join compiles once for all its
+// inner rebinds.
+func openBTreeScan(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) rowStep {
 	if s.Access == plan.AccessSecondarySeek {
-		return newSecondaryCursor(ctx, s, filter)
+		return newSecondaryCursor(ctx, s, filter).next
 	}
-	return newClusteredCursor(ctx, s, filter)
+	return newClusteredCursor(ctx, s, filter).next
+}
+
+// uidSlot returns the composite slot a scan writes each row's UID to,
+// SlotBase+UIDColumn(), when s.NeedCols asks for the hidden UID column
+// (DML locating its target rows), and -1 otherwise.
+func uidSlot(s *plan.Scan) int {
+	if uid := s.Table.UIDColumn(); slices.Contains(s.NeedCols, uid) {
+		return s.SlotBase + uid
+	}
+	return -1
+}
+
+// seekBound places seek key kv against s's bounds the way a range scan
+// walks an index: a key equal to an exclusive Lo is skipped, and the
+// first key past Hi stops the scan.
+func seekBound(s *plan.Scan, kv value.Value) (skip, stop bool) {
+	if !s.Lo.Unbounded && !s.Lo.Inclusive && value.Compare(kv, s.Lo.Val) == 0 {
+		return true, false
+	}
+	if !s.Hi.Unbounded {
+		cmp := value.Compare(kv, s.Hi.Val)
+		return false, cmp > 0 || (cmp == 0 && !s.Hi.Inclusive)
+	}
+	return false, false
 }
 
 // compilePreds compiles conjuncts once per operator build.
@@ -105,17 +119,15 @@ func spareRow(row *value.Row, width int) value.Row {
 
 // heapScanCursor scans a heap file (row mode, sequential reads).
 type heapScanCursor struct {
-	ctx    *Context
-	s      *plan.Scan
-	filter []func(value.Row) bool
-	it     *heap.Iter
-	uid    int64
-	spare  value.Row // see spareRow
+	ctx     *Context
+	s       *plan.Scan
+	filter  []func(value.Row) bool
+	it      *heap.Iter
+	uidSlot int       // see uidSlot
+	spare   value.Row // see spareRow
 }
 
-func (c *heapScanCursor) UID() int64 { return c.uid }
-
-func (c *heapScanCursor) Next() (value.Row, bool) {
+func (c *heapScanCursor) next() (value.Row, bool) {
 	m := c.ctx.Tr.Model
 	n := c.s.Table.Schema.Len()
 	for {
@@ -129,7 +141,9 @@ func (c *heapScanCursor) Next() (value.Row, bool) {
 		if !passes(c.filter, out) {
 			continue
 		}
-		c.uid = stored[n].Int()
+		if c.uidSlot >= 0 {
+			out[c.uidSlot] = stored[n]
+		}
 		c.spare = nil
 		return out, true
 	}
@@ -137,17 +151,17 @@ func (c *heapScanCursor) Next() (value.Row, bool) {
 
 // clusteredCursor scans or seeks the clustered B+ tree.
 type clusteredCursor struct {
-	ctx    *Context
-	s      *plan.Scan
-	filter []func(value.Row) bool
-	it     *btree.Iterator
-	uid    int64
-	spare  value.Row
+	ctx     *Context
+	s       *plan.Scan
+	filter  []func(value.Row) bool
+	it      *btree.Iterator
+	uidSlot int
+	spare   value.Row
 }
 
 func newClusteredCursor(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) *clusteredCursor {
 	t := s.Table.Clustered()
-	c := &clusteredCursor{ctx: ctx, s: s, filter: filter}
+	c := &clusteredCursor{ctx: ctx, s: s, filter: filter, uidSlot: uidSlot(s)}
 	if s.Access == plan.AccessClusteredSeek && !s.Lo.Unbounded {
 		c.it = t.Seek(ctx.Tr, value.Row{s.Lo.Val})
 	} else {
@@ -156,9 +170,7 @@ func newClusteredCursor(ctx *Context, s *plan.Scan, filter []func(value.Row) boo
 	return c
 }
 
-func (c *clusteredCursor) UID() int64 { return c.uid }
-
-func (c *clusteredCursor) Next() (value.Row, bool) {
+func (c *clusteredCursor) next() (value.Row, bool) {
 	m := c.ctx.Tr.Model
 	for c.it.Valid() {
 		key := c.it.Key()
@@ -166,15 +178,12 @@ func (c *clusteredCursor) Next() (value.Row, bool) {
 		c.it.Next()
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU), m.BTreeScanEfficiency)
 		if c.s.Access == plan.AccessClusteredSeek {
-			kv := key[0]
-			if !c.s.Lo.Unbounded && !c.s.Lo.Inclusive && value.Compare(kv, c.s.Lo.Val) == 0 {
-				continue
+			skip, stop := seekBound(c.s, key[0])
+			if stop {
+				return nil, false
 			}
-			if !c.s.Hi.Unbounded {
-				cmp := value.Compare(kv, c.s.Hi.Val)
-				if cmp > 0 || (cmp == 0 && !c.s.Hi.Inclusive) {
-					return nil, false // past the range: stop
-				}
+			if skip {
+				continue
 			}
 		}
 		out := spareRow(&c.spare, c.ctx.TotalSlots)
@@ -182,7 +191,9 @@ func (c *clusteredCursor) Next() (value.Row, bool) {
 		if !passes(c.filter, out) {
 			continue
 		}
-		c.uid = key[len(key)-1].Int()
+		if c.uidSlot >= 0 {
+			out[c.uidSlot] = key[len(key)-1]
+		}
 		c.spare = nil
 		return out, true
 	}
@@ -192,17 +203,17 @@ func (c *clusteredCursor) Next() (value.Row, bool) {
 // secondaryCursor seeks a secondary B+ tree; when the index does not
 // cover the query it fetches the base row per result (key lookup).
 type secondaryCursor struct {
-	ctx    *Context
-	s      *plan.Scan
-	filter []func(value.Row) bool
-	it     *btree.Iterator
-	uid    int64
-	spare  value.Row
+	ctx     *Context
+	s       *plan.Scan
+	filter  []func(value.Row) bool
+	it      *btree.Iterator
+	uidSlot int
+	spare   value.Row
 }
 
 func newSecondaryCursor(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) *secondaryCursor {
 	t := s.Index.Tree
-	c := &secondaryCursor{ctx: ctx, s: s, filter: filter}
+	c := &secondaryCursor{ctx: ctx, s: s, filter: filter, uidSlot: uidSlot(s)}
 	if !s.Lo.Unbounded {
 		c.it = t.Seek(ctx.Tr, value.Row{s.Lo.Val})
 	} else {
@@ -211,9 +222,7 @@ func newSecondaryCursor(ctx *Context, s *plan.Scan, filter []func(value.Row) boo
 	return c
 }
 
-func (c *secondaryCursor) UID() int64 { return c.uid }
-
-func (c *secondaryCursor) Next() (value.Row, bool) {
+func (c *secondaryCursor) next() (value.Row, bool) {
 	m := c.ctx.Tr.Model
 	sec := c.s.Index
 	tbl := c.s.Table
@@ -223,17 +232,14 @@ func (c *secondaryCursor) Next() (value.Row, bool) {
 		payload := c.it.Row()
 		c.it.Next()
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU), m.BTreeScanEfficiency)
-		kv := key[0]
-		if !c.s.Lo.Unbounded && !c.s.Lo.Inclusive && value.Compare(kv, c.s.Lo.Val) == 0 {
+		skip, stop := seekBound(c.s, key[0])
+		if stop {
+			return nil, false
+		}
+		if skip {
 			continue
 		}
-		if !c.s.Hi.Unbounded {
-			cmp := value.Compare(kv, c.s.Hi.Val)
-			if cmp > 0 || (cmp == 0 && !c.s.Hi.Inclusive) {
-				return nil, false
-			}
-		}
-		uid := key[len(key)-1].Int()
+		uid := key[len(key)-1]
 		out := spareRow(&c.spare, c.ctx.TotalSlots)
 		if c.s.Covered {
 			for i, ord := range sec.Keys {
@@ -247,7 +253,7 @@ func (c *secondaryCursor) Next() (value.Row, bool) {
 			}
 		} else {
 			clusterVals := payload[nInc:]
-			base, ok := tbl.FetchRow(c.ctx.Tr, value.Row(clusterVals), uid)
+			base, ok := tbl.FetchRow(c.ctx.Tr, value.Row(clusterVals), uid.Int())
 			if !ok {
 				continue
 			}
@@ -256,53 +262,11 @@ func (c *secondaryCursor) Next() (value.Row, bool) {
 		if !passes(c.filter, out) {
 			continue
 		}
-		c.uid = uid
+		if c.uidSlot >= 0 {
+			out[c.uidSlot] = uid
+		}
 		c.spare = nil
 		return out, true
 	}
 	return nil, false
-}
-
-// csiCursor reads a columnstore scan row by row with UIDs — how DML
-// locates its target rows (queries read columnstores through
-// batchScanCursor). The scanner charges decode at batch rates and
-// filters run vectorized in the batch source; the row conversion
-// charges the adapter cost.
-type csiCursor struct {
-	ctx  *Context
-	src  *csiBatchSource
-	rows []value.Row
-	uids []int64
-	pos  int
-	uid  int64
-}
-
-func newCSICursor(ctx *Context, s *plan.Scan) (UIDCursor, error) {
-	src, err := newCSIBatchSource(ctx, s)
-	if err != nil {
-		return nil, err
-	}
-	return &csiCursor{ctx: ctx, src: src}, nil
-}
-
-func (c *csiCursor) UID() int64 { return c.uid }
-
-func (c *csiCursor) Next() (value.Row, bool) {
-	for c.pos >= len(c.rows) {
-		b, ok := c.src.nextCharged() // batch-to-row adapter cost
-		if !ok {
-			return nil, false
-		}
-		// One backing array per batch (appendRows) instead of one
-		// allocation per row. Consumers may retain the rows; only the
-		// row headers in c.rows are reused.
-		c.rows = (&SlotBatch{B: b, Slots: c.src.slots}).appendRows(c.rows[:0], c.ctx.TotalSlots)
-		c.uids, c.pos = c.uids[:0], 0
-		for i := 0; i < b.Len(); i++ {
-			c.uids = append(c.uids, b.Cols[c.src.uidIdx].I[b.LiveIndex(i)])
-		}
-	}
-	c.uid = c.uids[c.pos]
-	c.pos++
-	return c.rows[c.pos-1], true
 }

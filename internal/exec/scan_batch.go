@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hybriddb/internal/colstore"
@@ -20,8 +21,7 @@ type csiBatchSource struct {
 	s       *plan.Scan
 	sc      *colstore.Scanner
 	cols    []int // CSI ordinals decoded (NeedCols + hidden uid)
-	slots   []int // composite slot per vector, -1 for the uid
-	uidIdx  int
+	slots   []int // composite slot per vector, -1 for a uid NeedCols did not ask for
 	scratch value.Row
 	preds   []batchPred // one per Filter conjunct
 
@@ -63,16 +63,8 @@ func newCSIBatchSource(ctx *Context, s *plan.Scan) (*csiBatchSource, error) {
 			need[i] = i
 		}
 	}
-	uidCol := s.Table.UIDColumn()
 	cols := append([]int(nil), need...)
-	uidIdx := -1
-	for i, c := range cols {
-		if c == uidCol {
-			uidIdx = i
-		}
-	}
-	if uidIdx < 0 {
-		uidIdx = len(cols)
+	if uidCol := s.Table.UIDColumn(); !slices.Contains(cols, uidCol) {
 		cols = append(cols, uidCol)
 	}
 	// Pushed predicates: the scanner owns them end to end (kernel or
@@ -93,12 +85,11 @@ func newCSIBatchSource(ctx *Context, s *plan.Scan) (*csiBatchSource, error) {
 		sc:      idx.NewScanner(ctx.Tr, spec),
 		cols:    cols,
 		slots:   make([]int, len(cols)),
-		uidIdx:  uidIdx,
 		scratch: make(value.Row, ctx.TotalSlots),
 	}
 	for i, c := range cols {
 		src.slots[i] = -1
-		if c < s.Table.Schema.Len() {
+		if i < len(need) {
 			src.slots[i] = s.SlotBase + c
 		}
 	}

@@ -17,22 +17,52 @@ package exec
 
 import (
 	"container/heap"
-	"fmt"
 	"sort"
 	"time"
 
 	"hybriddb/internal/colstore"
-	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 )
 
+// buildMorselSort builds n when it is a Sort, or a TOP over a Sort,
+// that parallelSortEligible accepts, and reports ok=false otherwise. A
+// TOP pushes its limit into the morsels and the merge; the sort under
+// it never becomes a cursor, so its trace node is opened here with the
+// construction deltas BuildBatch would record.
+func buildMorselSort(ctx *Context, n plan.Node) (BatchCursor, bool, error) {
+	s, _ := n.(*plan.Sort)
+	top, _ := n.(*plan.Top)
+	if top != nil {
+		s, _ = top.Input.(*plan.Sort)
+	}
+	scan, morsels, ok := parallelSortEligible(ctx, s)
+	if !ok {
+		return nil, false, nil
+	}
+	if top == nil {
+		rows, err := morselSortRows(ctx, s, scan, morsels, 0)
+		if err != nil {
+			return nil, true, err
+		}
+		return &rowsBatchCursor{rows: rows}, true, nil
+	}
+	tn, done := openTrace(ctx, s)
+	rows, err := morselSortRows(ctx, s, scan, morsels, top.N)
+	done()
+	if err != nil {
+		return nil, true, err
+	}
+	var in BatchCursor = &rowsBatchCursor{rows: rows}
+	if tn != nil {
+		in = &traceBatchCursor{ctx: ctx, tn: tn, in: in}
+	}
+	return &batchTop{in: in, n: top.N}, true, nil
+}
+
 // parallelSortEligible reports whether s takes the morsel-driven path
 // under ctx (a nil s does not), and if so over which scan and morsels.
-// morselSortRows applies exactly this gate, so a caller that pre-checks
-// (the TOP fusion, which must not manufacture a trace node for a sort
-// that then declines) gets a guaranteed ok.
 func parallelSortEligible(ctx *Context, s *plan.Sort) (*plan.Scan, []colstore.ScanPartition, bool) {
 	if s == nil || !s.Parallel {
 		return nil, nil, false
@@ -45,14 +75,10 @@ func parallelSortEligible(ctx *Context, s *plan.Sort) (*plan.Scan, []colstore.Sc
 	return scan, morsels, ok
 }
 
-// morselSortRows runs a Parallel-marked sort morsel-driven and returns
-// the globally ordered rows (the first limit rows when limit > 0).
-// Returns ok=false when the sort must stay serial.
-func morselSortRows(ctx *Context, s *plan.Sort, limit int64) ([]value.Row, bool, error) {
-	scan, morsels, ok := parallelSortEligible(ctx, s)
-	if !ok {
-		return nil, false, nil
-	}
+// morselSortRows runs sort s morsel-driven over the scan and morsels
+// parallelSortEligible returned and gives back the globally ordered
+// rows (the first limit rows when limit > 0).
+func morselSortRows(ctx *Context, s *plan.Sort, scan *plan.Scan, morsels []colstore.ScanPartition, limit int64) ([]value.Row, error) {
 	runs := make([][]value.Row, len(morsels))
 	runBytes := make([]int64, len(morsels))
 	cmp := compileSortKeys(s.Keys)
@@ -96,7 +122,7 @@ func morselSortRows(ctx *Context, s *plan.Sort, limit int64) ([]value.Row, bool,
 		return nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	// Gather: account the runs' memory on the query tracker in morsel
@@ -114,7 +140,7 @@ func morselSortRows(ctx *Context, s *plan.Sort, limit int64) ([]value.Row, bool,
 		ctx.Trace.SetAttr("parallel_sort_merge_ns", mergeCost.Nanoseconds())
 	}
 	ctx.Tr.Free(total)
-	return out, true, nil
+	return out, nil
 }
 
 // topNRun keeps the first n rows, in stable sort order, of the rows
@@ -285,23 +311,4 @@ func (t *mergeTree) pop() (value.Row, bool) {
 		t.node[i] = t.winner(t.node[2*i], t.node[2*i+1])
 	}
 	return row, true
-}
-
-// fusedTopSortRows executes TOP-over-Sort with the limit pushed into
-// the parallel merge, manufacturing the Sort's trace node (the sort
-// never becomes a cursor) with the construction deltas BuildBatch would
-// record. The caller must have checked parallelSortEligible.
-func fusedTopSortRows(ctx *Context, t *plan.Top, s *plan.Sort) ([]value.Row, *metrics.TraceNode, error) {
-	tn, done := openTrace(ctx, s)
-	rows, ok, err := morselSortRows(ctx, s, t.N)
-	done()
-	if err != nil {
-		return nil, nil, err
-	}
-	if !ok {
-		// Unreachable when the caller pre-checked eligibility; fail
-		// rather than silently double-building the subtree.
-		return nil, nil, fmt.Errorf("exec: fusedTopSortRows on ineligible sort")
-	}
-	return rows, tn, nil
 }

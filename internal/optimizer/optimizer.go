@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"hybriddb/internal/metrics"
@@ -429,7 +430,9 @@ func sortInts(a []int) {
 }
 
 // ChooseDMLScan picks the cheapest access path to locate the rows a
-// DML statement targets (all columns needed, single table).
+// DML statement targets (all columns needed, single table). The scan
+// also reads the hidden UID column, which is added to NeedCols after
+// costing so that neither the choice nor its estimate depends on it.
 func ChooseDMLScan(t *table.Table, conjuncts []sql.Expr, opts Options) *plan.Scan {
 	info := &tableInfo{
 		idx:       0,
@@ -446,5 +449,6 @@ func ChooseDMLScan(t *table.Table, conjuncts []sql.Expr, opts Options) *plan.Sca
 		}
 	}
 	setEst(best.scan, best.outRows, best.cost())
+	best.scan.NeedCols = append(slices.Clip(best.scan.NeedCols), t.UIDColumn())
 	return best.scan
 }

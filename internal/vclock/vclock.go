@@ -167,7 +167,6 @@ type Tracker struct {
 	BytesWritten int64
 	PagesRead    int64
 	SegmentsRead int64
-	RowsOut      int64
 
 	MemPeak int64
 	memCur  int64
@@ -349,7 +348,7 @@ type Metrics struct {
 	DataWrite   int64 // bytes
 	MemPeak     int64 // bytes
 	DOP         int
-	Rows        int64
+	Rows        int64 // result rows, set by exec.Execute
 }
 
 // Snapshot converts the tracker's state into a Metrics value.
@@ -363,7 +362,6 @@ func (t *Tracker) Snapshot() Metrics {
 		DataWrite:   t.BytesWritten,
 		MemPeak:     t.MemPeak,
 		DOP:         t.DOP,
-		Rows:        t.RowsOut,
 	}
 }
 

@@ -190,74 +190,57 @@ func toDriverValue(v value.Value) driver.Value {
 	}
 }
 
-// countPlaceholders counts '?' markers outside single-quoted strings.
-func countPlaceholders(query string) int {
-	n := 0
-	inStr := false
+// placeholders returns the byte offsets of the '?' markers the engine's
+// lexer reads as SQL: those outside single-quoted strings (a doubled
+// quote inside one escapes it) and -- line comments.
+func placeholders(query string) []int {
+	var at []int
 	for i := 0; i < len(query); i++ {
-		c := query[i]
-		if inStr {
-			if c == '\'' {
-				if i+1 < len(query) && query[i+1] == '\'' {
-					i++ // escaped quote
-					continue
+		switch {
+		case query[i] == '\'':
+			for i++; i < len(query); i++ {
+				if query[i] == '\'' {
+					if i+1 < len(query) && query[i+1] == '\'' {
+						i++ // escaped quote
+						continue
+					}
+					break
 				}
-				inStr = false
 			}
-			continue
-		}
-		switch c {
-		case '\'':
-			inStr = true
-		case '?':
-			n++
+		case query[i] == '-' && i+1 < len(query) && query[i+1] == '-':
+			for i < len(query) && query[i] != '\n' {
+				i++
+			}
+		case query[i] == '?':
+			at = append(at, i)
 		}
 	}
-	return n
+	return at
 }
 
-// interpolate substitutes args for '?' placeholders as SQL literals,
-// quote-aware.
+// countPlaceholders counts the '?' markers placeholders finds.
+func countPlaceholders(query string) int { return len(placeholders(query)) }
+
+// interpolate substitutes args for the '?' markers placeholders finds,
+// as SQL literals.
 func interpolate(query string, args []driver.Value) (string, error) {
+	at := placeholders(query)
+	if len(args) != len(at) {
+		return "", fmt.Errorf("hybridsql: %d arguments for %d placeholders", len(args), len(at))
+	}
 	var b strings.Builder
 	b.Grow(len(query) + 16*len(args))
-	arg := 0
-	inStr := false
-	for i := 0; i < len(query); i++ {
-		c := query[i]
-		if inStr {
-			b.WriteByte(c)
-			if c == '\'' {
-				if i+1 < len(query) && query[i+1] == '\'' {
-					b.WriteByte('\'')
-					i++
-					continue
-				}
-				inStr = false
-			}
-			continue
+	prev := 0
+	for k, i := range at {
+		lit, err := literal(args[k])
+		if err != nil {
+			return "", err
 		}
-		switch c {
-		case '\'':
-			inStr = true
-			b.WriteByte(c)
-		case '?':
-			if arg >= len(args) {
-				return "", fmt.Errorf("hybridsql: not enough arguments for query (placeholder %d)", arg+1)
-			}
-			lit, err := literal(args[arg])
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(lit)
-			arg++
-		default:
-			b.WriteByte(c)
-		}
+		b.WriteString(query[prev:i])
+		b.WriteString(lit)
+		prev = i + 1
 	}
-	if arg != len(args) {
-		return "", fmt.Errorf("hybridsql: %d arguments for %d placeholders", len(args), arg)
-	}
+	b.WriteString(query[prev:])
 	return b.String(), nil
 }
 

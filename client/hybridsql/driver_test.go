@@ -275,6 +275,16 @@ func TestInterpolate(t *testing.T) {
 	if n := countPlaceholders(`SELECT '?' FROM t WHERE a = ? AND s = 'it''s ?' AND b = ?`); n != 2 {
 		t.Fatalf("countPlaceholders = %d, want 2", n)
 	}
+	// The engine's lexer skips -- comments to the end of the line: a
+	// quote there opens no string and a '?' there is no placeholder.
+	q, err = interpolate("SELECT a FROM t -- don't\nWHERE b = ?", []driver.Value{int64(7)})
+	if want := "SELECT a FROM t -- don't\nWHERE b = 7"; err != nil || q != want {
+		t.Fatalf("interpolate = %q, %v, want %q", q, err, want)
+	}
+	q, err = interpolate("SELECT a FROM t -- b = ?\nWHERE b = ?", []driver.Value{int64(7)})
+	if want := "SELECT a FROM t -- b = ?\nWHERE b = 7"; err != nil || q != want {
+		t.Fatalf("interpolate = %q, %v, want %q", q, err, want)
+	}
 }
 
 // sameRows reports whether two results hold the same values in the

@@ -133,6 +133,7 @@ func TestSegmentRoundTripAllKinds(t *testing.T) {
 				t.Fatalf("%v: position %d = %v, want %v (enc %d)", k, i, got, want, s.enc)
 			}
 		}
+		checkDecoded(t, s, vals)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"hybriddb/internal/value"
+	"hybriddb/internal/vec"
 )
 
 type encKind uint8
@@ -246,75 +247,137 @@ func (s *segment) getPacked(i int) uint64 {
 	return v & (1<<w - 1)
 }
 
-// rawAt returns the int64 representation of the value at position i.
-func (s *segment) rawAt(i int) int64 {
+// runAt returns the index of the RLE run holding position i.
+func (s *segment) runAt(i int) int {
+	return sort.Search(len(s.runStarts), func(j int) bool {
+		return s.runStarts[j] > int32(i)
+	}) - 1
+}
+
+// runEnd returns the position just past RLE run r.
+func (s *segment) runEnd(r int) int {
+	if r+1 < len(s.runStarts) {
+		return int(s.runStarts[r+1])
+	}
+	return s.n
+}
+
+// decodeRange appends positions [from, to) to dst, whose kind is the
+// segment's: a constant or an RLE run is converted once and repeated,
+// a packed value is converted as it is read.
+func (s *segment) decodeRange(dst *vec.Vec, from, to int) {
+	n0 := dst.Len()
 	switch s.enc {
 	case encConst:
-		return s.base
+		s.fill(dst, s.base, to-from)
 	case encPacked:
-		return s.base + int64(s.getPacked(i))
+		s.appendPacked(dst, from, to-from, nil)
 	default:
-		// Binary search the run containing i.
-		r := sort.Search(len(s.runStarts), func(j int) bool {
-			return s.runStarts[j] > int32(i)
-		}) - 1
-		return s.base + s.runs[r].val
+		for r, i := s.runAt(from), from; i < to; r++ {
+			end := min(s.runEnd(r), to)
+			s.fill(dst, s.base+s.runs[r].val, end-i)
+			i = end
+		}
 	}
+	s.flagNulls(dst, n0, from, nil)
 }
 
-// valueAt materializes the value at position i.
-func (s *segment) valueAt(i int) value.Value {
-	if s.isNull(i) {
-		return value.Null
+// decodeSelected appends only the (ascending) group-row positions in
+// sel to dst — the late-materialization path: non-filter columns are
+// decoded for surviving rows only.
+func (s *segment) decodeSelected(dst *vec.Vec, sel []int) {
+	n0 := dst.Len()
+	switch s.enc {
+	case encConst:
+		s.fill(dst, s.base, len(sel))
+	case encPacked:
+		s.appendPacked(dst, 0, len(sel), sel)
+	default:
+		var r int
+		if len(sel) > 0 {
+			r = s.runAt(sel[0])
+		}
+		for k := 0; k < len(sel); r++ {
+			j, end := k, s.runEnd(r)
+			for j < len(sel) && sel[j] < end {
+				j++
+			}
+			s.fill(dst, s.base+s.runs[r].val, j-k)
+			k = j
+		}
 	}
-	return s.toValue(s.rawAt(i))
+	s.flagNulls(dst, n0, 0, sel)
 }
 
-func (s *segment) toValue(raw int64) value.Value {
+// fill appends k copies of the value whose representation is raw. A
+// string segment whose every row is NULL has an empty dictionary; its
+// rows carry "".
+func (s *segment) fill(dst *vec.Vec, raw int64, k int) {
 	switch s.kind {
-	case value.KindString:
-		return value.NewString(s.dict[raw])
 	case value.KindFloat:
-		return value.NewFloat(math.Float64frombits(uint64(raw)))
-	case value.KindBool:
-		return value.NewBool(raw != 0)
-	case value.KindDate:
-		return value.NewDate(raw)
+		dst.F = appendN(dst.F, math.Float64frombits(uint64(raw)), k)
+	case value.KindString:
+		str := ""
+		if len(s.dict) > 0 {
+			str = s.dict[raw]
+		}
+		dst.S = appendN(dst.S, str, k)
 	default:
-		return value.NewInt(raw)
+		dst.I = appendN(dst.I, raw, k)
 	}
 }
 
-// decodeRange appends positions [from, to) into dst, converting back
-// to the column's logical kind.
-func (s *segment) decodeRange(dst *decodeSink, from, to int) {
-	switch s.enc {
-	case encConst:
-		for i := from; i < to; i++ {
-			dst.add(s, i, s.base)
+func appendN[T any](dst []T, v T, k int) []T {
+	for ; k > 0; k-- {
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// appendPacked appends the n packed values at positions from, from+1,
+// ... or, when sel is non-nil, at sel's positions.
+func (s *segment) appendPacked(dst *vec.Vec, from, n int, sel []int) {
+	raw := func(k int) int64 {
+		i := from + k
+		if sel != nil {
+			i = sel[k]
 		}
-	case encPacked:
-		for i := from; i < to; i++ {
-			dst.add(s, i, s.base+int64(s.getPacked(i)))
+		return s.base + int64(s.getPacked(i))
+	}
+	switch s.kind {
+	case value.KindFloat:
+		for k := 0; k < n; k++ {
+			dst.F = append(dst.F, math.Float64frombits(uint64(raw(k))))
+		}
+	case value.KindString:
+		for k := 0; k < n; k++ {
+			dst.S = append(dst.S, s.dict[raw(k)])
 		}
 	default:
-		r := sort.Search(len(s.runStarts), func(j int) bool {
-			return s.runStarts[j] > int32(from)
-		}) - 1
-		i := from
-		for i < to {
-			end := s.n
-			if r+1 < len(s.runStarts) {
-				end = int(s.runStarts[r+1])
+		for k := 0; k < n; k++ {
+			dst.I = append(dst.I, raw(k))
+		}
+	}
+}
+
+// flagNulls marks NULL the values appended to dst from position n0 on,
+// which were read from positions from, from+1, ... or, when sel is
+// non-nil, from sel's positions. A NULL string carries "" (its slot
+// holds the dictionary's first entry, or none).
+func (s *segment) flagNulls(dst *vec.Vec, n0, from int, sel []int) {
+	if s.nulls == nil {
+		return
+	}
+	for k := range dst.Len() - n0 {
+		i := from + k
+		if sel != nil {
+			i = sel[k]
+		}
+		if s.isNull(i) {
+			dst.SetNull(n0 + k)
+			if s.kind == value.KindString {
+				dst.S[n0+k] = ""
 			}
-			if end > to {
-				end = to
-			}
-			v := s.base + s.runs[r].val
-			for ; i < end; i++ {
-				dst.add(s, i, v)
-			}
-			r++
 		}
 	}
 }
@@ -349,67 +412,4 @@ func (s *segment) unpackRange(dst []uint64, from, to int) []uint64 {
 		bitPos += w
 	}
 	return dst
-}
-
-// decodeSelected appends only the (ascending) group-row positions in
-// sel into dst — the late-materialization path: non-filter columns are
-// decoded for surviving rows only.
-func (s *segment) decodeSelected(dst *decodeSink, sel []int) {
-	switch s.enc {
-	case encConst:
-		for _, i := range sel {
-			dst.add(s, i, s.base)
-		}
-	case encPacked:
-		for _, i := range sel {
-			dst.add(s, i, s.base+int64(s.getPacked(i)))
-		}
-	default:
-		if len(sel) == 0 {
-			return
-		}
-		r := sort.Search(len(s.runStarts), func(j int) bool {
-			return s.runStarts[j] > int32(sel[0])
-		}) - 1
-		end := s.n
-		if r+1 < len(s.runStarts) {
-			end = int(s.runStarts[r+1])
-		}
-		for _, i := range sel {
-			for i >= end {
-				r++
-				end = s.n
-				if r+1 < len(s.runStarts) {
-					end = int(s.runStarts[r+1])
-				}
-			}
-			dst.add(s, i, s.base+s.runs[r].val)
-		}
-	}
-}
-
-// decodeSink adapts decode output into a vec.Vec-shaped target without
-// importing vec here (scan.go wires them together).
-type decodeSink struct {
-	addI func(raw int64, null bool)
-	addF func(f float64, null bool)
-	addS func(str string, null bool)
-}
-
-func (d *decodeSink) add(s *segment, i int, raw int64) {
-	null := s.isNull(i)
-	switch s.kind {
-	case value.KindString:
-		if null {
-			// Null slots carry delta 0, which is not a valid dictionary
-			// index when every row is null (empty dictionary).
-			d.addS("", true)
-			return
-		}
-		d.addS(s.dict[raw], null)
-	case value.KindFloat:
-		d.addF(math.Float64frombits(uint64(raw)), null)
-	default:
-		d.addI(raw, null)
-	}
 }

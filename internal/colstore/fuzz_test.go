@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybriddb/internal/value"
+	"hybriddb/internal/vec"
 )
 
 // fuzzValues decodes a byte stream into a column of one kind plus its
@@ -73,9 +74,84 @@ func sameValue(a, b value.Value) bool {
 	return value.Compare(a, b) == 0
 }
 
+// valueAt is the reference decoder: it reads position i alone, without
+// the run and word walks of decodeRange and decodeSelected.
+func (s *segment) valueAt(i int) value.Value {
+	if s.isNull(i) {
+		return value.Null
+	}
+	raw := s.base
+	switch s.enc {
+	case encPacked:
+		raw += int64(s.getPacked(i))
+	case encRLE:
+		raw += s.runs[s.runAt(i)].val
+	}
+	switch s.kind {
+	case value.KindString:
+		return value.NewString(s.dict[raw])
+	case value.KindFloat:
+		return value.NewFloat(math.Float64frombits(uint64(raw)))
+	case value.KindBool:
+		return value.NewBool(raw != 0)
+	case value.KindDate:
+		return value.NewDate(raw)
+	default:
+		return value.NewInt(raw)
+	}
+}
+
+// checkDecoded decodes s into vectors every way the scanner and the
+// mover do — the whole range, the range in two calls appending to one
+// vector, every position selected, and every other position selected —
+// and checks each value's NULL flag and payload against vals. A NULL
+// string must carry "".
+func checkDecoded(t *testing.T, s *segment, vals []value.Value) {
+	t.Helper()
+	check := func(how string, v *vec.Vec, pos []int) {
+		t.Helper()
+		if v.Len() != len(pos) {
+			t.Fatalf("%s: %d values, want %d (enc %d)", how, v.Len(), len(pos), s.enc)
+		}
+		for k, i := range pos {
+			want := vals[i]
+			if v.IsNull(k) != want.IsNull() || !sameValue(v.Value(k), want) {
+				t.Fatalf("%s: position %d = %v (null %v), want %v (enc %d)", how, i, v.Value(k), v.IsNull(k), want, s.enc)
+			}
+			if want.IsNull() && s.kind == value.KindString && v.S[k] != "" {
+				t.Fatalf("%s: NULL string at %d carries %q (enc %d)", how, i, v.S[k], s.enc)
+			}
+		}
+	}
+	all := make([]int, s.n)
+	for i := range all {
+		all[i] = i
+	}
+	v := vec.NewVec(s.kind)
+	s.decodeRange(v, 0, s.n)
+	check("decodeRange", v, all)
+
+	v = vec.NewVec(s.kind)
+	s.decodeRange(v, 0, s.n/2)
+	s.decodeRange(v, s.n/2, s.n)
+	check("decodeRange in two calls", v, all)
+
+	v = vec.NewVec(s.kind)
+	s.decodeSelected(v, all)
+	check("decodeSelected", v, all)
+
+	var odd []int
+	for i := 1; i < s.n; i += 2 {
+		odd = append(odd, i)
+	}
+	v = vec.NewVec(s.kind)
+	s.decodeSelected(v, odd)
+	check("decodeSelected every other", v, odd)
+}
+
 // FuzzSegmentRoundTrip checks that every encoding choice decodes back
-// to the exact input: valueAt per position, decodeRange over the whole
-// segment, and decodeSelected over every position.
+// to the exact input: valueAt per position, and into vectors through
+// decodeRange and decodeSelected (checkDecoded).
 func FuzzSegmentRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 3, 10, 20, 30, 40, 50, 60})
 	f.Add([]byte{4, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
@@ -95,47 +171,82 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 				t.Fatalf("valueAt(%d) = %v, want %v (enc %d)", i, got, want, s.enc)
 			}
 		}
-		// decodeSelected over all positions must agree with valueAt.
-		sel := make([]int, s.n)
-		for i := range sel {
-			sel[i] = i
-		}
-		var got []value.Value
-		sink := &decodeSink{
-			addI: func(raw int64, null bool) { got = append(got, rawToValue(s, raw, null)) },
-			addF: func(fv float64, null bool) {
-				if null {
-					got = append(got, value.Null)
-				} else {
-					got = append(got, value.NewFloat(fv))
-				}
-			},
-			addS: func(str string, null bool) {
-				if null {
-					got = append(got, value.Null)
-				} else {
-					got = append(got, value.NewString(str))
-				}
-			},
-		}
-		s.decodeSelected(sink, sel)
-		if len(got) != len(vals) {
-			t.Fatalf("decodeSelected yielded %d values, want %d", len(got), len(vals))
-		}
-		for i := range vals {
-			if !sameValue(got[i], vals[i]) {
-				t.Fatalf("decodeSelected[%d] = %v, want %v (enc %d)", i, got[i], vals[i], s.enc)
-			}
-		}
+		checkDecoded(t, s, vals)
 	})
 }
 
-// rawToValue rebuilds an integer-typed value from the sink callback.
-func rawToValue(s *segment, raw int64, null bool) value.Value {
-	if null {
-		return value.Null
+// TestDecodeEveryEncoding decodes one segment of each encoding into
+// vectors: constant, bit-packed and run-length integers (with and
+// without NULLs), a float, dictionary strings packed and run-length,
+// and an all-NULL string segment whose dictionary is empty.
+func TestDecodeEveryEncoding(t *testing.T) {
+	ints := func(xs ...int64) []value.Value {
+		out := make([]value.Value, len(xs))
+		for i, x := range xs {
+			out[i] = value.NewInt(x)
+		}
+		return out
 	}
-	return s.toValue(raw)
+	repeat := func(vals []value.Value, n int) []value.Value {
+		var out []value.Value
+		for range n {
+			out = append(out, vals...)
+		}
+		return out
+	}
+	var packed, runs, strs, strRuns, floats []value.Value
+	for i := range 600 {
+		packed = append(packed, value.NewInt(int64(i*7919%1000)))
+		runs = append(runs, value.NewInt(int64(i/100)))
+		strs = append(strs, value.NewString(string(rune('a'+i*31%26))))
+		strRuns = append(strRuns, value.NewString(string(rune('a'+i/150))))
+		floats = append(floats, value.NewFloat(float64(i*37%500)/8))
+	}
+	// withNulls blanks every seventh value; runNulls blanks one run of
+	// them, so the segment stays run-length encoded.
+	withNulls := func(vals []value.Value) []value.Value {
+		out := append([]value.Value(nil), vals...)
+		for i := 3; i < len(out); i += 7 {
+			out[i] = value.Null
+		}
+		return out
+	}
+	runNulls := func(vals []value.Value) []value.Value {
+		out := append([]value.Value(nil), vals...)
+		for i := 150; i < 300; i++ {
+			out[i] = value.Null
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		kind value.Kind
+		enc  encKind
+		vals []value.Value
+	}{
+		{"const", value.KindInt, encConst, repeat(ints(42), 300)},
+		{"const_nulls", value.KindInt, encConst, repeat([]value.Value{value.NewInt(42), value.Null}, 150)},
+		{"packed", value.KindInt, encPacked, packed},
+		{"packed_nulls", value.KindInt, encPacked, withNulls(packed)},
+		{"rle", value.KindInt, encRLE, runs},
+		{"rle_nulls", value.KindInt, encRLE, runNulls(runs)},
+		{"float_packed_nulls", value.KindFloat, encPacked, withNulls(floats)},
+		{"dict_packed_nulls", value.KindString, encPacked, withNulls(strs)},
+		{"dict_rle_nulls", value.KindString, encRLE, runNulls(strRuns)},
+		{"dict_const", value.KindString, encConst, repeat([]value.Value{value.NewString("x")}, 300)},
+		{"string_all_null", value.KindString, encConst, repeat([]value.Value{value.Null}, 300)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := buildSegment(c.kind, c.vals)
+			if s.enc != c.enc {
+				t.Fatalf("enc = %d, want %d", s.enc, c.enc)
+			}
+			if c.name == "string_all_null" && len(s.dict) != 0 {
+				t.Fatalf("all-NULL dictionary has %d entries", len(s.dict))
+			}
+			checkDecoded(t, s, c.vals)
+		})
+	}
 }
 
 // FuzzKernelVsNaive is the differential target: arbitrary data, an

@@ -263,18 +263,8 @@ func (sp *segPred) first(sel []int, from, to int, unpackBuf []uint64, runsSkippe
 		}
 		return sel, unpackBuf
 	case encRLE:
-		r := sort.Search(len(s.runStarts), func(j int) bool {
-			return s.runStarts[j] > int32(from)
-		}) - 1
-		i := from
-		for i < to {
-			end := s.n
-			if r+1 < len(s.runStarts) {
-				end = int(s.runStarts[r+1])
-			}
-			if end > to {
-				end = to
-			}
+		for r, i := s.runAt(from), from; i < to; r++ {
+			end := min(s.runEnd(r), to)
 			if cmpU(uint64(s.runs[r].val), sp.t, sp.op) {
 				sel = appendLive(sel, s, i, end)
 			} else {
@@ -282,7 +272,6 @@ func (sp *segPred) first(sel []int, from, to int, unpackBuf []uint64, runsSkippe
 				mKernelRunsSkipped.Inc()
 			}
 			i = end
-			r++
 		}
 		return sel, unpackBuf
 	default: // encPacked: block-unpack then tight compare loop
@@ -360,20 +349,12 @@ func (sp *segPred) refine(sel []int) []int {
 		if len(sel) == 0 {
 			return out
 		}
-		r := sort.Search(len(s.runStarts), func(j int) bool {
-			return s.runStarts[j] > int32(sel[0])
-		}) - 1
-		end := s.n
-		if r+1 < len(s.runStarts) {
-			end = int(s.runStarts[r+1])
-		}
+		r := s.runAt(sel[0])
+		end := s.runEnd(r)
 		for _, p := range sel {
 			for p >= end {
 				r++
-				end = s.n
-				if r+1 < len(s.runStarts) {
-					end = int(s.runStarts[r+1])
-				}
+				end = s.runEnd(r)
 			}
 			if cmpU(uint64(s.runs[r].val), sp.t, sp.op) && !s.isNull(p) {
 				out = append(out, p)

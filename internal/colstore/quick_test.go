@@ -9,8 +9,8 @@ import (
 )
 
 // TestSegmentRoundTripQuick: for arbitrary int64 slices (including
-// extremes), compression must round-trip every position and report
-// correct min/max.
+// extremes), compression must round-trip every position, through the
+// reference decoder and into vectors, and report correct min/max.
 func TestSegmentRoundTripQuick(t *testing.T) {
 	f := func(vals []int64) bool {
 		in := make([]value.Value, len(vals))
@@ -30,6 +30,7 @@ func TestSegmentRoundTripQuick(t *testing.T) {
 				return false
 			}
 		}
+		checkDecoded(t, s, in)
 		if len(vals) > 0 && (s.min.Int() != mn || s.max.Int() != mx) {
 			return false
 		}

@@ -383,7 +383,7 @@ func (s *Scanner) nextCompressed() bool {
 		mKernelBatches.Inc()
 		mKernelRowsPruned.Add(int64(pruned))
 		for ci := range s.cols {
-			s.segs[ci].decodeSelected(sinkFor(s.batch.Cols[ci]), sel)
+			s.segs[ci].decodeSelected(s.batch.Cols[ci], sel)
 		}
 		s.batch.SetLen(len(sel))
 		s.locRows = sel
@@ -397,7 +397,7 @@ func (s *Scanner) nextCompressed() bool {
 	}
 
 	for ci := range s.cols {
-		s.segs[ci].decodeRange(sinkFor(s.batch.Cols[ci]), from, to)
+		s.segs[ci].decodeRange(s.batch.Cols[ci], from, to)
 	}
 	s.batch.SetLen(n)
 
@@ -456,36 +456,6 @@ func (s *Scanner) cancelled(i int) bool {
 	return s.del.cancel(s.key)
 }
 
-// sinkFor adapts a vector into a decodeSink target.
-func sinkFor(v *vec.Vec) *decodeSink {
-	return &decodeSink{
-		addI: func(raw int64, null bool) {
-			v.I = append(v.I, raw)
-			if null {
-				markNull(v)
-			} else if v.Null != nil {
-				v.Null = append(v.Null, false)
-			}
-		},
-		addF: func(f float64, null bool) {
-			v.F = append(v.F, f)
-			if null {
-				markNull(v)
-			} else if v.Null != nil {
-				v.Null = append(v.Null, false)
-			}
-		},
-		addS: func(str string, null bool) {
-			v.S = append(v.S, str)
-			if null {
-				markNull(v)
-			} else if v.Null != nil {
-				v.Null = append(v.Null, false)
-			}
-		},
-	}
-}
-
 // applyPredsNaive narrows sel (batch-relative live ordinals) to rows
 // matching every pushed predicate, evaluating each on the materialized
 // batch — the fallback when the kernel path does not apply.
@@ -508,17 +478,6 @@ func (s *Scanner) applyPredsNaive(sel []int) []int {
 		s.tr.ChargeParallelCPU(vclock.CPU(int64(in*len(s.spec.Preds)), s.tr.Model.BatchCPU), 1.0)
 	}
 	return out
-}
-
-func markNull(v *vec.Vec) {
-	n := v.Len()
-	if v.Null == nil {
-		v.Null = make([]bool, n-1, vec.BatchSize)
-	}
-	for len(v.Null) < n-1 {
-		v.Null = append(v.Null, false)
-	}
-	v.Null = append(v.Null, true)
 }
 
 // nextDelta fills the batch from the delta store (row-mode access: the

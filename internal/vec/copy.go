@@ -8,8 +8,7 @@ import "hybriddb/internal/value"
 func (v *Vec) AppendFrom(src *Vec, i int) {
 	if src.IsNull(i) {
 		v.appendZero()
-		v.ensureNulls()
-		v.Null[v.Len()-1] = true
+		v.SetNull(v.Len() - 1)
 		return
 	}
 	switch v.Kind {

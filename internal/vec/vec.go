@@ -85,8 +85,7 @@ func (v *Vec) Reset() {
 func (v *Vec) Append(val value.Value) {
 	if val.IsNull() {
 		v.appendZero()
-		v.ensureNulls()
-		v.Null[v.Len()-1] = true
+		v.SetNull(v.Len() - 1)
 		return
 	}
 	switch v.Kind {
@@ -119,20 +118,24 @@ func (v *Vec) appendZero() {
 	}
 }
 
-// ensureNulls gives the value just appended a NULL flag. A NULL slice
-// that is one short grows by append, so capacity Reserve made is used;
-// a missing or lagging one is made with the payload's capacity (only
+// SetNull flags position i, already appended, as NULL. Values appended
+// without a flag read as not NULL: the flags are brought up to the
+// payload's length here, within the capacity Reserve made when there
+// is room, else in a slice as large as the payload's capacity (only
 // the kind's payload slice is ever non-empty).
-func (v *Vec) ensureNulls() {
-	n := v.Len()
-	switch {
-	case v.Null != nil && len(v.Null) == n-1:
-		v.Null = append(v.Null, false)
-	case len(v.Null) < n:
-		nulls := make([]bool, n, max(n, cap(v.I), cap(v.F), cap(v.S)))
-		copy(nulls, v.Null)
-		v.Null = nulls
+func (v *Vec) SetNull(i int) {
+	if n := v.Len(); len(v.Null) < n {
+		if cap(v.Null) >= n {
+			old := len(v.Null)
+			v.Null = v.Null[:n]
+			clear(v.Null[old:])
+		} else {
+			nulls := make([]bool, n, max(n, cap(v.I), cap(v.F), cap(v.S)))
+			copy(nulls, v.Null)
+			v.Null = nulls
+		}
 	}
+	v.Null[i] = true
 }
 
 // IsNull reports whether position i is NULL.

@@ -317,8 +317,8 @@ func (c *traceBatchCursor) NextBatch() (*SlotBatch, bool) {
 // one-row rule) and hands them over as one row-layout batch. The step
 // materializes each row itself, so lifting is free of virtual-clock
 // charges. done latches end of stream: a step is never called again
-// after it reports exhaustion (a bounded clusteredCursor would read and
-// charge one more row past its range).
+// after it reports exhaustion (a bounded seek would read and charge one
+// more row past its range).
 type lift struct {
 	step  rowStep
 	limit int

@@ -14,20 +14,24 @@ import (
 func buildJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 	switch j.Strategy {
 	case plan.JoinNestedLoop:
-		// The inner is rebound to a seek per outer row, and a rebind
-		// cannot report an error: check here that it can be opened.
+		// The inner is rebound to a B+ tree seek per outer row, and a
+		// rebind cannot report an error: check here that it can be
+		// opened.
 		inner, ok := j.Inner.(*plan.Scan)
-		if !ok {
-			return nil, fmt.Errorf("exec: nested loop inner must be a scan, got %T", j.Inner)
+		if !ok || inner.Access == plan.AccessHeapScan {
+			return nil, fmt.Errorf("exec: nested loop inner must be a B+ tree scan, got %s", j.Inner.Describe())
 		}
-		if err := checkBTreeScan(inner); err != nil {
+		if err := checkRowScan(inner); err != nil {
 			return nil, err
 		}
 		outer, err := BuildBatch(ctx, j.Outer)
 		if err != nil {
 			return nil, err
 		}
-		c := &nljCursor{ctx: ctx, j: j, outer: newRowReader(ctx, outer), inner: inner, filter: compilePreds(inner.Filter)}
+		c := &nljCursor{ctx: ctx, j: j, outer: newRowReader(ctx, outer), filter: compilePreds(inner.Filter), scan: *inner}
+		if c.scan.Access == plan.AccessClusteredScan {
+			c.scan.Access = plan.AccessClusteredSeek
+		}
 		if ctx.Trace != nil {
 			// The inner scan is re-instantiated per outer row, so all
 			// instantiations share one trace node with Loops counting
@@ -181,10 +185,13 @@ type nljCursor struct {
 	ctx     *Context
 	j       *plan.Join
 	outer   *rowReader
-	inner   *plan.Scan
 	innerTN *metrics.TraceNode // shared across inner rebinds (EXPLAIN ANALYZE)
 
 	filter []func(value.Row) bool // inner.Filter compiled
+	// scan is inner as a seek, rebound to each outer key: a rebind
+	// starts only once the last one is exhausted, so one copy serves
+	// them all.
+	scan plan.Scan
 
 	curOuter  value.Row
 	innerNext rowStep // the current rebind's scan step; nil between rebinds
@@ -203,14 +210,10 @@ func (c *nljCursor) next() (value.Row, bool) {
 			if key.IsNull() {
 				continue
 			}
-			// Instantiate the inner scan with equality bounds at the key.
-			scan := *c.inner
-			scan.Lo = plan.Bound{Val: key, Inclusive: true}
-			scan.Hi = plan.Bound{Val: key, Inclusive: true}
-			if scan.Access == plan.AccessClusteredScan {
-				scan.Access = plan.AccessClusteredSeek
-			}
-			c.innerNext = openBTreeScan(c.ctx, &scan, c.filter)
+			// Rebind the inner seek with equality bounds at the key.
+			c.scan.Lo = plan.Bound{Val: key, Inclusive: true}
+			c.scan.Hi = c.scan.Lo
+			c.innerNext = openRowScan(c.ctx, &c.scan, c.filter)
 			if c.innerTN != nil {
 				// Traced on the shared node one row per batch, so each
 				// inner row's charges land exactly as it is pulled.

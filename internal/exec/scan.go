@@ -20,24 +20,19 @@ type rowStep func() (value.Row, bool)
 // buildScan builds a B+ tree or heap scan's row step (a columnstore
 // scan is a batch source, newBatchScan).
 func buildScan(ctx *Context, s *plan.Scan) (rowStep, error) {
-	filter := compilePreds(s.Filter)
-	if s.Access == plan.AccessHeapScan {
-		if s.Table.Heap() == nil {
-			return nil, fmt.Errorf("exec: %s has no heap", s.Table.Name)
-		}
-		c := &heapScanCursor{ctx: ctx, s: s, filter: filter, it: s.Table.Heap().NewIter(ctx.Tr), uidSlot: uidSlot(s)}
-		return c.next, nil
-	}
-	if err := checkBTreeScan(s); err != nil {
+	if err := checkRowScan(s); err != nil {
 		return nil, err
 	}
-	return openBTreeScan(ctx, s, filter), nil
+	return openRowScan(ctx, s, compilePreds(s.Filter)), nil
 }
 
-// checkBTreeScan reports why s cannot be opened as a clustered or
-// secondary B+ tree scan.
-func checkBTreeScan(s *plan.Scan) error {
+// checkRowScan reports why s cannot be opened as a row scan.
+func checkRowScan(s *plan.Scan) error {
 	switch s.Access {
+	case plan.AccessHeapScan:
+		if s.Table.Heap() == nil {
+			return fmt.Errorf("exec: %s has no heap", s.Table.Name)
+		}
 	case plan.AccessClusteredScan, plan.AccessClusteredSeek:
 		if s.Table.Clustered() == nil {
 			return fmt.Errorf("exec: %s has no clustered index", s.Table.Name)
@@ -47,19 +42,32 @@ func checkBTreeScan(s *plan.Scan) error {
 			return fmt.Errorf("exec: %s: secondary index unavailable", s.Table.Name)
 		}
 	default:
-		return fmt.Errorf("exec: %v is not a B+ tree access", s.Access)
+		return fmt.Errorf("exec: %v is not a row access", s.Access)
 	}
 	return nil
 }
 
-// openBTreeScan opens a scan checkBTreeScan accepted; filter is
-// s.Filter compiled, which a nested-loop join compiles once for all its
-// inner rebinds.
-func openBTreeScan(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) rowStep {
-	if s.Access == plan.AccessSecondarySeek {
-		return newSecondaryCursor(ctx, s, filter).next
+// openRowScan opens a scan checkRowScan accepted; filter is s.Filter
+// compiled, which a nested-loop join compiles once for all its inner
+// rebinds.
+func openRowScan(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) rowStep {
+	c := &rowScan{ctx: ctx, s: s, filter: filter, uidSlot: uidSlot(s)}
+	var t *btree.Tree
+	switch s.Access {
+	case plan.AccessHeapScan:
+		c.heap = s.Table.Heap().NewIter(ctx.Tr)
+		return c.next
+	case plan.AccessSecondarySeek:
+		t = s.Index.Tree
+	default:
+		t = s.Table.Clustered()
 	}
-	return newClusteredCursor(ctx, s, filter).next
+	if s.Access != plan.AccessClusteredScan && !s.Lo.Unbounded {
+		c.it = t.Seek(ctx.Tr, value.Row{s.Lo.Val})
+	} else {
+		c.it = t.First(ctx.Tr)
+	}
+	return c.next
 }
 
 // uidSlot returns the composite slot a scan writes each row's UID to,
@@ -117,68 +125,42 @@ func spareRow(row *value.Row, width int) value.Row {
 	return *row
 }
 
-// heapScanCursor scans a heap file (row mode, sequential reads).
-type heapScanCursor struct {
+// rowScan reads a heap, the clustered B+ tree or a secondary B+ tree
+// one stored row at a time (row mode): each entry read is charged
+// RowCPU at the structure's parallel efficiency, checked against the
+// seek bounds, copied into the spare row, filtered, and handed over
+// with its UID slot written.
+type rowScan struct {
 	ctx     *Context
 	s       *plan.Scan
 	filter  []func(value.Row) bool
-	it      *heap.Iter
-	uidSlot int       // see uidSlot
-	spare   value.Row // see spareRow
+	heap    *heap.Iter      // AccessHeapScan
+	it      *btree.Iterator // the B+ tree accesses
+	uidSlot int             // see uidSlot
+	spare   value.Row       // see spareRow
 }
 
-func (c *heapScanCursor) next() (value.Row, bool) {
-	m := c.ctx.Tr.Model
-	n := c.s.Table.Schema.Len()
+func (c *rowScan) next() (value.Row, bool) {
+	s, tr := c.s, c.ctx.Tr
 	for {
-		_, stored, ok := c.it.Next()
-		if !ok {
-			return nil, false
+		var key, stored value.Row
+		eff := tr.Model.BTreeScanEfficiency
+		if c.heap != nil {
+			var ok bool
+			if _, stored, ok = c.heap.Next(); !ok {
+				return nil, false
+			}
+			eff = 0.9
+		} else {
+			if !c.it.Valid() {
+				return nil, false
+			}
+			key, stored = c.it.Key(), c.it.Row()
+			c.it.Next()
 		}
-		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU), 0.9)
-		out := spareRow(&c.spare, c.ctx.TotalSlots)
-		copy(out[c.s.SlotBase:], stored[:n])
-		if !passes(c.filter, out) {
-			continue
-		}
-		if c.uidSlot >= 0 {
-			out[c.uidSlot] = stored[n]
-		}
-		c.spare = nil
-		return out, true
-	}
-}
-
-// clusteredCursor scans or seeks the clustered B+ tree.
-type clusteredCursor struct {
-	ctx     *Context
-	s       *plan.Scan
-	filter  []func(value.Row) bool
-	it      *btree.Iterator
-	uidSlot int
-	spare   value.Row
-}
-
-func newClusteredCursor(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) *clusteredCursor {
-	t := s.Table.Clustered()
-	c := &clusteredCursor{ctx: ctx, s: s, filter: filter, uidSlot: uidSlot(s)}
-	if s.Access == plan.AccessClusteredSeek && !s.Lo.Unbounded {
-		c.it = t.Seek(ctx.Tr, value.Row{s.Lo.Val})
-	} else {
-		c.it = t.First(ctx.Tr)
-	}
-	return c
-}
-
-func (c *clusteredCursor) next() (value.Row, bool) {
-	m := c.ctx.Tr.Model
-	for c.it.Valid() {
-		key := c.it.Key()
-		row := c.it.Row()
-		c.it.Next()
-		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU), m.BTreeScanEfficiency)
-		if c.s.Access == plan.AccessClusteredSeek {
-			skip, stop := seekBound(c.s, key[0])
+		tr.ChargeParallelCPU(vclock.CPU(1, tr.Model.RowCPU), eff)
+		if s.Access == plan.AccessClusteredSeek || s.Access == plan.AccessSecondarySeek {
+			skip, stop := seekBound(s, key[0])
 			if stop {
 				return nil, false
 			}
@@ -187,79 +169,8 @@ func (c *clusteredCursor) next() (value.Row, bool) {
 			}
 		}
 		out := spareRow(&c.spare, c.ctx.TotalSlots)
-		copy(out[c.s.SlotBase:], row)
-		if !passes(c.filter, out) {
-			continue
-		}
-		if c.uidSlot >= 0 {
-			out[c.uidSlot] = key[len(key)-1]
-		}
-		c.spare = nil
-		return out, true
-	}
-	return nil, false
-}
-
-// secondaryCursor seeks a secondary B+ tree; when the index does not
-// cover the query it fetches the base row per result (key lookup).
-type secondaryCursor struct {
-	ctx     *Context
-	s       *plan.Scan
-	filter  []func(value.Row) bool
-	it      *btree.Iterator
-	uidSlot int
-	spare   value.Row
-}
-
-func newSecondaryCursor(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) *secondaryCursor {
-	t := s.Index.Tree
-	c := &secondaryCursor{ctx: ctx, s: s, filter: filter, uidSlot: uidSlot(s)}
-	if !s.Lo.Unbounded {
-		c.it = t.Seek(ctx.Tr, value.Row{s.Lo.Val})
-	} else {
-		c.it = t.First(ctx.Tr)
-	}
-	return c
-}
-
-func (c *secondaryCursor) next() (value.Row, bool) {
-	m := c.ctx.Tr.Model
-	sec := c.s.Index
-	tbl := c.s.Table
-	nInc := len(sec.Include)
-	for c.it.Valid() {
-		key := c.it.Key()
-		payload := c.it.Row()
-		c.it.Next()
-		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU), m.BTreeScanEfficiency)
-		skip, stop := seekBound(c.s, key[0])
-		if stop {
-			return nil, false
-		}
-		if skip {
-			continue
-		}
-		uid := key[len(key)-1]
-		out := spareRow(&c.spare, c.ctx.TotalSlots)
-		if c.s.Covered {
-			for i, ord := range sec.Keys {
-				out[c.s.SlotBase+ord] = key[i]
-			}
-			for i, ord := range sec.Include {
-				out[c.s.SlotBase+ord] = payload[i]
-			}
-			for i, ord := range tbl.ClusterKeys {
-				out[c.s.SlotBase+ord] = payload[nInc+i]
-			}
-		} else {
-			clusterVals := payload[nInc:]
-			base, ok := tbl.FetchRow(c.ctx.Tr, value.Row(clusterVals), uid.Int())
-			if !ok {
-				continue
-			}
-			copy(out[c.s.SlotBase:], base)
-		}
-		if !passes(c.filter, out) {
+		uid, ok := c.fill(out[s.SlotBase:], key, stored)
+		if !ok || !passes(c.filter, out) {
 			continue
 		}
 		if c.uidSlot >= 0 {
@@ -268,5 +179,42 @@ func (c *secondaryCursor) next() (value.Row, bool) {
 		c.spare = nil
 		return out, true
 	}
-	return nil, false
+}
+
+// fill writes the table row an entry holds into dst (the row's slots
+// from SlotBase on) and returns the row's UID. A heap entry is the row
+// with its UID last; a clustered entry is keyed by the cluster key and
+// UID. A secondary entry is keyed by the index key and UID, with the
+// included and cluster-key columns as payload: it fills a covered row
+// itself and looks the base row up otherwise (key lookup), reporting
+// false when the base row is gone.
+func (c *rowScan) fill(dst, key, stored value.Row) (value.Value, bool) {
+	tbl := c.s.Table
+	switch c.s.Access {
+	case plan.AccessHeapScan:
+		n := tbl.Schema.Len()
+		copy(dst, stored[:n])
+		return stored[n], true
+	case plan.AccessSecondarySeek:
+		sec, uid := c.s.Index, key[len(key)-1]
+		nInc := len(sec.Include)
+		if !c.s.Covered {
+			base, ok := tbl.FetchRow(c.ctx.Tr, stored[nInc:], uid.Int())
+			copy(dst, base)
+			return uid, ok
+		}
+		for i, ord := range sec.Keys {
+			dst[ord] = key[i]
+		}
+		for i, ord := range sec.Include {
+			dst[ord] = stored[i]
+		}
+		for i, ord := range tbl.ClusterKeys {
+			dst[ord] = stored[nInc+i]
+		}
+		return uid, true
+	default:
+		copy(dst, stored)
+		return key[len(key)-1], true
+	}
 }

@@ -203,10 +203,10 @@ func (c *aggCore) add(sb *SlotBatch, rowRate bool, fill []int, scratch value.Row
 	if fill == nil {
 		fill = sb.Slots
 	}
+	if rowRate {
+		c.ctx.Tr.ChargeParallelRows(int64(sb.Len()), vclock.CPU(1, m.HashCPU+m.AggCPU), 1.0)
+	}
 	for i := 0; i < sb.Len(); i++ {
-		if rowRate {
-			c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU+m.AggCPU), 1.0)
-		}
 		p, row := i, value.Row(nil)
 		if sb.Rows != nil {
 			row = sb.Rows[i]

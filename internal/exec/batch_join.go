@@ -252,21 +252,21 @@ func (c *batchHashJoin) storeBatch(sb *SlotBatch) *SlotBatch {
 	return &SlotBatch{B: c.conv, Slots: c.storeSlots}
 }
 
-// chargeBuild issues one build batch's charges in input order: per row
-// whose first key is non-NULL, Alloc of its composite-row width + 32,
-// then HashCPU.
+// chargeBuild issues one build batch's charges: for the rows whose
+// first key is non-NULL, one Alloc of their composite-row widths + 32
+// each (the build only allocates, so MemPeak is what per-row Allocs
+// would leave) and HashCPU per row.
 func (c *batchHashJoin) chargeBuild(sb *SlotBatch, key0 *vec.Vec) {
-	m := c.ctx.Tr.Model
-	n := sb.Len()
-	for i := 0; i < n; i++ {
-		if key0.IsNull(sb.B.LiveIndex(i)) {
-			continue
+	var rows, w int64
+	for i := 0; i < sb.Len(); i++ {
+		if !key0.IsNull(sb.B.LiveIndex(i)) {
+			rows++
+			w += int64(sb.rowWidth(i, c.ctx.TotalSlots) + 32)
 		}
-		w := int64(sb.rowWidth(i, c.ctx.TotalSlots) + 32)
-		c.ctx.Tr.Alloc(w)
-		c.bytes += w
-		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
 	}
+	c.ctx.Tr.Alloc(w)
+	c.bytes += w
+	c.ctx.Tr.ChargeParallelRows(rows, vclock.CPU(1, c.ctx.Tr.Model.HashCPU), 1.0)
 }
 
 // buildPartitionedBatch routes one borrowed build batch into the
@@ -349,8 +349,8 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 	st.mParts, st.mRows, st.mProbe = st.mParts[:0], st.mRows[:0], st.mProbe[:0]
 	var rows []value.Row
 	n := sb.Len()
+	tr.ChargeParallelRows(int64(n), vclock.CPU(1, m.HashCPU), 1.0)
 	for i := 0; i < n; i++ {
-		tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
 		p := i
 		if sb.Rows == nil {
 			p = sb.B.LiveIndex(i)

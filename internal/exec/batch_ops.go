@@ -2,6 +2,7 @@ package exec
 
 import (
 	"cmp"
+	"time"
 
 	"hybriddb/internal/colstore"
 	"hybriddb/internal/plan"
@@ -130,10 +131,10 @@ func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
 			}
 		}
 		n := sb.Len()
+		f.ctx.Tr.ChargeParallelRows(int64(n), vclock.CPU(1, m.RowCPU/2), 1.0)
 		if sb.Rows != nil {
 			out := make([]value.Row, 0, n)
 			for i := 0; i < n; i++ {
-				f.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU/2), 1.0)
 				if f.rowHolds(sb.Rows[i]) {
 					out = append(out, sb.Rows[i])
 				}
@@ -143,9 +144,6 @@ func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
 			}
 			f.out = SlotBatch{Rows: out}
 			return &f.out, true
-		}
-		for i := 0; i < n; i++ {
-			f.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU/2), 1.0)
 		}
 		for k := range f.preds {
 			f.preds[k].narrow(sb.B, f.scratch, &f.selPool)
@@ -196,9 +194,9 @@ func (p *batchProject) NextBatch() (*SlotBatch, bool) {
 	ne := len(p.exprs)
 	backing := make([]value.Value, n*ne)
 	rows := make([]value.Row, n)
+	p.ctx.Tr.ChargeSerialCPU(time.Duration(n) * vclock.CPU(1, m.RowCPU/4))
 	for i := 0; i < n; i++ {
 		row := sb.evalRow(i, p.scratch)
-		p.ctx.Tr.ChargeSerialCPU(vclock.CPU(1, m.RowCPU/4))
 		out := backing[i*ne : (i+1)*ne : (i+1)*ne]
 		for j, e := range p.exprs {
 			out[j] = e(row)

@@ -219,19 +219,32 @@ func (t *Tracker) ChargeSerialCPU(work time.Duration) {
 // ChargeParallelCPU charges work that is spread across the plan's DOP
 // with the given scaling efficiency in (0,1].
 func (t *Tracker) ChargeParallelCPU(work time.Duration, efficiency float64) {
-	if work < 0 {
-		work = 0
+	t.ChargeParallelRows(1, work, efficiency)
+}
+
+// ChargeParallelRows charges n rows of perRow work each exactly as n
+// ChargeParallelCPU(perRow, efficiency) calls would, for any model: the
+// elapsed share and the exchange overhead are truncated per row, then
+// multiplied by n. A batch operator charges its batch in one call
+// without moving any figure.
+func (t *Tracker) ChargeParallelRows(n int64, perRow time.Duration, efficiency float64) {
+	if n <= 0 {
+		return
 	}
-	t.CPU += work
-	t.cpuParallel += work
+	if perRow < 0 {
+		perRow = 0
+	}
+	rows := time.Duration(n)
+	t.CPU += rows * perRow
+	t.cpuParallel += rows * perRow
 	eff := float64(t.DOP) * efficiency
 	if eff < 1 {
 		eff = 1
 	}
-	t.CPUWall += time.Duration(float64(work) / eff)
+	t.CPUWall += rows * time.Duration(float64(perRow)/eff)
 	if t.DOP > 1 {
 		// Exchange overhead is proportional to work volume.
-		t.CPU += work / 50
+		t.CPU += rows * (perRow / 50)
 	}
 }
 

@@ -1,7 +1,10 @@
 package vclock
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -216,5 +219,62 @@ func TestForkMerge(t *testing.T) {
 	sm, pm := serial.Snapshot(), par.Snapshot()
 	if sm != pm {
 		t.Errorf("fork/merge snapshot diverges:\n serial: %+v\n forked: %+v", sm, pm)
+	}
+}
+
+// TestChargeParallelRowsAdditive: one ChargeParallelRows call of n rows
+// leaves a tracker exactly as n single-row ChargeParallelCPU calls do,
+// for random DOP, model DOP cap, efficiency, row count and per-row cost
+// (fractional model constants included), on a plain tracker and on two
+// forks merged back into their parent.
+func TestChargeParallelRowsAdditive(t *testing.T) {
+	type charge struct {
+		n      int64
+		perRow time.Duration
+		eff    float64
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := DefaultModel(DRAM)
+		m.MaxDOP = 1 + rng.Intn(64)
+		dop := rng.Intn(80)
+		charges := make([]charge, 1+rng.Intn(6))
+		for i := range charges {
+			perRow := []float64{m.HashCPU, m.AggCPU, m.RowCPU / 4, m.RowCPU / 2, m.BatchCPU / 2, rng.Float64() * 500}[rng.Intn(6)]
+			charges[i] = charge{
+				n:      int64(rng.Intn(5000)) - 2,
+				perRow: CPU(1, perRow) - time.Duration(rng.Intn(2)), // -1 exercises the clamp at zero
+				eff:    []float64{1.0, 0.9, 0.8, 0.7, m.BTreeScanEfficiency, rng.Float64()}[rng.Intn(6)],
+			}
+		}
+		run := func(batched bool) *Tracker {
+			parent := NewTracker(m)
+			parent.SetDOP(dop)
+			forks := []*Tracker{parent.Fork(), parent.Fork()}
+			for i, c := range charges {
+				for _, tr := range []*Tracker{parent, forks[i%2]} {
+					if batched {
+						tr.ChargeParallelRows(c.n, c.perRow, c.eff)
+						continue
+					}
+					for range c.n {
+						tr.ChargeParallelCPU(c.perRow, c.eff)
+					}
+				}
+			}
+			for _, w := range forks {
+				parent.Merge(w)
+			}
+			return parent
+		}
+		loop, batch := run(false), run(true)
+		if !reflect.DeepEqual(loop, batch) {
+			t.Logf("seed %d: loop %+v, batched %+v", seed, *loop, *batch)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -832,30 +832,18 @@ func (db *Database) execCreateIndex(s *sql.CreateIndexStmt) (*Result, error) {
 	if err := checkNewIndex(t, s); err != nil {
 		return nil, err
 	}
+	keys, err := ordsOf(s.Cols)
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case s.Columnstore && s.Clustered:
-		keys, err := ordsOf(s.Cols)
-		if err != nil {
-			return nil, err
-		}
 		t.ConvertPrimary(tr, table.PrimaryColumnstore, keys)
 	case s.Columnstore:
-		keys, err := ordsOf(s.Cols)
-		if err != nil {
-			return nil, err
-		}
 		t.AddSecondaryCSI(tr, s.Name, keys...)
 	case s.Clustered:
-		keys, err := ordsOf(s.Cols)
-		if err != nil {
-			return nil, err
-		}
 		t.ConvertPrimary(tr, table.PrimaryBTree, keys)
 	default:
-		keys, err := ordsOf(s.Cols)
-		if err != nil {
-			return nil, err
-		}
 		include, err := ordsOf(s.Include)
 		if err != nil {
 			return nil, err

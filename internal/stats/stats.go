@@ -102,12 +102,6 @@ func BuildHistogram(vals []value.Value, buckets int, fraction float64) *Histogra
 	sort.Slice(nonNull, func(i, j int) bool { return value.Compare(nonNull[i], nonNull[j]) < 0 })
 	h.Min, h.Max = nonNull[0], nonNull[len(nonNull)-1]
 
-	distinct := 1
-	for i := 1; i < len(nonNull); i++ {
-		if value.Compare(nonNull[i], nonNull[i-1]) != 0 {
-			distinct++
-		}
-	}
 	h.Distinct = EstimateDistinctGEE(nonNull, fraction)
 
 	per := (len(nonNull) + buckets - 1) / buckets
@@ -210,49 +204,35 @@ func overlapFraction(bLo, bHi, qLo, qHi value.Value) float64 {
 // where q is the sampling fraction and fj the number of values
 // appearing exactly j times in the sample. Values must be non-null.
 func EstimateDistinctGEE(vals []value.Value, fraction float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	if fraction <= 0 || fraction > 1 {
-		fraction = 1
-	}
-	freq := make(map[string]int, len(vals))
-	var buf []byte
-	for _, v := range vals {
-		buf = value.EncodeKey(buf[:0], v)
-		freq[string(buf)]++
-	}
-	var f1, rest float64
-	for _, c := range freq {
-		if c == 1 {
-			f1++
-		} else {
-			rest++
-		}
-	}
-	d := math.Sqrt(1/fraction)*f1 + rest
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return gee(len(vals), fraction, func(buf []byte, i int) []byte {
+		return value.EncodeKey(buf, vals[i])
+	})
 }
 
 // EstimateDistinctRows applies GEE to multi-column combinations: the
 // distinct count of the tuple formed by the given ordinals.
 func EstimateDistinctRows(rows []value.Row, ordinals []int, fraction float64) float64 {
-	if len(rows) == 0 {
+	return gee(len(rows), fraction, func(buf []byte, i int) []byte {
+		for _, o := range ordinals {
+			buf = value.EncodeKey(buf, rows[i][o])
+		}
+		return buf
+	})
+}
+
+// gee is the GEE estimate over n sampled items, item i identified by
+// the key that key appends to buf.
+func gee(n int, fraction float64, key func(buf []byte, i int) []byte) float64 {
+	if n == 0 {
 		return 0
 	}
 	if fraction <= 0 || fraction > 1 {
 		fraction = 1
 	}
-	freq := make(map[string]int, len(rows))
+	freq := make(map[string]int, n)
 	var buf []byte
-	for _, r := range rows {
-		buf = buf[:0]
-		for _, o := range ordinals {
-			buf = value.EncodeKey(buf, r[o])
-		}
+	for i := 0; i < n; i++ {
+		buf = key(buf[:0], i)
 		freq[string(buf)]++
 	}
 	var f1, rest float64

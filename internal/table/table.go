@@ -614,8 +614,10 @@ func (t *Table) SecondaryCSI() *Secondary {
 // and UID — the key-lookup step a non-covering secondary index pays
 // per row. For a heap the UID resolves directly; for a clustered
 // B+ tree the cluster key drives a seek; for a primary columnstore the
-// row must be located by scan (which is why the optimizer avoids RID
-// lookups into columnstores).
+// row must be located by a scan of the whole columnstore, once per
+// fetched row. The optimizer does not know that: it costs an uncovered
+// secondary seek on a clustered-columnstore table as B+ tree key
+// lookups (see ROADMAP, "RID lookups into a columnstore").
 func (t *Table) FetchRow(tr *vclock.Tracker, clusterVals value.Row, uid int64) (value.Row, bool) {
 	switch t.primary {
 	case PrimaryHeap:

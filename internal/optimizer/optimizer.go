@@ -108,7 +108,7 @@ func Optimize(res Resolver, b *sql.BoundSelect, opts Options) (*plan.Root, error
 		if need == nil {
 			need = allOrdinals(t.Schema.Len())
 		}
-		sortInts(need)
+		slices.Sort(need)
 		infos[i] = &tableInfo{
 			idx:       i,
 			slotBase:  offsets[i],
@@ -178,7 +178,7 @@ func Optimize(res Resolver, b *sql.BoundSelect, opts Options) (*plan.Root, error
 		}
 	} else {
 		// Non-aggregate: Sort (composite layout) -> Top -> Project.
-		if len(b.OrderBy) > 0 && !orderSatisfied(b, infos, tables, sorted) {
+		if len(b.OrderBy) > 0 && !(len(tables) == 1 && orderSatisfied(b, infos[0], tables[0], sorted)) {
 			keys := make([]plan.SortKey, len(b.OrderBy))
 			for i, o := range b.OrderBy {
 				e := o.Expr
@@ -387,18 +387,17 @@ func downstreamCost(t *table.Table, info *tableInfo, b *sql.BoundSelect, opts Op
 		cost += vclock.CPU(int64(c.outRows), perRow)
 	}
 	if !b.Aggregate && len(b.OrderBy) > 0 {
-		if !orderSatisfiedByCand(b, info, t, c) {
+		if !orderSatisfied(b, info, t, c.sorted) {
 			cost += sortCost(opts, c.outRows, float64(t.Schema.RowWidth()))
 		}
 	}
 	return cost
 }
 
-// orderSatisfiedByCand reports whether the candidate's output order
-// already satisfies ORDER BY (single ascending key on the cluster
-// column).
-func orderSatisfiedByCand(b *sql.BoundSelect, info *tableInfo, t *table.Table, c *accessCand) bool {
-	if !c.sorted || len(b.OrderBy) != 1 || b.OrderBy[0].Desc {
+// orderSatisfied reports whether a sorted scan of t already satisfies
+// ORDER BY (single ascending key on the first cluster column).
+func orderSatisfied(b *sql.BoundSelect, info *tableInfo, t *table.Table, sorted bool) bool {
+	if !sorted || len(b.OrderBy) != 1 || b.OrderBy[0].Desc {
 		return false
 	}
 	e := b.OrderBy[0].Expr
@@ -407,26 +406,6 @@ func orderSatisfiedByCand(b *sql.BoundSelect, info *tableInfo, t *table.Table, c
 	}
 	col, ok := e.(*sql.ColRef)
 	return ok && len(t.ClusterKeys) > 0 && col.Slot-info.slotBase == t.ClusterKeys[0]
-}
-
-func orderSatisfied(b *sql.BoundSelect, infos []*tableInfo, tables []*table.Table, sorted bool) bool {
-	if len(tables) != 1 || !sorted || len(b.OrderBy) != 1 || b.OrderBy[0].Desc {
-		return false
-	}
-	e := b.OrderBy[0].Expr
-	if e == nil && b.OrderBy[0].Item >= 0 {
-		e = b.Items[b.OrderBy[0].Item].Expr
-	}
-	col, ok := e.(*sql.ColRef)
-	return ok && len(tables[0].ClusterKeys) > 0 && col.Slot-infos[0].slotBase == tables[0].ClusterKeys[0]
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // ChooseDMLScan picks the cheapest access path to locate the rows a

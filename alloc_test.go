@@ -3,10 +3,12 @@
 package hybriddb
 
 import (
+	"fmt"
 	"runtime/metrics"
 	"slices"
 	"testing"
 
+	"hybriddb/internal/value"
 	"hybriddb/internal/workload"
 )
 
@@ -67,6 +69,51 @@ func TestAnalyticAllocBytes(t *testing.T) {
 		if per[2] > c.ceiling {
 			t.Errorf("%s allocates %d bytes per execution, over its ceiling of %d", c.name, per[2], c.ceiling)
 		}
+	}
+}
+
+// TestStatsRebuildAllocBytes is an allocation guard on a statistics
+// rebuild: a three-predicate point SELECT on a 100 000-row table with a
+// clustered B+ tree, run right after a one-row UPDATE has dirtied the
+// table's statistics, so that its optimization draws the table's sample
+// again and builds the histograms of the three predicate columns. The
+// SELECT's heap allocation, the median of five UPDATE-then-SELECT
+// rounds, must stay under the measured figure plus 25 %; the comment
+// beside the ceiling is the figure when every histogram read the whole
+// table to sample it. (Skipped under -race, as above.)
+func TestStatsRebuildAllocBytes(t *testing.T) {
+	const ceiling = 12_000_000 // bytes per SELECT; before: 19 567 232
+	db := Open()
+	mustExecAll(t, db, "CREATE TABLE sr (k BIGINT, a BIGINT, b BIGINT, c BIGINT, PRIMARY KEY (k))")
+	rows := make([]value.Row, 100_000)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 97)),
+			value.NewInt(int64(i % 1013)), value.NewInt(int64(i*7919) % 100_000)}
+	}
+	db.Internal().Table("sr").BulkLoad(nil, rows)
+	const point = "SELECT c FROM sr WHERE k = 4321 AND a = 53 AND b = 269"
+	ex, err := db.Exec("EXPLAIN ANALYZE " + point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasShape(traceSkeleton(ex.Trace, 0, nil), []string{"ClusteredSeek(sr)"}) {
+		t.Fatalf("point SELECT lost its seek:\n%s", ex.Trace)
+	}
+	per := make([]uint64, 5)
+	for i := range per {
+		if res, err := db.Exec(fmt.Sprintf("UPDATE sr SET c = %d WHERE k = %d", i, 100+i)); err != nil || res.RowsAffected != 1 {
+			t.Fatalf("UPDATE: %v (%+v)", err, res)
+		}
+		before := heapAllocBytes()
+		if _, err := db.Exec(point); err != nil {
+			t.Fatal(err)
+		}
+		per[i] = heapAllocBytes() - before
+	}
+	slices.Sort(per)
+	t.Logf("point SELECT after an UPDATE: %d bytes (ceiling %d)", per[2], ceiling)
+	if per[2] > ceiling {
+		t.Errorf("point SELECT after an UPDATE allocates %d bytes, over its ceiling of %d", per[2], ceiling)
 	}
 }
 

@@ -49,8 +49,6 @@ type Options struct {
 	SizeMethod SizeMethod
 	// MaxIndexes caps the number of recommended indexes (0 = no cap).
 	MaxIndexes int
-	// Seed drives sampling.
-	Seed int64
 }
 
 // ProposedIndex is one recommended index.
@@ -211,7 +209,7 @@ func Tune(db *engine.Database, w Workload, opts Options) (*Recommendation, error
 	// Size estimation.
 	for _, c := range cands {
 		if c.columnstore {
-			c.estBytes, c.colBytes = EstimateCSISize(c.tbl, opts.SizeMethod, opts.Seed+int64(len(c.sig)))
+			c.estBytes, c.colBytes = EstimateCSISize(c.tbl, opts.SizeMethod)
 		} else {
 			c.estBytes = EstimateBTreeSize(c.tbl, c.keys, c.include)
 		}

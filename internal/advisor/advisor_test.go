@@ -223,7 +223,7 @@ func TestCSISizeEstimationAccuracy(t *testing.T) {
 	// Ground truth: materialize the CSI.
 	sec := tb.AddSecondaryCSI(nil, "truth")
 	for _, method := range []SizeMethod{SizeBlackBox, SizeGEE} {
-		_, perCol := EstimateCSISize(tb, method, 3)
+		_, perCol := EstimateCSISize(tb, method)
 		for c := 0; c < tb.Schema.Len(); c++ {
 			actual := sec.CSI.ColumnBytes(c)
 			est := perCol[c]
@@ -239,7 +239,7 @@ func TestCSISizeEstimationAccuracy(t *testing.T) {
 	}
 	// GEE specifically must not overestimate the low-cardinality column
 	// the way naive linear scaling would.
-	_, gee := EstimateCSISize(tb, SizeGEE, 3)
+	_, gee := EstimateCSISize(tb, SizeGEE)
 	actualLow := sec.CSI.ColumnBytes(0)
 	if gee[0] > actualLow*8 {
 		t.Errorf("GEE low-card estimate %d vs actual %d", gee[0], actualLow)

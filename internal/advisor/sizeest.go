@@ -8,8 +8,9 @@
 package advisor
 
 import (
+	"cmp"
 	"math"
-	"math/rand"
+	"slices"
 
 	"hybriddb/internal/colstore"
 	"hybriddb/internal/stats"
@@ -40,69 +41,48 @@ func (m SizeMethod) String() string {
 	return "gee"
 }
 
-// SampleTarget is the default block-sample size for size estimation.
-const SampleTarget = 8000
-
 // EstimateCSISize estimates the per-column and total compressed size of
 // a hypothetical columnstore over all of t's columns (plus the hidden
-// UID), without building it on the full data.
-func EstimateCSISize(t *table.Table, method SizeMethod, seed int64) (total int64, perCol []int64) {
-	rows, _ := t.AllRows(nil)
-	ncols := t.Schema.Len()
-	perCol = make([]int64, ncols)
-	if len(rows) == 0 {
+// UID), without building it on the full data: both methods read the
+// table's statistics sample.
+func EstimateCSISize(t *table.Table, method SizeMethod) (total int64, perCol []int64) {
+	st := t.Stats()
+	perCol = make([]int64, t.Schema.Len())
+	if len(st.Sample) == 0 {
 		return 0, perCol
 	}
-	rng := rand.New(rand.NewSource(seed))
-	// Block-level sampling with row shuffle to correct clustering bias
-	// (Section 4.4 / Chaudhuri et al.).
-	sample := stats.BlockSample(rows, 128, SampleTarget, rng, true)
-	if len(sample.Rows) == 0 {
-		return 0, perCol
-	}
-	scale := float64(len(rows)) / float64(len(sample.Rows))
-
 	switch method {
 	case SizeBlackBox:
 		// Compress the sample for real and scale linearly.
-		st := storage.NewStore(0)
-		idx := colstore.Build(st, colstore.Config{
+		idx := colstore.Build(storage.NewStore(0), colstore.Config{
 			Schema:       t.Schema,
 			Primary:      true,
-			RowGroupSize: len(sample.Rows),
-		}, sample.Rows, nil)
-		for c := 0; c < ncols; c++ {
-			perCol[c] = int64(float64(idx.ColumnBytes(c)) * scale)
+			RowGroupSize: len(st.Sample),
+		}, st.Sample, nil)
+		for c := range perCol {
+			perCol[c] = int64(float64(idx.ColumnBytes(c)) / st.Fraction)
 		}
 	default:
-		perCol = geeSizeEstimate(t, sample, int64(len(rows)))
+		perCol = geeSizeEstimate(t, st)
 	}
 	for _, b := range perCol {
 		total += b
 	}
 	// Hidden UID column: unique values, effectively incompressible.
-	total += int64(len(rows)) * 8
+	total += st.Rows * 8
 	return total, perCol
 }
 
 // geeSizeEstimate models the engine's greedy sort + RLE/bit-pack
-// choice using GEE distinct estimates.
-func geeSizeEstimate(t *table.Table, sample stats.Sample, totalRows int64) []int64 {
+// choice using GEE distinct estimates: a column's NDV is its
+// histogram's (distinct non-NULL values); a sort prefix's NDV counts
+// distinct tuples of the prefix columns, NULL among their values.
+func geeSizeEstimate(t *table.Table, st *stats.TableStats) []int64 {
 	ncols := t.Schema.Len()
-	frac := sample.Fraction
-	n := float64(totalRows)
-
-	// Estimate per-column distincts with GEE.
+	n := float64(st.Rows)
 	distinct := make([]float64, ncols)
-	for c := 0; c < ncols; c++ {
-		vals := make([]value.Value, len(sample.Rows))
-		for i, r := range sample.Rows {
-			vals[i] = r[c]
-		}
-		distinct[c] = stats.EstimateDistinctGEE(vals, frac)
-		if distinct[c] > n {
-			distinct[c] = n
-		}
+	for c := range distinct {
+		distinct[c] = math.Min(st.Histogram(c).Distinct, n)
 	}
 	// Greedy sort order: fewest distinct first (mirrors the engine's
 	// strategy, Section 4.4: "picks the next column to sort by based on
@@ -111,32 +91,18 @@ func geeSizeEstimate(t *table.Table, sample stats.Sample, totalRows int64) []int
 	for i := range order {
 		order[i] = i
 	}
-	for i := 1; i < ncols; i++ {
-		for j := i; j > 0 && distinct[order[j]] < distinct[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(distinct[a], distinct[b]) })
 
 	perCol := make([]int64, ncols)
-	prefix := []int{}
-	for _, c := range order {
-		prefix = append(prefix, c)
+	for i, c := range order {
 		// Runs of column c after sorting by the prefix ending at c are
 		// bounded by the distinct count of the prefix combination.
-		runs := stats.EstimateDistinctRows(sample.Rows, prefix, frac)
-		if runs > n {
-			runs = n
-		}
-		rleBytes := runs * 10
-		bits := math.Ceil(math.Log2(distinct[c] + 1))
-		if bits < 1 {
-			bits = 1
-		}
-		packedBytes := n * bits / 8
-		best := math.Min(rleBytes, packedBytes)
+		runs := math.Min(stats.EstimateDistinctRows(st.Sample, order[:i+1], st.Fraction), n)
+		bits := math.Max(math.Ceil(math.Log2(distinct[c]+1)), 1)
+		best := math.Min(runs*10, n*bits/8) // RLE runs or bit-packed values
 		if t.Schema.Columns[c].Kind == value.KindString {
 			// Dictionary: distinct strings at an estimated average width.
-			best += distinct[c] * avgStringWidth(sample.Rows, c)
+			best += distinct[c] * avgStringWidth(st.Sample, c)
 		}
 		perCol[c] = int64(best) + 64
 	}

@@ -306,32 +306,42 @@ func (x *Index) PlanRebuild(gi int, tr *vclock.Tracker) *RebuildPlan {
 	if g.ndel == 0 {
 		return nil
 	}
-	ncols := x.cfg.Schema.Len()
-	segs := make([]*segment, ncols)
-	for c := range segs {
-		segs[c] = x.store.Get(tr, g.segIDs[c], true).(*segment)
-	}
+	segs := x.segments(tr, g)
 	p := &RebuildPlan{gi: gi, old: g, ndel: g.ndel}
-	vs := make([]*vec.Vec, ncols)
-	defer releaseRows(vs)
 	for from := 0; from < g.n; from += vec.BatchSize {
-		to := min(from+vec.BatchSize, g.n)
-		decodeRows(vs, segs, from, to)
-		for i := from; i < to; i++ {
-			if g.isDeleted(i) {
-				continue
-			}
-			row := make(value.Row, ncols)
+		p.Rows = appendLiveRows(p.Rows, g, segs, from, min(from+vec.BatchSize, g.n))
+	}
+	if tr != nil {
+		tr.ChargeParallelCPU(vclock.CPU(int64(g.n)*int64(len(segs)), tr.Model.BatchCPU), 1.0)
+	}
+	return p
+}
+
+// segments reads every segment of rowgroup g through tr.
+func (x *Index) segments(tr *vclock.Tracker, g *rowGroup) []*segment {
+	segs := make([]*segment, len(g.segIDs))
+	for c, id := range g.segIDs {
+		segs[c] = x.store.Get(tr, id, true).(*segment)
+	}
+	return segs
+}
+
+// appendLiveRows decodes rows [from, to) of rowgroup g from its segments
+// and appends the live ones to dst.
+func appendLiveRows(dst []value.Row, g *rowGroup, segs []*segment, from, to int) []value.Row {
+	vs := make([]*vec.Vec, len(segs))
+	defer releaseRows(vs)
+	decodeRows(vs, segs, from, to)
+	for i := from; i < to; i++ {
+		if !g.isDeleted(i) {
+			row := make(value.Row, len(vs))
 			for c, v := range vs {
 				row[c] = v.Value(i - from)
 			}
-			p.Rows = append(p.Rows, row)
+			dst = append(dst, row)
 		}
 	}
-	if tr != nil {
-		tr.ChargeParallelCPU(vclock.CPU(int64(g.n)*int64(ncols), tr.Model.BatchCPU), 1.0)
-	}
-	return p
+	return dst
 }
 
 // planVecs recycles the vectors PlanFold and PlanRebuild decode into:

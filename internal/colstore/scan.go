@@ -594,3 +594,18 @@ func (x *Index) ScanRows(tr *vclock.Tracker, cols []int) []value.Row {
 	}
 	return out
 }
+
+// SampleBlocks returns one reader per block, for block sampling: each
+// 128-row range of a rowgroup (its live rows, decoded from segments
+// peeked at outside the buffer pool) and each leaf of the delta store.
+// It ignores a delete buffer, which primary columnstores do not have.
+func (x *Index) SampleBlocks() (out []func(dst []value.Row) []value.Row) {
+	for _, g := range x.groups {
+		for from := 0; from < g.n; from += 128 {
+			out = append(out, func(dst []value.Row) []value.Row {
+				return appendLiveRows(dst, g, x.segments(nil, g), from, min(from+128, g.n))
+			})
+		}
+	}
+	return append(out, x.delta.SampleBlocks()...)
+}

@@ -144,7 +144,7 @@ func ablSizeEstimation(quick bool) *Table {
 	}
 	for _, method := range []advisor.SizeMethod{advisor.SizeBlackBox, advisor.SizeGEE} {
 		start := time.Now()
-		_, perCol := advisor.EstimateCSISize(li, method, 3)
+		_, perCol := advisor.EstimateCSISize(li, method)
 		elapsed := time.Since(start)
 		var est int64
 		for _, b := range perCol {

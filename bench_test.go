@@ -87,6 +87,30 @@ func BenchmarkColumnstoreBuild(b *testing.B) {
 	b.SetBytes(int64(n * 16))
 }
 
+// BenchmarkBTreeBulkLoad loads 200 000 rows in random key order into an
+// empty table clustered on a two-column key: the sort and bottom-up
+// build every B+ tree bulk load and index build pays.
+func BenchmarkBTreeBulkLoad(b *testing.B) {
+	const n = 200_000
+	rng := rand.New(rand.NewSource(5))
+	rows := make([]value.Row, n)
+	for i, p := range rng.Perm(n) {
+		rows[i] = value.Row{value.NewInt(int64(p % 50)), value.NewInt(int64(p)),
+			value.NewFloat(rng.Float64() * 100), value.NewString("payload")}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := Open()
+		if _, err := db.Exec("CREATE TABLE bl (w BIGINT, o BIGINT, v DOUBLE, s VARCHAR(8), PRIMARY KEY (w, o))"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		db.Internal().Table("bl").BulkLoad(nil, rows)
+	}
+}
+
 func BenchmarkColumnstoreScan(b *testing.B) {
 	const n = 200_000
 	sch := value.NewSchema(value.Column{Name: "a", Kind: value.KindInt})

@@ -53,15 +53,19 @@ func EstimateCSISize(t *table.Table, method SizeMethod) (total int64, perCol []i
 	}
 	switch method {
 	case SizeBlackBox:
-		// Compress the sample for real and scale linearly.
-		idx := colstore.Build(storage.NewStore(0), colstore.Config{
-			Schema:       t.Schema,
-			Primary:      true,
-			RowGroupSize: len(st.Sample),
-		}, st.Sample, nil)
-		for c := range perCol {
-			perCol[c] = int64(float64(idx.ColumnBytes(c)) / st.Fraction)
-		}
+		// Compress the sample and scale linearly, once per statistics object.
+		copy(perCol, st.BlackBoxSizes(func(sample []value.Row) []int64 {
+			idx := colstore.Build(storage.NewStore(0), colstore.Config{
+				Schema:       t.Schema,
+				Primary:      true,
+				RowGroupSize: len(sample),
+			}, sample, nil)
+			sizes := make([]int64, len(perCol))
+			for c := range sizes {
+				sizes[c] = int64(float64(idx.ColumnBytes(c)) / st.Fraction)
+			}
+			return sizes
+		}))
 	default:
 		perCol = geeSizeEstimate(t, st)
 	}

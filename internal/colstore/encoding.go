@@ -37,7 +37,6 @@ type segment struct {
 	kind     value.Kind
 	n        int
 	min, max value.Value // over non-null values; Null if all null
-	distinct int         // distinct non-null values in this segment
 
 	enc   encKind
 	base  int64    // value subtracted before packing (or float bits)
@@ -90,45 +89,35 @@ func buildSegment(kind value.Kind, vals []value.Value) *segment {
 
 	if kind == value.KindString {
 		// Dictionary encode: sorted unique strings, value = index, so
-		// min/max ids correspond to lexical min/max.
-		uniq := make(map[string]struct{}, 64)
-		for _, v := range vals {
-			if !v.IsNull() {
-				uniq[v.Str()] = struct{}{}
-			}
-		}
-		s.dict = make([]string, 0, len(uniq))
-		for str := range uniq {
-			s.dict = append(s.dict, str)
-		}
-		sort.Strings(s.dict)
-		idOf := make(map[string]int64, len(s.dict))
-		for i, str := range s.dict {
-			idOf[str] = int64(i)
-			dictBytes += int64(len(str) + 4)
-		}
-		for i, v := range vals {
-			if v.IsNull() {
-				s.setNull(i)
+		// min/max ids correspond to lexical min/max. One key sort gives
+		// both: NULLs sort first, then each run of equal keys is one
+		// string.
+		keys := value.SortKeys(len(vals), func(dst []byte, i int) []byte { return value.EncodeKey(dst, vals[i]) })
+		s.dict = []string{}
+		for i := range vals {
+			p := keys.Pos(i)
+			if vals[p].IsNull() {
+				s.setNull(p)
 				continue
 			}
-			ints[i] = idOf[v.Str()]
+			if keys.NewRun(i) {
+				s.dict = append(s.dict, vals[p].Str())
+				dictBytes += int64(len(vals[p].Str()) + 4)
+			}
+			ints[p] = int64(len(s.dict) - 1)
 		}
-		s.distinct = len(s.dict)
 		if len(s.dict) > 0 {
 			s.min = value.NewString(s.dict[0])
 			s.max = value.NewString(s.dict[len(s.dict)-1])
 		}
 	} else {
 		var minV, maxV value.Value
-		distinct := make(map[int64]struct{}, 64)
 		for i, v := range vals {
 			if v.IsNull() {
 				s.setNull(i)
 				continue
 			}
 			ints[i] = intRep(v)
-			distinct[ints[i]] = struct{}{}
 			if minV.IsNull() || value.Compare(v, minV) < 0 {
 				minV = v
 			}
@@ -137,7 +126,6 @@ func buildSegment(kind value.Kind, vals []value.Value) *segment {
 			}
 		}
 		s.min, s.max = minV, maxV
-		s.distinct = len(distinct)
 	}
 
 	// Base-relative representation. Null slots carry base (delta 0).

@@ -9,10 +9,8 @@
 package table
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"hybriddb/internal/btree"
@@ -207,12 +205,12 @@ func (t *Table) BulkLoad(tr *vclock.Tracker, rows []value.Row) {
 		for i, r := range rows {
 			items[i] = btree.Item{Key: t.clusterKey(r, uids[i]), Row: r}
 		}
-		sortItems(items)
 		if t.tree.Count() == 0 {
 			t.tree.BulkLoad(tr, items)
 		} else {
-			for _, it := range items {
-				t.tree.Insert(tr, it.Key, it.Row)
+			sorted := value.SortRows(rows, t.ClusterKeys) // key order: the UIDs rise with the row
+			for i := range items {
+				t.tree.Insert(tr, items[sorted.Pos(i)].Key, items[sorted.Pos(i)].Row)
 			}
 		}
 	default:
@@ -231,24 +229,6 @@ func (t *Table) withUIDs(rows []value.Row, uids []int64) []value.Row {
 		out[i] = append(r.Clone(), value.NewInt(uids[i]))
 	}
 	return out
-}
-
-// sortItems orders bulk-load items by encoded key.
-func sortItems(items []btree.Item) {
-	enc := make([][]byte, len(items))
-	idx := make([]int, len(items))
-	for i, it := range items {
-		enc[i] = value.EncodeKey(nil, it.Key...)
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return bytes.Compare(enc[idx[a]], enc[idx[b]]) < 0
-	})
-	out := make([]btree.Item, len(items))
-	for i, p := range idx {
-		out[i] = items[p]
-	}
-	copy(items, out)
 }
 
 // Insert adds a single row to every structure (trickle-insert path).
@@ -318,7 +298,6 @@ func (t *Table) secondaryInsertBulk(tr *vclock.Tracker, s *Secondary, rows []val
 			key, payload := t.secondaryEntry(s, r, uids[i])
 			items[i] = btree.Item{Key: key, Row: payload}
 		}
-		sortItems(items)
 		s.Tree.BulkLoad(tr, items)
 		return
 	}
@@ -501,7 +480,6 @@ func (t *Table) ConvertPrimary(tr *vclock.Tracker, kind PrimaryKind, keys []int)
 		for i, r := range rows {
 			items[i] = btree.Item{Key: t.clusterKey(r, uids[i]), Row: r}
 		}
-		sortItems(items)
 		t.tree.BulkLoad(tr, items)
 	default:
 		// keys, if given, select a global build sort order (sorted

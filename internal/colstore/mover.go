@@ -77,8 +77,7 @@ func (x *Index) SnapshotDelta(maxRows int, tr *vclock.Tracker) *DeltaSnapshot {
 // to scans. Its segments live in the page store; DiscardEncoded frees
 // them if the install is abandoned.
 type EncodedGroup struct {
-	g   *rowGroup
-	ord []int
+	g *rowGroup
 }
 
 // Rows returns the number of rows in the encoded group.
@@ -389,9 +388,6 @@ func (x *Index) InstallRebuild(p *RebuildPlan, groups []*EncodedGroup, tr *vcloc
 		x.groups = append(x.groups[:p.gi], x.groups[p.gi+1:]...)
 	} else {
 		eg := groups[0]
-		if eg.ord != nil {
-			x.sortOrd = eg.ord
-		}
 		x.groups[p.gi] = eg.g
 		x.nTotal += int64(eg.g.n)
 		mGroupsBuilt.Inc()

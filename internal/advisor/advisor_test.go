@@ -124,6 +124,41 @@ func TestNoColumnstoreOption(t *testing.T) {
 	}
 }
 
+// TestNoColumnstoreOnClusteredColumnstore tunes B+ tree-only over a
+// table whose primary is a clustered columnstore: the table's rows stay
+// reachable through its primary, so costing every configuration
+// succeeds and the tuner returns a recommendation.
+func TestNoColumnstoreOnClusteredColumnstore(t *testing.T) {
+	db := analyticsDB(t)
+	if _, err := db.Exec("CREATE CLUSTERED COLUMNSTORE INDEX cci ON f"); err != nil {
+		t.Fatal(err)
+	}
+	w := Workload{
+		{SQL: "SELECT val FROM f WHERE dim = 7"},
+		{SQL: "SELECT grp, sum(val) FROM f GROUP BY grp"},
+		{SQL: "UPDATE f SET val = val + 1 WHERE dim = 9"},
+	}
+	rec, err := Tune(db, w, Options{NoColumnstore: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec == nil || rec.BaselineCost <= 0 || rec.RecommendedCost > rec.BaselineCost {
+		t.Fatalf("no recommendation: %+v", rec)
+	}
+	// A seek on dim can serve the point query only if it covers val:
+	// the columnstore has no key to look the rest of a row up by.
+	var covering bool
+	for _, p := range rec.Indexes {
+		if p.Columnstore {
+			t.Fatalf("NoColumnstore recommended a columnstore: %+v", p)
+		}
+		covering = covering || slices.Equal(p.Keys, []string{"dim"}) && slices.Contains(p.Include, "val")
+	}
+	if !covering {
+		t.Errorf("no covering B+ tree on dim among %+v", rec.Indexes)
+	}
+}
+
 func TestStorageBudget(t *testing.T) {
 	db := analyticsDB(t)
 	w := Workload{

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -324,6 +325,46 @@ func TestSecondaryIndexCoveredSeek(t *testing.T) {
 	}
 	if res.Rows[0][0].Int() != want {
 		t.Fatalf("sum = %v, want %d", res.Rows[0][0], want)
+	}
+}
+
+// TestBTreeOnlyOptionOnClusteredColumnstore runs statements against a
+// clustered-columnstore table with and without NoColumnstore, each on
+// its own copy of the table, filtering on col1, which no index leads
+// with, and on col2, which an uncovered B+ tree secondary does:
+// NoColumnstore drops columnstore indexes, not the table's only
+// copy of its rows, so every statement must return the same rows,
+// affect the same rows and leave the same table.
+func TestBTreeOnlyOptionOnClusteredColumnstore(t *testing.T) {
+	build := func() *Database {
+		db := newDB(t)
+		loadT(t, db, 20000, 100)
+		mustExec(t, db, "CREATE CLUSTERED COLUMNSTORE INDEX cci ON t")
+		mustExec(t, db, "CREATE NONCLUSTERED INDEX ix2 ON t (col2)")
+		return db
+	}
+	const check = "SELECT col1, col2 FROM t ORDER BY col1"
+	for _, q := range []string{
+		"SELECT col1, col2 FROM t WHERE col1 < 200",
+		"UPDATE t SET col2 = col2 + 1000 WHERE col1 >= 500 AND col1 < 700",
+		"DELETE FROM t WHERE col1 >= 1000 AND col1 < 1200",
+		"SELECT col1, col2 FROM t WHERE col2 = 5 ORDER BY col1",
+		"UPDATE t SET col1 = col1 + 100000 WHERE col2 = 7",
+		"DELETE FROM t WHERE col2 = 9",
+	} {
+		with, without := build(), build()
+		a := mustExec(t, with, q)
+		b := mustExec(t, without, q, ExecOptions{NoColumnstore: true})
+		if !reflect.DeepEqual(a.Rows, b.Rows) || a.RowsAffected != b.RowsAffected {
+			t.Errorf("%s: NoColumnstore gives %d rows, %d affected; without it %d rows, %d affected",
+				q, len(b.Rows), b.RowsAffected, len(a.Rows), a.RowsAffected)
+		}
+		if len(a.Rows)+int(a.RowsAffected) != 200 {
+			t.Errorf("%s: %d rows, %d affected, want 200 in all", q, len(a.Rows), a.RowsAffected)
+		}
+		if !reflect.DeepEqual(mustExec(t, with, check).Rows, mustExec(t, without, check).Rows) {
+			t.Errorf("%s: the tables differ after it", q)
+		}
 	}
 }
 

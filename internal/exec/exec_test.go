@@ -155,6 +155,16 @@ func TestSecondarySeekCoveredAndLookup(t *testing.T) {
 			t.Fatalf("lookup row = %v", r)
 		}
 	}
+
+	// On a clustered columnstore there is no key to look a row up by:
+	// the covered seek still runs, the uncovered one is refused.
+	tbl.ConvertPrimary(nil, table.PrimaryColumnstore, nil)
+	if got := len(drain(t, ctxFor(tbl), mk(true, []int{1, 2}))); got != 60 {
+		t.Fatalf("covered rows over a clustered columnstore = %d", got)
+	}
+	if _, err := BuildBatch(ctxFor(tbl), mk(false, []int{0, 1, 2})); err == nil {
+		t.Fatal("an uncovered seek on a clustered columnstore was built")
+	}
 }
 
 func TestFilterProjectTop(t *testing.T) {

@@ -96,7 +96,13 @@ func TestQuickGolden(t *testing.T) {
 //   - ablation-sizeest: the black-box estimate is within [0.8, 1.25]
 //     of the actual size;
 //   - ablation-budget: each budgeted design's bytes stay within the
-//     budget's share of the unlimited design's bytes.
+//     budget's share of the unlimited design's bytes;
+//   - fig5: at the smallest fraction the primary B+ tree is the
+//     cheapest design and the primary CSI the slowest, and the primary
+//     CSI's time does not fall as the fraction grows (it locates the
+//     rows by one scan, never by one scan per row);
+//   - fig6: design A is best with no scans and C worst; B beats
+//     A at every mix from their crossover on, and at the last mix.
 func checkClaims(t *testing.T, tables map[string]*Table) {
 	t.Helper()
 	table := func(id string) *Table {
@@ -160,6 +166,29 @@ func checkClaims(t *testing.T, tables map[string]*Table) {
 	}
 	if r := cell("ablation-sizeest", "black-box", "ratio"); r < 0.8 || r > 1.25 {
 		t.Errorf("claims: ablation-sizeest black-box ratio %v outside [0.8, 1.25]", r)
+	}
+	fracs := rows("fig5")
+	bp, sec, pri := cell("fig5", fracs[0], "Pri B+tree"), cell("fig5", fracs[0], "B+tree + sec CSI"), cell("fig5", fracs[0], "Pri CSI")
+	if bp > sec || bp > pri || pri < sec {
+		t.Errorf("claims: fig5 at %s%%: Pri B+tree %v, B+tree + sec CSI %v, Pri CSI %v: want B+ cheapest and Pri CSI slowest", fracs[0], bp, sec, pri)
+	}
+	for i := 1; i < len(fracs); i++ {
+		if prev, cur := cell("fig5", fracs[i-1], "Pri CSI"), cell("fig5", fracs[i], "Pri CSI"); cur < prev {
+			t.Errorf("claims: fig5 Pri CSI falls from %v at %s%% to %v at %s%%", prev, fracs[i-1], cur, fracs[i])
+		}
+	}
+	mixes := rows("fig6")
+	const colA, colB, colC = "A: pri B+tree", "B: + sec CSI", "C: pri CSI"
+	if a, b, c := cell("fig6", mixes[0], colA), cell("fig6", mixes[0], colB), cell("fig6", mixes[0], colC); a > b || a > c || c < b {
+		t.Errorf("claims: fig6 at %s: A %v, B %v, C %v: want A best and C worst", mixes[0], a, b, c)
+	}
+	crossed := false
+	for i, mix := range mixes {
+		a, b := cell("fig6", mix, colA), cell("fig6", mix, colB)
+		if b >= a && (crossed || i == len(mixes)-1) {
+			t.Errorf("claims: fig6 at %s: B %v does not beat A %v", mix, b, a)
+		}
+		crossed = crossed || b < a
 	}
 	unlimited := cell("ablation-budget", "unlimited", "bytes (MB)")
 	for _, budget := range rows("ablation-budget")[1:] {

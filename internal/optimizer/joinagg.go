@@ -23,9 +23,6 @@ func joinPlan(tables []*table.Table, infos []*tableInfo, joins []joinEq, opts Op
 	sortedCands := make([]*accessCand, n) // cheapest order-preserving path
 	for i := range tables {
 		cs := candidates(tables[i], infos[i], opts)
-		if len(cs) == 0 {
-			return nil, 0, 0, fmt.Errorf("optimizer: no access path for %s", tables[i].Name)
-		}
 		best := cs[0]
 		for ci := range cs {
 			c := cs[ci]
@@ -226,7 +223,10 @@ func nlInner(t *table.Table, info *tableInfo, joinOrd int, opts Options) (*plan.
 		if sec.Columnstore || len(sec.Keys) == 0 || sec.Keys[0] != joinOrd {
 			continue
 		}
-		covered := coversNeeded(t, sec, info.needCols)
+		covered, ok := seekable(t, sec, info.needCols)
+		if !ok {
+			continue
+		}
 		cost := perSeek
 		if !covered {
 			cost += time.Duration(matchRows+1) * (m.SeekCPU + m.PageCPU)

@@ -246,6 +246,64 @@ func TestHypotheticalCSIConsidered(t *testing.T) {
 	}
 }
 
+// TestNoUncoveredSeekOnClusteredColumnstore: a secondary B+ tree seek
+// on a clustered-columnstore table is planned only when it covers the
+// query, because there is no key to look the rest of a row up by. The
+// rule holds for what-if indexes, for a single table and for the inner
+// of a nested-loop join, and NoColumnstore still reads the table
+// through its primary.
+func TestNoUncoveredSeekOnClusteredColumnstore(t *testing.T) {
+	st := storage.NewStore(0)
+	mk := func(name string, rows int, row func(i int) value.Row, cols ...string) *table.Table {
+		var sch []value.Column
+		for _, c := range cols {
+			sch = append(sch, value.Column{Name: c, Kind: value.KindInt})
+		}
+		tb := table.New(st, name, value.NewSchema(sch...), nil)
+		data := make([]value.Row, rows)
+		for i := range data {
+			data[i] = row(i)
+		}
+		tb.BulkLoad(nil, data)
+		return tb
+	}
+	c := mk("c", 20000, func(i int) value.Row {
+		return value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 2000)), value.NewInt(int64(i % 7))}
+	}, "a", "b", "v")
+	c.ConvertPrimary(nil, table.PrimaryColumnstore, nil)
+	d := mk("d", 200, func(i int) value.Row {
+		return value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 50))}
+	}, "x", "y")
+	d.ConvertPrimary(nil, table.PrimaryBTree, []int{0})
+	f := &fixture{tables: map[string]*table.Table{"c": c, "d": d}}
+	onB := func(include ...int) Options {
+		hyp := &table.Secondary{Name: "hyp_b", Keys: []int{1}, Include: include, Hypothetical: true, EstRows: 20000}
+		return Options{WhatIf: map[*table.Table][]*table.Secondary{c: {hyp}}}
+	}
+	const point = "SELECT a, v FROM c WHERE b = 3"
+	const join = "SELECT x, a FROM d JOIN c ON b = x WHERE y = 1"
+	for _, tc := range []struct {
+		q, design string
+		opts      Options
+		seek      bool
+	}{
+		{point, "hyp_b (b)", onB(), false},
+		{point, "hyp_b (b) INCLUDE (a, v)", onB(0, 2), true},
+		{join, "hyp_b (b)", onB(), false},
+		{join, "hyp_b (b) INCLUDE (a)", onB(0), true},
+		{point, "NoColumnstore", Options{ExecOptions: session.ExecOptions{NoColumnstore: true}}, false},
+	} {
+		leaves := plan.LeafAccess(optimize(t, f, tc.q, tc.opts).Input)
+		var seek bool
+		for _, a := range leaves {
+			seek = seek || a == plan.AccessSecondarySeek
+		}
+		if seek != tc.seek {
+			t.Errorf("%s under %s: leaves %v, want a secondary seek: %v", tc.q, tc.design, leaves, tc.seek)
+		}
+	}
+}
+
 func TestCrossJoinRejected(t *testing.T) {
 	f := newFixture(t)
 	f.tables["u"] = f.tables["t"]

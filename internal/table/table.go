@@ -590,14 +590,12 @@ func (t *Table) SecondaryCSI() *Secondary {
 // FetchRow fetches the base row identified by its cluster-key values
 // and UID — the key-lookup step a non-covering secondary index pays
 // per row. For a heap the UID resolves directly; for a clustered
-// B+ tree the cluster key drives a seek; for a primary columnstore the
-// row must be located by a scan of the whole columnstore, once per
-// fetched row. The optimizer does not know that: it costs an uncovered
-// secondary seek on a clustered-columnstore table as B+ tree key
-// lookups (see ROADMAP, "RID lookups into a columnstore").
+// B+ tree the cluster key drives a seek. A clustered columnstore has
+// no key to look a row up by, so t must not be one: the optimizer
+// builds no uncovered seek on such a table and the executor refuses
+// one.
 func (t *Table) FetchRow(tr *vclock.Tracker, clusterVals value.Row, uid int64) (value.Row, bool) {
-	switch t.primary {
-	case PrimaryHeap:
+	if t.primary == PrimaryHeap {
 		rid, ok := t.heapLoc[uid]
 		if !ok {
 			return nil, false
@@ -607,27 +605,13 @@ func (t *Table) FetchRow(tr *vclock.Tracker, clusterVals value.Row, uid int64) (
 			return nil, false
 		}
 		return row[:t.Schema.Len()], true
-	case PrimaryBTree:
-		key := append(clusterVals.Clone(), value.NewInt(uid))
-		it := t.tree.Seek(tr, key)
-		if !it.Valid() || value.CompareRows(it.Key(), key, nil) != 0 {
-			return nil, false
-		}
-		return it.Row(), true
-	default:
-		uidCol := t.UIDColumn()
-		sc := t.cci.NewScanner(tr, colstore.ScanSpec{PruneCol: -1})
-		for sc.Next() {
-			b := sc.Batch()
-			for i := 0; i < b.Len(); i++ {
-				r := b.Row(i)
-				if r[uidCol].Int() == uid {
-					return r[:t.Schema.Len()], true
-				}
-			}
-		}
+	}
+	key := append(clusterVals.Clone(), value.NewInt(uid))
+	it := t.tree.Seek(tr, key)
+	if !it.Valid() || value.CompareRows(it.Key(), key, nil) != 0 {
 		return nil, false
 	}
+	return it.Row(), true
 }
 
 const sampleRows = 20000 // live rows the statistics sample aims for

@@ -104,8 +104,9 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 	}
 }
 
-// dial opens a raw wire connection with a completed handshake.
-func dial(t *testing.T, addr, user, token string) net.Conn {
+// dial opens a raw wire connection with a completed handshake; opts
+// are connection option names and values, in pairs.
+func dial(t *testing.T, addr, user, token string, opts ...string) net.Conn {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -115,7 +116,10 @@ func dial(t *testing.T, addr, user, token string) net.Conn {
 	b.Byte(ProtocolVersion)
 	b.String(user)
 	b.String(token)
-	b.Uvarint(0)
+	b.Uvarint(uint64(len(opts) / 2))
+	for _, o := range opts {
+		b.String(o)
+	}
 	if err := WriteFrame(nc, FrameHello, b.Bytes()); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
@@ -298,6 +302,31 @@ func TestServerSurvivesStatementPanic(t *testing.T) {
 	defer second.Close()
 	if _, rows := execSQL(t, second, `SELECT s FROM t WHERE a = 2`); len(rows) != 1 {
 		t.Fatalf("second session: rows = %v", rows)
+	}
+}
+
+// TestNoColumnstoreOverWire: a session opened with no_columnstore=1
+// reads, updates and deletes a clustered-columnstore table through its
+// primary, the only copy of the table's rows.
+func TestNoColumnstoreOverWire(t *testing.T) {
+	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	_, addr := startServer(t, db, Options{})
+	nc := dial(t, addr, "btree_only", "", "no_columnstore", "1")
+	defer nc.Close()
+	execSQL(t, nc, `CREATE TABLE t (a BIGINT, b BIGINT)`)
+	execSQL(t, nc, `INSERT INTO t VALUES (1, 10), (2, 20), (3, 20), (4, 40)`)
+	execSQL(t, nc, `CREATE CLUSTERED COLUMNSTORE INDEX cci ON t`)
+	if _, rows := execSQL(t, nc, `SELECT a FROM t WHERE b = 20`); len(rows) != 2 {
+		t.Fatalf("select: rows = %v", rows)
+	}
+	if h, _ := execSQL(t, nc, `UPDATE t SET b = 30 WHERE a = 2`); h.RowsAffected != 1 {
+		t.Fatalf("update: %d rows affected, want 1", h.RowsAffected)
+	}
+	if h, _ := execSQL(t, nc, `DELETE FROM t WHERE b >= 30`); h.RowsAffected != 2 {
+		t.Fatalf("delete: %d rows affected, want 2", h.RowsAffected)
+	}
+	if _, rows := execSQL(t, nc, `SELECT a, b FROM t`); len(rows) != 2 {
+		t.Fatalf("after: rows = %v", rows)
 	}
 }
 

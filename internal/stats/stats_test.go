@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -170,14 +171,14 @@ func TestEstimateDistinctRows(t *testing.T) {
 	for i := range rows {
 		rows[i] = value.Row{value.NewInt(int64(i % 10)), value.NewInt(int64(i % 4))}
 	}
-	// Distinct (a) = 10, distinct (a,b) = lcm(10,4)=20.
-	if got := EstimateDistinctRows(rows, []int{0}, 1.0); got != 10 {
-		t.Errorf("distinct(a) = %v", got)
+	// Distinct (a) = 10, distinct (a,b) = lcm(10,4)=20, distinct (b) = 4.
+	if got := EstimateDistinctPrefixes(rows, []int{0, 1}, 1.0); !slices.Equal(got, []float64{10, 20}) {
+		t.Errorf("distinct(a), (a,b) = %v", got)
 	}
-	if got := EstimateDistinctRows(rows, []int{0, 1}, 1.0); got != 20 {
-		t.Errorf("distinct(a,b) = %v", got)
+	if got := EstimateDistinctPrefixes(rows, []int{1, 0}, 1.0); !slices.Equal(got, []float64{4, 20}) {
+		t.Errorf("distinct(b), (b,a) = %v", got)
 	}
-	if got := EstimateDistinctRows(nil, nil, 1.0); got != 0 {
+	if got := EstimateDistinctPrefixes(nil, []int{0}, 1.0); !slices.Equal(got, []float64{0}) {
 		t.Errorf("distinct(empty) = %v", got)
 	}
 }

@@ -57,13 +57,14 @@ benchmark-module:
 	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .
 
-# bench-smoke runs every DOP sweep and both bulk-load benchmarks
-# (columnstore build, B+ tree bulk load) once (about 8 s). It checks no
-# threshold: it is there so that a query a sweep runs which the engine
-# now rejects, or a benchmark that no longer compiles or runs, fails CI,
+# bench-smoke runs every DOP sweep, both bulk-load benchmarks
+# (columnstore build, B+ tree bulk load) and the wire result read once
+# (about 8 s). It checks no threshold: it is there so that a query a
+# sweep runs which the engine now rejects, a broken result path over
+# the wire, or a benchmark that no longer compiles or runs, fails CI,
 # not the next `make bench`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Scaling|ColumnstoreBuild|BTreeBulkLoad' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Scaling|ColumnstoreBuild|BTreeBulkLoad|WireResult' -benchtime 1x .
 
 # ci is the tier-1 gate referenced from ROADMAP.md. It runs each step
 # in order, stops at the first that fails, and prints each step's wall

@@ -5,14 +5,18 @@
 package hybriddb
 
 import (
+	"context"
 	"math/rand"
+	"net"
 	"testing"
 
+	"hybriddb/client/hybridsql"
 	"hybriddb/internal/btree"
 	"hybriddb/internal/colstore"
 	"hybriddb/internal/experiments"
 	"hybriddb/internal/storage"
 	"hybriddb/internal/value"
+	"hybriddb/internal/wire"
 )
 
 // BenchmarkExperiments regenerates every registered experiment (each
@@ -154,6 +158,37 @@ func BenchmarkQueryColumnstoreAgg(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Exec("SELECT g, sum(v) FROM bench GROUP BY g"); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireResult reads an 18 000-row result through the wire
+// client over loopback: the server's RowBatch encode and writes, the
+// client's reads and decode, both in this process's allocations.
+func BenchmarkWireResult(b *testing.B) {
+	db := benchDB(b, "btree")
+	srv := wire.NewServer(db.Internal(), wire.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Shutdown(context.Background())
+	cl, err := hybridsql.Connect(hybridsql.Config{Addr: ln.Addr().String(), User: "bench"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	const want = 18_000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rows, err := cl.Exec("SELECT k, g, v FROM bench WHERE k < 18000")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != want {
+			b.Fatalf("%d rows, want %d", len(rows), want)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"net"
 	"net/url"
-	"sort"
 	"strings"
 
 	"hybriddb/internal/value"
@@ -91,47 +90,18 @@ func Connect(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{nc: nc}
-	var b wire.Builder
-	b.Byte(wire.ProtocolVersion)
-	b.String(cfg.User)
-	b.String(cfg.Token)
-	// Deterministic option order for reproducible handshakes.
-	keys := make([]string, 0, len(cfg.Params))
-	for k := range cfg.Params {
-		keys = append(keys, k)
+	hello := wire.Hello{User: cfg.User, Token: cfg.Token, Options: cfg.Params}
+	body, err := c.call(wire.FrameHello, hello.Encode(), wire.FrameHelloOK)
+	var id uint64
+	if err == nil {
+		id, err = wire.NewReader(body).Uvarint()
 	}
-	sort.Strings(keys)
-	b.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		b.String(k)
-		b.String(cfg.Params[k])
-	}
-	if err := wire.WriteFrame(nc, wire.FrameHello, b.Bytes()); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	typ, body, err := wire.ReadFrame(nc)
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
-	switch typ {
-	case wire.FrameHelloOK:
-		r := wire.NewReader(body)
-		id, err := r.Uvarint()
-		if err != nil {
-			nc.Close()
-			return nil, err
-		}
-		c.sessionID = int64(id)
-		return c, nil
-	case wire.FrameError:
-		nc.Close()
-		return nil, decodeError(body)
-	default:
-		nc.Close()
-		return nil, fmt.Errorf("hybridsql: unexpected handshake frame 0x%02x", typ)
-	}
+	c.sessionID = int64(id)
+	return c, nil
 }
 
 // Dial parses dsn and connects.
@@ -166,26 +136,34 @@ func (c *Client) Close() error {
 	return c.nc.Close()
 }
 
-// Ping round-trips a Ping frame.
-func (c *Client) Ping() error {
-	if err := wire.WriteFrame(c.nc, wire.FramePing, nil); err != nil {
-		return err
+// call sends one request frame and reads its reply, which must be of
+// type want; an Error frame comes back as a *ServerError.
+func (c *Client) call(req byte, body []byte, want byte) ([]byte, error) {
+	if err := wire.WriteFrame(c.nc, req, body); err != nil {
+		return nil, err
 	}
-	typ, body, err := wire.ReadFrame(c.nc)
-	if err != nil {
-		return err
-	}
-	if typ == wire.FrameError {
-		return decodeError(body)
-	}
-	if typ != wire.FramePong {
-		return fmt.Errorf("hybridsql: unexpected ping response 0x%02x", typ)
-	}
-	return nil
+	return c.reply(req, want)
 }
 
-// fetchBatch is how many rows each Fetch frame requests.
-const fetchBatch = 4096
+// reply reads the next frame of the reply to req; see call.
+func (c *Client) reply(req, want byte) ([]byte, error) {
+	typ, body, err := wire.ReadFrame(c.nc)
+	switch {
+	case err != nil:
+		return nil, err
+	case typ == wire.FrameError:
+		return nil, decodeError(body)
+	case typ != want:
+		return nil, fmt.Errorf("hybridsql: frame 0x%02x answered with 0x%02x, want 0x%02x", req, typ, want)
+	}
+	return body, nil
+}
+
+// Ping round-trips a Ping frame.
+func (c *Client) Ping() error {
+	_, err := c.call(wire.FramePing, nil, wire.FramePong)
+	return err
+}
 
 // Exec executes one SQL statement and returns the result header and
 // all rows.
@@ -204,65 +182,27 @@ func (c *Client) ExecPrepared(id int64) (*wire.ResultHeader, []value.Row, error)
 	return c.execFrame(b.Bytes())
 }
 
+// execFrame sends one Exec and reads the reply the server pushes: the
+// header, then RowBatch frames up to the one flagged EOF.
 func (c *Client) execFrame(body []byte) (*wire.ResultHeader, []value.Row, error) {
-	if err := wire.WriteFrame(c.nc, wire.FrameExec, body); err != nil {
-		return nil, nil, err
-	}
-	typ, rbody, err := wire.ReadFrame(c.nc)
+	body, err := c.call(wire.FrameExec, body, wire.FrameResultHeader)
 	if err != nil {
 		return nil, nil, err
 	}
-	if typ == wire.FrameError {
-		return nil, nil, decodeError(rbody)
-	}
-	if typ != wire.FrameResultHeader {
-		return nil, nil, fmt.Errorf("hybridsql: unexpected exec response 0x%02x", typ)
-	}
-	h, err := wire.DecodeResultHeader(rbody)
+	h, err := wire.DecodeResultHeader(body)
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []value.Row
-	for {
-		var fb wire.Builder
-		fb.Uvarint(fetchBatch)
-		if err := wire.WriteFrame(c.nc, wire.FrameFetch, fb.Bytes()); err != nil {
+	for eof := false; !eof; {
+		if body, err = c.reply(wire.FrameExec, wire.FrameRowBatch); err != nil {
 			return nil, nil, err
 		}
-		typ, rbody, err := wire.ReadFrame(c.nc)
-		if err != nil {
+		if rows, eof, err = wire.DecodeRowBatch(body, len(h.Columns), rows); err != nil {
 			return nil, nil, err
-		}
-		if typ == wire.FrameError {
-			return nil, nil, decodeError(rbody)
-		}
-		if typ != wire.FrameRowBatch {
-			return nil, nil, fmt.Errorf("hybridsql: unexpected fetch response 0x%02x", typ)
-		}
-		r := wire.NewReader(rbody)
-		eof, err := r.Byte()
-		if err != nil {
-			return nil, nil, err
-		}
-		n, err := r.Uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			row := make(value.Row, 0, len(h.Columns))
-			for range h.Columns {
-				v, err := r.Value()
-				if err != nil {
-					return nil, nil, err
-				}
-				row = append(row, v)
-			}
-			rows = append(rows, row)
-		}
-		if eof == 1 {
-			return h, rows, nil
 		}
 	}
+	return h, rows, nil
 }
 
 // Prepare registers a server-side prepared statement and returns its
@@ -270,61 +210,27 @@ func (c *Client) execFrame(body []byte) (*wire.ResultHeader, []value.Row, error)
 func (c *Client) Prepare(sqlText string) (int64, error) {
 	var b wire.Builder
 	b.String(sqlText)
-	if err := wire.WriteFrame(c.nc, wire.FramePrepare, b.Bytes()); err != nil {
-		return 0, err
-	}
-	typ, body, err := wire.ReadFrame(c.nc)
+	body, err := c.call(wire.FramePrepare, b.Bytes(), wire.FramePrepareOK)
 	if err != nil {
 		return 0, err
 	}
-	if typ == wire.FrameError {
-		return 0, decodeError(body)
-	}
-	if typ != wire.FramePrepareOK {
-		return 0, fmt.Errorf("hybridsql: unexpected prepare response 0x%02x", typ)
-	}
-	r := wire.NewReader(body)
-	id, err := r.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(id), nil
+	id, err := wire.NewReader(body).Uvarint()
+	return int64(id), err
 }
 
 // ClosePrepared drops a server-side prepared statement.
 func (c *Client) ClosePrepared(id int64) error {
 	var b wire.Builder
 	b.Uvarint(uint64(id))
-	if err := wire.WriteFrame(c.nc, wire.FrameCloseStmt, b.Bytes()); err != nil {
-		return err
-	}
-	typ, body, err := wire.ReadFrame(c.nc)
-	if err != nil {
-		return err
-	}
-	if typ == wire.FrameError {
-		return decodeError(body)
-	}
-	if typ != wire.FrameDone {
-		return fmt.Errorf("hybridsql: unexpected close response 0x%02x", typ)
-	}
-	return nil
+	_, err := c.call(wire.FrameCloseStmt, b.Bytes(), wire.FrameDone)
+	return err
 }
 
 // Sessions lists the server's open sessions.
 func (c *Client) Sessions() ([]wire.SessionRow, error) {
-	if err := wire.WriteFrame(c.nc, wire.FrameSessions, nil); err != nil {
-		return nil, err
-	}
-	typ, body, err := wire.ReadFrame(c.nc)
+	body, err := c.call(wire.FrameSessions, nil, wire.FrameSessionsOK)
 	if err != nil {
 		return nil, err
-	}
-	if typ == wire.FrameError {
-		return nil, decodeError(body)
-	}
-	if typ != wire.FrameSessionsOK {
-		return nil, fmt.Errorf("hybridsql: unexpected sessions response 0x%02x", typ)
 	}
 	return wire.DecodeSessions(body)
 }

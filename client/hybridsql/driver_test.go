@@ -416,7 +416,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	// Overload: 64 read-only clients, each its own connection, on the
 	// 4 admission slots. No error, every result equal to the in-process
 	// reference (a row dropped, duplicated or reordered anywhere in the
-	// concurrent fetch path shows here), and admission must have queued.
+	// concurrent result path shows here), and admission must have queued.
 	queries := []string{
 		`SELECT g, count(*), sum(v), min(k), max(k) FROM r GROUP BY g`,
 		`SELECT k, v FROM r WHERE g < 16`,
@@ -428,9 +428,6 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			t.Fatalf("reference %q: %v", q, err)
 		}
 		refs[i] = res.Rows
-	}
-	if len(refs[1]) <= fetchBatch {
-		t.Fatalf("detail result has %d rows; it must exceed one fetch page (%d)", len(refs[1]), fetchBatch)
 	}
 	const clients, itersPerClient = 64, 6
 	waits0 := metrics.Default().Value("engine_admission_waits_total")

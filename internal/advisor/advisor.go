@@ -334,6 +334,11 @@ func workloadCost(db *engine.Database, stmts []*boundStmt, chosen []*candidate, 
 				rows = float64(bs.dmlTop)
 			}
 			cost = locate + maintenanceCost(bs.dmlTbl, chosen, rows, model)
+			if bs.dmlTbl.Primary() == table.PrimaryColumnstore {
+				// table.cciDeleteByUID finds the located rows' positions
+				// with a second scan of the UID column.
+				cost += vclock.CPU(bs.dmlTbl.RowCount(), model.BatchCPU)
+			}
 		}
 		total += float64(cost) * bs.weight
 	}
@@ -344,19 +349,11 @@ func workloadCost(db *engine.Database, stmts []*boundStmt, chosen []*candidate, 
 // table's indexes (existing + proposed) for rows modified rows. The
 // constants encode the paper's Section 3.3 asymmetry: B+ trees are the
 // cheapest to update; a secondary columnstore costs a small multiple
-// (delete buffer + delta store); a primary columnstore pays a locate
-// scan.
+// (delete buffer + delta store). A primary columnstore's locate scan is
+// charged by UPDATE and DELETE only: an INSERT goes to its delta store.
 func maintenanceCost(t *table.Table, chosen []*candidate, rows float64, model *vclock.Model) time.Duration {
 	perBTree := model.SeekCPU + 2*vclock.CPU(1, model.RowCPU) + model.PageCPU
-	var cost time.Duration
-	// Primary structure.
-	switch t.Primary() {
-	case table.PrimaryColumnstore:
-		cost += vclock.CPU(t.RowCount(), model.BatchCPU) // locate scan
-		cost += time.Duration(rows) * perBTree
-	default:
-		cost += time.Duration(rows) * perBTree
-	}
+	cost := time.Duration(rows) * perBTree // primary structure
 	count := func(columnstore bool) time.Duration {
 		if columnstore {
 			return time.Duration(rows) * (perBTree*2 + vclock.CPU(1, model.RowCPU))

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hybriddb/internal/engine"
 	"hybriddb/internal/sql"
@@ -156,6 +157,37 @@ func TestNoColumnstoreOnClusteredColumnstore(t *testing.T) {
 	}
 	if !covering {
 		t.Errorf("no covering B+ tree on dim among %+v", rec.Indexes)
+	}
+}
+
+// TestInsertIntoClusteredColumnstoreLocatesNothing: an INSERT into a
+// clustered columnstore goes to its delta store, so the workload cost
+// of an INSERT-only workload does not grow with the rows already in
+// the table.
+func TestInsertIntoClusteredColumnstoreLocatesNothing(t *testing.T) {
+	baseline := func(rows int) time.Duration {
+		db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+		if _, err := db.Exec("CREATE TABLE f (id BIGINT, val BIGINT)"); err != nil {
+			t.Fatal(err)
+		}
+		data := make([]value.Row, rows)
+		for i := range data {
+			data[i] = value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 7))}
+		}
+		db.Table("f").BulkLoad(nil, data)
+		if _, err := db.Exec("CREATE CLUSTERED COLUMNSTORE INDEX cci ON f"); err != nil {
+			t.Fatal(err)
+		}
+		w := Workload{{SQL: "INSERT INTO f VALUES (-1, 1), (-2, 2)"}}
+		rec, err := Tune(db, w, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.BaselineCost
+	}
+	small, large := baseline(1000), baseline(40000)
+	if small <= 0 || small != large {
+		t.Fatalf("INSERT-only baseline: %v on 1 000 rows, %v on 40 000 rows; want equal and positive", small, large)
 	}
 }
 

@@ -14,10 +14,13 @@
 // rows are self-describing.
 //
 // The protocol is synchronous: a client sends one request frame and
-// reads response frames until the request is complete (for Exec: a
-// ResultHeader, then Fetch/RowBatch rounds until EOF). One statement is
-// in flight per connection at a time — concurrency comes from opening
-// many connections, which the engine's admission controller bounds.
+// reads response frames until the request is complete. An Exec is
+// answered with a ResultHeader and then every RowBatch of the result,
+// the last flagged EOF: the server pushes the whole reply, so each
+// statement is one request frame and a reply is complete before its
+// connection goes idle. One statement is in flight per connection at a
+// time — concurrency comes from opening many connections, which the
+// engine's admission controller bounds.
 package wire
 
 import (
@@ -25,7 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 
 	"hybriddb/internal/value"
 )
@@ -35,7 +40,9 @@ import (
 const MaxFrame = 1 << 24
 
 // ProtocolVersion is the handshake version this package speaks.
-const ProtocolVersion = 1
+// Version 1 clients pulled each RowBatch with a Fetch; version 2
+// servers push them.
+const ProtocolVersion = 2
 
 // Frame types. Client-originated types have the high bit clear,
 // server-originated types have it set.
@@ -43,7 +50,7 @@ const (
 	FrameHello     = 0x01 // version, user, token, option pairs
 	FramePrepare   = 0x02 // sql
 	FrameExec      = 0x03 // mode (0: sql text, 1: prepared id), payload
-	FrameFetch     = 0x04 // max rows
+	FrameFetch     = 0x04 // retired in version 2 (results are pushed): named by the benchmark's wire tap, refused by the server as unknown
 	FrameCloseStmt = 0x05 // prepared id
 	FrameSessions  = 0x06 // no body
 	FrameQuit      = 0x07 // no body
@@ -231,6 +238,25 @@ func (r *Reader) U64() (uint64, error) {
 	return v, nil
 }
 
+// valueSize is the number of bytes Builder.Value appends for v.
+func valueSize(v value.Value) int {
+	var s string
+	switch v.Kind() {
+	case value.KindNull:
+		return 1
+	case value.KindBool:
+		return 2
+	case value.KindInt, value.KindFloat, value.KindDate:
+		return 9
+	case value.KindString:
+		s = v.Str()
+	default:
+		s = v.String()
+	}
+	var n [binary.MaxVarintLen64]byte
+	return 1 + binary.PutUvarint(n[:], uint64(len(s))) + len(s)
+}
+
 // Value consumes one tagged SQL value.
 func (r *Reader) Value() (value.Value, error) {
 	tag, err := r.Byte()
@@ -358,6 +384,128 @@ func DecodeResultHeader(body []byte) (*ResultHeader, error) {
 			return nil, err
 		}
 		*f = int64(u)
+	}
+	return h, nil
+}
+
+// EncodeRowBatch renders the longest prefix of rows that fits in one
+// RowBatch frame, at least one row, and returns its body and how many
+// rows it holds. The batch is flagged EOF when it holds them all, so
+// an empty result is one empty EOF batch. The body is sized before it
+// is written and allocated once.
+func EncodeRowBatch(rows []value.Row) ([]byte, int) {
+	const room = MaxFrame - 1 - 1 - binary.MaxVarintLen64 // type, eof flag, row count
+	size, n := 0, 0
+	for ; n < len(rows); n++ {
+		rs := 0
+		for _, v := range rows[n] {
+			rs += valueSize(v)
+		}
+		if n > 0 && size+rs > room {
+			break
+		}
+		size += rs
+	}
+	b := Builder{buf: make([]byte, 0, 1+binary.MaxVarintLen64+size)}
+	if n == len(rows) {
+		b.Byte(1)
+	} else {
+		b.Byte(0)
+	}
+	b.Uvarint(uint64(n))
+	for _, r := range rows[:n] {
+		for _, v := range r {
+			b.Value(v)
+		}
+	}
+	return b.Bytes(), n
+}
+
+// DecodeRowBatch parses a RowBatch body of width-value rows, appends
+// its rows to rows and reports whether it is the result's last batch.
+// The batch's values share one backing array.
+func DecodeRowBatch(body []byte, width int, rows []value.Row) ([]value.Row, bool, error) {
+	r := NewReader(body)
+	eof, err := r.Byte()
+	if err != nil {
+		return rows, false, err
+	}
+	n, err := r.Uvarint()
+	if err != nil {
+		return rows, false, err
+	}
+	// Every value costs at least one byte, and rows have columns.
+	if n > 0 && (width <= 0 || n > uint64(r.Len()/width)) {
+		return rows, false, ErrTruncated
+	}
+	vals := make([]value.Value, int(n)*width)
+	for i := range vals {
+		if vals[i], err = r.Value(); err != nil {
+			return rows, false, err
+		}
+	}
+	for lo := 0; lo < len(vals); lo += width {
+		rows = append(rows, vals[lo:lo+width:lo+width])
+	}
+	return rows, eof == 1, nil
+}
+
+// Hello is the handshake a client opens its connection with.
+type Hello struct {
+	User    string
+	Token   string
+	Options map[string]string // per-session ExecOptions defaults by name
+}
+
+// Encode renders the handshake, options in name order, as a frame body
+// of this package's ProtocolVersion.
+func (h *Hello) Encode() []byte {
+	var b Builder
+	b.Byte(ProtocolVersion)
+	b.String(h.User)
+	b.String(h.Token)
+	b.Uvarint(uint64(len(h.Options)))
+	for _, k := range slices.Sorted(maps.Keys(h.Options)) {
+		b.String(k)
+		b.String(h.Options[k])
+	}
+	return b.Bytes()
+}
+
+// DecodeHello parses a Hello frame body, refusing any protocol version
+// but this package's.
+func DecodeHello(body []byte) (*Hello, error) {
+	r := NewReader(body)
+	ver, err := r.Byte()
+	if err != nil {
+		return nil, err
+	}
+	if ver != ProtocolVersion {
+		return nil, fmt.Errorf("wire: protocol version %d not supported (server speaks %d)", ver, ProtocolVersion)
+	}
+	h := &Hello{}
+	if h.User, err = r.String(); err != nil {
+		return nil, err
+	}
+	if h.Token, err = r.String(); err != nil {
+		return nil, err
+	}
+	n, err := r.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Len()/2) { // each option costs >= 2 bytes
+		return nil, ErrTruncated
+	}
+	h.Options = make(map[string]string, n)
+	for i := uint64(0); i < n; i++ {
+		k, err := r.String()
+		if err != nil {
+			return nil, err
+		}
+		if h.Options[k], err = r.String(); err != nil {
+			return nil, err
+		}
 	}
 	return h, nil
 }

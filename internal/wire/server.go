@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"cmp"
 	"context"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"net"
@@ -162,17 +164,12 @@ func (s *Server) draining() bool {
 }
 
 // conn is one client connection: a network socket bound to an engine
-// session, with at most one open result cursor.
+// session.
 type conn struct {
 	srv  *Server
 	nc   net.Conn
 	sess *session.Session
-	busy atomic.Bool // a request frame is being processed
-
-	// pending is the open cursor: rows the last Exec produced that the
-	// client has not fetched yet.
-	pending []value.Row
-	fetched int
+	busy atomic.Bool // a request frame is being processed and answered
 }
 
 func (c *conn) serve() {
@@ -222,63 +219,19 @@ func (c *conn) handshake() error {
 		c.sendError(fmt.Errorf("wire: expected Hello, got frame 0x%02x", typ))
 		return errors.New("wire: bad handshake")
 	}
-	r := NewReader(body)
-	ver, err := r.Byte()
+	h, err := DecodeHello(body)
 	if err != nil {
-		c.sendError(err)
-		return err
+		return c.protoError(err)
 	}
-	if ver != ProtocolVersion {
-		err := fmt.Errorf("wire: protocol version %d not supported (server speaks %d)", ver, ProtocolVersion)
-		c.sendError(err)
-		return err
+	if c.srv.opts.Token != "" && subtle.ConstantTimeCompare([]byte(h.Token), []byte(c.srv.opts.Token)) != 1 {
+		return c.protoError(errors.New("wire: authentication failed"))
 	}
-	user, err := r.String()
+	eo, err := execOptionsFrom(h.Options)
 	if err != nil {
-		c.sendError(err)
-		return err
+		return c.protoError(err)
 	}
-	token, err := r.String()
-	if err != nil {
-		c.sendError(err)
-		return err
-	}
-	if c.srv.opts.Token != "" && token != c.srv.opts.Token {
-		err := errors.New("wire: authentication failed")
-		c.sendError(err)
-		return err
-	}
-	nopts, err := r.Uvarint()
-	if err != nil {
-		c.sendError(err)
-		return err
-	}
-	opts := make(map[string]string, nopts)
-	for i := uint64(0); i < nopts; i++ {
-		k, err := r.String()
-		if err != nil {
-			c.sendError(err)
-			return err
-		}
-		v, err := r.String()
-		if err != nil {
-			c.sendError(err)
-			return err
-		}
-		opts[k] = v
-	}
-	if user == "" {
-		user = "anonymous"
-	}
-	c.sess = c.srv.db.OpenSession(user)
-	if eo, err := execOptionsFrom(opts); err != nil {
-		c.srv.db.CloseSession(c.sess)
-		c.sess = nil
-		c.sendError(err)
-		return err
-	} else {
-		c.sess.SetDefaults(eo)
-	}
+	c.sess = c.srv.db.OpenSession(cmp.Or(h.User, "anonymous"))
+	c.sess.SetDefaults(eo)
 	var b Builder
 	b.Uvarint(uint64(c.sess.ID()))
 	return WriteFrame(c.nc, FrameHelloOK, b.Bytes())
@@ -346,8 +299,6 @@ func (c *conn) handle(typ byte, body []byte) error {
 		return WriteFrame(c.nc, FrameDone, nil)
 	case FrameExec:
 		return c.handleExec(body)
-	case FrameFetch:
-		return c.handleFetch(body)
 	case FrameSessions:
 		infos := c.srv.db.Sessions()
 		rows := make([]SessionRow, len(infos))
@@ -360,6 +311,10 @@ func (c *conn) handle(typ byte, body []byte) error {
 	}
 }
 
+// handleExec runs one statement and pushes its reply: the
+// ResultHeader, then every RowBatch of the result. The engine has
+// released the statement's locks before the first byte is written, so
+// a slow or vanished client holds up only its own connection.
 func (c *conn) handleExec(body []byte) error {
 	r := NewReader(body)
 	mode, err := r.Byte()
@@ -394,8 +349,6 @@ func (c *conn) handleExec(body []byte) error {
 		return c.protoError(fmt.Errorf("wire: unknown exec mode %d", mode))
 	}
 
-	c.pending = res.Rows
-	c.fetched = 0
 	h := ResultHeader{
 		RowsAffected: res.RowsAffected,
 		Metrics: MetricsSummary{
@@ -411,7 +364,19 @@ func (c *conn) handleExec(body []byte) error {
 	for ci, name := range res.Columns {
 		h.Columns = append(h.Columns, Column{Name: name, Kind: columnKind(res.Rows, ci)})
 	}
-	return WriteFrame(c.nc, FrameResultHeader, h.Encode())
+	if err := WriteFrame(c.nc, FrameResultHeader, h.Encode()); err != nil {
+		return err
+	}
+	rows := res.Rows
+	for {
+		batch, n := EncodeRowBatch(rows)
+		if err := WriteFrame(c.nc, FrameRowBatch, batch); err != nil {
+			return err
+		}
+		if rows = rows[n:]; len(rows) == 0 {
+			return nil
+		}
+	}
 }
 
 // columnKind picks the first non-NULL kind in a column — advisory
@@ -423,49 +388,6 @@ func columnKind(rows []value.Row, ci int) value.Kind {
 		}
 	}
 	return value.KindNull
-}
-
-func (c *conn) handleFetch(body []byte) error {
-	r := NewReader(body)
-	want, err := r.Uvarint()
-	if err != nil {
-		return c.protoError(err)
-	}
-	if want == 0 || want > 1<<16 {
-		want = 1 << 16
-	}
-	var b Builder
-	rest := c.pending[c.fetched:]
-	n := int(want)
-	if n > len(rest) {
-		n = len(rest)
-	}
-	// Respect MaxFrame: stop early if the batch would overflow (the
-	// client just fetches again).
-	count := 0
-	var rows Builder
-	for i := 0; i < n; i++ {
-		mark := len(rows.buf)
-		for _, v := range rest[i] {
-			rows.Value(v)
-		}
-		if len(rows.buf) > MaxFrame-64 && count > 0 {
-			rows.buf = rows.buf[:mark]
-			break
-		}
-		count++
-	}
-	c.fetched += count
-	eof := byte(0)
-	if c.fetched >= len(c.pending) {
-		eof = 1
-		c.pending = nil
-		c.fetched = 0
-	}
-	b.Byte(eof)
-	b.Uvarint(uint64(count))
-	b.buf = append(b.buf, rows.buf...)
-	return WriteFrame(c.nc, FrameRowBatch, b.Bytes())
 }
 
 // sendError reports a statement-level error; the connection stays

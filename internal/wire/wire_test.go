@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +48,11 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 	var b Builder
 	for _, v := range vals {
+		before := len(b.Bytes())
 		b.Value(v)
+		if got := len(b.Bytes()) - before; got != valueSize(v) {
+			t.Fatalf("%v: Value appended %d bytes, valueSize says %d", v, got, valueSize(v))
+		}
 	}
 	r := NewReader(b.Bytes())
 	for i, want := range vals {
@@ -81,6 +87,27 @@ func TestResultHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+func TestRowBatchRoundTrip(t *testing.T) {
+	rows := []value.Row{
+		{value.NewInt(1), value.NewString("a")},
+		{value.Null, value.NewString("")},
+		{value.NewInt(-3), value.NewDate(19000)},
+	}
+	body, n := EncodeRowBatch(rows)
+	if n != len(rows) {
+		t.Fatalf("EncodeRowBatch took %d of %d rows", n, len(rows))
+	}
+	got, eof, err := DecodeRowBatch(body, 2, nil)
+	if err != nil || !eof || !reflect.DeepEqual(got, rows) {
+		t.Fatalf("DecodeRowBatch = %v, eof %v, err %v; want %v", got, eof, err, rows)
+	}
+	// An empty result is one empty EOF batch.
+	body, n = EncodeRowBatch(nil)
+	if got, eof, err := DecodeRowBatch(body, 0, nil); n != 0 || err != nil || !eof || len(got) != 0 {
+		t.Fatalf("empty batch: %d rows encoded, %v decoded, eof %v, err %v", n, got, eof, err)
+	}
+}
+
 func TestSessionsRoundTrip(t *testing.T) {
 	rows := []SessionRow{
 		{ID: 1, User: "local", State: "idle", Statements: 3},
@@ -112,15 +139,11 @@ func dial(t *testing.T, addr, user, token string, opts ...string) net.Conn {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	var b Builder
-	b.Byte(ProtocolVersion)
-	b.String(user)
-	b.String(token)
-	b.Uvarint(uint64(len(opts) / 2))
-	for _, o := range opts {
-		b.String(o)
+	h := Hello{User: user, Token: token, Options: map[string]string{}}
+	for i := 0; i+1 < len(opts); i += 2 {
+		h.Options[opts[i]] = opts[i+1]
 	}
-	if err := WriteFrame(nc, FrameHello, b.Bytes()); err != nil {
+	if err := WriteFrame(nc, FrameHello, h.Encode()); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	typ, _, err := ReadFrame(nc)
@@ -153,19 +176,32 @@ func startServer(t *testing.T, db *engine.Database, opts Options) (*Server, stri
 // header and all rows.
 func execSQL(t *testing.T, nc net.Conn, sqlText string) (*ResultHeader, []value.Row) {
 	t.Helper()
+	writeExec(t, nc, sqlText)
+	h := readHeader(t, nc)
+	rows, _ := readRows(t, nc, h)
+	return h, rows
+}
+
+// writeExec sends one Exec of SQL text.
+func writeExec(t *testing.T, nc net.Conn, sqlText string) {
+	t.Helper()
 	var b Builder
 	b.Byte(0)
 	b.String(sqlText)
 	if err := WriteFrame(nc, FrameExec, b.Bytes()); err != nil {
 		t.Fatalf("exec write: %v", err)
 	}
+}
+
+// readHeader reads the ResultHeader that opens an Exec's reply.
+func readHeader(t *testing.T, nc net.Conn) *ResultHeader {
+	t.Helper()
 	typ, body, err := ReadFrame(nc)
 	if err != nil {
 		t.Fatalf("exec response: %v", err)
 	}
 	if typ == FrameError {
-		r := NewReader(body)
-		msg, _ := r.String()
+		msg, _ := NewReader(body).String()
 		t.Fatalf("exec error: %s", msg)
 	}
 	if typ != FrameResultHeader {
@@ -175,42 +211,29 @@ func execSQL(t *testing.T, nc net.Conn, sqlText string) (*ResultHeader, []value.
 	if err != nil {
 		t.Fatalf("decode header: %v", err)
 	}
+	return h
+}
+
+// readRows reads the RowBatch frames that follow a header, up to the
+// one flagged EOF, and returns their rows and how many frames there
+// were.
+func readRows(t *testing.T, nc net.Conn, h *ResultHeader) ([]value.Row, int) {
+	t.Helper()
 	var rows []value.Row
-	for {
-		var fb Builder
-		fb.Uvarint(128)
-		if err := WriteFrame(nc, FrameFetch, fb.Bytes()); err != nil {
-			t.Fatalf("fetch write: %v", err)
-		}
+	for frames := 1; ; frames++ {
 		typ, body, err := ReadFrame(nc)
 		if err != nil {
-			t.Fatalf("fetch response: %v", err)
+			t.Fatalf("row batch %d: %v", frames, err)
 		}
 		if typ != FrameRowBatch {
-			t.Fatalf("fetch response type = 0x%02x", typ)
+			t.Fatalf("row batch %d: frame type = 0x%02x", frames, typ)
 		}
-		r := NewReader(body)
-		eof, err := r.Byte()
-		if err != nil {
-			t.Fatalf("batch eof: %v", err)
+		var eof bool
+		if rows, eof, err = DecodeRowBatch(body, len(h.Columns), rows); err != nil {
+			t.Fatalf("row batch %d: %v", frames, err)
 		}
-		n, err := r.Uvarint()
-		if err != nil {
-			t.Fatalf("batch count: %v", err)
-		}
-		for i := uint64(0); i < n; i++ {
-			row := make(value.Row, 0, len(h.Columns))
-			for range h.Columns {
-				v, err := r.Value()
-				if err != nil {
-					t.Fatalf("batch value: %v", err)
-				}
-				row = append(row, v)
-			}
-			rows = append(rows, row)
-		}
-		if eof == 1 {
-			return h, rows
+		if eof {
+			return rows, frames
 		}
 	}
 }
@@ -341,14 +364,8 @@ func TestHandshakeRejectsUnknownOption(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer nc.Close()
-	var b Builder
-	b.Byte(ProtocolVersion)
-	b.String("u")
-	b.String("")
-	b.Uvarint(1)
-	b.String("row_mode")
-	b.String("1")
-	if err := WriteFrame(nc, FrameHello, b.Bytes()); err != nil {
+	h := Hello{User: "u", Options: map[string]string{"row_mode": "1"}}
+	if err := WriteFrame(nc, FrameHello, h.Encode()); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	typ, body, err := ReadFrame(nc)
@@ -392,19 +409,10 @@ func TestServerPreparedStatements(t *testing.T) {
 	if err := WriteFrame(nc, FrameExec, eb.Bytes()); err != nil {
 		t.Fatalf("exec write: %v", err)
 	}
-	typ, body, err = ReadFrame(nc)
-	if err != nil || typ != FrameResultHeader {
-		t.Fatalf("prepared exec: typ=0x%02x err=%v", typ, err)
+	h := readHeader(t, nc)
+	if rows, _ := readRows(t, nc, h); h.Metrics.Rows != 2 || len(rows) != 2 {
+		t.Fatalf("prepared exec: header %+v, rows %v", h, rows)
 	}
-	h, err := DecodeResultHeader(body)
-	if err != nil || h.Metrics.Rows != 2 {
-		t.Fatalf("prepared exec header: %+v err=%v", h, err)
-	}
-	// Drain the cursor so the close lands on a clean connection.
-	var fb Builder
-	fb.Uvarint(0)
-	WriteFrame(nc, FrameFetch, fb.Bytes())
-	ReadFrame(nc)
 
 	var cb Builder
 	cb.Uvarint(id)
@@ -432,12 +440,8 @@ func TestServerAuth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	var b Builder
-	b.Byte(ProtocolVersion)
-	b.String("u")
-	b.String("wrong")
-	b.Uvarint(0)
-	WriteFrame(nc, FrameHello, b.Bytes())
+	wrong := Hello{User: "u", Token: "wrong"}
+	WriteFrame(nc, FrameHello, wrong.Encode())
 	typ, body, err := ReadFrame(nc)
 	if err != nil || typ != FrameError {
 		t.Fatalf("bad token: typ=0x%02x err=%v", typ, err)
@@ -504,12 +508,8 @@ func TestServerGracefulDrain(t *testing.T) {
 	if c, err := net.Dial("tcp", addr); err == nil {
 		// The TCP connect may succeed before the OS observes the close;
 		// the handshake must fail.
-		var b Builder
-		b.Byte(ProtocolVersion)
-		b.String("u")
-		b.String("")
-		b.Uvarint(0)
-		WriteFrame(c, FrameHello, b.Bytes())
+		h := Hello{User: "u"}
+		WriteFrame(c, FrameHello, h.Encode())
 		if _, _, err := ReadFrame(c); err == nil {
 			t.Fatalf("handshake succeeded after shutdown")
 		}
@@ -519,6 +519,175 @@ func TestServerGracefulDrain(t *testing.T) {
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, _, err := ReadFrame(nc); err == nil || err == io.EOF {
 		_ = err // EOF or reset both acceptable; only a hang would be wrong
+	}
+}
+
+// TestPullingClientRefused: a version 1 client, which pulls its rows
+// with Fetch, is refused at Hello, and a Fetch sent anyway is an
+// unknown frame that closes the connection.
+func TestPullingClientRefused(t *testing.T) {
+	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	_, addr := startServer(t, db, Options{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	hello := Hello{User: "u"}
+	v1 := hello.Encode()
+	v1[0] = 1
+	WriteFrame(nc, FrameHello, v1)
+	typ, body, err := ReadFrame(nc)
+	if err != nil || typ != FrameError {
+		t.Fatalf("version 1 Hello: typ=0x%02x err=%v, want an Error frame", typ, err)
+	}
+	if msg, _ := NewReader(body).String(); !strings.Contains(msg, "protocol version 1 not supported") {
+		t.Fatalf("error = %q", msg)
+	}
+
+	nc2 := dial(t, addr, "u", "")
+	defer nc2.Close()
+	nc2.SetReadDeadline(time.Now().Add(5 * time.Second))
+	WriteFrame(nc2, FrameFetch, []byte{0x80, 0x20})
+	typ, body, err = ReadFrame(nc2)
+	if err != nil || typ != FrameError {
+		t.Fatalf("stray Fetch: typ=0x%02x err=%v, want an Error frame", typ, err)
+	}
+	if msg, _ := NewReader(body).String(); !strings.Contains(msg, "unknown frame type 0x04") {
+		t.Fatalf("error = %q", msg)
+	}
+	if _, _, err := ReadFrame(nc2); err == nil {
+		t.Fatalf("connection still open after a stray Fetch")
+	}
+}
+
+// TestHelloOptionCountBounded: the option count of a Hello is read off
+// the wire before any authentication, so it must not size an
+// allocation beyond what the frame's bytes can hold.
+func TestHelloOptionCountBounded(t *testing.T) {
+	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	_, addr := startServer(t, db, Options{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	var b Builder
+	b.Byte(ProtocolVersion)
+	b.String("u")
+	b.String("")
+	b.Uvarint(1 << 22) // and no option bytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	WriteFrame(nc, FrameHello, b.Bytes())
+	typ, _, err := ReadFrame(nc)
+	runtime.ReadMemStats(&after)
+	if err != nil || typ != FrameError {
+		t.Fatalf("Hello with 1<<22 options: typ=0x%02x err=%v, want an Error frame", typ, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing the Hello allocated %d bytes", grew)
+	}
+}
+
+// loadWide fills table wide(id, s) with rows whose 16 KiB strings add
+// up to about 1.75 frames, more than loopback socket buffers hold, and
+// returns the row count and the string.
+func loadWide(t *testing.T, nc net.Conn, db *engine.Database) (int, string) {
+	t.Helper()
+	execSQL(t, nc, `CREATE TABLE wide (id BIGINT, s VARCHAR(16), PRIMARY KEY (id))`)
+	pad := strings.Repeat("x", 16<<10)
+	rows := make([]value.Row, MaxFrame/len(pad)*7/4)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i)), value.NewString(pad)}
+	}
+	db.Table("wide").BulkLoad(nil, rows)
+	return len(rows), pad
+}
+
+// TestDrainAfterHeader: Shutdown begins once the client has the
+// header of a two-frame result; the client still receives every row
+// and the EOF batch before the connection closes.
+func TestDrainAfterHeader(t *testing.T) {
+	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	srv, addr := startServer(t, db, Options{})
+	nc := dial(t, addr, "u", "")
+	defer nc.Close()
+	n, pad := loadWide(t, nc, db)
+
+	nc.SetReadDeadline(time.Now().Add(20 * time.Second))
+	writeExec(t, nc, `SELECT id, s FROM wide`)
+	h := readHeader(t, nc)
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		done <- srv.Shutdown(ctx)
+	}()
+	for !srv.draining() {
+		time.Sleep(time.Millisecond)
+	}
+	rows, frames := readRows(t, nc, h)
+	if len(rows) != n || frames < 2 {
+		t.Fatalf("%d rows in %d frames, want %d rows in at least 2", len(rows), frames, n)
+	}
+	for i, r := range rows {
+		if r[0].Int() != int64(i) || r[1].Str() != pad {
+			t.Fatalf("row %d = (%v, %d-byte string)", i, r[0], len(r[1].Str()))
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if _, _, err := ReadFrame(nc); err == nil {
+		t.Fatalf("drained connection still open")
+	}
+}
+
+// TestVanishedClient: a client that reads one RowBatch of a two-frame
+// result and stops holds up no other session's statement, and once it
+// closes, its connection and session go.
+func TestVanishedClient(t *testing.T) {
+	db := engine.New(vclock.DefaultModel(vclock.DRAM), 0)
+	srv, addr := startServer(t, db, Options{})
+	other := dial(t, addr, "other", "")
+	defer other.Close()
+	loadWide(t, other, db)
+
+	nc := dial(t, addr, "gone", "")
+	nc.SetReadDeadline(time.Now().Add(20 * time.Second))
+	writeExec(t, nc, `SELECT id, s FROM wide`)
+	readHeader(t, nc)
+	typ, body, err := ReadFrame(nc)
+	if err != nil || typ != FrameRowBatch {
+		t.Fatalf("first batch: typ=0x%02x err=%v", typ, err)
+	}
+	if _, eof, err := DecodeRowBatch(body, 2, nil); err != nil || eof {
+		t.Fatalf("first batch: eof %v, err %v; want a batch short of EOF", eof, err)
+	}
+	// The server may still be writing the rest of the reply.
+	other.SetDeadline(time.Now().Add(5 * time.Second))
+	if h, _ := execSQL(t, other, `INSERT INTO wide VALUES (-1, 'y')`); h.RowsAffected != 1 {
+		t.Fatalf("insert beside a stalled reader: %d rows affected", h.RowsAffected)
+	}
+	nc.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.mu.Lock()
+		conns := len(srv.conns)
+		srv.mu.Unlock()
+		sessions := len(db.Sessions())
+		if conns == 1 && sessions == 2 { // other's, and the engine's local session
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections and %d sessions after the client vanished, want 1 and 2", conns, sessions)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if h, _ := execSQL(t, other, `INSERT INTO wide VALUES (-2, 'z')`); h.RowsAffected != 1 {
+		t.Fatalf("insert after the client vanished: %d rows affected", h.RowsAffected)
 	}
 }
 
@@ -539,6 +708,10 @@ func FuzzWireFrame(f *testing.F) {
 	vb.Value(value.NewString("x"))
 	vb.Value(value.Null)
 	f.Add(vb.Bytes())
+	batch, _ := EncodeRowBatch([]value.Row{{value.NewInt(1), value.NewString("x")}, {value.Null, value.NewBool(true)}})
+	f.Add(batch)
+	hello := Hello{User: "u", Token: "t", Options: map[string]string{"parallelism": "2"}}
+	f.Add(hello.Encode())
 	var fr bytes.Buffer
 	WriteFrame(&fr, FrameExec, []byte{0, 3, 'a', 'b', 'c'})
 	f.Add(fr.Bytes())
@@ -556,6 +729,10 @@ func FuzzWireFrame(f *testing.F) {
 		// Direct body decodes.
 		_, _ = DecodeResultHeader(data)
 		_, _ = DecodeSessions(data)
+		_, _ = DecodeHello(data)
+		for width := range 3 {
+			_, _, _ = DecodeRowBatch(data, width, nil)
+		}
 		r := NewReader(data)
 		for {
 			if _, err := r.Value(); err != nil {

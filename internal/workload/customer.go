@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strings"
 
 	"hybriddb/internal/engine"
 	"hybriddb/internal/vclock"
@@ -82,34 +82,23 @@ func customerConfig(p CustomerProfile) StarConfig {
 		}
 		return v
 	}
+	name := strings.ToLower(p.Name)
 	dims := []DimSpec{
-		{Name: fmt.Sprintf("%s_dim_a", lower(p.Name)), Rows: n(3000), Cards: []int{3000, 25, 8, -20}},
-		{Name: fmt.Sprintf("%s_dim_b", lower(p.Name)), Rows: n(1200), Cards: []int{60, 400, -10}},
-		{Name: fmt.Sprintf("%s_dim_c", lower(p.Name)), Rows: n(500), Cards: []int{12, 50}},
-		{Name: fmt.Sprintf("%s_dim_d", lower(p.Name)), Rows: n(8000), Cards: []int{2000, 100, 10, 5}},
-		{Name: fmt.Sprintf("%s_dim_e", lower(p.Name)), Rows: n(100), Cards: []int{10, -6}},
-		{Name: fmt.Sprintf("%s_dim_f", lower(p.Name)), Rows: n(2000), Cards: []int{500, 40}},
-		{Name: fmt.Sprintf("%s_dim_g", lower(p.Name)), Rows: n(300), Cards: []int{30, 7}},
+		{Name: name + "_dim_a", Rows: n(3000), Cards: []int{3000, 25, 8, -20}},
+		{Name: name + "_dim_b", Rows: n(1200), Cards: []int{60, 400, -10}},
+		{Name: name + "_dim_c", Rows: n(500), Cards: []int{12, 50}},
+		{Name: name + "_dim_d", Rows: n(8000), Cards: []int{2000, 100, 10, 5}},
+		{Name: name + "_dim_e", Rows: n(100), Cards: []int{10, -6}},
+		{Name: name + "_dim_f", Rows: n(2000), Cards: []int{500, 40}},
+		{Name: name + "_dim_g", Rows: n(300), Cards: []int{30, 7}},
 	}
 	dimNames := make([]string, len(dims))
 	for i, d := range dims {
 		dimNames[i] = d.Name
 	}
 	facts := []FactSpec{
-		{Name: fmt.Sprintf("%s_fact", lower(p.Name)), Rows: n(50000), Dims: dimNames, Measures: 4},
-		{Name: fmt.Sprintf("%s_fact2", lower(p.Name)), Rows: n(20000), Dims: dimNames[:4], Measures: 3},
+		{Name: name + "_fact", Rows: n(50000), Dims: dimNames, Measures: 4},
+		{Name: name + "_fact2", Rows: n(20000), Dims: dimNames[:4], Measures: 3},
 	}
 	return StarConfig{Dims: dims, Facts: facts, Seed: p.Seed, RowGroupSize: 1 << 13}
-}
-
-func lower(s string) string {
-	out := make([]byte, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out[i] = c
-	}
-	return string(out)
 }

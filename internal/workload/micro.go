@@ -8,8 +8,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"hybriddb/internal/engine"
 	"hybriddb/internal/value"
@@ -62,48 +64,10 @@ func BuildMicro(model *vclock.Model, cfg MicroConfig) *engine.Database {
 		rows[i] = r
 	}
 	if cfg.Sorted {
-		sortRowsBy(rows, 0)
+		slices.SortStableFunc(rows, func(a, b value.Row) int { return cmp.Compare(a[0].Int(), b[0].Int()) })
 	}
 	t.BulkLoad(nil, rows)
 	return db
-}
-
-func sortRowsBy(rows []value.Row, col int) {
-	// Simple merge sort on the column to keep the generator
-	// deterministic and allocation-friendly.
-	tmp := make([]value.Row, len(rows))
-	var ms func(lo, hi int)
-	ms = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		ms(lo, mid)
-		ms(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if rows[i][col].Int() <= rows[j][col].Int() {
-				tmp[k] = rows[i]
-				i++
-			} else {
-				tmp[k] = rows[j]
-				j++
-			}
-			k++
-		}
-		for i < mid {
-			tmp[k] = rows[i]
-			i++
-			k++
-		}
-		for j < hi {
-			tmp[k] = rows[j]
-			j++
-			k++
-		}
-		copy(rows[lo:hi], tmp[lo:hi])
-	}
-	ms(0, len(rows))
 }
 
 // Q1 is the data-skipping probe: SELECT sum(col1) FROM t WHERE col1 < x

@@ -90,9 +90,10 @@ func (d *pinDriver) update(k, v int64) {
 	d.insert(k, v)
 }
 
-// script is the fixed workload. The version numbers of the row updated
-// twice ascend (1 -> 10 -> 11), so whichever order compaction sorts the
-// two new versions into, the buffered deletes cancel the older ones.
+// script is the fixed workload. The row updated twice gets a smaller
+// value the second time (1 -> 10 -> 2), so a compaction that sorted both
+// new versions into one rowgroup would put the newer first, where the
+// buffered deletes would cancel it and leave the older one live.
 func (d *pinDriver) script() {
 	for k := int64(0); k < 40; k++ { // two rowgroup boundaries, 8 rows left in delta
 		d.insert(k, k%4)
@@ -101,7 +102,7 @@ func (d *pinDriver) script() {
 	d.remove(20) // compressed, second group
 	d.remove(35) // delta-resident
 	d.update(5, 10)
-	d.update(5, 11)                   // its predecessor is delta-resident
+	d.update(5, 2)                    // its predecessor is delta-resident
 	d.update(33, 12)                  // delta-resident, updated once
 	for k := int64(40); k < 50; k++ { // a third boundary, crossed with deletes pending
 		d.insert(k, k%4)
@@ -145,8 +146,8 @@ func TestCompactionLayoutPin(t *testing.T) {
 			deltaRows: 0, bufferedDeletes: 0, bytes: 612,
 		},
 		false: {
-			groups:    []pinGroup{{16, 2, 140}, {16, 1, 140}, {16, 4, 148}, {5, 1, 132}},
-			deltaRows: 0, bufferedDeletes: 0, bytes: 656,
+			groups:    []pinGroup{{16, 2, 140}, {16, 1, 140}, {13, 1, 145}, {4, 0, 130}},
+			deltaRows: 0, bufferedDeletes: 0, bytes: 643,
 		},
 	}
 	for _, primary := range []bool{true, false} {

@@ -107,7 +107,7 @@ type Index struct {
 	nTotal int64 // compressed rows incl. deleted
 
 	// delGen invalidates outstanding delta snapshots: bumped whenever a
-	// delta row is removed (DeleteAt, InstallMove). Appends
+	// delta row is removed (DeleteAt, InstallMove, InstallFold). Appends
 	// never bump it — they land at higher seqs than any snapshot, so the
 	// mover cannot be livelocked by sustained inserts.
 	delGen uint64
@@ -356,17 +356,18 @@ func (x *Index) BufferDelete(tr *vclock.Tracker, key value.Row) {
 }
 
 // TupleMove runs the maintenance the paper describes, synchronously:
-// compress the whole delta store into rowgroups, then fold the delete
-// buffer into delete bitmaps. These are the background mover's own
-// steps (mover.go) run back to back under the caller's lock, so none
-// can abort. It is charged to tr (nil = free, modelling background work
-// outside the measured query).
+// fold the delete buffer into delete bitmaps and the delta store, then
+// compress the whole delta store into rowgroups. These are the
+// background mover's own steps (mover.go), in its policy's order, run
+// back to back under the caller's lock, so none can abort. It is
+// charged to tr (nil = free, modelling background work outside the
+// measured query).
 func (x *Index) TupleMove(tr *vclock.Tracker) {
-	if snap := x.SnapshotDelta(int(x.delta.Count()), tr); snap != nil {
-		x.InstallMove(snap, x.EncodeRows(snap.Rows, tr), tr)
-	}
 	if p := x.PlanFold(tr); p != nil {
 		x.InstallFold(p, tr)
+	}
+	if snap := x.SnapshotDelta(int(x.delta.Count()), tr); snap != nil {
+		x.InstallMove(snap, x.EncodeRows(snap.Rows, tr), tr)
 	}
 }
 

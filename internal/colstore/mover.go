@@ -36,7 +36,7 @@ var (
 	mMoves = metrics.NewCounter("hybriddb_tuplemover_moves_total",
 		"delta-to-rowgroup move installs, background or synchronous")
 	mFolds = metrics.NewCounter("hybriddb_tuplemover_folds_total",
-		"delete-buffer folds installed into delete bitmaps, background or synchronous")
+		"delete-buffer folds installed into delete bitmaps and the delta store, background or synchronous")
 	mRebuilds = metrics.NewCounter("hybriddb_tuplemover_rebuilds_total",
 		"rowgroups rebuilt to shed delete-bitmap dead rows")
 	mMoverAborts = metrics.NewCounter("hybriddb_tuplemover_aborts_total",
@@ -171,31 +171,31 @@ func (d *deleteSet) cancel(key value.Row) bool {
 	return true
 }
 
-// FoldPlan matches buffered logical deletes against compressed rows.
-// Keys that found no compressed target (their rows still live in the
-// delta store) stay in rest and stay buffered.
+// FoldPlan matches every buffered logical delete against a physical
+// row: compressed rows to mark in delete bitmaps, delta rows to remove.
 type FoldPlan struct {
-	gen    uint64
-	groups []*rowGroup // groups visible at plan time, for identity checks
-	ndel   []int       // their bitmap counts at plan time
-	marks  [][]int32   // positions to mark, per group
-	rest   *deleteSet  // what the compressed rows did not consume
-	// Consumed is the number of buffered entries the plan folds away.
+	gen, delGen uint64
+	groups      []*rowGroup // groups visible at plan time, for identity checks
+	ndel        []int       // their bitmap counts at plan time
+	marks       [][]int32   // positions to mark, per group
+	deltaSeqs   []int64     // delta rows to remove
+	// Consumed is the number of buffered entries that found their row.
 	Consumed int
 }
 
-// PlanFold scans the compressed rowgroups' key columns and consumes the
-// buffered-delete multiset in physical row order — exactly the order a
-// scan's anti-semi join consumes it, so folding never changes which
-// duplicate a buffered delete cancels. Requires at least a shared lock
-// (reads segments, bitmaps, and the buffer tree); the scan work is
-// charged to tr. Returns nil when the buffer is empty or nothing can be
-// folded yet.
+// PlanFold scans the compressed rowgroups' key columns, then the delta
+// store, and consumes the buffered-delete multiset in that physical row
+// order — exactly the order a scan's anti-semi join consumes it, so
+// folding never changes which duplicate a buffered delete cancels.
+// Requires at least a shared lock (reads segments, bitmaps, the delta
+// store and the buffer tree); the scan work is charged to tr. Returns
+// nil when the buffer is empty.
 func (x *Index) PlanFold(tr *vclock.Tracker) *FoldPlan {
-	if x.nBuf == 0 || len(x.groups) == 0 {
+	if x.nBuf == 0 {
 		return nil
 	}
-	p := &FoldPlan{gen: x.bufGen, rest: x.pendingDeletes(tr)}
+	del := x.pendingDeletes(tr)
+	p := &FoldPlan{gen: x.bufGen, delGen: x.delGen}
 	p.groups = append(p.groups, x.groups...)
 	p.ndel = make([]int, len(p.groups))
 	p.marks = make([][]int32, len(p.groups))
@@ -223,15 +223,23 @@ func (x *Index) PlanFold(tr *vclock.Tracker) *FoldPlan {
 				for ki, v := range vs {
 					key[ki] = v.Value(i - from)
 				}
-				if p.rest.cancel(key) {
+				if del.cancel(key) {
 					p.marks[gi] = append(p.marks[gi], int32(i))
 					p.Consumed++
 				}
 			}
 		}
 	}
-	if p.Consumed == 0 {
-		return nil
+	for it := x.delta.First(tr); it.Valid() && p.Consumed < x.nBuf; it.Next() {
+		scanned++
+		row := it.Row()
+		for ki, ko := range x.cfg.KeyOrdinals {
+			key[ki] = row[ko]
+		}
+		if del.cancel(key) {
+			p.deltaSeqs = append(p.deltaSeqs, it.Key()[0].Int())
+			p.Consumed++
+		}
 	}
 	if tr != nil {
 		tr.ChargeParallelCPU(vclock.CPU(scanned, tr.Model.RowCPU/4), 1.0)
@@ -240,17 +248,16 @@ func (x *Index) PlanFold(tr *vclock.Tracker) *FoldPlan {
 }
 
 // InstallFold applies a fold plan: marks the matched positions in the
-// delete bitmaps and rebuilds the buffer with only the unconsumed keys
-// (delta-resident targets stay buffered until their rows are moved).
-// Requires the exclusive lock. Returns false when the buffer or the
-// matched groups changed since the plan was taken.
+// delete bitmaps, removes the matched delta rows and empties the delete
+// buffer. Requires the exclusive lock. Returns false when the buffer,
+// the delta store or the rowgroups changed since the plan was taken.
 func (x *Index) InstallFold(p *FoldPlan, tr *vclock.Tracker) bool {
-	if p == nil || p.gen != x.bufGen {
+	if p == nil || p.gen != x.bufGen || p.delGen != x.delGen || len(p.groups) != len(x.groups) {
 		mMoverAborts.Inc()
 		return false
 	}
 	for gi, g := range p.groups {
-		if gi >= len(x.groups) || x.groups[gi] != g || g.ndel != p.ndel[gi] {
+		if x.groups[gi] != g || g.ndel != p.ndel[gi] {
 			mMoverAborts.Inc()
 			return false
 		}
@@ -261,23 +268,18 @@ func (x *Index) InstallFold(p *FoldPlan, tr *vclock.Tracker) bool {
 			g.markDeleted(int(i))
 		}
 	}
-	// The generation stamp says the buffer is the one the plan read, so
-	// replaying it against what is left of the multiset keeps exactly the
-	// entries the plan could not place, in tree order.
-	old := x.delBuf
-	x.delBuf = btree.New(x.store)
-	if p.Consumed < x.nBuf {
-		for it := old.First(tr); it.Valid(); it.Next() {
-			if p.rest.cancel(it.Key()) {
-				x.delBuf.Insert(tr, it.Key(), nil)
-			}
-		}
+	for _, s := range p.deltaSeqs {
+		x.delta.Delete(tr, value.Row{value.NewInt(s)}, nil)
 	}
-	old.Free()
+	mDeltaRows.Add(-int64(len(p.deltaSeqs)))
+	x.delGen++
+	x.delBuf.Free()
+	x.delBuf = btree.New(x.store)
 	// Live count is unchanged: BufferDelete already subtracted the
-	// logically deleted rows; the bitmaps now carry them instead.
-	mBufferedDeletes.Add(-int64(p.Consumed))
-	x.nBuf -= p.Consumed
+	// logically deleted rows; the bitmaps and the delta store now carry
+	// them instead.
+	mBufferedDeletes.Add(-int64(x.nBuf))
+	x.nBuf = 0
 	x.bufGen++
 	mFolds.Inc()
 	mCompactions.Inc()
@@ -509,19 +511,18 @@ const (
 // this index. Fold the delete buffer first (any pending buffered delete
 // forces the whole scan off the kernels — the measured cliff), then move
 // the delta once it holds minMove rows, then rebuild the first rowgroup
-// (its number is the second result) at RebuildThreshold. A step can come
-// up empty — a fold whose every target is still delta-resident — so the
-// caller passes the step it just tried as after and gets the next in
-// line; after a fold that is a move of whatever the delta holds, so the
-// fold can land on a later step. Requires at least a shared lock.
-func (x *Index) NextStep(minMove int64, after Step) (Step, int) {
-	if after < StepFold && x.nBuf > 0 && len(x.groups) > 0 {
+// (its number is the second result) at RebuildThreshold. A fold empties
+// the buffer, so a move never starts with a delete pending: no move
+// compresses two versions of one row, and physical order stays age
+// order. Requires at least a shared lock.
+func (x *Index) NextStep(minMove int64) (Step, int) {
+	if x.nBuf > 0 {
 		return StepFold, 0
 	}
-	if dr := x.delta.Count(); after < StepMove && dr > 0 && (dr >= minMove || after == StepFold) {
+	if dr := x.delta.Count(); dr > 0 && dr >= minMove {
 		return StepMove, 0
 	}
-	for gi := 0; after < StepRebuild && gi < len(x.groups); gi++ {
+	for gi := range x.groups {
 		if x.GroupDeadFraction(gi) >= RebuildThreshold {
 			return StepRebuild, gi
 		}

@@ -68,32 +68,27 @@ func checkOracle(t *testing.T, x *Index, model map[string]int, when string) {
 }
 
 // moverStep runs one engine mover cycle against a single index: the
-// production policy (NextStep, with no minimum move size) picks the
+// production policy (NextStep, with no minimum move size) names the
 // step, the test plans, encodes and installs it with nothing in
 // between. Returns false when no work remains.
 func moverStep(x *Index, chunk int) bool {
-	for step, gi := x.NextStep(1, StepNone); step != StepNone; step, gi = x.NextStep(1, step) {
-		ok := true
-		switch step {
-		case StepFold:
-			p := x.PlanFold(nil)
-			if p == nil {
-				continue // every target is delta-resident
-			}
-			ok = x.InstallFold(p, nil)
-		case StepMove:
-			snap := x.SnapshotDelta(chunk, nil)
-			ok = x.InstallMove(snap, x.EncodeRows(snap.Rows, nil), nil)
-		case StepRebuild:
-			p := x.PlanRebuild(gi, nil)
-			ok = x.InstallRebuild(p, x.EncodeRows(p.Rows, nil), nil)
-		}
-		if !ok {
-			panic(fmt.Sprintf("serial install of step %d aborted", step))
-		}
-		return true
+	ok := true
+	switch step, gi := x.NextStep(1); step {
+	case StepNone:
+		return false
+	case StepFold:
+		ok = x.InstallFold(x.PlanFold(nil), nil)
+	case StepMove:
+		snap := x.SnapshotDelta(chunk, nil)
+		ok = x.InstallMove(snap, x.EncodeRows(snap.Rows, nil), nil)
+	case StepRebuild:
+		p := x.PlanRebuild(gi, nil)
+		ok = x.InstallRebuild(p, x.EncodeRows(p.Rows, nil), nil)
 	}
-	return false
+	if !ok {
+		panic("serial install of a mover step aborted")
+	}
+	return true
 }
 
 // TestMoverOracleNoDropNoDup interleaves random DML with incremental
@@ -275,6 +270,58 @@ func TestInstallFoldAbortsOnBufferChange(t *testing.T) {
 		t.Fatalf("after fold: buf=%d bitmap=%d rows=%d",
 			x.BufferedDeletes(), x.DeletedBitmapRows(), x.Rows())
 	}
+}
+
+// TestFoldReachesDelta: when every buffered delete targets a row still
+// in the delta store, one fold removes those rows and empties the
+// buffer, so the policy stops naming a fold and the move that follows
+// compresses only live versions.
+func TestFoldReachesDelta(t *testing.T) {
+	x := moverTestIndex(false, 16)
+	model := make(map[string]int)
+	var rows []value.Row
+	for i := 0; i < 16; i++ {
+		rows = append(rows, value.Row{value.NewInt(int64(i)), value.NewInt(0)})
+		model[rowKey(rows[i])]++
+	}
+	x.BulkInsert(nil, rows)
+	for _, r := range []value.Row{
+		{value.NewInt(100), value.NewInt(1)},
+		{value.NewInt(101), value.NewInt(1)},
+		{value.NewInt(102), value.NewInt(1)},
+	} {
+		x.Insert(nil, r)
+		model[rowKey(r)]++
+	}
+	// Delete 101; update 100 twice, to a smaller value the second time.
+	x.BufferDelete(nil, value.Row{value.NewInt(101)})
+	delete(model, "101|1")
+	for _, v := range []int64{9, 2} {
+		x.BufferDelete(nil, value.Row{value.NewInt(100)})
+		x.Insert(nil, value.Row{value.NewInt(100), value.NewInt(v)})
+	}
+	delete(model, "100|1")
+	model["100|2"]++
+	checkOracle(t, x, model, "before fold")
+	if step, _ := x.NextStep(1); step != StepFold {
+		t.Fatalf("NextStep = %d with %d buffered deletes, want StepFold", step, x.BufferedDeletes())
+	}
+	p := x.PlanFold(nil)
+	if p == nil || p.Consumed != 3 {
+		t.Fatalf("fold plan = %+v", p)
+	}
+	if !x.InstallFold(p, nil) {
+		t.Fatal("fold aborted")
+	}
+	if x.BufferedDeletes() != 0 || x.DeltaRows() != 2 || x.DeletedBitmapRows() != 0 {
+		t.Fatalf("after fold: buf=%d delta=%d bitmap=%d", x.BufferedDeletes(), x.DeltaRows(), x.DeletedBitmapRows())
+	}
+	checkOracle(t, x, model, "after fold")
+	if step, _ := x.NextStep(1); step != StepMove {
+		t.Fatalf("NextStep after fold = %d, want StepMove", step)
+	}
+	x.TupleMove(nil)
+	checkOracle(t, x, model, "after TupleMove")
 }
 
 // TestRebuildShedsDeadRows: a rowgroup above the dead-row threshold is

@@ -1,7 +1,7 @@
 // Online tuple mover: the background maintenance loop that keeps every
 // columnstore's compressed-kernel fast path hot under sustained writes.
 //
-// The mover closes the HTAP loop the paper leaves open (ROADMAP item 3):
+// The mover closes the HTAP loop the paper leaves open (ROADMAP item 5):
 // trickle inserts land in per-index delta B+ trees and secondary-index
 // deletes in delete buffers, and any such backlog pushes scans off the
 // encoding-aware kernels into decode-then-filter fallback. The mover
@@ -358,14 +358,16 @@ func (m *TupleMover) step(drain bool) bool {
 }
 
 // pickLocked evaluates every columnstore's compaction debt, refreshes
-// the debt gauge, and plans the next step (colstore.Index.NextStep is
-// the policy) for the highest debt-per-work index that has one. Caller
-// holds at least the shared lock. Returns nil when nothing is worth
-// doing.
+// the debt gauge, and plans the step colstore.Index.NextStep (the
+// policy) names for the highest debt-per-work index that has one.
+// Caller holds at least the shared lock. Returns nil when nothing is
+// worth doing.
 func (m *TupleMover) pickLocked(drain bool) *moverWork {
 	db := m.db
 	var (
-		best      *colstore.Index
+		w         *moverWork
+		step      colstore.Step
+		gi        int
 		bestScore float64
 		totalTax  int64
 	)
@@ -373,34 +375,25 @@ func (m *TupleMover) pickLocked(drain bool) *moverWork {
 		db.tables[name].Columnstores(func(_ string, x *colstore.Index) {
 			d := x.CompactionDebt(db.model)
 			totalTax += int64(d.ScanTax)
-			if step, _ := x.NextStep(m.minMoveRows(x, drain), colstore.StepNone); step == colstore.StepNone {
+			s, g := x.NextStep(m.minMoveRows(x, drain))
+			if s == colstore.StepNone {
 				return
 			}
-			if score := debtPerWork(d); best == nil || score > bestScore {
-				best, bestScore = x, score
+			if score := debtPerWork(d); w == nil || score > bestScore {
+				w, step, gi, bestScore = &moverWork{x: x}, s, g, score
 			}
 		})
 	}
 	mMoverDebt.Set(totalTax)
-	if best == nil {
-		return nil
+	switch step {
+	case colstore.StepFold:
+		w.fold = w.x.PlanFold(m.tr)
+	case colstore.StepMove:
+		w.snap = w.x.SnapshotDelta(w.x.RowGroupSize(), m.tr)
+	case colstore.StepRebuild:
+		w.rebuild = w.x.PlanRebuild(gi, m.tr)
 	}
-	w := &moverWork{x: best}
-	min := m.minMoveRows(best, drain)
-	for step, gi := best.NextStep(min, colstore.StepNone); step != colstore.StepNone; step, gi = best.NextStep(min, step) {
-		switch step {
-		case colstore.StepFold:
-			w.fold = best.PlanFold(m.tr)
-		case colstore.StepMove:
-			w.snap = best.SnapshotDelta(best.RowGroupSize(), m.tr)
-		case colstore.StepRebuild:
-			w.rebuild = best.PlanRebuild(gi, m.tr)
-		}
-		if w.fold != nil || w.snap != nil || w.rebuild != nil {
-			return w
-		}
-	}
-	return nil
+	return w
 }
 
 // minMoveRows resolves the per-index minimum delta move size; a drain

@@ -16,7 +16,7 @@ func TestScanPartitionsCoverIndex(t *testing.T) {
 		x.Insert(nil, value.Row{value.NewInt(int64(1000000 + i))})
 	}
 	// Bitmap-delete a slice of rows; partitioned scans must honor it.
-	sc := x.NewScanner(nil, ScanSpec{PruneCol: -1, SkipDelta: true})
+	sc := x.NewScanner(nil, ScanSpec{PruneCol: -1})
 	for sc.Next() {
 		b := sc.Batch()
 		ls := sc.Locators()

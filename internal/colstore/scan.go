@@ -33,8 +33,6 @@ type ScanSpec struct {
 	// evaluation. Either way every emitted row satisfies all of them, so
 	// the executor must not re-apply pushed predicates.
 	Preds []Pred
-	// SkipDelta omits delta-store rows (used by maintenance scans).
-	SkipDelta bool
 	// Partition, when non-nil, restricts the scan to one morsel of a
 	// parallel execution: compressed rowgroups [GroupLo, GroupHi) plus,
 	// when Delta is set, the whole delta store. Segment elimination still
@@ -282,7 +280,7 @@ func (s *Scanner) Next() bool {
 	for {
 		if s.deltaIt == nil {
 			if !s.nextCompressed() {
-				if s.spec.SkipDelta || s.x.delta.Count() == 0 ||
+				if s.x.delta.Count() == 0 ||
 					(s.spec.Partition != nil && !s.spec.Partition.Delta) {
 					return false
 				}

@@ -1,9 +1,10 @@
 // Executor golden test. The virtual-clock charges are this repo's
 // stand-in for the paper's hardware, so they are pinned by committed
 // numbers: for every query below the row count, an ordered digest of
-// the rows, every field of vclock.Metrics and the EXPLAIN ANALYZE
-// skeleton must equal testdata/spine_golden.json, at Parallelism 1 and
-// at Parallelism 8. The file was generated on the last commit that
+// the rows, every field of vclock.Metrics, the EXPLAIN ANALYZE
+// skeleton and, for a SELECT, plan.Shape of its plan (Parallel marks
+// included) must equal testdata/spine_golden.json, at Parallelism 1
+// and at Parallelism 8. The file was generated on the last commit that
 // still shipped a second, row-at-a-time executor (dfebed4), with that
 // executor asserted equal to the batch one wherever a row-wise operator
 // reads a batch operator — so there the golden is the row spine's
@@ -72,7 +73,10 @@ type spineEntry struct {
 	Rows    int64          `json:"rows"`
 	Digest  string         `json:"digest"`
 	Metrics vclock.Metrics `json:"metrics"`
-	Trace   []spineOp      `json:"trace,omitempty"`
+	// Shape is plan.Shape of a SELECT's plan, Parallel marks included,
+	// so a change to where the optimizer allows morsels shows here.
+	Shape string    `json:"shape,omitempty"`
+	Trace []spineOp `json:"trace,omitempty"`
 }
 
 type spineQuery struct {
@@ -675,6 +679,7 @@ func runSpineQuery(tb testing.TB, s spineSuite, db *DB, q spineQuery, opts ExecO
 	if ex.Metrics != res.Metrics {
 		tb.Errorf("%s: EXPLAIN ANALYZE metrics %v differ from the plain run's %v", name, ex.Metrics, res.Metrics)
 	}
+	e.Shape = plan.Shape(res.Plan)
 	e.Trace = traceSkeleton(ex.Trace, 0, nil)
 	if !hasShape(e.Trace, q.shape) {
 		tb.Errorf("%s: plan lost its shape %v:\n%s", name, q.shape, ex.Trace)

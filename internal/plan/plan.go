@@ -324,6 +324,36 @@ func Walk(n Node, fn func(Node)) {
 	}
 }
 
+// InputDrained is the plan's one early-stop rule: it reports whether
+// input i of n (n.Children()[i]) is always pulled to exhaustion, given
+// whether n's own output is (drained). A sort, a hash aggregate and a
+// hash join's build side drain their input whatever their consumer
+// does; TOP, both sides of a merge join and a nested-loop inner may be
+// left unfinished; every other input inherits its consumer's
+// guarantee. The optimizer allows morsel-driven operators only where an
+// input is drained, and the executor builds every other input under
+// its one-row rule.
+func InputDrained(n Node, i int, drained bool) bool {
+	switch v := n.(type) {
+	case *Sort:
+		return true
+	case *Top:
+		return false
+	case *Agg:
+		return v.Strategy == AggHash || drained
+	case *Join:
+		switch v.Strategy {
+		case JoinHash:
+			return i == 0 || drained
+		case JoinMerge:
+			return false
+		default: // nested loop: the inner restarts per outer row
+			return i == 0 && drained
+		}
+	}
+	return drained
+}
+
 // LeafAccess returns the access kinds of every Scan leaf (plan
 // inspection for the Figure 10 experiment).
 func LeafAccess(n Node) []AccessKind {

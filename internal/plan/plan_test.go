@@ -55,3 +55,40 @@ func TestAggFuncNames(t *testing.T) {
 		}
 	}
 }
+
+// TestInputDrained pins the early-stop rule for every node kind, input
+// and consumer guarantee: want[i] is {drained when the consumer may stop
+// early, drained when the consumer drains}.
+func TestInputDrained(t *testing.T) {
+	inherit := [2]bool{false, true}
+	always := [2]bool{true, true}
+	never := [2]bool{false, false}
+	cases := []struct {
+		n    Node
+		want [][2]bool
+	}{
+		{&Scan{}, nil},
+		{&Filter{}, [][2]bool{inherit}},
+		{&Project{}, [][2]bool{inherit}},
+		{&Root{}, [][2]bool{inherit}},
+		{&Agg{Strategy: AggStream}, [][2]bool{inherit}},
+		{&Agg{Strategy: AggHash}, [][2]bool{always}},
+		{&Sort{}, [][2]bool{always}},
+		{&Top{}, [][2]bool{never}},
+		{&Join{Strategy: JoinHash}, [][2]bool{always, inherit}},
+		{&Join{Strategy: JoinNestedLoop}, [][2]bool{inherit, never}},
+		{&Join{Strategy: JoinMerge}, [][2]bool{never, never}},
+	}
+	for _, c := range cases {
+		if got := len(c.n.Children()); got != len(c.want) {
+			t.Fatalf("%T has %d inputs, the table lists %d", c.n, got, len(c.want))
+		}
+		for i, w := range c.want {
+			for d, drained := range []bool{false, true} {
+				if got := InputDrained(c.n, i, drained); got != w[d] {
+					t.Errorf("InputDrained(%s, %d, %v) = %v, want %v", c.n.Describe(), i, drained, got, w[d])
+				}
+			}
+		}
+	}
+}

@@ -227,12 +227,8 @@ func Optimize(res Resolver, b *sql.BoundSelect, opts Options) (*plan.Root, error
 // whole plans: a morsel-driven operator must be guaranteed to run to
 // completion in a serial execution too, or the virtual clock would
 // diverge between serial and parallel runs. An operator is eligible
-// exactly when its consumer drains it fully — either because the
-// consumer is blocking (sort, hash aggregation, hash-join build) or
-// because nothing above terminates early. A bare TOP (no blocking
-// operator between it and the source) breaks the guarantee for the
-// pipeline below it; a nested-loop inner side restarts per outer row;
-// a merge join may stop at the shorter input.
+// exactly when its consumer drains it fully, which plan.InputDrained
+// decides input by input — the rule the executor's one-row rule uses.
 func markParallel(root *plan.Root) {
 	if root.DOP <= 1 {
 		return
@@ -243,55 +239,22 @@ func markParallel(root *plan.Root) {
 // markNode walks the plan with the consumer's drain guarantee: drained
 // reports whether this subtree's output is always pulled to exhaustion.
 func markNode(n plan.Node, drained bool) {
+	for i, c := range n.Children() {
+		markNode(c, plan.InputDrained(n, i, drained))
+	}
 	switch v := n.(type) {
 	case *plan.Scan:
-		if v.Access == plan.AccessCSIScan && drained {
-			v.Parallel = true
-		}
-	case *plan.Filter:
-		markNode(v.Input, drained)
-	case *plan.Project:
-		markNode(v.Input, drained)
+		v.Parallel = v.Access == plan.AccessCSIScan && drained
 	case *plan.Sort:
-		// Blocking: the sort drains its input regardless of the consumer.
-		markNode(v.Input, true)
 		// A sort fed directly by a parallel scan runs morsel-driven
 		// itself: per-morsel local sorts merged in morsel-index order.
-		if sc, ok := v.Input.(*plan.Scan); ok && sc.Parallel {
-			v.Parallel = true
-		}
-	case *plan.Top:
-		// TOP terminates its input early (any blocking operator below
-		// restores the guarantee beneath itself).
-		markNode(v.Input, false)
+		sc, ok := v.Input.(*plan.Scan)
+		v.Parallel = ok && sc.Parallel
 	case *plan.Agg:
-		if v.Strategy == plan.AggHash {
-			if v.BatchMode {
-				v.Parallel = true
-			}
-			markNode(v.Input, true)
-		} else {
-			// Stream aggregation emits per group and stops with its
-			// consumer.
-			markNode(v.Input, drained)
-		}
+		v.Parallel = v.Strategy == plan.AggHash && v.BatchMode
 	case *plan.Join:
-		switch v.Strategy {
-		case plan.JoinHash:
-			// The build side is always drained by the constructor; the
-			// probe side streams through and inherits the consumer's
-			// guarantee, as does the fused parallel probe itself.
-			v.Parallel = drained
-			markNode(v.Outer, true)
-			markNode(v.Inner, drained)
-		case plan.JoinNestedLoop:
-			// The inner side restarts per outer row: never morsel-driven.
-			markNode(v.Outer, drained)
-			markNode(v.Inner, false)
-		default: // merge join may stop at the shorter input
-			markNode(v.Outer, false)
-			markNode(v.Inner, false)
-		}
+		// The fused parallel probe streams like the probe side itself.
+		v.Parallel = v.Strategy == plan.JoinHash && drained
 	}
 }
 

@@ -719,7 +719,7 @@ func (db *Database) execInsert(s *sql.InsertStmt) (*Result, error) {
 // findMatches locates the rows a DML statement targets using the
 // cheapest access path for its WHERE clause. The scan reads the hidden
 // UID column beside the table's, one slot past them, and runs under a
-// bare TOP when the statement has one.
+// TOP when the statement has one.
 func (db *Database) findMatches(tr *vclock.Tracker, t *table.Table, conjuncts []sql.Expr, top int64, o ExecOptions) ([]table.Match, error) {
 	var in plan.Node = optimizer.ChooseDMLScan(t, conjuncts, optimizer.Options{Model: db.model, ExecOptions: o})
 	if top != sql.NoTop {

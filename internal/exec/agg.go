@@ -357,7 +357,7 @@ func buildHashAgg(ctx *Context, a *plan.Agg) (BatchCursor, error) {
 	core := newAggCore(ctx, a)
 	scan, _ := a.Input.(*plan.Scan)
 	if scan == nil || !a.BatchMode || scan.Access != plan.AccessCSIScan {
-		in, err := buildInput(ctx, a.Input, false)
+		in, err := buildInput(ctx, a, 0)
 		if err != nil {
 			return nil, err
 		}

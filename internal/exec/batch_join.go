@@ -122,7 +122,7 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 		c.probeSlots = append(c.probeSlots, jk.Right)
 		c.kinds = append(c.kinds, jk.Kind)
 	}
-	build, err := buildInput(ctx, j.Outer, false)
+	build, err := buildInput(ctx, j, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 		}
 	}
 	if fusedScan == nil {
-		if c.probe, err = BuildBatch(ctx, j.Inner); err != nil {
+		if c.probe, err = buildInput(ctx, j, 1); err != nil {
 			return nil, err
 		}
 		c.st = &probeState{}

@@ -207,10 +207,10 @@ func (p *batchProject) NextBatch() (*SlotBatch, bool) {
 	return &p.out, true
 }
 
-// batchTop limits output to N rows at batch granularity. It only runs
-// above a blocking operator (bare TOP is row-wise, see topCursor),
-// so trimming the final batch never leaves charged-but-unconsumed work
-// behind: the input was fully drained either way.
+// batchTop is TOP: it limits output to N rows. Its input is built under
+// the one-row rule (plan.InputDrained), so it pulls one row per batch
+// and nothing past the N-th row is charged. Trimming a final batch
+// keeps it correct should a batch of several rows ever reach it.
 type batchTop struct {
 	in   BatchCursor
 	n    int64

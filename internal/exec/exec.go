@@ -3,7 +3,7 @@
 // units (typed vectors plus a selection vector, or runs of materialized
 // rows) through the tree. Operators whose algorithm is inherently
 // row-wise — B+ tree seeks, heap scans, merge and nested-loop joins,
-// stream aggregation, bare TOP — keep a row-at-a-time step, read their
+// stream aggregation — keep a row-at-a-time step, read their
 // inputs through a rowReader and are put on the spine by a lift (see
 // batch.go), so each operator has exactly one implementation. The
 // paper's row-mode/batch-mode CPU asymmetry lives in the vclock charges
@@ -43,8 +43,9 @@ type Context struct {
 	// overhead to the hot path.
 	Trace *metrics.TraceNode
 	// oneRow is set while building a subtree whose consumer may stop
-	// early — the subtrees optimizer.markNode walks with drained=false
-	// below a bare TOP or a merge join. Per-row charges (filter, probe,
+	// early: buildInput sets it where plan.InputDrained reports an
+	// input may be left unfinished, the subtrees optimizer.markNode
+	// walks with drained=false. Per-row charges (filter, probe,
 	// project, seek) are issued as batches are processed, so an operator
 	// built under oneRow hands its consumer one live row per batch and
 	// the charges stop exactly where a row-at-a-time pipeline would. It

@@ -24,7 +24,7 @@ func buildJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 		if err := checkRowScan(inner); err != nil {
 			return nil, err
 		}
-		outer, err := BuildBatch(ctx, j.Outer)
+		outer, err := buildInput(ctx, j, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -41,11 +41,11 @@ func buildJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 		return newLift(ctx, c.next), nil
 	case plan.JoinMerge:
 		// Either side may be left unexhausted when the other runs out.
-		outer, err := buildInput(ctx, j.Outer, true)
+		outer, err := buildInput(ctx, j, 0)
 		if err != nil {
 			return nil, err
 		}
-		inner, err := buildInput(ctx, j.Inner, true)
+		inner, err := buildInput(ctx, j, 1)
 		if err != nil {
 			return nil, err
 		}

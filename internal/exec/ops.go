@@ -9,26 +9,6 @@ import (
 	"hybriddb/internal/vclock"
 )
 
-// topCursor is bare TOP: it limits output to N rows, pulling its input
-// one row at a time so that nothing past the N-th row is charged.
-type topCursor struct {
-	in   *rowReader
-	n    int64
-	seen int64
-}
-
-func (c *topCursor) next() (value.Row, bool) {
-	if c.seen >= c.n {
-		return nil, false
-	}
-	row, ok := c.in.next()
-	if !ok {
-		return nil, false
-	}
-	c.seen++
-	return row, true
-}
-
 // sortRunData is one (possibly spilled) sort run.
 type sortRunData struct {
 	rows  []value.Row

@@ -103,6 +103,12 @@ func TestQuickGolden(t *testing.T) {
 //     rows by one scan, never by one scan per row);
 //   - fig6: design A is best with no scans and C worst; B beats
 //     A at every mix from their crossover on, and at the last mix.
+//   - fig4: the columnstore groups faster than the B+ tree at every
+//     group count but the largest, where it spills and the B+ tree
+//     wins;
+//   - ablation-batchmode: row mode costs at least 5x the CPU of batch
+//     mode;
+//   - fig10: at least 90 % of Cust2's plan leaves are columnstores.
 func checkClaims(t *testing.T, tables map[string]*Table) {
 	t.Helper()
 	table := func(id string) *Table {
@@ -189,6 +195,21 @@ func checkClaims(t *testing.T, tables map[string]*Table) {
 			t.Errorf("claims: fig6 at %s: B %v does not beat A %v", mix, b, a)
 		}
 		crossed = crossed || b < a
+	}
+	groups := rows("fig4")
+	for i, g := range groups {
+		bt, csi := cell("fig4", g, "B+ tree"), cell("fig4", g, "CSI")
+		if last := i == len(groups)-1; last && (bt >= csi || cell("fig4", g, "CSI spilled(MB)") == 0) {
+			t.Errorf("claims: fig4 at %s groups: B+ tree %v does not beat the spilling CSI %v", g, bt, csi)
+		} else if !last && csi >= bt {
+			t.Errorf("claims: fig4 at %s groups: CSI %v is not faster than B+ tree %v", g, csi, bt)
+		}
+	}
+	if row, batch := cell("ablation-batchmode", "row mode", "cpu"), cell("ablation-batchmode", "batch mode", "cpu"); row < 5*batch {
+		t.Errorf("claims: ablation-batchmode: row-mode CPU %v is under 5x batch-mode CPU %v", row, batch)
+	}
+	if share := cell("fig10", "Cust2", "CSI leaves%"); share < 90 {
+		t.Errorf("claims: fig10 Cust2 CSI leaf share %v%% is under 90%%", share)
 	}
 	unlimited := cell("ablation-budget", "unlimited", "bytes (MB)")
 	for _, budget := range rows("ablation-budget")[1:] {

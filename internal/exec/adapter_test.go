@@ -149,3 +149,26 @@ func (c *countingCursor) NextBatch() (*SlotBatch, bool) {
 	}
 	return sb, ok
 }
+
+// TestBatchTopTrims feeds batchTop batches of several rows, which the
+// one-row rule never hands it: it must stop after exactly N rows
+// whether the final batch is columnar with a selection, fully live
+// columnar, or row-layout.
+func TestBatchTopTrims(t *testing.T) {
+	for _, n := range []int64{0, 2, 5, 8, 10, 12} {
+		in, total := adapterInput()
+		top := &batchTop{in: in, n: n}
+		var got []value.Row
+		for sb, ok := top.NextBatch(); ok; sb, ok = top.NextBatch() {
+			got = sb.appendRows(got, 2)
+		}
+		if want := min(n, int64(total)); int64(len(got)) != want {
+			t.Fatalf("TOP %d: %d rows, want %d", n, len(got), want)
+		}
+		for i, r := range got {
+			if r[0].Int() != int64(i) {
+				t.Fatalf("TOP %d: row %d = %v", n, i, r)
+			}
+		}
+	}
+}

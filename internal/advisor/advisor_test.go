@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -538,5 +539,45 @@ func TestTuneBesideStatements(t *testing.T) {
 	res, err := db.Exec("SELECT count(*) FROM f WHERE id >= 100000")
 	if err != nil || res.Rows[0][0].Int() != inserted.Load() {
 		t.Errorf("inserts landed: %v %v, want %d", res, err, inserted.Load())
+	}
+}
+
+// TestClusteredColumnstoreDMLWhatIfMatchesExecution sets the what-if
+// cost of a DELETE or UPDATE on a clustered columnstore (Tune's
+// BaselineCost for a one-statement workload) beside the virtual time
+// the statement takes when it runs, and pins their ratio. Each case
+// runs on a fresh copy of the table, which Tune only reads.
+func TestClusteredColumnstoreDMLWhatIfMatchesExecution(t *testing.T) {
+	cases := []struct {
+		sql   string
+		ratio float64 // what-if cost / executed ExecTime, to three decimals
+	}{
+		{"UPDATE f SET val = val + 1 WHERE dim = 9", 0.458},
+		{"UPDATE TOP (10) f SET val = val + 1 WHERE grp = 3", 4.336},
+		{"DELETE FROM f WHERE dim = 11", 0.555},
+		{"DELETE TOP (10) FROM f WHERE grp = 4", 5.674},
+	}
+	for _, c := range cases {
+		db := analyticsDB(t)
+		if _, err := db.Exec("CREATE CLUSTERED COLUMNSTORE INDEX cci ON f"); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Tune(db, Workload{{SQL: c.sql}}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Exec(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RowsAffected == 0 {
+			t.Fatalf("%s: affected no rows", c.sql)
+		}
+		ratio := math.Round(float64(rec.BaselineCost)/float64(res.Metrics.ExecTime)*1000) / 1000
+		t.Logf("%s: what-if %v, executed %v (%d rows), ratio %.3f", c.sql, rec.BaselineCost, res.Metrics.ExecTime, res.RowsAffected, ratio)
+		if ratio != c.ratio {
+			t.Errorf("%s: what-if %v against executed %v is a ratio of %.3f, want %.3f",
+				c.sql, rec.BaselineCost, res.Metrics.ExecTime, ratio, c.ratio)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package colstore
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"hybriddb/internal/btree"
@@ -246,12 +247,53 @@ func (x *Index) sortForCompression(chunk []value.Row) ([]value.Row, []int) {
 	ncols := x.cfg.Schema.Len()
 	distinct := make([]int, ncols)
 	ord := make([]int, ncols)
+	var d distinctCounter
 	for c := range ord {
-		distinct[c] = value.SortRows(chunk, []int{c}).Distinct
+		distinct[c] = d.count(chunk, c, x.cfg.Schema.Columns[c].Kind)
 		ord[c] = c
 	}
 	slices.SortStableFunc(ord, func(a, b int) int { return cmp.Compare(distinct[a], distinct[b]) })
 	return sortRows(chunk, ord), ord
+}
+
+// distinctCounter counts a column's distinct values as value.EncodeKey
+// tells them apart (NULL is one value, −0.0 is +0.0) by sorting the
+// column's scalars, not the chunk's rows. Its buffers are reused from
+// column to column.
+type distinctCounter struct {
+	nums []uint64 // BIGINT, DATE and BOOL payloads, DOUBLE bits
+	strs []string
+}
+
+func (d *distinctCounter) count(chunk []value.Row, c int, kind value.Kind) int {
+	d.nums, d.strs = d.nums[:0], d.strs[:0]
+	if kind == value.KindString {
+		d.strs = slices.Grow(d.strs, len(chunk))
+	} else {
+		d.nums = slices.Grow(d.nums, len(chunk))
+	}
+	null := 0
+	for _, r := range chunk {
+		switch v := r[c]; v.Kind() {
+		case value.KindNull:
+			null = 1
+		case value.KindString:
+			d.strs = append(d.strs, v.Str())
+		case value.KindFloat:
+			d.nums = append(d.nums, math.Float64bits(v.Float()+0)) // −0.0 + 0 is +0.0
+		case value.KindBool:
+			var b uint64
+			if v.Bool() {
+				b = 1
+			}
+			d.nums = append(d.nums, b)
+		default:
+			d.nums = append(d.nums, uint64(v.Int()))
+		}
+	}
+	slices.Sort(d.nums)
+	slices.Sort(d.strs)
+	return null + len(slices.Compact(d.nums)) + len(slices.Compact(d.strs))
 }
 
 // sortRows returns a copy of rows, stably sorted by CompareRows on cols.

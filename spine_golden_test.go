@@ -20,7 +20,9 @@
 // whose UPDATE and DELETE read their target rows through a scan cursor
 // of their own instead of exec.Execute. The cciseek suite was added on
 // the last commit that planned an uncovered B+ tree secondary seek on a
-// clustered-columnstore table, fetching each row by a columnstore scan.
+// clustered-columnstore table, fetching each row by a columnstore scan,
+// and the wide suite on the last commit whose lifts, Project, aggregate
+// and sort handed rows up in a row layout beside the column vectors.
 // Regenerate only with
 //
 //	go test -run TestSpineGolden -update .
@@ -357,6 +359,29 @@ func spineCCISeekDB(tb testing.TB) *DB {
 	return db
 }
 
+// spineWideDB holds the same 20 000 two-column rows twice: wc a
+// clustered columnstore, wb a B+ tree clustered on g. Aggregates and
+// projections over them produce rows wider than the FROM row, and v
+// holds NULLs and many ties.
+func spineWideDB(tb testing.TB) *DB {
+	db := Open(WithRowGroupSize(1024))
+	mustExecAll(tb, db, "CREATE TABLE wc (g BIGINT, v BIGINT)", "CREATE TABLE wb (g BIGINT, v BIGINT)")
+	rows := make([]value.Row, 20_000)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i*7919) % 500), value.NewInt(int64(i % 97))}
+		if i%31 == 0 {
+			rows[i][1] = value.Null
+		}
+	}
+	db.Internal().Table("wc").BulkLoad(nil, rows)
+	db.Internal().Table("wb").BulkLoad(nil, rows)
+	mustExecAll(tb, db,
+		"CREATE CLUSTERED COLUMNSTORE INDEX cci_wc ON wc",
+		"CREATE CLUSTERED INDEX cix_wb ON wb (g)",
+	)
+	return db
+}
+
 // dmlAccess describes the scan a DML statement locates its rows with:
 // the access path, whether a secondary seek covers the row, and whether
 // any conjunct is pushed into the columnstore kernels.
@@ -578,6 +603,21 @@ func spineSuites() []spineSuite {
 			shape: []string{"HashJoin", "ClusteredScan(ob)", "ColumnstoreScan(cs)"}},
 	}
 
+	// Outputs wider than the two-slot FROM row: seven aggregate columns
+	// on the hash and the stream aggregate, a six-expression Project, and
+	// a sort whose grant spills it into at least three runs.
+	wideAgg := `SELECT g, count(*), sum(v), avg(v), min(v), max(v), count(DISTINCT v) FROM %s GROUP BY g`
+	wide := []spineQuery{
+		{name: "hashagg_wider_than_row", sql: fmt.Sprintf(wideAgg, "wc"),
+			shape: []string{"Project", "HashAggregate", "ColumnstoreScan(wc)"}},
+		{name: "streamagg_wider_than_row", sql: fmt.Sprintf(wideAgg, "wb"),
+			shape: []string{"Project", "StreamAggregate", "ClusteredScan(wb)"}},
+		{name: "project_wider_than_row", sql: `SELECT g, v, g + 1, v * 2, g * v, v - g FROM wb WHERE g < 40`,
+			shape: []string{"Project", "ClusteredSeek(wb)"}},
+		{name: "sort_spill_runs", sql: `SELECT g, v FROM wb ORDER BY v`,
+			shape: []string{"Project", "Sort", "ClusteredScan(wb)"}, grant: 64 << 10},
+	}
+
 	return []spineSuite{
 		{name: "ch", build: spineCHDB, queries: ch},
 		{name: "micro_btree", build: spineMicroDB("CREATE CLUSTERED INDEX cix ON t (col1)"), queries: micro},
@@ -591,6 +631,7 @@ func spineSuites() []spineSuite {
 		{name: "aggkeys", build: spineAggKeysDB, queries: aggKeys},
 		{name: "dml", build: spineDMLDB, queries: dml},
 		{name: "cciseek", build: spineCCISeekDB, queries: cciSeek},
+		{name: "wide", build: spineWideDB, queries: wide},
 	}
 }
 

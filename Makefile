@@ -58,15 +58,17 @@ benchmark-module:
 	$(GO) -C benchmark test .
 
 # bench-smoke runs every DOP sweep, both bulk-load benchmarks
-# (columnstore build, B+ tree bulk load), the wire result read and the
-# DML on a clustered columnstore once (about 9 s). It checks no
+# (columnstore build, B+ tree bulk load), the two query benchmarks (an
+# aggregate over a clustered B+ tree seek, which reads the seek through
+# a lift, and a GROUP BY over a columnstore), the wire result read and
+# the DML on a clustered columnstore once (about 10 s). It checks no
 # threshold: it is there so that a query a sweep runs which the engine
-# now rejects, a broken result path over the wire, a DML statement on a
-# clustered columnstore that changes the wrong number of rows, or a
-# benchmark that no longer compiles or runs, fails CI, not the next
-# `make bench`.
+# now rejects, a broken lift or aggregate output, a broken result path
+# over the wire, a DML statement on a clustered columnstore that changes
+# the wrong number of rows, or a benchmark that no longer compiles or
+# runs, fails CI, not the next `make bench`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Scaling|ColumnstoreBuild|BTreeBulkLoad|WireResult|CCIDML' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Scaling|ColumnstoreBuild|BTreeBulkLoad|Query|WireResult|CCIDML' -benchtime 1x .
 
 # ci is the tier-1 gate referenced from ROADMAP.md. It runs every step
 # in order, whether or not an earlier one failed, so one failure hides

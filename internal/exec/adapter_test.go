@@ -9,10 +9,11 @@ import (
 	"hybriddb/internal/vec"
 )
 
-// adapterInput is a two-slot batch stream mixing the layouts a rowReader
-// or a oneRowCursor can meet: a columnar batch with a selection (live rows 1, 3, 4 of
-// five), a fully live columnar batch, and a row-layout run. Slot 0
-// counts 0..9 over the live rows; slot 1 is the row's parity.
+// adapterInput is a two-slot batch stream mixing the batches a
+// rowReader or a oneRowCursor can meet: a batch with a selection (live
+// rows 1, 3, 4 of five), a fully live batch, and a lift's packed batch
+// of three rows. Slot 0 counts 0..9 over the live rows; slot 1 is the
+// row's parity.
 func adapterInput() (*gatherBatchCursor, int) {
 	kinds := []value.Kind{value.KindInt, value.KindInt}
 	row := func(a int64) value.Row { return value.Row{value.NewInt(a), value.NewInt(a % 2)} }
@@ -26,10 +27,13 @@ func adapterInput() (*gatherBatchCursor, int) {
 		full.AppendRow(row(a))
 	}
 	slots := []int{0, 1}
+	lifted := &lift{step: rowsStep([]value.Row{row(7), row(8), row(9)}), limit: 3,
+		out: layout{slots: slots, kinds: kinds, width: 2}.batch()}
+	packed, _ := lifted.NextBatch()
 	return &gatherBatchCursor{batches: []*SlotBatch{
-		{B: sel, Slots: slots},
-		{B: full, Slots: slots},
-		{Rows: []value.Row{row(7), row(8), row(9)}},
+		{B: sel, Slots: slots, Width: 2},
+		{B: full, Slots: slots, Width: 2},
+		packed,
 	}}, 10
 }
 
@@ -39,7 +43,7 @@ func adapterInput() (*gatherBatchCursor, int) {
 // batches.
 func TestRowReader(t *testing.T) {
 	in, n := adapterInput()
-	rd := &rowReader{in: in, width: 2}
+	rd := &rowReader{in: in}
 	var got []value.Row
 	for {
 		r, ok := rd.next()
@@ -71,7 +75,7 @@ func TestLift(t *testing.T) {
 		}
 		return value.Row{value.NewInt(int64(calls))}, true
 	}
-	l := &lift{step: step, limit: 3}
+	l := &lift{step: step, limit: 3, out: layout{slots: []int{0}, kinds: []value.Kind{value.KindInt}, width: 1}.batch()}
 	var sizes []int
 	var got []value.Row
 	for {
@@ -80,7 +84,7 @@ func TestLift(t *testing.T) {
 			break
 		}
 		sizes = append(sizes, sb.Len())
-		got = sb.appendRows(got, 1)
+		got = sb.appendRows(got)
 	}
 	if _, ok := l.NextBatch(); ok || ended != 1 {
 		t.Fatalf("step called %d times after the end", ended)
@@ -113,7 +117,7 @@ func TestOneRowCursorUnderFilter(t *testing.T) {
 		if !ok {
 			break
 		}
-		for _, r := range sb.materializeRows(2) {
+		for _, r := range sb.appendRows(nil) {
 			got = append(got, r[0].Int())
 		}
 	}
@@ -152,15 +156,15 @@ func (c *countingCursor) NextBatch() (*SlotBatch, bool) {
 
 // TestBatchTopTrims feeds batchTop batches of several rows, which the
 // one-row rule never hands it: it must stop after exactly N rows
-// whether the final batch is columnar with a selection, fully live
-// columnar, or row-layout.
+// whether the final batch has a selection, is fully live, or is a
+// lift's packed batch.
 func TestBatchTopTrims(t *testing.T) {
 	for _, n := range []int64{0, 2, 5, 8, 10, 12} {
 		in, total := adapterInput()
 		top := &batchTop{in: in, n: n}
 		var got []value.Row
 		for sb, ok := top.NextBatch(); ok; sb, ok = top.NextBatch() {
-			got = sb.appendRows(got, 2)
+			got = sb.appendRows(got)
 		}
 		if want := min(n, int64(total)); int64(len(got)) != want {
 			t.Fatalf("TOP %d: %d rows, want %d", n, len(got), want)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
 	"hybriddb/internal/plan"
@@ -131,6 +132,18 @@ func appendFinals(out value.Row, states []aggState, specs []plan.AggSpec) value.
 	return out
 }
 
+// aggKind is the kind of an aggregate's result, as the binder types the
+// call.
+func aggKind(spec *plan.AggSpec) value.Kind {
+	switch spec.Func {
+	case plan.AggCount:
+		return value.KindInt
+	case plan.AggAvg:
+		return value.KindFloat
+	}
+	return sql.ExprKind(spec.Arg)
+}
+
 // aggPart is a set of groups: their keys in a keyTable, their states in
 // one slice indexed by group id (group g's at states[g*len(Specs):]).
 type aggPart struct {
@@ -150,7 +163,7 @@ type aggCore struct {
 	aggPart
 	bytes   int64
 	spills  []aggPart
-	rowKeys []*vec.Vec // a row-layout batch's keys (batchKeys)
+	scratch value.Row // see scratchRow
 	// noMem disables grant checks and memory accounting: morsel-partial
 	// cores use it so per-morsel duplicates of a group are never charged
 	// — the gather re-allocates each merged group once on the query
@@ -197,23 +210,22 @@ func (c *aggCore) groupBytes(keys []*vec.Vec, p int) int64 {
 // new group would exceed the grant. rowRate charges HashCPU+AggCPU per
 // row first; fill lists the slots the aggregate arguments read (nil:
 // every slot the batch carries).
-func (c *aggCore) add(sb *SlotBatch, rowRate bool, fill []int, scratch value.Row) {
+func (c *aggCore) add(sb *SlotBatch, rowRate bool, fill []int) error {
 	m, ns := c.ctx.Tr.Model, len(c.a.Specs)
-	sb, keys := batchKeys(sb, c.a.GroupSlots, c.a.GroupKinds, &c.rowKeys, c.ctx.TotalSlots)
+	keys, err := batchKeys(sb, c.a.GroupSlots)
+	if err != nil {
+		return err
+	}
 	if fill == nil {
 		fill = sb.Slots
 	}
 	if rowRate {
 		c.ctx.Tr.ChargeParallelRows(int64(sb.Len()), vclock.CPU(1, m.HashCPU+m.AggCPU), 1.0)
 	}
+	scratch := scratchRow(&c.scratch, sb.Width)
 	for i := 0; i < sb.Len(); i++ {
-		p, row := i, value.Row(nil)
-		if sb.Rows != nil {
-			row = sb.Rows[i]
-		} else {
-			p = sb.B.LiveIndex(i)
-			row = fillRow(sb.B, p, fill, scratch)
-		}
+		p := sb.B.LiveIndex(i)
+		row := fillRow(sb.B, p, fill, scratch)
 		g, h := c.tab.find(keys, p)
 		if g < 0 {
 			if !c.noMem {
@@ -228,6 +240,7 @@ func (c *aggCore) add(sb *SlotBatch, rowRate bool, fill []int, scratch value.Row
 		}
 		foldRow(c.states[int(g)*ns:], c.a, c.args, row)
 	}
+	return nil
 }
 
 // newGroup adds position p of keys as a group with empty states, which
@@ -272,9 +285,9 @@ func (c *aggCore) spill() {
 	c.bytes = 0
 }
 
-// finish merges spilled partials and returns the output rows in the
-// agg layout (group values, then aggregate results).
-func (c *aggCore) finish() []value.Row {
+// finish merges spilled partials and writes the groups into out, a
+// batch of the agg layout (group values, then aggregate results).
+func (c *aggCore) finish(out *vec.Batch) {
 	if len(c.spills) > 0 {
 		c.spill() // flush the tail partial
 		for _, part := range c.spills {
@@ -290,34 +303,42 @@ func (c *aggCore) finish() []value.Row {
 	ns, nk := len(c.a.Specs), len(c.a.GroupSlots)
 	// A scalar aggregate (no GROUP BY) over empty input still produces
 	// one row: COUNT(*) = 0, other aggregates NULL.
-	if c.tab.n == 0 && nk == 0 {
-		return []value.Row{appendFinals(nil, make([]aggState, ns), c.a.Specs)}
+	states, n := c.states, c.tab.n
+	if n == 0 && nk == 0 {
+		states, n = make([]aggState, ns), 1
 	}
-	w := nk + ns
-	backing := make([]value.Value, c.tab.n*w)
-	out := make([]value.Row, c.tab.n)
-	for g := range out {
-		row := backing[g*w : g*w : (g+1)*w]
+	// Emit the groups in group key order so a GROUP BY without ORDER BY
+	// returns the same rows in the same order every run and at every DOP
+	// (the crosscheck tests compare serial and parallel output row for
+	// row). Key tuples are unique, so this is a total order.
+	order := make([]int, n)
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortFunc(order, func(a, b int) int {
 		for _, v := range c.tab.keys {
-			row = append(row, v.Value(g))
-		}
-		out[g] = appendFinals(row, c.states[g*ns:], c.a.Specs)
-	}
-	// Sort by the group key tuple so a GROUP BY without ORDER BY returns
-	// the same rows in the same order every run and at every DOP (the
-	// crosscheck tests compare serial and parallel output row for row).
-	// Key tuples are unique, so this is a total order.
-	sort.Slice(out, func(i, j int) bool {
-		for k := 0; k < nk; k++ {
-			if cmp := value.Compare(out[i][k], out[j][k]); cmp != 0 {
-				return cmp < 0
+			if cmp := value.Compare(v.Value(a), v.Value(b)); cmp != 0 {
+				return cmp
 			}
 		}
-		return false
+		return 0
 	})
+	for k, v := range c.tab.keys {
+		out.Cols[k].Reserve(len(order))
+		for _, g := range order {
+			out.Cols[k].AppendFrom(v, g)
+		}
+	}
+	for i := range c.a.Specs {
+		col := out.Cols[nk+i]
+		col.Reserve(len(order))
+		for _, g := range order {
+			col.Append(states[g*ns+i].final(&c.a.Specs[i]))
+		}
+	}
+	out.SetLen(len(order))
 	c.ctx.Tr.Free(c.bytes)
 	c.bytes = 0
-	return out
 }
 
 // aggSlots narrows the source's slot mapping to the aggregate-argument
@@ -361,16 +382,19 @@ func buildHashAgg(ctx *Context, a *plan.Agg) (BatchCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		scratch := make(value.Row, ctx.TotalSlots)
 		for sb, ok := in.NextBatch(); ok; sb, ok = in.NextBatch() {
-			core.add(sb, true, nil, scratch)
+			if err := core.add(sb, true, nil); err != nil {
+				return nil, err
+			}
 		}
 	} else if _, morsels, ok := morselizableScan(ctx, a.Parallel && scan.Parallel, scan); ok {
 		parts := make([]aggPart, len(morsels))
 		err := runMorsels(ctx, scan, morsels, true, func(mi int, wctx *Context, src *csiBatchSource) error {
 			mc := newAggCore(wctx, a)
 			mc.noMem = true
-			mc.addScan(src)
+			if err := mc.addScan(src); err != nil {
+				return err
+			}
 			parts[mi] = mc.aggPart
 			return nil
 		})
@@ -401,25 +425,31 @@ func buildHashAgg(ctx *Context, a *plan.Agg) (BatchCursor, error) {
 			src.tn.Loops = 1
 			src.timed = true
 		}
-		core.addScan(src)
+		if err := core.addScan(src); err != nil {
+			return nil, err
+		}
 	}
-	return &rowsBatchCursor{rows: core.finish()}, nil
+	out := layoutOf(ctx, a).batch()
+	core.finish(out.B)
+	return &windowCursor{out: out}, nil
 }
 
 // addScan folds a columnstore batch source into the hash table at
 // batch-mode rates, materializing only the slots the aggregate
 // arguments read.
-func (c *aggCore) addScan(src *csiBatchSource) {
+func (c *aggCore) addScan(src *csiBatchSource) error {
 	m := c.ctx.Tr.Model
-	scratch := make(value.Row, c.ctx.TotalSlots)
 	fill := aggSlots(c.a, src)
 	for {
 		b, ok := src.next()
 		if !ok {
-			return
+			return nil
 		}
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(int64(b.Len()), (m.BatchCPU*2)+m.BatchCPU), 1.0)
-		c.add(&SlotBatch{B: b, Slots: src.slots}, false, fill, scratch)
+		sb := src.slotBatch(b)
+		if err := c.add(&sb, false, fill); err != nil {
+			return err
+		}
 	}
 }
 

@@ -1,18 +1,18 @@
 // The batch spine: the executor's one pipeline. Operators pull
-// SlotBatch units (typed column vectors plus a selection vector, or a
-// materialized row run from a row-wise operator) through BatchCursor
-// trees, so
-// the selection vectors produced by the columnstore scan kernels flow
-// end-to-end instead of being rematerialized at the first row-mode
-// parent — the MonetDB/X100-style vectorization behind the paper's
-// batch-mode CPU asymmetry.
+// SlotBatch units (typed column vectors plus a selection vector)
+// through BatchCursor trees, so the selection vectors produced by the
+// columnstore scan kernels flow end-to-end instead of being
+// rematerialized at the first row-mode parent — the
+// MonetDB/X100-style vectorization behind the paper's batch-mode CPU
+// asymmetry. Every operator hands up column vectors: a Project's
+// results, an aggregate's groups and a sort's output included.
 //
 // BatchCursor is the only operator interface, and BuildBatch the only
 // builder. A few operators are row-wise by algorithm: B+ tree seeks and
 // heap scans, merge and nested-loop joins, and stream aggregation. Each
 // keeps a row-at-a-time step, reads its input through a rowReader, and
-// is put on the spine by a lift, which hands the step's rows upward as
-// row-layout batches. Everything else — filter, project, hash join
+// is put on the spine by a lift, which packs the step's rows into
+// column vectors. Everything else — filter, project, hash join
 // build/probe, sort, hash aggregation, TOP — is vectorized. Neither the
 // lift nor the reader charges the virtual clock (the columnstore scan's
 // batch-to-row boundary cost is charged at the scan leaf).
@@ -27,12 +27,12 @@
 // hash-join build) drains its input regardless and lifts the rule
 // beneath it.
 //
-// Ownership: columnar batches are borrowed — valid only until the
-// producer's next NextBatch call (producers reuse vectors and
-// selection buffers; see vec.SelPool). Blocking consumers copy out.
-// The rows of a row-layout batch are freshly materialized and owned by
-// the consumer; the slice holding them, like a columnar batch, only
-// until the next call. The bufalias analyzer enforces that reused
+// Ownership: every batch is borrowed — valid only until the producer's
+// next NextBatch call (producers reuse vectors and selection buffers;
+// see vec.SelPool), and a producer that reuses its output batch resets
+// its selection on every call, because consumers narrow a batch by
+// overwriting Sel. Blocking consumers copy out; Execute materializes
+// each result row once. The bufalias analyzer enforces that reused
 // batch buffers do not escape their owner except through NextBatch
 // itself.
 package exec
@@ -42,45 +42,46 @@ import (
 
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
+	"hybriddb/internal/sql"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vec"
 )
 
 // BatchCursor produces SlotBatches. A returned batch is valid until
-// the next NextBatch call on the same cursor; the rows of a row-layout
-// batch are the caller's to keep.
+// the next NextBatch call on the same cursor.
 type BatchCursor interface {
 	NextBatch() (*SlotBatch, bool)
 }
 
-// SlotBatch is the unit of batch-mode data flow: either a columnar
-// vec.Batch whose vectors are mapped to composite-row slots, or a run
-// of materialized rows (row-wise operators, aggregate/project/sort
-// output). Exactly one layout is active: Rows != nil selects the row
-// layout.
+// SlotBatch is the unit of batch-mode data flow: a vec.Batch whose
+// vectors are mapped to the slots of the rows it stands for. Width is
+// that row width: the composite row (Context.TotalSlots) below a
+// Project, the Project's expressions or the aggregate's groups and
+// results above it. A slot no vector carries reads NULL.
 type SlotBatch struct {
 	B     *vec.Batch
-	Slots []int // per vector: composite slot, or -1 (hidden uid)
-	Rows  []value.Row
+	Slots []int // per vector: its slot, or -1 (a hidden uid not asked for)
+	Width int
 }
 
 // Len returns the number of live rows.
-func (sb *SlotBatch) Len() int {
-	if sb.Rows != nil {
-		return len(sb.Rows)
-	}
-	return sb.B.Len()
+func (sb *SlotBatch) Len() int { return sb.B.Len() }
+
+// evalRow returns scratch, a row of sb.Width, with live ordinal i's
+// carried slots filled, for expression evaluation. Slots no vector
+// carries must already be NULL in scratch (they stay untouched).
+func (sb *SlotBatch) evalRow(i int, scratch value.Row) value.Row {
+	return fillRow(sb.B, sb.B.LiveIndex(i), sb.Slots, scratch)
 }
 
-// evalRow returns a composite row for expression evaluation over live
-// ordinal i: the stored row directly in row layout, otherwise scratch
-// with the batch's populated slots filled. Slots no vector populates
-// must already be NULL in scratch (they stay untouched).
-func (sb *SlotBatch) evalRow(i int, scratch value.Row) value.Row {
-	if sb.Rows != nil {
-		return sb.Rows[i]
+// scratchRow returns *row, made anew when its width is not width: the
+// row an operator fills a batch's rows into for compiled expressions,
+// sized from the batch it reads.
+func scratchRow(row *value.Row, width int) value.Row {
+	if len(*row) != width {
+		*row = make(value.Row, width)
 	}
-	return fillRow(sb.B, sb.B.LiveIndex(i), sb.Slots, scratch)
+	return *row
 }
 
 // fillRow writes position p of b's vectors into scratch at the composite
@@ -95,12 +96,9 @@ func fillRow(b *vec.Batch, p int, slots []int, scratch value.Row) value.Row {
 }
 
 // rowWidth returns the in-memory width charged for live ordinal i
-// materialized as a composite row: populated slots at
-// their value widths plus one NULL-marker byte per empty slot.
-func (sb *SlotBatch) rowWidth(i, totalSlots int) int {
-	if sb.Rows != nil {
-		return sb.Rows[i].Width()
-	}
+// materialized as a row: populated slots at their value widths plus one
+// NULL-marker byte per empty slot.
+func (sb *SlotBatch) rowWidth(i int) int {
 	p := sb.B.LiveIndex(i)
 	w, populated := 0, 0
 	for vi, slot := range sb.Slots {
@@ -110,31 +108,19 @@ func (sb *SlotBatch) rowWidth(i, totalSlots int) int {
 		populated++
 		w += sb.B.Cols[vi].ValueWidth(p)
 	}
-	return w + (totalSlots - populated)
+	return w + (sb.Width - populated)
 }
 
-// materializeRows converts the batch's live rows to composite rows.
-// Row-layout batches return their rows as-is.
-func (sb *SlotBatch) materializeRows(totalSlots int) []value.Row {
-	if sb.Rows != nil {
-		return sb.Rows
-	}
-	return sb.appendRows(make([]value.Row, 0, sb.B.Len()), totalSlots)
-}
-
-// appendRows appends the batch's live rows to dst as composite rows,
-// carving a columnar batch's rows from one backing array (the
-// allocation discipline of colstore.ScanRows). Consumers may retain
-// the rows; only dst's row headers are the caller's to reuse.
-func (sb *SlotBatch) appendRows(dst []value.Row, totalSlots int) []value.Row {
-	if sb.Rows != nil {
-		return append(dst, sb.Rows...)
-	}
-	n := sb.B.Len()
-	backing := make([]value.Value, n*totalSlots)
+// appendRows appends the batch's live rows to dst as rows of sb.Width,
+// carved from one backing array (the allocation discipline of
+// colstore.ScanRows). Consumers may retain the rows; only dst's row
+// headers are the caller's to reuse.
+func (sb *SlotBatch) appendRows(dst []value.Row) []value.Row {
+	n, w := sb.B.Len(), sb.Width
+	backing := make([]value.Value, n*w)
 	for i := 0; i < n; i++ {
 		p := sb.B.LiveIndex(i)
-		row := backing[i*totalSlots : (i+1)*totalSlots : (i+1)*totalSlots]
+		row := backing[i*w : (i+1)*w : (i+1)*w]
 		for vi, slot := range sb.Slots {
 			if slot >= 0 {
 				row[slot] = sb.B.Cols[vi].Value(p)
@@ -199,7 +185,7 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newLift(ctx, step), nil
+		return newLift(ctx, step, layoutOf(ctx, node)), nil
 	case *plan.Filter:
 		in, err := buildInput(ctx, node, 0)
 		if err != nil {
@@ -217,8 +203,8 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 			if err != nil {
 				return nil, err
 			}
-			c := &streamAggCursor{ctx: ctx, a: node, args: aggArgs(node), in: newRowReader(ctx, in)}
-			return newLift(ctx, c.next), nil
+			c := &streamAggCursor{ctx: ctx, a: node, args: aggArgs(node), in: &rowReader{in: in}}
+			return newLift(ctx, c.next, layoutOf(ctx, node)), nil
 		}
 		return buildHashAgg(ctx, node)
 	case *plan.Project:
@@ -226,13 +212,13 @@ func buildBatchNode(ctx *Context, n plan.Node) (BatchCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newBatchProject(ctx, in, node.Exprs), nil
+		return newBatchProject(ctx, in, node), nil
 	case *plan.Sort:
 		in, err := buildInput(ctx, node, 0)
 		if err != nil {
 			return nil, err
 		}
-		return newBatchSort(ctx, in, node.Keys)
+		return newBatchSort(ctx, in, node), nil
 	case *plan.Top:
 		in, err := buildInput(ctx, node, 0)
 		if err != nil {
@@ -273,63 +259,132 @@ func (c *traceBatchCursor) NextBatch() (*SlotBatch, bool) {
 	return sb, ok
 }
 
+// layout is the shape of the rows an operator packs into vectors: the
+// slot and kind of each vector, and the row width.
+type layout struct {
+	slots []int
+	kinds []value.Kind
+	width int
+}
+
+// layoutOf returns the layout of node n's output rows: a Project's
+// expressions, an aggregate's group columns then results, and otherwise
+// the composite row, every column of the scans beneath n (a requested
+// UID included) at its slot.
+func layoutOf(ctx *Context, n plan.Node) layout {
+	var l layout
+	switch n := n.(type) {
+	case *plan.Project:
+		for _, e := range n.Exprs {
+			l.kinds = append(l.kinds, sql.ExprKind(e))
+		}
+	case *plan.Agg:
+		l.kinds = append(l.kinds, n.GroupKinds...)
+		for i := range n.Specs {
+			l.kinds = append(l.kinds, aggKind(&n.Specs[i]))
+		}
+	case *plan.Filter, *plan.Sort, *plan.Top:
+		return layoutOf(ctx, n.Children()[0])
+	default:
+		plan.Walk(n, func(m plan.Node) {
+			if s, ok := m.(*plan.Scan); ok {
+				for ord, col := range s.Table.Schema.Columns {
+					l.slots = append(l.slots, s.SlotBase+ord)
+					l.kinds = append(l.kinds, col.Kind)
+				}
+				if uid := uidSlot(s); uid >= 0 {
+					l.slots = append(l.slots, uid)
+					l.kinds = append(l.kinds, value.KindInt)
+				}
+			}
+		})
+		l.width = ctx.TotalSlots
+		return l
+	}
+	l.width = len(l.kinds)
+	for i := range l.kinds {
+		l.slots = append(l.slots, i)
+	}
+	return l
+}
+
+// batch returns an empty batch of the layout, its vectors unsized.
+func (l layout) batch() SlotBatch {
+	b := &vec.Batch{Cols: make([]*vec.Vec, len(l.kinds))}
+	for i, k := range l.kinds {
+		b.Cols[i] = &vec.Vec{Kind: k}
+	}
+	return SlotBatch{B: b, Slots: l.slots, Width: l.width}
+}
+
 // lift puts a row-wise operator on the spine: it calls the operator's
 // row step until it holds limit rows (vec.BatchSize, or one under the
-// one-row rule) and hands them over as one row-layout batch. The step
-// materializes each row itself, so lifting is free of virtual-clock
-// charges. done latches end of stream: a step is never called again
-// after it reports exhaustion (a bounded seek would read and charge one
-// more row past its range).
+// one-row rule) and packs them into its output batch, whose vectors it
+// reuses. The step materializes each row itself, so lifting is free of
+// virtual-clock charges. done latches end of stream: a step is never
+// called again after it reports exhaustion (a bounded seek would read
+// and charge one more row past its range).
 type lift struct {
 	step  rowStep
 	limit int
-	rows  []value.Row // the batch's row headers, reused batch to batch
 	out   SlotBatch
 	done  bool
 }
 
-func newLift(ctx *Context, step rowStep) *lift {
-	l := &lift{step: step, limit: vec.BatchSize}
+// newLift lifts step, whose rows have layout l.
+func newLift(ctx *Context, step rowStep, l layout) *lift {
+	lf := &lift{step: step, limit: vec.BatchSize, out: l.batch()}
 	if ctx.oneRow {
-		l.limit = 1
+		lf.limit = 1
 	}
-	return l
+	return lf
 }
 
 func (l *lift) NextBatch() (*SlotBatch, bool) {
 	if l.done {
 		return nil, false
 	}
-	l.rows = l.rows[:0]
-	for len(l.rows) < l.limit {
+	b := l.out.B
+	b.Reset()
+	n := 0
+	for ; n < l.limit; n++ {
 		r, ok := l.step()
 		if !ok {
 			l.done = true
 			break
 		}
-		l.rows = append(l.rows, r)
+		for vi, slot := range l.out.Slots {
+			b.Cols[vi].Append(r[slot])
+		}
 	}
-	if len(l.rows) == 0 {
+	if n == 0 {
 		return nil, false
 	}
-	l.out = SlotBatch{Rows: l.rows}
+	b.SetLen(n)
 	return &l.out, true
 }
 
-// rowReader is how a row-wise operator reads its input: one row at a
-// time, pulling the next batch only when the last is used up. A
-// columnar batch's rows are carved from one backing array per batch
-// (appendRows) and only the row headers are reused, so callers may
-// retain what next returns. It is charge-free like the lift.
-type rowReader struct {
-	in    BatchCursor
-	width int // composite row width
-	rows  []value.Row
-	pos   int
+// rowsStep steps through materialized rows (a sort's output).
+func rowsStep(rows []value.Row) rowStep {
+	return func() (value.Row, bool) {
+		if len(rows) == 0 {
+			return nil, false
+		}
+		r := rows[0]
+		rows = rows[1:]
+		return r, true
+	}
 }
 
-func newRowReader(ctx *Context, in BatchCursor) *rowReader {
-	return &rowReader{in: in, width: ctx.TotalSlots}
+// rowReader is how a row-wise operator reads its input: one row at a
+// time, pulling the next batch only when the last is used up. A batch's
+// rows are carved from one backing array per batch (appendRows) and
+// only the row headers are reused, so callers may retain what next
+// returns. It is charge-free like the lift.
+type rowReader struct {
+	in   BatchCursor
+	rows []value.Row
+	pos  int
 }
 
 func (r *rowReader) next() (value.Row, bool) {
@@ -338,7 +393,7 @@ func (r *rowReader) next() (value.Row, bool) {
 		if !ok {
 			return nil, false
 		}
-		r.rows, r.pos = sb.appendRows(r.rows[:0], r.width), 0
+		r.rows, r.pos = sb.appendRows(r.rows[:0]), 0
 	}
 	row := r.rows[r.pos]
 	r.pos++
@@ -353,58 +408,50 @@ func (r *rowReader) next() (value.Row, bool) {
 // private header that shares only the vectors with the input batch.
 type oneRowCursor struct {
 	in   BatchCursor
-	cur  *SlotBatch // input batch being handed out, borrowed
-	live []int      // its live positions when columnar
-	n    int
+	live []int // the input batch's live positions
 	pos  int
 	view vec.Batch
 	out  SlotBatch
 }
 
 func (c *oneRowCursor) NextBatch() (*SlotBatch, bool) {
-	for c.pos >= c.n {
+	for c.pos >= len(c.live) {
 		sb, ok := c.in.NextBatch()
 		if !ok {
 			return nil, false
 		}
-		c.cur, c.n, c.pos = sb, sb.Len(), 0
-		if sb.Rows == nil {
-			c.live = c.live[:0]
-			for i := 0; i < c.n; i++ {
-				c.live = append(c.live, sb.B.LiveIndex(i))
-			}
-			c.view = *sb.B
+		c.live, c.pos = c.live[:0], 0
+		for i := 0; i < sb.Len(); i++ {
+			c.live = append(c.live, sb.B.LiveIndex(i))
 		}
+		c.view = *sb.B
+		c.out = SlotBatch{B: &c.view, Slots: sb.Slots, Width: sb.Width}
 	}
 	i := c.pos
 	c.pos++
-	if c.cur.Rows != nil {
-		c.out = SlotBatch{Rows: c.cur.Rows[i : i+1 : i+1]}
-	} else {
-		c.view.Sel = c.live[i : i+1 : i+1]
-		c.out = SlotBatch{B: &c.view, Slots: c.cur.Slots}
-	}
+	c.view.Sel = c.live[i : i+1 : i+1]
 	return &c.out, true
 }
 
-// rowsBatchCursor emits a materialized row run in batch-sized chunks
-// (aggregate and sort output).
-type rowsBatchCursor struct {
-	rows []value.Row
-	pos  int
-	out  SlotBatch
+// windowCursor emits a materialized batch (an aggregate's groups) in
+// windows of vec.BatchSize rows, each a selection over it.
+type windowCursor struct {
+	out SlotBatch
+	sel []int
+	pos int
 }
 
-func (c *rowsBatchCursor) NextBatch() (*SlotBatch, bool) {
-	if c.pos >= len(c.rows) {
+func (c *windowCursor) NextBatch() (*SlotBatch, bool) {
+	n := c.out.B.Cap()
+	if c.pos >= n {
 		return nil, false
 	}
-	end := c.pos + vec.BatchSize
-	if end > len(c.rows) {
-		end = len(c.rows)
+	end := min(c.pos+vec.BatchSize, n)
+	c.sel = c.sel[:0]
+	for p := c.pos; p < end; p++ {
+		c.sel = append(c.sel, p)
 	}
-	c.out = SlotBatch{Rows: c.rows[c.pos:end]}
-	c.pos = end
+	c.out.B.Sel, c.pos = c.sel, end
 	return &c.out, true
 }
 
@@ -442,7 +489,7 @@ func (c *batchScanCursor) NextBatch() (*SlotBatch, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.out = SlotBatch{B: b, Slots: c.src.slots}
+	c.out = c.src.slotBatch(b)
 	return &c.out, true
 }
 
@@ -509,6 +556,7 @@ func drainScanBatches(src *csiBatchSource) []*SlotBatch {
 			}
 		}
 		ob.SetLen(n)
-		out = append(out, &SlotBatch{B: ob, Slots: src.slots})
+		sb := src.slotBatch(ob)
+		out = append(out, &sb)
 	}
 }

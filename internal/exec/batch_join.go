@@ -12,9 +12,8 @@ import (
 
 // batchHashJoin is the hash join: build on the outer side, probe with
 // the inner, on every pair of plan.Join.Keys. The build side is drained
-// into a columnar store (typed vectors, one growable column per build
-// slot; row-layout build batches are copied in, see storeBatch) under
-// one flat chained hash table: buckets picked by a fixed-seed 64-bit
+// into a columnar store (typed vectors, one growable column per slot
+// the build batches carry) under one flat chained hash table: buckets picked by a fixed-seed 64-bit
 // hash of the key columns (keyHash), and head/next chains linked after
 // the drain, so one key's candidates are visited in build-input order.
 // A candidate matches when every key column, compared typed and in
@@ -22,8 +21,9 @@ import (
 // the hash aggregate groups on.
 // Parallel-marked builds shard the store by the same hash into
 // per-worker partitions built concurrently (see buildPartitionedBatch).
-// Probe batches stream through, emitting columnar output batches when
-// the probe side is columnar and composite rows otherwise.
+// Probe batches stream through, each emitting one output batch: the
+// matched build rows' store columns beside the probe's own. The two
+// sides are scans of different tables, so their slots are disjoint.
 //
 // The charge schedule (pinned by the root package's spine golden): the
 // probe subtree is constructed before the build drain (grant-aware
@@ -41,7 +41,6 @@ type batchHashJoin struct {
 	// miss.
 	parts      []*joinPart
 	storeSlots []int
-	conv       *vec.Batch // row-layout build batches copied into store layout
 
 	// The key slots of each side (Left, Right) and the pairs' kinds.
 	buildSlots, probeSlots []int
@@ -92,14 +91,9 @@ func (pt *joinPart) fill(sb *SlotBatch, keys []*vec.Vec, src []int, pi, nParts i
 // probeState is the per-prober scratch: serial probing has one, each
 // fused morsel worker gets its own.
 type probeState struct {
-	// rowKeys holds a row-layout probe batch's keys, one vector per pair
-	// in the pair's kind, so both layouts hash and compare alike.
-	rowKeys []*vec.Vec
-
-	// Columnar-output plumbing, resolved against the first columnar
-	// probe batch (slot mappings are stable across a producer's batches).
-	colInit  bool
-	colOut   bool
+	// Output plumbing, resolved against the first probe batch (slot
+	// mappings are stable across a producer's batches).
+	init     bool
 	probeSrc []int // probe vector index per probe-side output column
 	outSlots []int
 	kinds    []value.Kind
@@ -151,13 +145,13 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 		if !ok {
 			break
 		}
+		keys, err := batchKeys(sb, c.buildSlots)
+		if err != nil {
+			return nil, err
+		}
 		if c.parts == nil {
 			src = c.initStore(sb)
 		}
-		if c.conv != nil {
-			sb = c.storeBatch(sb)
-		}
-		keys := ownKeys(sb, c.buildSlots) // a store-layout batch carries every key
 		if len(c.parts) > 1 {
 			if err := c.buildPartitionedBatch(sb, keys, src); err != nil {
 				return nil, err
@@ -179,36 +173,16 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 	return c, nil
 }
 
-// initStore lays the build store out from the first build batch and
-// returns the batch vector feeding each store column. A columnar batch
-// that carries every build key keeps its own vectors. Otherwise the
-// store holds every slot the build subtree's scans fill, in their
-// columns' kinds, and each batch is copied into that layout first.
+// initStore lays the build store out from the first build batch, one
+// column per slot it carries, and returns the batch vector feeding each
+// store column.
 func (c *batchHashJoin) initStore(sb *SlotBatch) (src []int) {
 	var kinds []value.Kind
-	if ownKeys(sb, c.buildSlots) != nil {
-		for vi, slot := range sb.Slots {
-			if slot >= 0 {
-				kinds = append(kinds, sb.B.Cols[vi].Kind)
-				c.storeSlots = append(c.storeSlots, slot)
-				src = append(src, vi)
-			}
-		}
-	} else {
-		plan.Walk(c.j.Outer, func(n plan.Node) {
-			if s, ok := n.(*plan.Scan); ok {
-				for ord, col := range s.Table.Schema.Columns {
-					src = append(src, len(src))
-					kinds = append(kinds, col.Kind)
-					c.storeSlots = append(c.storeSlots, s.SlotBase+ord)
-				}
-			}
-		})
-		// Unsized vectors: they grow to the largest batch, so a small
-		// build stays small.
-		c.conv = &vec.Batch{}
-		for _, k := range kinds {
-			c.conv.Cols = append(c.conv.Cols, &vec.Vec{Kind: k})
+	for vi, slot := range sb.Slots {
+		if slot >= 0 {
+			kinds = append(kinds, sb.B.Cols[vi].Kind)
+			c.storeSlots = append(c.storeSlots, slot)
+			src = append(src, vi)
 		}
 	}
 	nParts := 1
@@ -237,21 +211,6 @@ func (c *batchHashJoin) initStore(sb *SlotBatch) (src []int) {
 	return src
 }
 
-// storeBatch copies a build batch's rows into the store's slot layout
-// (c.conv, reused batch to batch). The copy carries every non-NULL
-// value the rows do, so the width charged per row is unchanged.
-func (c *batchHashJoin) storeBatch(sb *SlotBatch) *SlotBatch {
-	c.conv.Reset()
-	rows := sb.materializeRows(c.ctx.TotalSlots)
-	for _, row := range rows {
-		for si, slot := range c.storeSlots {
-			c.conv.Cols[si].Append(row[slot])
-		}
-	}
-	c.conv.SetLen(len(rows))
-	return &SlotBatch{B: c.conv, Slots: c.storeSlots}
-}
-
 // chargeBuild issues one build batch's charges: for the rows whose
 // first key is non-NULL, one Alloc of their composite-row widths + 32
 // each (the build only allocates, so MemPeak is what per-row Allocs
@@ -261,7 +220,7 @@ func (c *batchHashJoin) chargeBuild(sb *SlotBatch, key0 *vec.Vec) {
 	for i := 0; i < sb.Len(); i++ {
 		if !key0.IsNull(sb.B.LiveIndex(i)) {
 			rows++
-			w += int64(sb.rowWidth(i, c.ctx.TotalSlots) + 32)
+			w += int64(sb.rowWidth(i) + 32)
 		}
 	}
 	c.ctx.Tr.Alloc(w)
@@ -317,45 +276,32 @@ func (c *batchHashJoin) release() {
 // output batch of joined rows, or nil when no probe row survived.
 func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeState) *SlotBatch {
 	m := tr.Model
-	if sb.Rows == nil && c.parts != nil && !st.colInit {
-		st.colInit = true
-		st.colOut = true
+	if c.parts != nil && !st.init {
+		st.init = true
 		for _, v := range c.parts[0].store {
 			st.kinds = append(st.kinds, v.Kind)
 		}
 		st.outSlots = append(st.outSlots, c.storeSlots...)
 		for vi, slot := range sb.Slots {
-			if slot < 0 {
-				continue
+			if slot >= 0 {
+				st.probeSrc = append(st.probeSrc, vi)
+				st.kinds = append(st.kinds, sb.B.Cols[vi].Kind)
+				st.outSlots = append(st.outSlots, slot)
 			}
-			if slotVec(c.storeSlots, slot) >= 0 {
-				st.colOut = false
-				break
-			}
-			st.probeSrc = append(st.probeSrc, vi)
-			st.kinds = append(st.kinds, sb.B.Cols[vi].Kind)
-			st.outSlots = append(st.outSlots, slot)
 		}
 	}
-	if sb.Rows == nil && c.parts != nil && !st.colOut {
-		// A probe slot shadows a build slot (overlap): only the row path
-		// reproduces the overlay semantics exactly.
-		sb = &SlotBatch{Rows: sb.materializeRows(c.ctx.TotalSlots)}
-	}
-	// A batch that lacks a key column is probed as composite rows too.
-	sb, keys := batchKeys(sb, c.probeSlots, c.kinds, &st.rowKeys, c.ctx.TotalSlots)
-	colOut := sb.Rows == nil
-
-	st.mParts, st.mRows, st.mProbe = st.mParts[:0], st.mRows[:0], st.mProbe[:0]
-	var rows []value.Row
 	n := sb.Len()
 	tr.ChargeParallelRows(int64(n), vclock.CPU(1, m.HashCPU), 1.0)
+	// A key slot the batch does not carry reads NULL, which matches
+	// nothing.
+	keys, err := batchKeys(sb, c.probeSlots)
+	if c.parts == nil || err != nil {
+		return nil
+	}
+	st.mParts, st.mRows, st.mProbe = st.mParts[:0], st.mRows[:0], st.mProbe[:0]
 	for i := 0; i < n; i++ {
-		p := i
-		if sb.Rows == nil {
-			p = sb.B.LiveIndex(i)
-		}
-		if c.parts == nil || anyNull(keys, p) {
+		p := sb.B.LiveIndex(i)
+		if anyNull(keys, p) {
 			continue
 		}
 		h := keyHash(keys, c.kinds, p)
@@ -368,35 +314,16 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 			if !keysEqual(pt.keys, int(idx), keys, p, pt.kinds) {
 				continue
 			}
-			if colOut {
-				if len(c.parts) > 1 {
-					st.mParts = append(st.mParts, int32(pi))
-				}
-				st.mRows, st.mProbe = append(st.mRows, idx), append(st.mProbe, int32(p))
-				continue
+			if len(c.parts) > 1 {
+				st.mParts = append(st.mParts, int32(pi))
 			}
-			out := make(value.Row, c.ctx.TotalSlots)
-			for si, slot := range c.storeSlots {
-				out[slot] = pt.store[si].Value(int(idx))
-			}
-			for s2, v := range sb.Rows[i] {
-				if !v.IsNull() {
-					out[s2] = v
-				}
-			}
-			rows = append(rows, out)
+			st.mRows, st.mProbe = append(st.mRows, idx), append(st.mProbe, int32(p))
 		}
 	}
-	if colOut {
-		if len(st.mRows) == 0 {
-			return nil
-		}
-		return &SlotBatch{B: c.gather(sb.B, st), Slots: st.outSlots}
-	}
-	if len(rows) == 0 {
+	if len(st.mRows) == 0 {
 		return nil
 	}
-	return &SlotBatch{Rows: rows}
+	return &SlotBatch{B: c.gather(sb.B, st), Slots: st.outSlots, Width: c.ctx.TotalSlots}
 }
 
 // gather builds the columnar output batch of the recorded matches
@@ -450,7 +377,7 @@ func (c *batchHashJoin) fusedProbe(scan *plan.Scan, morsels []colstore.ScanParti
 			if !ok {
 				return nil
 			}
-			sb := SlotBatch{B: b, Slots: src.slots}
+			sb := src.slotBatch(b)
 			if out := c.probeOne(wctx.Tr, &sb, st); out != nil {
 				outs[mi] = append(outs[mi], out)
 			}

@@ -12,10 +12,9 @@ import (
 	"hybriddb/internal/vec"
 )
 
-// batchFilter evaluates residual conjuncts vectorized: columnar inputs
-// have their selection vector narrowed in place (zero copies), row
-// inputs are filtered into a fresh row run. Every input row is charged
-// RowCPU/2.
+// batchFilter evaluates residual conjuncts vectorized: each input
+// batch has its selection vector narrowed in place (zero copies). Every
+// input row is charged RowCPU/2.
 type batchFilter struct {
 	ctx     *Context
 	in      BatchCursor
@@ -23,11 +22,10 @@ type batchFilter struct {
 	preds   []batchPred // built against the first batch's slot mapping
 	scratch value.Row
 	selPool vec.SelPool
-	out     SlotBatch
 }
 
 func newBatchFilter(ctx *Context, in BatchCursor, conds []sql.Expr) *batchFilter {
-	return &batchFilter{ctx: ctx, in: in, conds: conds, scratch: make(value.Row, ctx.TotalSlots)}
+	return &batchFilter{ctx: ctx, in: in, conds: conds}
 }
 
 // intBacked reports whether a value kind stores its payload in Vec.I.
@@ -130,23 +128,10 @@ func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
 				f.preds = append(f.preds, newBatchPred(c, sb.Slots))
 			}
 		}
-		n := sb.Len()
-		f.ctx.Tr.ChargeParallelRows(int64(n), vclock.CPU(1, m.RowCPU/2), 1.0)
-		if sb.Rows != nil {
-			out := make([]value.Row, 0, n)
-			for i := 0; i < n; i++ {
-				if f.rowHolds(sb.Rows[i]) {
-					out = append(out, sb.Rows[i])
-				}
-			}
-			if len(out) == 0 {
-				continue
-			}
-			f.out = SlotBatch{Rows: out}
-			return &f.out, true
-		}
+		f.ctx.Tr.ChargeParallelRows(int64(sb.Len()), vclock.CPU(1, m.RowCPU/2), 1.0)
+		scratch := scratchRow(&f.scratch, sb.Width)
 		for k := range f.preds {
-			f.preds[k].narrow(sb.B, f.scratch, &f.selPool)
+			f.preds[k].narrow(sb.B, scratch, &f.selPool)
 		}
 		if sb.B.Len() == 0 {
 			continue
@@ -155,19 +140,9 @@ func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
 	}
 }
 
-// rowHolds applies the compiled conjuncts to a row-layout row.
-func (f *batchFilter) rowHolds(row value.Row) bool {
-	for k := range f.preds {
-		if !f.preds[k].pred(row) {
-			return false
-		}
-	}
-	return true
-}
-
-// batchProject computes the output expressions per batch, emitting
-// row-layout batches whose rows are carved from one backing array per
-// batch.
+// batchProject computes the output expressions per batch through a
+// scratch row and appends each result to a vector of the expression's
+// kind, reused batch to batch.
 type batchProject struct {
 	ctx     *Context
 	in      BatchCursor
@@ -176,12 +151,12 @@ type batchProject struct {
 	out     SlotBatch
 }
 
-func newBatchProject(ctx *Context, in BatchCursor, exprs []sql.Expr) *batchProject {
-	p := &batchProject{ctx: ctx, in: in, scratch: make(value.Row, ctx.TotalSlots)}
-	for _, e := range exprs {
-		p.exprs = append(p.exprs, sql.Compile(e))
+func newBatchProject(ctx *Context, in BatchCursor, p *plan.Project) *batchProject {
+	bp := &batchProject{ctx: ctx, in: in, out: layoutOf(ctx, p).batch()}
+	for _, e := range p.Exprs {
+		bp.exprs = append(bp.exprs, sql.Compile(e))
 	}
-	return p
+	return bp
 }
 
 func (p *batchProject) NextBatch() (*SlotBatch, bool) {
@@ -191,19 +166,20 @@ func (p *batchProject) NextBatch() (*SlotBatch, bool) {
 	}
 	m := p.ctx.Tr.Model
 	n := sb.Len()
-	ne := len(p.exprs)
-	backing := make([]value.Value, n*ne)
-	rows := make([]value.Row, n)
 	p.ctx.Tr.ChargeSerialCPU(time.Duration(n) * vclock.CPU(1, m.RowCPU/4))
-	for i := 0; i < n; i++ {
-		row := sb.evalRow(i, p.scratch)
-		out := backing[i*ne : (i+1)*ne : (i+1)*ne]
-		for j, e := range p.exprs {
-			out[j] = e(row)
-		}
-		rows[i] = out
+	scratch := scratchRow(&p.scratch, sb.Width)
+	out := p.out.B
+	out.Reset()
+	for _, v := range out.Cols {
+		v.Reserve(n)
 	}
-	p.out = SlotBatch{Rows: rows}
+	for i := 0; i < n; i++ {
+		row := sb.evalRow(i, scratch)
+		for j, e := range p.exprs {
+			out.Cols[j].Append(e(row))
+		}
+	}
+	out.SetLen(n)
 	return &p.out, true
 }
 
@@ -215,7 +191,6 @@ type batchTop struct {
 	in   BatchCursor
 	n    int64
 	seen int64
-	out  SlotBatch
 }
 
 func (t *batchTop) NextBatch() (*SlotBatch, bool) {
@@ -233,10 +208,6 @@ func (t *batchTop) NextBatch() (*SlotBatch, bool) {
 		return sb, true
 	}
 	t.seen = t.n
-	if sb.Rows != nil {
-		t.out = SlotBatch{Rows: sb.Rows[:rem]}
-		return &t.out, true
-	}
 	sel := make([]int, rem)
 	for i := range sel {
 		sel[i] = sb.B.LiveIndex(i)
@@ -245,19 +216,18 @@ func (t *batchTop) NextBatch() (*SlotBatch, bool) {
 	return sb, true
 }
 
-// newBatchSort drains the input into the grant-aware sorter. Columnar
-// batches are materialized to composite rows (one backing array per
-// batch) as they are added, so memory is accounted per composite row.
-func newBatchSort(ctx *Context, in BatchCursor, keys []plan.SortKey) (BatchCursor, error) {
-	s := &rowSorter{ctx: ctx, keys: keys, cmp: compileSortKeys(keys)}
-	for {
-		sb, ok := in.NextBatch()
-		if !ok {
-			break
-		}
-		for _, r := range sb.materializeRows(ctx.TotalSlots) {
+// newBatchSort drains the input into the grant-aware sorter. Batches
+// are materialized to rows (one backing array per batch) as they are
+// added, so memory is accounted per row, and the sorted rows are
+// lifted back into vectors of the input's layout.
+func newBatchSort(ctx *Context, in BatchCursor, srt *plan.Sort) BatchCursor {
+	s := &rowSorter{ctx: ctx, keys: srt.Keys, cmp: compileSortKeys(srt.Keys)}
+	var rows []value.Row
+	for sb, ok := in.NextBatch(); ok; sb, ok = in.NextBatch() {
+		rows = sb.appendRows(rows[:0])
+		for _, r := range rows {
 			s.add(r)
 		}
 	}
-	return &rowsBatchCursor{rows: s.finish()}, nil
+	return newLift(ctx, rowsStep(s.finish()), layoutOf(ctx, srt))
 }

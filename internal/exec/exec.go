@@ -1,16 +1,18 @@
 // Package exec runs physical plans on one spine: BuildBatch builds
 // every plan node into a BatchCursor, and operators pull SlotBatch
-// units (typed vectors plus a selection vector, or runs of materialized
-// rows) through the tree. Operators whose algorithm is inherently
-// row-wise — B+ tree seeks, heap scans, merge and nested-loop joins,
-// stream aggregation — keep a row-at-a-time step, read their
-// inputs through a rowReader and are put on the spine by a lift (see
-// batch.go), so each operator has exactly one implementation. The
-// paper's row-mode/batch-mode CPU asymmetry lives in the vclock charges
-// the operators issue, not in which Go loop runs;
+// units (typed vectors plus a selection vector) through the tree; every
+// operator hands up column vectors. Operators whose algorithm is
+// inherently row-wise — B+ tree seeks, heap scans, merge and
+// nested-loop joins, stream aggregation — keep a row-at-a-time step,
+// read their inputs through a rowReader and are put on the spine by a
+// lift that packs their rows into vectors (see batch.go), so each
+// operator has exactly one implementation. The paper's
+// row-mode/batch-mode CPU asymmetry lives in the vclock charges the
+// operators issue, not in which Go loop runs;
 // testdata/spine_golden.json in the root package pins them. Execute is
 // the only entry point: SELECTs and the scans DML locates its target
-// rows with (reading the table's hidden UID column) both run through it.
+// rows with (reading the table's hidden UID column) both run through
+// it, and it materializes each result row once.
 package exec
 
 import (
@@ -92,7 +94,7 @@ func Execute(tr *vclock.Tracker, root *plan.Root, totalSlots int, opts RunOption
 		if !ok {
 			break
 		}
-		res.Rows = sb.appendRows(res.Rows, totalSlots)
+		res.Rows = sb.appendRows(res.Rows)
 	}
 	res.Metrics = tr.Snapshot()
 	res.Metrics.Rows = int64(len(res.Rows))

@@ -77,7 +77,7 @@ func drain(tb testing.TB, ctx *Context, n plan.Node) []value.Row {
 		if !ok {
 			return out
 		}
-		out = sb.appendRows(out, ctx.TotalSlots)
+		out = sb.appendRows(out)
 	}
 }
 
@@ -304,6 +304,7 @@ func TestStreamAggOnSortedInput(t *testing.T) {
 		Input:      scanNode(tbl, plan.AccessClusteredScan),
 		Strategy:   plan.AggStream,
 		GroupSlots: []int{0},
+		GroupKinds: []value.Kind{value.KindInt},
 		Specs:      []plan.AggSpec{{Func: plan.AggCount}},
 	}
 	ctx := ctxFor(tbl)

@@ -28,7 +28,7 @@ func buildJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := &nljCursor{ctx: ctx, j: j, outer: newRowReader(ctx, outer), filter: compilePreds(inner.Filter), scan: *inner}
+		c := &nljCursor{ctx: ctx, j: j, outer: &rowReader{in: outer}, filter: compilePreds(inner.Filter), scan: *inner}
 		if c.scan.Access == plan.AccessClusteredScan {
 			c.scan.Access = plan.AccessClusteredSeek
 		}
@@ -38,7 +38,7 @@ func buildJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 			// the rebinds.
 			c.innerTN = ctx.Trace.Child(inner.Describe())
 		}
-		return newLift(ctx, c.next), nil
+		return newLift(ctx, c.next, layoutOf(ctx, j)), nil
 	case plan.JoinMerge:
 		// Either side may be left unexhausted when the other runs out.
 		outer, err := buildInput(ctx, j, 0)
@@ -49,8 +49,8 @@ func buildJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := &mergeJoinCursor{ctx: ctx, j: j, left: newRowReader(ctx, outer), right: newRowReader(ctx, inner)}
-		return newLift(ctx, c.next), nil
+		c := &mergeJoinCursor{ctx: ctx, j: j, left: &rowReader{in: outer}, right: &rowReader{in: inner}}
+		return newLift(ctx, c.next, layoutOf(ctx, j)), nil
 	}
 	return nil, fmt.Errorf("exec: %v join is not row-wise", j.Strategy)
 }
@@ -197,6 +197,24 @@ type nljCursor struct {
 	innerNext rowStep // the current rebind's scan step; nil between rebinds
 }
 
+// innerRow steps the current rebind. Traced, each step is accounted on
+// the shared inner node the way traceBatchCursor accounts a batch of
+// one row, so each inner row's charges land on it as the row is pulled.
+func (c *nljCursor) innerRow() (value.Row, bool) {
+	if c.innerTN == nil {
+		return c.innerNext()
+	}
+	b0, t0 := c.ctx.Tr.BytesRead, c.ctx.Tr.ExecTime()
+	row, ok := c.innerNext()
+	c.innerTN.BytesRead += c.ctx.Tr.BytesRead - b0
+	c.innerTN.Time += c.ctx.Tr.ExecTime() - t0
+	if ok {
+		c.innerTN.Rows++
+		c.innerTN.Batches++
+	}
+	return row, ok
+}
+
 func (c *nljCursor) next() (value.Row, bool) {
 	m := c.ctx.Tr.Model
 	for {
@@ -215,21 +233,20 @@ func (c *nljCursor) next() (value.Row, bool) {
 			c.scan.Hi = c.scan.Lo
 			c.innerNext = openRowScan(c.ctx, &c.scan, c.filter)
 			if c.innerTN != nil {
-				// Traced on the shared node one row per batch, so each
-				// inner row's charges land exactly as it is pulled.
 				c.innerTN.Loops++
-				traced := &traceBatchCursor{ctx: c.ctx, tn: c.innerTN, in: &lift{step: c.innerNext, limit: 1}}
-				c.innerNext = newRowReader(c.ctx, traced).next
 			}
 		}
-		inRow, ok := c.innerNext()
+		inRow, ok := c.innerRow()
 		if !ok {
 			c.innerNext = nil
 			continue
 		}
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.RowCPU/2), 0.8)
-		// The inner row is the caller's (rowStep) and its slots are
-		// disjoint from the outer's: the outer values fill its NULLs.
+		// The inner row is ours to write until the next step (rowStep),
+		// and its slots are disjoint from the outer's: the outer values
+		// fill its NULLs. The lift packs the joined row before this
+		// rebind steps again, and the next step rewrites the inner
+		// slots while the outer's still hold curOuter.
 		for i, v := range c.curOuter {
 			if inRow[i].IsNull() {
 				inRow[i] = v

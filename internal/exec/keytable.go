@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -174,44 +175,16 @@ func anyNull(keys []*vec.Vec, p int) bool {
 	return false
 }
 
-// ownKeys returns the vectors of a columnar batch that carry each of
-// slots, or nil when the batch lacks one (a row-layout batch maps no
-// slots).
-func ownKeys(sb *SlotBatch, slots []int) []*vec.Vec {
+// batchKeys returns the vectors of sb that carry each of slots, or an
+// error naming a slot it does not carry.
+func batchKeys(sb *SlotBatch, slots []int) ([]*vec.Vec, error) {
 	out := make([]*vec.Vec, len(slots))
 	for k, slot := range slots {
 		vi := slotVec(sb.Slots, slot)
 		if vi < 0 {
-			return nil
+			return nil, fmt.Errorf("exec: key slot %d is not among the batch's slots %v", slot, sb.Slots)
 		}
 		out[k] = sb.B.Cols[vi]
 	}
-	return out
-}
-
-// batchKeys returns the vectors holding sb's values of slots, and the
-// batch they index. A columnar batch carrying every slot is keyed on its
-// own vectors at its physical positions. Any other is taken as composite
-// rows (a columnar one is materialized) and keyed at row i on copies in
-// *buf, one vector per slot in kinds, reused batch to batch.
-func batchKeys(sb *SlotBatch, slots []int, kinds []value.Kind, buf *[]*vec.Vec, totalSlots int) (*SlotBatch, []*vec.Vec) {
-	if keys := ownKeys(sb, slots); keys != nil {
-		return sb, keys
-	}
-	if sb.Rows == nil {
-		sb = &SlotBatch{Rows: sb.materializeRows(totalSlots)}
-	}
-	if *buf == nil {
-		for _, k := range kinds {
-			*buf = append(*buf, vec.NewVec(k))
-		}
-	}
-	for k, slot := range slots {
-		v := (*buf)[k]
-		v.Reset()
-		for _, row := range sb.Rows {
-			v.Append(row[slot])
-		}
-	}
-	return sb, *buf
+	return out, nil
 }

@@ -104,18 +104,25 @@ func (s *rowSorter) finish() []value.Row {
 		return s.cur.rows
 	}
 	// External merge: the last partial run spills too, then all runs are
-	// read back and merged.
+	// read back and merged. Ties go to the lower run, which holds earlier
+	// input, so the merge is the stable sort of the whole input.
 	s.flushRun()
 	var total int64
-	for _, r := range s.runs {
+	runs := make([][]value.Row, len(s.runs))
+	for i, r := range s.runs {
 		s.ctx.Tr.ChargeTempRead(r.bytes)
 		total += int64(len(r.rows))
+		runs[i] = r.rows
 	}
 	merged := make([]value.Row, 0, total)
-	for _, r := range s.runs {
-		merged = append(merged, r.rows...)
+	for mt := newMergeTree(s.cmp, runs); ; {
+		row, ok := mt.pop()
+		if !ok {
+			break
+		}
+		merged = append(merged, row)
 	}
-	sortRowsCharged(s.ctx, s.cmp, len(s.keys), merged) // merge cost approximated as one more pass
+	chargeSort(s.ctx, len(s.keys), total) // merge cost approximated as one more pass
 	return merged
 }
 

@@ -11,13 +11,14 @@ import (
 	"hybriddb/internal/vclock"
 )
 
-// TestScanRowsAreFresh checks what the nested-loop join's overlay rests
-// on: every row a scan's row step returns is the caller's, sharing no
-// storage with any row it returned before. Each scan runs under a
-// filter that rejects rows between the ones it returns, so a step that
-// refills a spare row must replace it once it is handed over. The
-// columnstore scan is read the way a row-wise operator reads it, through
-// a rowReader.
+// TestScanRowsAreFresh checks what the row-wise operators that keep
+// rows (the merge join's inner run, the stream aggregate's group) rest
+// on: every row a scan hands a rowReader is the caller's, sharing no
+// storage with any row handed over before. Each scan runs under a
+// filter that rejects rows between the ones it returns, and is read the
+// way a row-wise operator reads it: built by BuildBatch (a B+ tree or
+// heap scan refills one row, which its lift packs into vectors before
+// the next step) and read through a rowReader.
 func TestScanRowsAreFresh(t *testing.T) {
 	tbl := fixtureTable(t, 3000, 50)
 	heapT := table.New(storage.NewStore(0), "h", tbl.Schema, nil)
@@ -56,21 +57,11 @@ func TestScanRowsAreFresh(t *testing.T) {
 		"heap": heapScan, "clustered": clustered, "clustered_seek": seek,
 		"secondary_covered": secondary(true), "secondary_lookup": secondary(false), "csi": csi,
 	} {
-		ctx := ctxFor(tbl)
-		var next rowStep
-		var err error
-		if s.Access == plan.AccessCSIScan {
-			var cur BatchCursor
-			cur, err = BuildBatch(ctx, s)
-			if cur != nil {
-				next = newRowReader(ctx, cur).next
-			}
-		} else {
-			next, err = buildScan(ctx, s)
-		}
+		cur, err := BuildBatch(ctxFor(tbl), s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		next := (&rowReader{in: cur}).next
 		var got []value.Row
 		for {
 			r, ok := next()

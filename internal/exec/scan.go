@@ -13,8 +13,9 @@ import (
 )
 
 // rowStep is a row-wise operator's step: the next row, or false at the
-// end. A row it returns is the caller's to keep and write into: it
-// shares no storage with any other row the step returns.
+// end. A row it returns is the caller's to write into until the next
+// call, which may reuse it: a lift packs each row into its vectors
+// before it steps again.
 type rowStep func() (value.Row, bool)
 
 // buildScan builds a B+ tree or heap scan's row step (a columnstore
@@ -54,7 +55,7 @@ func checkRowScan(s *plan.Scan) error {
 // compiled, which a nested-loop join compiles once for all its inner
 // rebinds.
 func openRowScan(ctx *Context, s *plan.Scan, filter []func(value.Row) bool) rowStep {
-	c := &rowScan{ctx: ctx, s: s, filter: filter, uidSlot: uidSlot(s)}
+	c := &rowScan{ctx: ctx, s: s, filter: filter, uidSlot: uidSlot(s), out: make(value.Row, ctx.TotalSlots)}
 	var t *btree.Tree
 	switch s.Access {
 	case plan.AccessHeapScan:
@@ -117,22 +118,12 @@ func passes(preds []func(value.Row) bool, row value.Row) bool {
 	return true
 }
 
-// spareRow returns the row a scan cursor fills for each stored row it
-// reads, allocating it when the last one was handed over: a row the
-// filter rejects is refilled (the cursor writes the same slots each
-// time), and only a row handed over costs an allocation.
-func spareRow(row *value.Row, width int) value.Row {
-	if *row == nil {
-		*row = make(value.Row, width)
-	}
-	return *row
-}
-
 // rowScan reads a heap, the clustered B+ tree or a secondary B+ tree
 // one stored row at a time (row mode): each entry read is charged
 // RowCPU at the structure's parallel efficiency, checked against the
-// seek bounds, copied into the spare row, filtered, and handed over
-// with its UID slot written.
+// seek bounds, copied into the scan's one composite row, filtered, and
+// handed over with its UID slot written. The scan writes the same
+// slots of that row for every entry.
 type rowScan struct {
 	ctx     *Context
 	s       *plan.Scan
@@ -140,7 +131,7 @@ type rowScan struct {
 	heap    *heap.Iter      // AccessHeapScan
 	it      *btree.Iterator // the B+ tree accesses
 	uidSlot int             // see uidSlot
-	spare   value.Row       // see spareRow
+	out     value.Row
 }
 
 func (c *rowScan) next() (value.Row, bool) {
@@ -171,7 +162,7 @@ func (c *rowScan) next() (value.Row, bool) {
 				continue
 			}
 		}
-		out := spareRow(&c.spare, c.ctx.TotalSlots)
+		out := c.out
 		uid, ok := c.fill(out[s.SlotBase:], key, stored)
 		if !ok || !passes(c.filter, out) {
 			continue
@@ -179,7 +170,6 @@ func (c *rowScan) next() (value.Row, bool) {
 		if c.uidSlot >= 0 {
 			out[c.uidSlot] = uid
 		}
-		c.spare = nil
 		return out, true
 	}
 }

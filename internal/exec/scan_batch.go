@@ -138,6 +138,11 @@ func (s *csiBatchSource) nextCharged() (*vec.Batch, bool) {
 	return b, ok
 }
 
+// slotBatch maps batch b of the source onto composite-row slots.
+func (s *csiBatchSource) slotBatch(b *vec.Batch) SlotBatch {
+	return SlotBatch{B: b, Slots: s.slots, Width: s.ctx.TotalSlots}
+}
+
 // observe records per-batch trace stats and keeps the node's rowgroup
 // elimination attributes in sync with the scanner.
 func (s *csiBatchSource) observe(rows int, b0 int64, t0 time.Duration) {

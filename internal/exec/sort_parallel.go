@@ -46,7 +46,7 @@ func buildMorselSort(ctx *Context, n plan.Node) (BatchCursor, bool, error) {
 		if err != nil {
 			return nil, true, err
 		}
-		return &rowsBatchCursor{rows: rows}, true, nil
+		return newLift(ctx, rowsStep(rows), layoutOf(ctx, s)), true, nil
 	}
 	tn, done := openTrace(ctx, s)
 	rows, err := morselSortRows(ctx, s, scan, morsels, top.N)
@@ -54,7 +54,7 @@ func buildMorselSort(ctx *Context, n plan.Node) (BatchCursor, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	var in BatchCursor = &rowsBatchCursor{rows: rows}
+	var in BatchCursor = newLift(ctx, rowsStep(rows), layoutOf(ctx, s))
 	if tn != nil {
 		in = &traceBatchCursor{ctx: ctx, tn: tn, in: in}
 	}
@@ -96,16 +96,16 @@ func morselSortRows(ctx *Context, s *plan.Sort, scan *plan.Scan, morsels []colst
 			if !ok {
 				break
 			}
-			sb := SlotBatch{B: b, Slots: src.slots}
+			sb := src.slotBatch(b)
 			// Workers never Alloc (fork MemPeak would double-count); byte
 			// totals are recorded per morsel and accounted at the gather,
 			// for every scanned row, kept or not.
 			for i := 0; i < b.Len(); i++ {
-				runBytes[mi] += int64(sb.rowWidth(i, wctx.TotalSlots) + 24)
+				runBytes[mi] += int64(sb.rowWidth(i) + 24)
 			}
 			n += int64(b.Len())
 			if top == nil {
-				rows = sb.appendRows(rows, wctx.TotalSlots)
+				rows = sb.appendRows(rows)
 				continue
 			}
 			for i := 0; i < b.Len(); i++ {

@@ -272,13 +272,13 @@ func TestRowWidthMatchesMaterialized(t *testing.T) {
 	}
 	for _, sel := range [][]int{nil, {0, 3, 4, 17, 40, 63}} {
 		b.Sel = sel
-		sb := &SlotBatch{B: b, Slots: slots}
-		rows := sb.appendRows(nil, totalSlots)
+		sb := &SlotBatch{B: b, Slots: slots, Width: totalSlots}
+		rows := sb.appendRows(nil)
 		if len(rows) != b.Len() {
 			t.Fatalf("appendRows gave %d rows for %d live", len(rows), b.Len())
 		}
 		for i, r := range rows {
-			if got, want := sb.rowWidth(i, totalSlots), r.Width(); got != want {
+			if got, want := sb.rowWidth(i), r.Width(); got != want {
 				t.Fatalf("sel=%v row %d (%v): rowWidth %d, Row.Width %d", sel, i, r, got, want)
 			}
 		}

@@ -39,6 +39,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
@@ -117,6 +118,7 @@ func (sb *SlotBatch) rowWidth(i int) int {
 // headers are the caller's to reuse.
 func (sb *SlotBatch) appendRows(dst []value.Row) []value.Row {
 	n, w := sb.B.Len(), sb.Width
+	dst = slices.Grow(dst, n)
 	backing := make([]value.Value, n*w)
 	for i := 0; i < n; i++ {
 		p := sb.B.LiveIndex(i)

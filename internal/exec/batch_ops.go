@@ -140,23 +140,47 @@ func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
 	}
 }
 
-// batchProject computes the output expressions per batch through a
-// scratch row and appends each result to a vector of the expression's
-// kind, reused batch to batch.
+// batchProject computes the output expressions per batch. An
+// expression that is a column the input carries, in the input vector's
+// kind, is that vector: when every expression is one, the output batch
+// is the input's vectors under its selection, with no copy. Otherwise
+// each output vector, reused batch to batch, takes the live rows: a
+// column's by a typed copy, any other expression's values evaluated
+// through a scratch row.
 type batchProject struct {
 	ctx     *Context
 	in      BatchCursor
-	exprs   []func(value.Row) value.Value
+	exprs   []sql.Expr
+	evals   []func(value.Row) value.Value
+	src     []int // per expression: the input vector it is, or -1; nil until the first batch
+	shared  bool  // every expression is an input vector
 	scratch value.Row
 	out     SlotBatch
 }
 
 func newBatchProject(ctx *Context, in BatchCursor, p *plan.Project) *batchProject {
-	bp := &batchProject{ctx: ctx, in: in, out: layoutOf(ctx, p).batch()}
+	bp := &batchProject{ctx: ctx, in: in, exprs: p.Exprs, out: layoutOf(ctx, p).batch()}
 	for _, e := range p.Exprs {
-		bp.exprs = append(bp.exprs, sql.Compile(e))
+		bp.evals = append(bp.evals, sql.Compile(e))
 	}
 	return bp
+}
+
+// resolve maps each expression that is a carried column onto its input
+// vector (slot mappings are stable across a producer's batches).
+func (p *batchProject) resolve(sb *SlotBatch) {
+	p.shared = true
+	for j, e := range p.exprs {
+		vi := -1
+		if c, ok := e.(*sql.ColRef); ok {
+			vi = slotVec(sb.Slots, c.Slot)
+		}
+		if vi >= 0 && sb.B.Cols[vi].Kind != p.out.B.Cols[j].Kind {
+			vi = -1
+		}
+		p.src = append(p.src, vi)
+		p.shared = p.shared && vi >= 0
+	}
 }
 
 func (p *batchProject) NextBatch() (*SlotBatch, bool) {
@@ -167,15 +191,37 @@ func (p *batchProject) NextBatch() (*SlotBatch, bool) {
 	m := p.ctx.Tr.Model
 	n := sb.Len()
 	p.ctx.Tr.ChargeSerialCPU(time.Duration(n) * vclock.CPU(1, m.RowCPU/4))
-	scratch := scratchRow(&p.scratch, sb.Width)
-	out := p.out.B
-	out.Reset()
-	for _, v := range out.Cols {
-		v.Reserve(n)
+	if p.src == nil {
+		p.resolve(sb)
 	}
+	out := p.out.B
+	if p.shared {
+		for j, vi := range p.src {
+			out.Cols[j] = sb.B.Cols[vi]
+		}
+		out.Sel = sb.B.Sel
+		out.SetLen(sb.B.Cap())
+		return &p.out, true
+	}
+	out.Reset()
+	for j, v := range out.Cols {
+		v.Reserve(n)
+		if vi := p.src[j]; vi >= 0 {
+			for i := 0; i < n; i++ {
+				v.AppendFrom(sb.B.Cols[vi], sb.B.LiveIndex(i))
+			}
+		}
+	}
+	scratch := scratchRow(&p.scratch, sb.Width)
 	for i := 0; i < n; i++ {
-		row := sb.evalRow(i, scratch)
-		for j, e := range p.exprs {
+		var row value.Row
+		for j, e := range p.evals {
+			if p.src[j] >= 0 {
+				continue
+			}
+			if row == nil {
+				row = sb.evalRow(i, scratch)
+			}
 			out.Cols[j].Append(e(row))
 		}
 	}

@@ -124,14 +124,6 @@ func (s *aggState) finalDistinct(spec *plan.AggSpec) value.Value {
 	return value.Null
 }
 
-// appendFinals appends each aggregate's result over states to out.
-func appendFinals(out value.Row, states []aggState, specs []plan.AggSpec) value.Row {
-	for i := range specs {
-		out = append(out, states[i].final(&specs[i]))
-	}
-	return out
-}
-
 // aggKind is the kind of an aggregate's result, as the binder types the
 // call.
 func aggKind(spec *plan.AggSpec) value.Kind {
@@ -499,7 +491,10 @@ func (c *streamAggCursor) next() (value.Row, bool) {
 }
 
 func (c *streamAggCursor) emit() value.Row {
-	out := appendFinals(append(make(value.Row, 0, len(c.keys)+len(c.a.Specs)), c.keys...), c.states, c.a.Specs)
+	out := append(make(value.Row, 0, len(c.keys)+len(c.a.Specs)), c.keys...)
+	for i := range c.a.Specs {
+		out = append(out, c.states[i].final(&c.a.Specs[i]))
+	}
 	c.keys = nil
 	return out
 }

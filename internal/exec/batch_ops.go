@@ -140,22 +140,20 @@ func (f *batchFilter) NextBatch() (*SlotBatch, bool) {
 	}
 }
 
-// batchProject computes the output expressions per batch. An
-// expression that is a column the input carries, in the input vector's
-// kind, is that vector: when every expression is one, the output batch
-// is the input's vectors under its selection, with no copy. Otherwise
-// each output vector, reused batch to batch, takes the live rows: a
-// column's by a typed copy, any other expression's values evaluated
-// through a scratch row.
+// batchProject computes the output expressions per batch. When every
+// expression is a column the input carries, in the kind the Project
+// outputs, the output batch is the input's vectors under its selection,
+// with no copy. Otherwise each expression is evaluated through a
+// scratch row into a vector of its kind, reused batch to batch.
 type batchProject struct {
-	ctx     *Context
-	in      BatchCursor
-	exprs   []sql.Expr
-	evals   []func(value.Row) value.Value
-	src     []int // per expression: the input vector it is, or -1; nil until the first batch
-	shared  bool  // every expression is an input vector
-	scratch value.Row
-	out     SlotBatch
+	ctx      *Context
+	in       BatchCursor
+	exprs    []sql.Expr
+	evals    []func(value.Row) value.Value
+	carried  []int // per expression, its input vector; see carriedVecs
+	resolved bool  // carried is set (slot mappings are stable across a producer's batches)
+	scratch  value.Row
+	out      SlotBatch
 }
 
 func newBatchProject(ctx *Context, in BatchCursor, p *plan.Project) *batchProject {
@@ -166,21 +164,20 @@ func newBatchProject(ctx *Context, in BatchCursor, p *plan.Project) *batchProjec
 	return bp
 }
 
-// resolve maps each expression that is a carried column onto its input
-// vector (slot mappings are stable across a producer's batches).
-func (p *batchProject) resolve(sb *SlotBatch) {
-	p.shared = true
+// carriedVecs returns the input vector each expression is, or nil
+// unless every expression is a carried column of the output's kind.
+func (p *batchProject) carriedVecs(sb *SlotBatch) []int {
+	vis := make([]int, len(p.exprs))
 	for j, e := range p.exprs {
-		vi := -1
-		if c, ok := e.(*sql.ColRef); ok {
-			vi = slotVec(sb.Slots, c.Slot)
+		c, ok := e.(*sql.ColRef)
+		if !ok {
+			return nil
 		}
-		if vi >= 0 && sb.B.Cols[vi].Kind != p.out.B.Cols[j].Kind {
-			vi = -1
+		if vis[j] = slotVec(sb.Slots, c.Slot); vis[j] < 0 || sb.B.Cols[vis[j]].Kind != p.out.B.Cols[j].Kind {
+			return nil
 		}
-		p.src = append(p.src, vi)
-		p.shared = p.shared && vi >= 0
 	}
+	return vis
 }
 
 func (p *batchProject) NextBatch() (*SlotBatch, bool) {
@@ -191,12 +188,12 @@ func (p *batchProject) NextBatch() (*SlotBatch, bool) {
 	m := p.ctx.Tr.Model
 	n := sb.Len()
 	p.ctx.Tr.ChargeSerialCPU(time.Duration(n) * vclock.CPU(1, m.RowCPU/4))
-	if p.src == nil {
-		p.resolve(sb)
+	if !p.resolved {
+		p.carried, p.resolved = p.carriedVecs(sb), true
 	}
 	out := p.out.B
-	if p.shared {
-		for j, vi := range p.src {
+	if p.carried != nil {
+		for j, vi := range p.carried {
 			out.Cols[j] = sb.B.Cols[vi]
 		}
 		out.Sel = sb.B.Sel
@@ -204,24 +201,13 @@ func (p *batchProject) NextBatch() (*SlotBatch, bool) {
 		return &p.out, true
 	}
 	out.Reset()
-	for j, v := range out.Cols {
+	for _, v := range out.Cols {
 		v.Reserve(n)
-		if vi := p.src[j]; vi >= 0 {
-			for i := 0; i < n; i++ {
-				v.AppendFrom(sb.B.Cols[vi], sb.B.LiveIndex(i))
-			}
-		}
 	}
 	scratch := scratchRow(&p.scratch, sb.Width)
 	for i := 0; i < n; i++ {
-		var row value.Row
+		row := sb.evalRow(i, scratch)
 		for j, e := range p.evals {
-			if p.src[j] >= 0 {
-				continue
-			}
-			if row == nil {
-				row = sb.evalRow(i, scratch)
-			}
 			out.Cols[j].Append(e(row))
 		}
 	}

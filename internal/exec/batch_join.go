@@ -276,7 +276,15 @@ func (c *batchHashJoin) release() {
 // output batch of joined rows, or nil when no probe row survived.
 func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeState) *SlotBatch {
 	m := tr.Model
-	if c.parts != nil && !st.init {
+	n := sb.Len()
+	tr.ChargeParallelRows(int64(n), vclock.CPU(1, m.HashCPU), 1.0)
+	// A key slot the batch does not carry reads NULL, which matches
+	// nothing.
+	keys, err := batchKeys(sb, c.probeSlots)
+	if c.parts == nil || err != nil {
+		return nil
+	}
+	if !st.init {
 		st.init = true
 		for _, v := range c.parts[0].store {
 			st.kinds = append(st.kinds, v.Kind)
@@ -289,14 +297,6 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 				st.outSlots = append(st.outSlots, slot)
 			}
 		}
-	}
-	n := sb.Len()
-	tr.ChargeParallelRows(int64(n), vclock.CPU(1, m.HashCPU), 1.0)
-	// A key slot the batch does not carry reads NULL, which matches
-	// nothing.
-	keys, err := batchKeys(sb, c.probeSlots)
-	if c.parts == nil || err != nil {
-		return nil
 	}
 	st.mParts, st.mRows, st.mProbe = st.mParts[:0], st.mRows[:0], st.mProbe[:0]
 	for i := 0; i < n; i++ {

@@ -17,13 +17,13 @@ import (
 // re-aimed scanner (Q01), hash joins (a fan-out join, Q17 and Q05,
 // whose build is a clustered B+ tree scan) and a nested-loop join into
 // a covering B+ tree seek (Q14, also with the query store on, which
-// traces every rebind of the seek). Each query's
-// heap allocation per execution, the median of five runs after a
-// warm-up at Parallelism 1, must stay under a committed ceiling: the
-// measured figure plus 25 %. The comment beside each ceiling is the
-// figure before the scanners, the join output, the seek rows and the
-// lifts' output batches were reused. A change that moves a figure on purpose moves its ceiling in
-// the same commit. (The race detector's instrumentation allocates, so
+// traces every rebind of the seek). Each query's heap allocation per
+// execution, the median of five runs after a warm-up at Parallelism 1,
+// must stay under a committed ceiling: the measured figure plus 25 %.
+// The comment beside each ceiling is the figure before the scanners,
+// the join output, the seek rows and the lifts' and aggregates' output
+// batches were reused. A change that moves a figure on purpose moves
+// its ceiling in the same commit. (The race detector's instrumentation allocates, so
 // the guard does not run under -race.)
 func TestAnalyticAllocBytes(t *testing.T) {
 	db := spineNLJSeekDB(t)

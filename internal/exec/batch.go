@@ -405,7 +405,7 @@ func (r *rowReader) next() (value.Row, bool) {
 // oneRowCursor re-slices its input's batches into batches of one live
 // row, so that whatever consumes them charges row by row and an early
 // stop leaves nothing charged but unconsumed. Consumers narrow a
-// columnar batch by overwriting its Sel (batchFilter, batchTop), so the
+// batch by overwriting its Sel (batchFilter, batchTop), so the
 // live positions are copied out and each row is handed over through a
 // private header that shares only the vectors with the input batch.
 type oneRowCursor struct {

@@ -60,7 +60,8 @@ benchmark-module:
 # bench-smoke runs every DOP sweep, both bulk-load benchmarks
 # (columnstore build, B+ tree bulk load), the two query benchmarks (an
 # aggregate over a clustered B+ tree seek, which reads the seek through
-# a lift, and a GROUP BY over a columnstore), the wire result read and
+# a lift, and a GROUP BY over a columnstore), the wire result read (through the
+# Client and through database/sql, BenchmarkWireResultSQL) and
 # the DML on a clustered columnstore once (about 10 s). It checks no
 # threshold: it is there so that a query a sweep runs which the engine
 # now rejects, a broken lift or aggregate output, a broken result path

@@ -132,6 +132,33 @@ func TestStatsRebuildAllocBytes(t *testing.T) {
 	}
 }
 
+// TestWireResultAllocBytes is an allocation guard on the wire result
+// path: BenchmarkWireResultSQL's 18 000-row result read through
+// database/sql over loopback, the server's encode and the driver's
+// decode both counted in this process. The median of five queries after
+// a warm-up must stay under the measured figure plus 25 %; the comment
+// beside the ceiling is the figure when the executor materialized the
+// result as rows and the client decoded it into rows before boxing each
+// value. (Skipped under -race, as above.)
+func TestWireResultAllocBytes(t *testing.T) {
+	const ceiling = 1_360_000 // bytes per query, measured 1 086 208; before: 9 861 448
+	pool := wireResultPool(t)
+	per := make([]uint64, 6)
+	for i := range per {
+		before := heapAllocBytes()
+		if n, err := scanWireResult(pool); err != nil || n != wireResultRows {
+			t.Fatalf("%d rows, err %v; want %d", n, err, wireResultRows)
+		}
+		per[i] = heapAllocBytes() - before
+	}
+	per = per[1:] // the first query is the warm-up
+	slices.Sort(per)
+	t.Logf("%d-row result over the wire: %d bytes per query (ceiling %d)", wireResultRows, per[2], ceiling)
+	if per[2] > ceiling {
+		t.Errorf("the wire result allocates %d bytes per query, over its ceiling of %d", per[2], ceiling)
+	}
+}
+
 // heapAllocBytes reads the cumulative bytes allocated on the heap.
 func heapAllocBytes() uint64 {
 	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}

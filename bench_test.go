@@ -6,6 +6,7 @@ package hybriddb
 
 import (
 	"context"
+	"database/sql"
 	"math/rand"
 	"net"
 	"testing"
@@ -231,4 +232,75 @@ func benchDB(b *testing.B, design string) *DB {
 		}
 	}
 	return db
+}
+
+// BenchmarkWireResultSQL reads BenchmarkWireResult's 18 000-row result
+// through database/sql, scanning each row into typed destinations: the
+// driver's lazy frame reads and its decode of each value into
+// database/sql's destination.
+func BenchmarkWireResultSQL(b *testing.B) {
+	pool := wireResultPool(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := scanWireResult(pool); err != nil || n != wireResultRows {
+			b.Fatalf("%d rows, err %v; want %d", n, err, wireResultRows)
+		}
+	}
+}
+
+// wireResultRows is the row count of wireResultQuery.
+const (
+	wireResultQuery = "SELECT k, g, v FROM bench WHERE k < 18000"
+	wireResultRows  = 18_000
+)
+
+// wireResultPool serves benchDB's B+ tree table over loopback and
+// returns a database/sql pool of one connection on it.
+func wireResultPool(tb testing.TB) *sql.DB {
+	db := Open(WithRowGroupSize(8192))
+	if _, err := db.Exec("CREATE TABLE bench (k BIGINT, g BIGINT, v DOUBLE, PRIMARY KEY (k))"); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	rows := make([]value.Row, 50_000)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(rng.Int63n(32)), value.NewFloat(rng.Float64() * 100)}
+	}
+	db.Internal().Table("bench").BulkLoad(nil, rows)
+	srv := wire.NewServer(db.Internal(), wire.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go srv.Serve(ln)
+	pool, err := sql.Open("hybrid", "hybrid://bench@"+ln.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool.SetMaxOpenConns(1)
+	tb.Cleanup(func() {
+		pool.Close()
+		srv.Shutdown(context.Background())
+	})
+	return pool
+}
+
+// scanWireResult runs wireResultQuery on pool and scans every row.
+func scanWireResult(pool *sql.DB) (int, error) {
+	rows, err := pool.Query(wireResultQuery)
+	if err != nil {
+		return 0, err
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		var k, g int64
+		var v float64
+		if err := rows.Scan(&k, &g, &v); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, rows.Err()
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"hybriddb/internal/value"
 	"hybriddb/internal/wire"
 )
 
@@ -71,6 +70,10 @@ func (cn *conn) Begin() (driver.Tx, error) {
 // Ping implements driver.Pinger.
 func (cn *conn) Ping(_ context.Context) error { return cn.c.Ping() }
 
+// IsValid implements driver.Validator: a connection closed after a
+// reply was read only in part goes back to no pool.
+func (cn *conn) IsValid() bool { return !cn.c.closed }
+
 // stmt is one prepared statement handle.
 type stmt struct {
 	cn       *conn
@@ -90,34 +93,39 @@ func (s *stmt) Close() error {
 
 func (s *stmt) NumInput() int { return s.numInput }
 
-func (s *stmt) run(args []driver.Value) (*wire.ResultHeader, []value.Row, error) {
+// start sends the statement's Exec and reads its result header.
+func (s *stmt) start(args []driver.Value) (*wire.ResultHeader, error) {
 	if len(args) != s.numInput {
-		return nil, nil, fmt.Errorf("hybridsql: statement needs %d arguments, got %d", s.numInput, len(args))
+		return nil, fmt.Errorf("hybridsql: statement needs %d arguments, got %d", s.numInput, len(args))
 	}
 	if s.serverID >= 0 {
-		return s.cn.c.ExecPrepared(s.serverID)
+		return s.cn.c.start(preparedExec(s.serverID))
 	}
 	q, err := interpolate(s.query, args)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s.cn.c.Exec(q)
+	return s.cn.c.start(textExec(q))
 }
 
 func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
-	h, _, err := s.run(args)
+	h, err := s.start(args)
 	if err != nil {
+		return nil, err
+	}
+	r := newRows(s.cn.c, h)
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
 	return result{rowsAffected: h.RowsAffected}, nil
 }
 
 func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
-	h, rs, err := s.run(args)
+	h, err := s.start(args)
 	if err != nil {
 		return nil, err
 	}
-	return &rows{header: h, rows: rs}, nil
+	return newRows(s.cn.c, h), nil
 }
 
 // result implements driver.Result. LastInsertId is not a concept the
@@ -129,11 +137,16 @@ func (result) LastInsertId() (int64, error) {
 }
 func (r result) RowsAffected() (int64, error) { return r.rowsAffected, nil }
 
-// rows implements driver.Rows over a fully-fetched result set.
+// rows implements driver.Rows over a result's RowBatch frames, read
+// from the connection as Next needs them.
 type rows struct {
+	c      *Client
 	header *wire.ResultHeader
-	rows   []value.Row
-	pos    int
+	rr     *wire.RowReader
+}
+
+func newRows(c *Client, h *wire.ResultHeader) *rows {
+	return &rows{c: c, header: h, rr: wire.NewRowReader(len(h.Columns), c.rowBatch)}
 }
 
 func (r *rows) Columns() []string {
@@ -150,44 +163,33 @@ func (r *rows) ColumnTypeDatabaseTypeName(i int) string {
 	return r.header.Columns[i].Kind.String()
 }
 
-func (r *rows) Close() error { r.rows = nil; return nil }
-
-func (r *rows) Next(dest []driver.Value) error {
-	if r.pos >= len(r.rows) {
-		return io.EOF
+// Close reads the frames of the rows Next did not hand out, which
+// leaves the connection ready for its next statement.
+func (r *rows) Close() error {
+	if r.c.closed {
+		return nil
 	}
-	row := r.rows[r.pos]
-	r.pos++
-	for i := range dest {
-		if i >= len(row) {
-			dest[i] = nil
-			continue
-		}
-		dest[i] = toDriverValue(row[i])
+	if err := r.rr.Drain(); err != nil {
+		return r.c.fail(err)
 	}
 	return nil
 }
 
-// toDriverValue maps a wire value onto database/sql's restricted value
-// set: int64, float64, string, bool, time.Time, or nil. Dates become
-// UTC midnight time.Time.
-func toDriverValue(v value.Value) driver.Value {
-	switch v.Kind() {
-	case value.KindNull:
-		return nil
-	case value.KindInt:
-		return v.Int()
-	case value.KindFloat:
-		return v.Float()
-	case value.KindString:
-		return v.Str()
-	case value.KindBool:
-		return v.Bool()
-	case value.KindDate:
-		return time.Unix(v.Int()*86400, 0).UTC()
-	default:
-		return v.String()
+// Next decodes the next row's values straight into dest, each as the
+// database/sql value of its kind (wire.Reader.Native): int64, float64,
+// string, bool, a date as UTC midnight time.Time, or nil.
+func (r *rows) Next(dest []driver.Value) error {
+	vals, err := r.rr.Next()
+	for i := 0; err == nil && i < len(r.header.Columns); i++ {
+		var v any
+		if v, err = vals.Native(); err == nil && i < len(dest) {
+			dest[i] = v
+		}
 	}
+	if err != nil && err != io.EOF {
+		return r.c.fail(err)
+	}
+	return err
 }
 
 // placeholders returns the byte offsets of the '?' markers the engine's

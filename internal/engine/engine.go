@@ -300,18 +300,20 @@ func (db *Database) Exec(query string, opts ...ExecOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.run(db.local, st, o, query)
+	return db.run(db.local, st, o, query, nil)
 }
 
 // ExecStmt executes a parsed statement on the implicit local session.
 func (db *Database) ExecStmt(st sql.Statement, o ExecOptions) (*Result, error) {
-	return db.run(db.local, st, o, "")
+	return db.run(db.local, st, o, "", nil)
 }
 
 // ExecSession parses and executes one SQL statement on sess (the wire
 // server's per-connection entry point). A nil sess falls back to the
-// implicit local session.
-func (db *Database) ExecSession(sess *session.Session, query string, o ExecOptions) (*Result, error) {
+// implicit local session. A SELECT's output batches go to sink when it
+// is non-nil (exec.RunOptions.Sink), under the statement lock, and
+// Result.Rows stays empty; other statements fill Result.Rows.
+func (db *Database) ExecSession(sess *session.Session, query string, o ExecOptions, sink exec.Sink) (*Result, error) {
 	if sess == nil {
 		sess = db.local
 	}
@@ -319,18 +321,18 @@ func (db *Database) ExecSession(sess *session.Session, query string, o ExecOptio
 	if err != nil {
 		return nil, err
 	}
-	return db.run(sess, st, o, query)
+	return db.run(sess, st, o, query, sink)
 }
 
 // ExecPrepared executes a statement previously prepared on sess. The
 // prepared text is passed through as the statement text so prepared
 // executions normalize, fingerprint, and fold into the same
-// query-store entries as direct ones.
-func (db *Database) ExecPrepared(sess *session.Session, p *session.Prepared, o ExecOptions) (*Result, error) {
+// query-store entries as direct ones. sink is as for ExecSession.
+func (db *Database) ExecPrepared(sess *session.Session, p *session.Prepared, o ExecOptions, sink exec.Sink) (*Result, error) {
 	if sess == nil {
 		sess = db.local
 	}
-	return db.run(sess, p.Stmt, o, p.SQL)
+	return db.run(sess, p.Stmt, o, p.SQL, sink)
 }
 
 // readOnly reports whether a statement only reads: such statements run
@@ -349,7 +351,7 @@ func readOnly(st sql.Statement) bool {
 // bounded concurrency); any queue wait is charged to the query store's
 // lockwait stage. The statement lock is acquired only after admission,
 // so a parked statement never holds it.
-func (db *Database) run(sess *session.Session, st sql.Statement, o ExecOptions, text string) (*Result, error) {
+func (db *Database) run(sess *session.Session, st sql.Statement, o ExecOptions, text string, sink exec.Sink) (*Result, error) {
 	wait, release := db.sm.Admit(sess)
 	defer release()
 	if readOnly(st) {
@@ -362,7 +364,7 @@ func (db *Database) run(sess *session.Session, st sql.Statement, o ExecOptions, 
 	sess.BeginStatement()
 	defer sess.EndStatement()
 	mStatements.Inc()
-	res, err := db.dispatchRecovered(st, o)
+	res, err := db.dispatchRecovered(st, o, sink)
 	if err != nil {
 		mStmtErrors.Inc()
 		var pe *exec.PanicError
@@ -400,19 +402,21 @@ func (db *Database) run(sess *session.Session, st sql.Statement, o ExecOptions, 
 // defers, so the session and the server carry on; what a panicking DML
 // statement leaves half applied is ROADMAP item 1d's audit, not handled
 // here.
-func (db *Database) dispatchRecovered(st sql.Statement, o ExecOptions) (res *Result, err error) {
+func (db *Database) dispatchRecovered(st sql.Statement, o ExecOptions, sink exec.Sink) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &exec.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return db.dispatch(st, o)
+	return db.dispatch(st, o, sink)
 }
 
-func (db *Database) dispatch(st sql.Statement, o ExecOptions) (*Result, error) {
+// dispatch executes st; a SELECT hands its output to sink when it is
+// non-nil.
+func (db *Database) dispatch(st sql.Statement, o ExecOptions, sink exec.Sink) (*Result, error) {
 	switch s := st.(type) {
 	case *sql.SelectStmt:
-		return db.execSelect(s, o, nil)
+		return db.execSelect(s, o, nil, sink)
 	case *sql.ExplainStmt:
 		return db.execExplain(s, o)
 	case *sql.InsertStmt:
@@ -619,8 +623,9 @@ func (db *Database) compile(s *sql.SelectStmt, o ExecOptions) (*sql.BoundSelect,
 }
 
 // execSelect compiles and executes s and assembles its Result. The
-// per-operator trace goes to trace when EXPLAIN ANALYZE supplies one.
-func (db *Database) execSelect(s *sql.SelectStmt, o ExecOptions, trace *metrics.TraceNode) (*Result, error) {
+// per-operator trace goes to trace when EXPLAIN ANALYZE supplies one,
+// and the output batches to sink when it is non-nil.
+func (db *Database) execSelect(s *sql.SelectStmt, o ExecOptions, trace *metrics.TraceNode, sink exec.Sink) (*Result, error) {
 	bound, root, err := db.compile(s, o)
 	if err != nil {
 		return nil, err
@@ -630,7 +635,7 @@ func (db *Database) execSelect(s *sql.SelectStmt, o ExecOptions, trace *metrics.
 	}
 	tr := vclock.NewTracker(db.model)
 	res, err := exec.Execute(tr, root, bound.TotalSlots,
-		exec.RunOptions{Trace: trace, Workers: db.workers(o, root)})
+		exec.RunOptions{Trace: trace, Workers: db.workers(o, root), Sink: sink})
 	if err != nil {
 		return nil, err
 	}
@@ -670,7 +675,7 @@ func (db *Database) execExplain(s *sql.ExplainStmt, o ExecOptions) (*Result, err
 		return out, nil
 	}
 	trace := &metrics.TraceNode{} // synthetic root; children are the operators
-	out, err := db.execSelect(sel, o, trace)
+	out, err := db.execSelect(sel, o, trace, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -692,7 +697,7 @@ func (db *Database) Plan(query string, o ExecOptions) (*plan.Root, error) {
 	}
 	db.sm.RLock()
 	defer db.sm.RUnlock()
-	res, err := db.dispatchRecovered(&sql.ExplainStmt{Stmt: st}, o)
+	res, err := db.dispatchRecovered(&sql.ExplainStmt{Stmt: st}, o, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func TestStatementPanicIsContained(t *testing.T) {
 		{"SELECT count(*) FROM bad WHERE s = 'x' OR a + 1 > 1", "runWorkers", "Str() on BIGINT"}, // a morsel worker
 	} {
 		q := c.q
-		_, err := db.ExecSession(first, q, ExecOptions{Parallelism: 8})
+		_, err := db.ExecSession(first, q, ExecOptions{Parallelism: 8}, nil)
 		var pe *exec.PanicError
 		if !errors.As(err, &pe) || !strings.Contains(err.Error(), c.msg) {
 			t.Fatalf("%s: err = %v, want a PanicError naming the bad value", q, err)
@@ -66,10 +66,10 @@ func TestStatementPanicIsContained(t *testing.T) {
 			t.Fatalf("%s: %s rose by %v, want %d", q, counter, got, i+1)
 		}
 		// A reader and a writer: both sides of the statement lock are free.
-		if res, err := db.ExecSession(first, "SELECT count(*) FROM t", ExecOptions{}); err != nil || res.Rows[0][0].Int() != int64(40_000+i) {
+		if res, err := db.ExecSession(first, "SELECT count(*) FROM t", ExecOptions{}, nil); err != nil || res.Rows[0][0].Int() != int64(40_000+i) {
 			t.Fatalf("same session, next statement: %v %v", res, err)
 		}
-		if _, err := db.ExecSession(second, fmt.Sprintf("INSERT INTO t VALUES (%d, 'z')", -i-1), ExecOptions{}); err != nil {
+		if _, err := db.ExecSession(second, fmt.Sprintf("INSERT INTO t VALUES (%d, 'z')", -i-1), ExecOptions{}, nil); err != nil {
 			t.Fatalf("second session, next statement: %v", err)
 		}
 	}

@@ -84,7 +84,7 @@ func TestLift(t *testing.T) {
 			break
 		}
 		sizes = append(sizes, sb.Len())
-		got = sb.appendRows(got)
+		got = sb.AppendRows(got)
 	}
 	if _, ok := l.NextBatch(); ok || ended != 1 {
 		t.Fatalf("step called %d times after the end", ended)
@@ -117,7 +117,7 @@ func TestOneRowCursorUnderFilter(t *testing.T) {
 		if !ok {
 			break
 		}
-		for _, r := range sb.appendRows(nil) {
+		for _, r := range sb.AppendRows(nil) {
 			got = append(got, r[0].Int())
 		}
 	}
@@ -164,7 +164,7 @@ func TestBatchTopTrims(t *testing.T) {
 		top := &batchTop{in: in, n: n}
 		var got []value.Row
 		for sb, ok := top.NextBatch(); ok; sb, ok = top.NextBatch() {
-			got = sb.appendRows(got)
+			got = sb.AppendRows(got)
 		}
 		if want := min(n, int64(total)); int64(len(got)) != want {
 			t.Fatalf("TOP %d: %d rows, want %d", n, len(got), want)

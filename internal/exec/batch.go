@@ -32,9 +32,9 @@
 // see vec.SelPool), and a producer that reuses its output batch resets
 // its selection on every call, because consumers narrow a batch by
 // overwriting Sel. Blocking consumers copy out; Execute materializes
-// each result row once. The bufalias analyzer enforces that reused
-// batch buffers do not escape their owner except through NextBatch
-// itself.
+// each result row once, or hands each root batch to its caller's Sink.
+// The bufalias analyzer enforces that reused batch buffers do not
+// escape their owner except through NextBatch itself.
 package exec
 
 import (
@@ -112,11 +112,11 @@ func (sb *SlotBatch) rowWidth(i int) int {
 	return w + (sb.Width - populated)
 }
 
-// appendRows appends the batch's live rows to dst as rows of sb.Width,
+// AppendRows appends the batch's live rows to dst as rows of sb.Width,
 // carved from one backing array (the allocation discipline of
 // colstore.ScanRows). Consumers may retain the rows; only dst's row
 // headers are the caller's to reuse.
-func (sb *SlotBatch) appendRows(dst []value.Row) []value.Row {
+func (sb *SlotBatch) AppendRows(dst []value.Row) []value.Row {
 	n, w := sb.B.Len(), sb.Width
 	dst = slices.Grow(dst, n)
 	backing := make([]value.Value, n*w)
@@ -380,7 +380,7 @@ func rowsStep(rows []value.Row) rowStep {
 
 // rowReader is how a row-wise operator reads its input: one row at a
 // time, pulling the next batch only when the last is used up. A batch's
-// rows are carved from one backing array per batch (appendRows) and
+// rows are carved from one backing array per batch (AppendRows) and
 // only the row headers are reused, so callers may retain what next
 // returns. It is charge-free like the lift.
 type rowReader struct {
@@ -395,7 +395,7 @@ func (r *rowReader) next() (value.Row, bool) {
 		if !ok {
 			return nil, false
 		}
-		r.rows, r.pos = sb.appendRows(r.rows[:0]), 0
+		r.rows, r.pos = sb.AppendRows(r.rows[:0]), 0
 	}
 	row := r.rows[r.pos]
 	r.pos++

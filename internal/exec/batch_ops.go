@@ -256,7 +256,7 @@ func newBatchSort(ctx *Context, in BatchCursor, srt *plan.Sort) BatchCursor {
 	s := &rowSorter{ctx: ctx, keys: srt.Keys, cmp: compileSortKeys(srt.Keys)}
 	var rows []value.Row
 	for sb, ok := in.NextBatch(); ok; sb, ok = in.NextBatch() {
-		rows = sb.appendRows(rows[:0])
+		rows = sb.AppendRows(rows[:0])
 		for _, r := range rows {
 			s.add(r)
 		}

@@ -76,10 +76,20 @@ type RunOptions struct {
 	// Workers is the real goroutine budget for morsel-driven parallel
 	// operators; <= 1 executes the plan serially.
 	Workers int
+	// Sink, when non-nil, is handed every root batch in order instead
+	// of Result.Rows collecting it. The batch is borrowed: it is valid
+	// only until Sink returns. Sink runs under the caller's statement
+	// lock, so it does no I/O.
+	Sink Sink
 }
 
+// A Sink consumes a plan's output batches (see RunOptions.Sink).
+type Sink func(*SlotBatch)
+
 // Execute runs a plan to completion. It is the single executor entry
-// point; RunOptions select tracing and real parallelism.
+// point; RunOptions select tracing, real parallelism and where the
+// output goes. Metrics.Rows counts the rows handed up, whether
+// Result.Rows or the Sink received them.
 func Execute(tr *vclock.Tracker, root *plan.Root, totalSlots int, opts RunOptions) (*Result, error) {
 	ctx := &Context{Tr: tr, Grant: root.MemGrant, TotalSlots: totalSlots,
 		DOP: root.DOP, Workers: opts.Workers, Trace: opts.Trace}
@@ -89,15 +99,21 @@ func Execute(tr *vclock.Tracker, root *plan.Root, totalSlots int, opts RunOption
 	if err != nil {
 		return nil, err
 	}
+	var rows int64
 	for {
 		sb, ok := cur.NextBatch()
 		if !ok {
 			break
 		}
-		res.Rows = sb.appendRows(res.Rows)
+		rows += int64(sb.Len())
+		if opts.Sink != nil {
+			opts.Sink(sb)
+		} else {
+			res.Rows = sb.AppendRows(res.Rows)
+		}
 	}
 	res.Metrics = tr.Snapshot()
-	res.Metrics.Rows = int64(len(res.Rows))
+	res.Metrics.Rows = rows
 	return res, nil
 }
 

@@ -77,7 +77,7 @@ func drain(tb testing.TB, ctx *Context, n plan.Node) []value.Row {
 		if !ok {
 			return out
 		}
-		out = sb.appendRows(out)
+		out = sb.AppendRows(out)
 	}
 }
 

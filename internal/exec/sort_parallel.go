@@ -105,7 +105,7 @@ func morselSortRows(ctx *Context, s *plan.Sort, scan *plan.Scan, morsels []colst
 			}
 			n += int64(b.Len())
 			if top == nil {
-				rows = sb.appendRows(rows)
+				rows = sb.AppendRows(rows)
 				continue
 			}
 			for i := 0; i < b.Len(); i++ {

@@ -243,7 +243,7 @@ func TestPartitionOf(t *testing.T) {
 
 // TestRowWidthMatchesMaterialized pins the invariant the morsel sort's
 // memory accounting rests on: the width SlotBatch.rowWidth reports for
-// a live row equals Row.Width of the composite row appendRows
+// a live row equals Row.Width of the composite row AppendRows
 // materializes for it — every kind, NULLs, empty and long strings, a
 // hidden uid vector (slot -1), slots no vector populates, and a
 // selection vector.
@@ -273,9 +273,9 @@ func TestRowWidthMatchesMaterialized(t *testing.T) {
 	for _, sel := range [][]int{nil, {0, 3, 4, 17, 40, 63}} {
 		b.Sel = sel
 		sb := &SlotBatch{B: b, Slots: slots, Width: totalSlots}
-		rows := sb.appendRows(nil)
+		rows := sb.AppendRows(nil)
 		if len(rows) != b.Len() {
-			t.Fatalf("appendRows gave %d rows for %d live", len(rows), b.Len())
+			t.Fatalf("AppendRows gave %d rows for %d live", len(rows), b.Len())
 		}
 		for i, r := range rows {
 			if got, want := sb.rowWidth(i), r.Width(); got != want {

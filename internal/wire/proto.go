@@ -31,6 +31,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"time"
 
 	"hybriddb/internal/value"
 )
@@ -104,25 +105,40 @@ func WriteFrame(w io.Writer, typ byte, body []byte) error {
 
 // ReadFrame reads one frame, returning its type and body.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
+	p, err := ReadFrameInto(r, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	return p[0], p[1:], nil
+}
+
+// ReadFrameInto reads one frame's payload (its type byte, then its
+// body) into buf, or into a new slice when buf is too short, and
+// returns it: a caller that passes the returned slice back in reads
+// every frame into one buffer.
+func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 {
-		return 0, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if n > MaxFrame {
-		return 0, nil, ErrFrameTooLarge
+		return nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, err
+		return nil, err
 	}
-	return buf[0], buf[1:], nil
+	return buf, nil
 }
 
 // A Builder accumulates one frame body.
@@ -151,35 +167,47 @@ func (b *Builder) String(s string) {
 func (b *Builder) U64(v uint64) { b.buf = binary.BigEndian.AppendUint64(b.buf, v) }
 
 // Value appends one tagged SQL value.
-func (b *Builder) Value(v value.Value) {
+func (b *Builder) Value(v value.Value) { b.buf = appendValue(b.buf, v) }
+
+// appendValue appends v to dst as one tagged value.
+func appendValue(dst []byte, v value.Value) []byte {
 	switch v.Kind() {
 	case value.KindNull:
-		b.Byte(tagNull)
+		return append(dst, tagNull)
 	case value.KindInt:
-		b.Byte(tagInt)
-		b.U64(uint64(v.Int()))
+		return appendU64(dst, tagInt, uint64(v.Int()))
 	case value.KindFloat:
-		b.Byte(tagFloat)
-		b.U64(math.Float64bits(v.Float()))
+		return appendU64(dst, tagFloat, math.Float64bits(v.Float()))
 	case value.KindString:
-		b.Byte(tagString)
-		b.String(v.Str())
+		return appendString(dst, v.Str())
 	case value.KindBool:
-		b.Byte(tagBool)
-		if v.Bool() {
-			b.Byte(1)
-		} else {
-			b.Byte(0)
-		}
+		return appendBool(dst, v.Bool())
 	case value.KindDate:
-		b.Byte(tagDate)
-		b.U64(uint64(v.Int()))
+		return appendU64(dst, tagDate, uint64(v.Int()))
 	default:
 		// Unknown kinds degrade to their rendered string rather than
 		// corrupt the stream.
-		b.Byte(tagString)
-		b.String(v.String())
+		return appendString(dst, v.String())
 	}
+}
+
+// appendU64 appends a tag and a fixed 8-byte payload.
+func appendU64(dst []byte, tag byte, u uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, tag), u)
+}
+
+// appendString appends a tagged, length-prefixed string.
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(append(dst, tagString), uint64(len(s)))
+	return append(dst, s...)
+}
+
+// appendBool appends a tagged bool.
+func appendBool(dst []byte, v bool) []byte {
+	if v {
+		return append(dst, tagBool, 1)
+	}
+	return append(dst, tagBool, 0)
 }
 
 // A Reader consumes one frame body. Every method returns an error on
@@ -238,69 +266,72 @@ func (r *Reader) U64() (uint64, error) {
 	return v, nil
 }
 
-// valueSize is the number of bytes Builder.Value appends for v.
-func valueSize(v value.Value) int {
-	var s string
-	switch v.Kind() {
-	case value.KindNull:
-		return 1
-	case value.KindBool:
-		return 2
-	case value.KindInt, value.KindFloat, value.KindDate:
-		return 9
-	case value.KindString:
-		s = v.Str()
-	default:
-		s = v.String()
+// Kind consumes a value's type tag and returns the kind it stands for,
+// refusing unknown tags. The value's payload follows: nothing for
+// NULL, U64 for an int, a float's bits or a date's days, String for a
+// string, Bool for a bool.
+func (r *Reader) Kind() (value.Kind, error) {
+	tag, err := r.Byte()
+	if err != nil {
+		return value.KindNull, err
 	}
-	var n [binary.MaxVarintLen64]byte
-	return 1 + binary.PutUvarint(n[:], uint64(len(s))) + len(s)
+	if tag > tagDate {
+		return value.KindNull, fmt.Errorf("wire: unknown value tag %d", tag)
+	}
+	return value.Kind(tag), nil // the tags are the kinds' numbers
+}
+
+// Bool consumes a bool payload: one byte, 0 or 1.
+func (r *Reader) Bool() (bool, error) {
+	b, err := r.Byte()
+	if err != nil {
+		return false, err
+	}
+	if b > 1 {
+		return false, fmt.Errorf("wire: bad bool byte %d", b)
+	}
+	return b == 1, nil
 }
 
 // Value consumes one tagged SQL value.
 func (r *Reader) Value() (value.Value, error) {
-	tag, err := r.Byte()
+	kind, err := r.Kind()
 	if err != nil {
 		return value.Null, err
 	}
-	switch tag {
-	case tagNull:
+	switch kind {
+	case value.KindNull:
 		return value.Null, nil
-	case tagInt:
+	case value.KindInt:
 		u, err := r.U64()
 		if err != nil {
 			return value.Null, err
 		}
 		return value.NewInt(int64(u)), nil
-	case tagFloat:
+	case value.KindFloat:
 		u, err := r.U64()
 		if err != nil {
 			return value.Null, err
 		}
 		return value.NewFloat(math.Float64frombits(u)), nil
-	case tagString:
+	case value.KindString:
 		s, err := r.String()
 		if err != nil {
 			return value.Null, err
 		}
 		return value.NewString(s), nil
-	case tagBool:
-		b, err := r.Byte()
+	case value.KindBool:
+		b, err := r.Bool()
 		if err != nil {
 			return value.Null, err
 		}
-		if b > 1 {
-			return value.Null, fmt.Errorf("wire: bad bool byte %d", b)
-		}
-		return value.NewBool(b == 1), nil
-	case tagDate:
+		return value.NewBool(b), nil
+	default: // value.KindDate
 		u, err := r.U64()
 		if err != nil {
 			return value.Null, err
 		}
 		return value.NewDate(int64(u)), nil
-	default:
-		return value.Null, fmt.Errorf("wire: unknown value tag %d", tag)
 	}
 }
 
@@ -388,57 +419,36 @@ func DecodeResultHeader(body []byte) (*ResultHeader, error) {
 	return h, nil
 }
 
-// EncodeRowBatch renders the longest prefix of rows that fits in one
-// RowBatch frame, at least one row, and returns its body and how many
-// rows it holds. The batch is flagged EOF when it holds them all, so
-// an empty result is one empty EOF batch. The body is sized before it
-// is written and allocated once.
-func EncodeRowBatch(rows []value.Row) ([]byte, int) {
-	const room = MaxFrame - 1 - 1 - binary.MaxVarintLen64 // type, eof flag, row count
-	size, n := 0, 0
-	for ; n < len(rows); n++ {
-		rs := 0
-		for _, v := range rows[n] {
-			rs += valueSize(v)
-		}
-		if n > 0 && size+rs > room {
-			break
-		}
-		size += rs
+// OpenRowBatch reads the head of a RowBatch body of width-value rows:
+// whether it is the result's last batch and how many rows it holds. It
+// returns a Reader at the first of the rows' values, which it checks
+// the body has room for.
+func OpenRowBatch(body []byte, width int) (r *Reader, rows int, eof bool, err error) {
+	r = NewReader(body)
+	flag, err := r.Byte()
+	if err != nil {
+		return nil, 0, false, err
 	}
-	b := Builder{buf: make([]byte, 0, 1+binary.MaxVarintLen64+size)}
-	if n == len(rows) {
-		b.Byte(1)
-	} else {
-		b.Byte(0)
+	n, err := r.Uvarint()
+	if err != nil {
+		return nil, 0, false, err
 	}
-	b.Uvarint(uint64(n))
-	for _, r := range rows[:n] {
-		for _, v := range r {
-			b.Value(v)
-		}
+	// Every value costs at least one byte, and rows have columns.
+	if n > 0 && (width <= 0 || n > uint64(r.Len()/width)) {
+		return nil, 0, false, ErrTruncated
 	}
-	return b.Bytes(), n
+	return r, int(n), flag == 1, nil
 }
 
 // DecodeRowBatch parses a RowBatch body of width-value rows, appends
 // its rows to rows and reports whether it is the result's last batch.
 // The batch's values share one backing array.
 func DecodeRowBatch(body []byte, width int, rows []value.Row) ([]value.Row, bool, error) {
-	r := NewReader(body)
-	eof, err := r.Byte()
+	r, n, eof, err := OpenRowBatch(body, width)
 	if err != nil {
 		return rows, false, err
 	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return rows, false, err
-	}
-	// Every value costs at least one byte, and rows have columns.
-	if n > 0 && (width <= 0 || n > uint64(r.Len()/width)) {
-		return rows, false, ErrTruncated
-	}
-	vals := make([]value.Value, int(n)*width)
+	vals := make([]value.Value, n*width)
 	for i := range vals {
 		if vals[i], err = r.Value(); err != nil {
 			return rows, false, err
@@ -447,7 +457,93 @@ func DecodeRowBatch(body []byte, width int, rows []value.Row) ([]value.Row, bool
 	for lo := 0; lo < len(vals); lo += width {
 		rows = append(rows, vals[lo:lo+width:lo+width])
 	}
-	return rows, eof == 1, nil
+	return rows, eof, nil
+}
+
+// A RowReader reads a result's rows out of its RowBatch frames,
+// reading a frame only when the rows before it are used up: frame
+// returns the next RowBatch body, which the RowReader reads from until
+// it asks for the one after.
+type RowReader struct {
+	frame func() ([]byte, error)
+	width int
+	vals  *Reader // the open frame's unread values
+	left  int     // rows of the open frame not yet handed out
+	last  bool    // the open frame is flagged EOF
+}
+
+// NewRowReader reads rows of width values from the frames frame
+// returns.
+func NewRowReader(width int, frame func() ([]byte, error)) *RowReader {
+	return &RowReader{frame: frame, width: width, vals: NewReader(nil)}
+}
+
+// Next readies the result's next row and returns the Reader its width
+// values are to be read from, in column order, before Next is called
+// again. It returns io.EOF after the last row.
+func (rr *RowReader) Next() (*Reader, error) {
+	for rr.left == 0 {
+		if rr.last {
+			return nil, io.EOF
+		}
+		body, err := rr.frame()
+		if err != nil {
+			return nil, err
+		}
+		r, n, eof, err := OpenRowBatch(body, rr.width)
+		if err != nil {
+			return nil, err
+		}
+		rr.vals, rr.left, rr.last = r, n, eof
+	}
+	rr.left--
+	return rr.vals, nil
+}
+
+// Drain reads the rest of the result's frames; Next then returns
+// io.EOF.
+func (rr *RowReader) Drain() error {
+	for rr.left = 0; !rr.last; rr.left = 0 {
+		if _, err := rr.Next(); err != nil && err != io.EOF {
+			return err
+		}
+	}
+	return nil
+}
+
+// nativeReaders decode a value's payload, by kind, into the Go value
+// database/sql carries for it.
+var nativeReaders = [...]func(*Reader) (any, error){
+	value.KindNull: func(*Reader) (any, error) { return nil, nil },
+	value.KindInt: func(r *Reader) (any, error) {
+		u, err := r.U64()
+		return int64(u), err
+	},
+	value.KindFloat: func(r *Reader) (any, error) {
+		u, err := r.U64()
+		return math.Float64frombits(u), err
+	},
+	value.KindString: func(r *Reader) (any, error) { return r.String() },
+	value.KindBool:   func(r *Reader) (any, error) { return r.Bool() },
+	value.KindDate: func(r *Reader) (any, error) {
+		u, err := r.U64()
+		return time.Unix(int64(u)*86400, 0).UTC(), err
+	},
+}
+
+// Native consumes one tagged value as the Go value database/sql
+// carries for it: nil, int64, float64, string, bool, or a date as UTC
+// midnight time.Time.
+func (r *Reader) Native() (any, error) {
+	kind, err := r.Kind()
+	if err != nil {
+		return nil, err
+	}
+	v, err := nativeReaders[kind](r)
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // Hello is the handshake a client opens its connection with.

@@ -15,7 +15,6 @@ import (
 	"hybriddb/internal/engine"
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/session"
-	"hybriddb/internal/value"
 )
 
 // Wire-server observability (see OBSERVABILITY.md).
@@ -170,6 +169,9 @@ type conn struct {
 	nc   net.Conn
 	sess *session.Session
 	busy atomic.Bool // a request frame is being processed and answered
+
+	enc    replyEncoder // the reply to an Exec, encoded before it is written
+	frames [][]byte     // the reply's frames, for one vectored write
 }
 
 func (c *conn) serve() {
@@ -312,8 +314,10 @@ func (c *conn) handle(typ byte, body []byte) error {
 }
 
 // handleExec runs one statement and pushes its reply: the
-// ResultHeader, then every RowBatch of the result. The engine has
-// released the statement's locks before the first byte is written, so
+// ResultHeader, then every RowBatch of the result. A SELECT's batches
+// are encoded into c.enc as the executor hands them up, under the
+// statement lock; other statements' rows after it. The reply goes out
+// in one write once the engine has released the statement's locks, so
 // a slow or vanished client holds up only its own connection.
 func (c *conn) handleExec(body []byte) error {
 	r := NewReader(body)
@@ -321,6 +325,7 @@ func (c *conn) handleExec(body []byte) error {
 	if err != nil {
 		return c.protoError(err)
 	}
+	c.enc.reset(rowBatchRoom)
 	var res *engine.Result
 	switch mode {
 	case 0: // direct SQL text
@@ -328,7 +333,7 @@ func (c *conn) handleExec(body []byte) error {
 		if err != nil {
 			return c.protoError(err)
 		}
-		res, err = c.srv.db.ExecSession(c.sess, sqlText, c.sess.Defaults())
+		res, err = c.srv.db.ExecSession(c.sess, sqlText, c.sess.Defaults(), c.enc.appendBatch)
 		if err != nil {
 			return c.sendError(err)
 		}
@@ -341,13 +346,14 @@ func (c *conn) handleExec(body []byte) error {
 		if !ok {
 			return c.sendError(fmt.Errorf("wire: unknown prepared statement %d", id))
 		}
-		res, err = c.srv.db.ExecPrepared(c.sess, p, c.sess.Defaults())
+		res, err = c.srv.db.ExecPrepared(c.sess, p, c.sess.Defaults(), c.enc.appendBatch)
 		if err != nil {
 			return c.sendError(err)
 		}
 	default:
 		return c.protoError(fmt.Errorf("wire: unknown exec mode %d", mode))
 	}
+	c.enc.appendRows(res.Rows)
 
 	h := ResultHeader{
 		RowsAffected: res.RowsAffected,
@@ -362,32 +368,23 @@ func (c *conn) handleExec(body []byte) error {
 		},
 	}
 	for ci, name := range res.Columns {
-		h.Columns = append(h.Columns, Column{Name: name, Kind: columnKind(res.Rows, ci)})
+		h.Columns = append(h.Columns, Column{Name: name, Kind: c.enc.kind(ci)})
 	}
-	if err := WriteFrame(c.nc, FrameResultHeader, h.Encode()); err != nil {
-		return err
+	frames, err := c.enc.finish(h.Encode(), c.frames[:0])
+	if err != nil {
+		return c.sendError(err)
 	}
-	rows := res.Rows
-	for {
-		batch, n := EncodeRowBatch(rows)
-		if err := WriteFrame(c.nc, FrameRowBatch, batch); err != nil {
-			return err
-		}
-		if rows = rows[n:]; len(rows) == 0 {
-			return nil
-		}
+	bufs := net.Buffers(frames)
+	_, err = bufs.WriteTo(c.nc)
+	// Neither buffer outlives the write: the frames alias c.enc.out,
+	// which the next statement overwrites, and one that grew past a
+	// frame is let go rather than held by an idle connection.
+	clear(frames)
+	c.frames = frames[:0]
+	if cap(c.enc.out) > MaxFrame {
+		c.enc.out = nil
 	}
-}
-
-// columnKind picks the first non-NULL kind in a column — advisory
-// metadata for driver ColumnTypes; values stay self-describing.
-func columnKind(rows []value.Row, ci int) value.Kind {
-	for _, r := range rows {
-		if ci < len(r) && !r[ci].IsNull() {
-			return r[ci].Kind()
-		}
-	}
-	return value.KindNull
+	return err
 }
 
 // sendError reports a statement-level error; the connection stays

@@ -691,7 +691,8 @@ func TestVanishedClient(t *testing.T) {
 	}
 }
 
-// FuzzWireFrame feeds arbitrary bytes through every frame decoder:
+// FuzzWireFrame feeds arbitrary bytes through every frame decoder,
+// the driver's row reader (RowReader and Reader.Native) included:
 // malformed or truncated input must produce errors, never panics or
 // runaway allocation.
 func FuzzWireFrame(f *testing.F) {
@@ -732,6 +733,25 @@ func FuzzWireFrame(f *testing.F) {
 		_, _ = DecodeHello(data)
 		for width := range 3 {
 			_, _, _ = DecodeRowBatch(data, width, nil)
+			// The driver's row reader: data is the result's one frame.
+			fed := false
+			rr := NewRowReader(width, func() ([]byte, error) {
+				if fed {
+					return nil, io.ErrUnexpectedEOF
+				}
+				fed = true
+				return data, nil
+			})
+			for vals, err := rr.Next(); err == nil; vals, err = rr.Next() {
+				for range width {
+					if _, err = vals.Native(); err != nil {
+						break
+					}
+				}
+				if err != nil {
+					break
+				}
+			}
 		}
 		r := NewReader(data)
 		for {

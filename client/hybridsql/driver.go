@@ -113,8 +113,7 @@ func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := newRows(s.cn.c, h)
-	if err := r.Close(); err != nil {
+	if err := newRows(s.cn.c, h).Close(); err != nil { // read the reply's frames
 		return nil, err
 	}
 	return result{rowsAffected: h.RowsAffected}, nil

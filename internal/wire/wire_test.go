@@ -308,7 +308,13 @@ func TestServerSurvivesStatementPanic(t *testing.T) {
 	execSQL(t, nc, `CREATE TABLE t (a BIGINT, s VARCHAR(8))`)
 	execSQL(t, nc, `INSERT INTO t VALUES (1, 'x'), (2, 'y')`)
 	execSQL(t, nc, `CREATE TABLE bad (a BIGINT)`)
+	// Under the statement lock, as the server's statements run: the
+	// reply's write is the only other order between this goroutine and
+	// the server's, and the race detector does not see one through a
+	// vectored socket write.
+	db.SessionManager().Lock()
 	db.Table("bad").BulkLoad(nil, []value.Row{{value.NewString("x")}})
+	db.SessionManager().Unlock()
 
 	const counter = "hybriddb_statement_panics_total"
 	before := metrics.Default().Snapshot()[counter]
@@ -601,7 +607,9 @@ func loadWide(t *testing.T, nc net.Conn, db *engine.Database) (int, string) {
 	for i := range rows {
 		rows[i] = value.Row{value.NewInt(int64(i)), value.NewString(pad)}
 	}
+	db.SessionManager().Lock() // as in TestServerSurvivesStatementPanic
 	db.Table("wide").BulkLoad(nil, rows)
+	db.SessionManager().Unlock()
 	return len(rows), pad
 }
 

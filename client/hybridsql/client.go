@@ -87,9 +87,23 @@ type Client struct {
 	// is read into it (wire.ReadFrameInto), so a result's frames reuse
 	// one buffer. It does not escape: a body is decoded before the next
 	// frame is read, and every decoder copies the strings it returns
-	// (Reader.String).
+	// (Reader.String). Once a result is read, a buffer grown past
+	// keepFrameBuf is let go rather than held by an idle connection.
 	frameBuf []byte
+	// open reads the result whose RowBatch frames are still on the
+	// socket, or is nil. While it is set no request is sent: the reply
+	// would queue behind those frames, and reading them would overwrite
+	// the frameBuf the open result's unread rows are read from.
+	open *wire.RowReader
 }
+
+// keepFrameBuf bounds the frame buffer a connection keeps between
+// results.
+const keepFrameBuf = 4 << 20
+
+// errResultOpen is returned, without any I/O, by a request made while
+// a result's rows are still open on the connection.
+var errResultOpen = errors.New("hybridsql: a result is still open on this connection; close its rows first")
 
 // Connect dials cfg.Addr and completes the handshake.
 func Connect(cfg Config) (*Client, error) {
@@ -147,6 +161,9 @@ func (c *Client) Close() error {
 // call sends one request frame and reads its reply, which must be of
 // type want; an Error frame comes back as a *ServerError.
 func (c *Client) call(req byte, body []byte, want byte) ([]byte, error) {
+	if c.open != nil {
+		return nil, errResultOpen
+	}
 	if err := wire.WriteFrame(c.nc, req, body); err != nil {
 		return nil, err
 	}
@@ -154,7 +171,9 @@ func (c *Client) call(req byte, body []byte, want byte) ([]byte, error) {
 }
 
 // reply reads the next frame of the reply to req into c.frameBuf; see
-// call. The body it returns is valid until the next read.
+// call. The body it returns is valid until the next read. A frame of
+// another type closes the connection: the reply is out of step with
+// its request.
 func (c *Client) reply(req, want byte) ([]byte, error) {
 	p, err := wire.ReadFrameInto(c.nc, c.frameBuf)
 	if err != nil {
@@ -166,7 +185,7 @@ func (c *Client) reply(req, want byte) ([]byte, error) {
 	case typ == wire.FrameError:
 		return nil, decodeError(body)
 	case typ != want:
-		return nil, fmt.Errorf("hybridsql: frame 0x%02x answered with 0x%02x, want 0x%02x", req, typ, want)
+		return nil, c.fail(fmt.Errorf("hybridsql: frame 0x%02x answered with 0x%02x, want 0x%02x", req, typ, want))
 	}
 	return body, nil
 }
@@ -220,6 +239,17 @@ func (c *Client) start(body []byte) (*wire.ResultHeader, error) {
 	return h, nil
 }
 
+// finish is called when a result has been read to its end: rr, the
+// result's reader, is no longer open.
+func (c *Client) finish(rr *wire.RowReader) {
+	if c.open == rr {
+		c.open = nil
+	}
+	if cap(c.frameBuf) > keepFrameBuf {
+		c.frameBuf = nil
+	}
+}
+
 // readAll reads every row of the result h heads.
 func (c *Client) readAll(h *wire.ResultHeader, err error) (*wire.ResultHeader, []value.Row, error) {
 	if err != nil {
@@ -235,6 +265,7 @@ func (c *Client) readAll(h *wire.ResultHeader, err error) (*wire.ResultHeader, [
 			return nil, nil, c.fail(err)
 		}
 	}
+	c.finish(nil)
 	return h, rows, nil
 }
 

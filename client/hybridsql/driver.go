@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"hybriddb/internal/value"
 	"hybriddb/internal/wire"
 )
 
@@ -144,8 +145,11 @@ type rows struct {
 	rr     *wire.RowReader
 }
 
+// newRows reads the result c.start opened. It is c's open result until
+// it is read to its end.
 func newRows(c *Client, h *wire.ResultHeader) *rows {
-	return &rows{c: c, header: h, rr: wire.NewRowReader(len(h.Columns), c.rowBatch)}
+	c.open = wire.NewRowReader(len(h.Columns), c.rowBatch)
+	return &rows{c: c, header: h, rr: c.open}
 }
 
 func (r *rows) Columns() []string {
@@ -171,24 +175,49 @@ func (r *rows) Close() error {
 	if err := r.rr.Drain(); err != nil {
 		return r.c.fail(err)
 	}
+	r.c.finish(r.rr)
 	return nil
 }
 
 // Next decodes the next row's values straight into dest, each as the
-// database/sql value of its kind (wire.Reader.Native): int64, float64,
-// string, bool, a date as UTC midnight time.Time, or nil.
+// database/sql value of its kind (toDriverValue).
 func (r *rows) Next(dest []driver.Value) error {
 	vals, err := r.rr.Next()
 	for i := 0; err == nil && i < len(r.header.Columns); i++ {
-		var v any
-		if v, err = vals.Native(); err == nil && i < len(dest) {
-			dest[i] = v
+		var v value.Value
+		if v, err = vals.Value(); err == nil && i < len(dest) {
+			dest[i] = toDriverValue(v)
 		}
 	}
-	if err != nil && err != io.EOF {
+	switch {
+	case err == io.EOF:
+		r.c.finish(r.rr)
+	case err != nil:
 		return r.c.fail(err)
 	}
 	return err
+}
+
+// toDriverValue maps a wire value onto database/sql's restricted value
+// set: int64, float64, string, bool, time.Time, or nil. Dates become
+// UTC midnight time.Time.
+func toDriverValue(v value.Value) driver.Value {
+	switch v.Kind() {
+	case value.KindNull:
+		return nil
+	case value.KindInt:
+		return v.Int()
+	case value.KindFloat:
+		return v.Float()
+	case value.KindString:
+		return v.Str()
+	case value.KindBool:
+		return v.Bool()
+	case value.KindDate:
+		return time.Unix(v.Int()*86400, 0).UTC()
+	default:
+		return v.String()
+	}
 }
 
 // placeholders returns the byte offsets of the '?' markers the engine's

@@ -3,37 +3,16 @@ package hybridsql
 import (
 	"context"
 	"database/sql"
-	"database/sql/driver"
+	"errors"
 	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"hybriddb/internal/engine"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 	"hybriddb/internal/wire"
 )
-
-// toDriverValue maps an engine value onto database/sql's value set the
-// way the driver decodes its wire form (wire.Reader.Native): int64,
-// float64, string, bool, a date as UTC midnight time.Time, or nil.
-func toDriverValue(v value.Value) driver.Value {
-	switch v.Kind() {
-	case value.KindNull:
-		return nil
-	case value.KindInt:
-		return v.Int()
-	case value.KindFloat:
-		return v.Float()
-	case value.KindString:
-		return v.Str()
-	case value.KindBool:
-		return v.Bool()
-	default: // value.KindDate
-		return time.Unix(v.Int()*86400, 0).UTC()
-	}
-}
 
 // wideDB serves a table wide(id, s) whose 16 KiB strings add up to
 // about 1.75 RowBatch frames, and returns the engine, a database/sql
@@ -119,6 +98,73 @@ func TestRowsCloseMidResult(t *testing.T) {
 		if count != int64(n) || maxID != int64(n-1) {
 			t.Fatalf("round %d: count %d, max %d after Close; want %d, %d", round, count, maxID, n, n-1)
 		}
+	}
+}
+
+// TestRequestWhileResultOpen: on one connection, a query, a ping, a
+// prepare and a statement close made while a multi-frame result is
+// still open fail without touching the socket, the open result still
+// reads right to its end, and the connection then serves the next
+// query.
+func TestRequestWhileResultOpen(t *testing.T) {
+	edb, sdb, n := wideDB(t)
+	ref, err := edb.Exec(`SELECT id, s FROM wide`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	c, err := sdb.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.PrepareContext(ctx, `SELECT max(id) FROM wide`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.QueryContext(ctx, `SELECT id, s FROM wide`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	i := 0
+	for ; rows.Next(); i++ {
+		var id int64
+		var s string
+		if err := rows.Scan(&id, &s); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		if i >= n || id != ref.Rows[i][0].Int() || s != ref.Rows[i][1].Str() {
+			t.Fatalf("row %d = (%d, %d-byte string), want the in-process row", i, id, len(s))
+		}
+		if i != 0 && i != n-2 { // once in the first frame, once in the last
+			continue
+		}
+		var count int64
+		if err := c.QueryRowContext(ctx, `SELECT count(*) FROM wide`).Scan(&count); !errors.Is(err, errResultOpen) {
+			t.Fatalf("row %d: nested query: count %d, err %v; want %v", i, count, err, errResultOpen)
+		}
+		if err := c.PingContext(ctx); !errors.Is(err, errResultOpen) {
+			t.Fatalf("row %d: ping: %v; want %v", i, err, errResultOpen)
+		}
+		if _, err := c.PrepareContext(ctx, `SELECT 1`); !errors.Is(err, errResultOpen) {
+			t.Fatalf("row %d: prepare: %v; want %v", i, err, errResultOpen)
+		}
+		if i == n-2 {
+			if err := st.Close(); !errors.Is(err, errResultOpen) {
+				t.Fatalf("row %d: statement close: %v; want %v", i, err, errResultOpen)
+			}
+		}
+	}
+	if err := rows.Err(); err != nil || i != n {
+		t.Fatalf("%d rows, err %v; want %d", i, err, n)
+	}
+	var count int64
+	if err := c.QueryRowContext(ctx, `SELECT count(*) FROM wide`).Scan(&count); err != nil || count != int64(n) {
+		t.Fatalf("query after the result: count %d, err %v; want %d", count, err, n)
+	}
+	if err := c.PingContext(ctx); err != nil {
+		t.Fatalf("ping after the result: %v", err)
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"time"
 
 	"hybriddb/internal/value"
 )
@@ -266,72 +265,50 @@ func (r *Reader) U64() (uint64, error) {
 	return v, nil
 }
 
-// Kind consumes a value's type tag and returns the kind it stands for,
-// refusing unknown tags. The value's payload follows: nothing for
-// NULL, U64 for an int, a float's bits or a date's days, String for a
-// string, Bool for a bool.
-func (r *Reader) Kind() (value.Kind, error) {
-	tag, err := r.Byte()
-	if err != nil {
-		return value.KindNull, err
-	}
-	if tag > tagDate {
-		return value.KindNull, fmt.Errorf("wire: unknown value tag %d", tag)
-	}
-	return value.Kind(tag), nil // the tags are the kinds' numbers
-}
-
-// Bool consumes a bool payload: one byte, 0 or 1.
-func (r *Reader) Bool() (bool, error) {
-	b, err := r.Byte()
-	if err != nil {
-		return false, err
-	}
-	if b > 1 {
-		return false, fmt.Errorf("wire: bad bool byte %d", b)
-	}
-	return b == 1, nil
-}
-
 // Value consumes one tagged SQL value.
 func (r *Reader) Value() (value.Value, error) {
-	kind, err := r.Kind()
+	tag, err := r.Byte()
 	if err != nil {
 		return value.Null, err
 	}
-	switch kind {
-	case value.KindNull:
+	switch tag {
+	case tagNull:
 		return value.Null, nil
-	case value.KindInt:
+	case tagInt:
 		u, err := r.U64()
 		if err != nil {
 			return value.Null, err
 		}
 		return value.NewInt(int64(u)), nil
-	case value.KindFloat:
+	case tagFloat:
 		u, err := r.U64()
 		if err != nil {
 			return value.Null, err
 		}
 		return value.NewFloat(math.Float64frombits(u)), nil
-	case value.KindString:
+	case tagString:
 		s, err := r.String()
 		if err != nil {
 			return value.Null, err
 		}
 		return value.NewString(s), nil
-	case value.KindBool:
-		b, err := r.Bool()
+	case tagBool:
+		b, err := r.Byte()
 		if err != nil {
 			return value.Null, err
 		}
-		return value.NewBool(b), nil
-	default: // value.KindDate
+		if b > 1 {
+			return value.Null, fmt.Errorf("wire: bad bool byte %d", b)
+		}
+		return value.NewBool(b == 1), nil
+	case tagDate:
 		u, err := r.U64()
 		if err != nil {
 			return value.Null, err
 		}
 		return value.NewDate(int64(u)), nil
+	default:
+		return value.Null, fmt.Errorf("wire: unknown value tag %d", tag)
 	}
 }
 
@@ -509,41 +486,6 @@ func (rr *RowReader) Drain() error {
 		}
 	}
 	return nil
-}
-
-// nativeReaders decode a value's payload, by kind, into the Go value
-// database/sql carries for it.
-var nativeReaders = [...]func(*Reader) (any, error){
-	value.KindNull: func(*Reader) (any, error) { return nil, nil },
-	value.KindInt: func(r *Reader) (any, error) {
-		u, err := r.U64()
-		return int64(u), err
-	},
-	value.KindFloat: func(r *Reader) (any, error) {
-		u, err := r.U64()
-		return math.Float64frombits(u), err
-	},
-	value.KindString: func(r *Reader) (any, error) { return r.String() },
-	value.KindBool:   func(r *Reader) (any, error) { return r.Bool() },
-	value.KindDate: func(r *Reader) (any, error) {
-		u, err := r.U64()
-		return time.Unix(int64(u)*86400, 0).UTC(), err
-	},
-}
-
-// Native consumes one tagged value as the Go value database/sql
-// carries for it: nil, int64, float64, string, bool, or a date as UTC
-// midnight time.Time.
-func (r *Reader) Native() (any, error) {
-	kind, err := r.Kind()
-	if err != nil {
-		return nil, err
-	}
-	v, err := nativeReaders[kind](r)
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // Hello is the handshake a client opens its connection with.

@@ -700,7 +700,7 @@ func TestVanishedClient(t *testing.T) {
 }
 
 // FuzzWireFrame feeds arbitrary bytes through every frame decoder,
-// the driver's row reader (RowReader and Reader.Native) included:
+// the driver's row reader (RowReader) included:
 // malformed or truncated input must produce errors, never panics or
 // runaway allocation.
 func FuzzWireFrame(f *testing.F) {
@@ -752,7 +752,7 @@ func FuzzWireFrame(f *testing.F) {
 			})
 			for vals, err := rr.Next(); err == nil; vals, err = rr.Next() {
 				for range width {
-					if _, err = vals.Native(); err != nil {
+					if _, err = vals.Value(); err != nil {
 						break
 					}
 				}
